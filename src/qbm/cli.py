@@ -261,6 +261,13 @@ def _cmd_coeffs(args) -> int:
         {**table.manifest(), "csv": os.path.basename(args.out), "config": cfg},
     )
     print(f"wrote {args.out} ({len(grid)} rows, mode={mode}) and {manifest_path}")
+    diag = table.diagnostics
+    if not diag.get("tol_met", True):
+        print(
+            f"warning: tol not met: certified d1 tail bound {diag['d1_tail_bound_max']:.3e}"
+            f" > tol {args.tol:.3e} at {int(diag['n_modes_max'])} modes",
+            file=sys.stderr,
+        )
     if table.pole_windows:
         print(f"pole windows: {table.pole_windows}")
     return 0

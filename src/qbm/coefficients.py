@@ -146,9 +146,13 @@ def d_cl_closed(p: PhysicalParams, t):
 #   _G(s, Z)  = exp(-s) * phi1_dd(s, Z)      evaluated cancellation-free as
 #               (phi1(-s) - exp(-s)*phi1(Z))/(s - Z)
 #   _Gp(s, Z) = d_G/d_s
-#   _dG(x, y, Z) = (G(x,Z) - G(y,Z))/(x - y) with a midpoint fallback.
 # Every factor decays or is bounded, so the forms are safe for arbitrarily
-# large nu_n*t.
+# large nu_n*t.  In _mode_r the mode-dependent kernel is evaluated once per
+# call: phi1(-X) and exp(-X) (X = nu_n*t) once, phi1_dd(-X, Z_j) and G(X, Z_j)
+# once per root j, with the scalars phi1(Z_j) and G(Y_i, Z_j) (Y_i =
+# lambda_i*t) folded in.  Each array form is taken in its far
+# (divided-difference) shape and the few modes inside a near-coincidence
+# window are overwritten by the helpers above.
 
 
 def _G(s, Z):
@@ -174,48 +178,68 @@ def _Gp(s, Z):
     return (-phi1_deriv(-s) + np.exp(-s) * phi1(Z) - _G(s, Z)) / (s - Z)
 
 
-def _dG(x, y, Z):
-    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
-    Z = np.atleast_1d(np.asarray(Z, dtype=np.complex128))
-    x, y, Z = np.broadcast_arrays(x, y, Z)
-    out = np.empty_like(x)
-    near = np.abs(x - y) < 1e-6 * (1.0 + np.abs(x) + np.abs(y))
-    if near.any():
-        out[near] = _Gp((x[near] + y[near]) / 2.0, Z[near])
-    far = ~near
-    if far.any():
-        out[far] = (_G(x[far], Z[far]) - _G(y[far], Z[far])) / (x[far] - y[far])
-    return out
-
-
 def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
     """Per-mode reduced integral R_n(t) for an array of mode rates nu_n.
 
     R_n is the exact closed form of the difference between the white-noise
     double integral and (nu_n/2) times the exponentially-correlated triple
     integral of chi_v_dot products; R_n -> chi_v_dot*chi_v/(2*nu_n) as
-    nu_n grows.
+    nu_n grows.  With X = nu_n*t, Y_i = lambda_i*t and Z_j = -lambda_j*t,
+    pair (i, j) contributes t**2*(G(Y_i, Z_j) - exp(-Y_i)*phi1_dd(-X, Z_j))
+    /(lambda_i + nu_n) - t**3*(G(Y_i, Z_j) - G(X, Z_j))/(Y_i - X).  The
+    array factors phi1(-X) and exp(-X) are evaluated once, phi1_dd(-X, Z_j)
+    and G(X, Z_j) once per j.
     """
     l1, l2 = split_lambdas(p)
     dl = l1 - l2
     lam = (l1, l2)
     c = (l1 / dl, -l2 / dl)
+    nu = np.asarray(nu_n)
     X = np.asarray(nu_n, dtype=np.complex128) * t
-    jd = 0.0 + 0.0j
-    jn = np.zeros_like(X)
-    for i in range(2):
-        Y = lam[i] * t
-        eY = np.exp(-Y)
+    absX = np.abs(X)
+    # far forms divide by zero where a near window holds; those entries are
+    # overwritten
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pX = phi1(-X)
+        eX = np.exp(-X)
+        dd, GX = [], []
         for j in range(2):
             Z = -lam[j] * t
-            cij = c[i] * c[j]
-            Gij = complex(_G(Y, Z)[0])
-            jd += cij * t * t * Gij
-            T12 = t * t * (Gij - eY * phi1_dd(-X, Z)) / (lam[i] + np.asarray(nu_n))
-            T34 = -(t**3) * _dG(Y, X, Z)
-            jn += cij * (T12 + T34)
-    return (jd - np.asarray(nu_n) / 2.0 * jn).real
+            pZ = phi1(Z)
+            window = 1e-6 * (1.0 + absX + abs(Z))
+            d = -X - Z
+            ddj = (pX - pZ) / d
+            near = np.abs(d) < window
+            if near.any():
+                ddj[near] = phi1_dd(-X[near], Z)
+            d = X - Z
+            GXj = (pX - eX * pZ) / d
+            near = np.abs(d) < window
+            if near.any():
+                GXj[near] = _G(X[near], Z)
+            dd.append(ddj)
+            GX.append(GXj)
+        del pX, eX  # unused by the pair loop; freeing them lowers its peak memory
+        jd = 0.0 + 0.0j
+        jn = np.zeros_like(X)
+        for i in range(2):
+            Y = lam[i] * t
+            eY = np.exp(-Y)
+            den = lam[i] + nu
+            YmX = Y - X
+            near = np.abs(YmX) < 1e-6 * (1.0 + abs(Y) + absX)
+            for j in range(2):
+                Z = -lam[j] * t
+                cij = c[i] * c[j]
+                Gij = complex(_G(Y, Z)[0])
+                jd += cij * t * t * Gij
+                T12 = t * t * (Gij - eY * dd[j]) / den
+                dGij = (Gij - GX[j]) / YmX
+                if near.any():
+                    dGij[near] = _Gp((Y + X[near]) / 2.0, Z)
+                T34 = -(t**3) * dGij
+                jn += cij * (T12 + T34)
+    return (jd - nu / 2.0 * jn).real
 
 
 def _remainder_scale(p: PhysicalParams, t: float) -> float:
@@ -549,7 +573,11 @@ class CoefficientTable:
             "n_points": int(len(self.t)),
             "pole_windows": [[float(a), float(b)] for a, b in self.pole_windows],
             "diagnostics": {
-                k: (float(v) if np.isscalar(v) or np.ndim(v) == 0 else list(map(float, v)))
+                k: (
+                    v if isinstance(v, bool)
+                    else float(v) if np.ndim(v) == 0
+                    else list(map(float, v))
+                )
                 for k, v in self.diagnostics.items()
             },
             "columns": list(_CSV_COLUMNS),
@@ -616,28 +644,24 @@ def build_table(
     else:
         def one(i: int):
             ti = float(t_arr[i])
-            det = d1_quantum_detail(p, ti, n_max, tol)
-            s1i = sigma1_quantum(p, ti, n_max, tol)
+            try:
+                det = d1_quantum_detail(p, ti, n_max, tol)
+                s1i = sigma1_quantum(p, ti, n_max, tol)
+            except QbmError as exc:
+                raise type(exc)(f"t_grid[{i}] = {t_arr[i]}: {exc}") from exc
             cvi = float(chi_v(p, ti))
             cvdi = float(chi_v_dot(p, ti))
             sqi = s1i + (p.kT / p.M) * cvi * cvi
             return i, det, s1i, sqi, cvi, cvdi
 
-        results = []
-        indices = list(range(len(t_arr)))
+        indices = range(len(t_arr))
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                futures = [ex.submit(one, i) for i in indices]
-                for fut in futures:
-                    results.append(fut.result())
+                results = list(ex.map(one, indices))
         else:
-            for i in indices:
-                try:
-                    results.append(one(i))
-                except QbmError as exc:
-                    raise type(exc)(f"t_grid[{i}] = {t_arr[i]}: {exc}") from exc
+            results = [one(i) for i in indices]
         d1 = np.empty(len(t_arr))
         s1 = np.empty(len(t_arr))
         sq = np.empty(len(t_arr))
@@ -658,6 +682,8 @@ def build_table(
             "d1_tail_bound_max": float(np.max(tails)),
             "d1_log_coefficient_max": float(np.max(np.abs(logc))),
             "n_modes_max": float(np.max(nmodes)),
+            # the mode count is capped, so the certified bound can miss tol
+            "tol_met": bool(np.max(tails) <= tol),
         }
 
     if not np.all(np.isfinite(d1)) or not np.all(np.isfinite(s1)):

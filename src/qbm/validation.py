@@ -21,6 +21,7 @@ from .coefficients import (
     sigma1_quantum,
     sigma_cl_closed,
 )
+from .errors import QbmError
 from .fpe import SolverConfig, solve
 from .model import PhysicalParams
 from .propagator import maxwell_average_check
@@ -178,7 +179,7 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
                 "relative sup-norm deviation from exact Gaussian",
             )
         )
-    except Exception as exc:  # pole windows in strongly underdamped runs
+    except QbmError as exc:  # pole windows in strongly underdamped runs
         rep.checks.append(
             CheckResult("fpe-run", 1.0, 0.0, f"solver aborted: {exc}")
         )

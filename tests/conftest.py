@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qbm import derive
@@ -33,3 +35,10 @@ def pq_under():
 @pytest.fixture
 def pq_crit():
     return derive(1.0, 2.0, 1.0, 1.0, hbar=1.0)
+
+
+@pytest.fixture
+def pq_resonant():
+    """Overdamped with nu = lambda1 = 0.8 exactly: mode 1 sits on a root, so
+    the near-coincidence branches of the mode kernel are taken."""
+    return derive(1.0, 1.0, 0.16, 0.8 / (2.0 * math.pi), hbar=1.0)

@@ -146,6 +146,28 @@ class TestCoeffs:
         assert man["config"]["threads"] == 2
 
 
+    def test_unmet_tol_warns_on_stderr(self, tmp_path, capsys):
+        out = str(tmp_path / "q.csv")
+        rc = main(["coeffs", "--hbar", "1", "--t-max", "1", "--n-points", "2",
+                   "--n-max", "100", "--out", out])
+        assert rc == 0
+        cap = capsys.readouterr()
+        assert cap.err.startswith("warning: tol not met: ")
+        assert cap.err.count("\n") == 1
+        assert cap.out.startswith("wrote ") and "warning" not in cap.out
+        man = json.loads((tmp_path / "q.csv.json").read_text())
+        assert man["diagnostics"]["tol_met"] is False
+
+    def test_met_tol_is_silent(self, tmp_path, capsys):
+        out = str(tmp_path / "q.csv")
+        rc = main(["coeffs", "--hbar", "1", "--t-max", "1", "--n-points", "2",
+                   "--tol", "1e-2", "--out", out])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        man = json.loads((tmp_path / "q.csv.json").read_text())
+        assert man["diagnostics"]["tol_met"] is True
+
+
 class TestFpe:
     def test_accurate_run_exit_0(self, tmp_path, capsys):
         out = str(tmp_path / "f.csv")

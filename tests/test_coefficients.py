@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from qbm import (
     CoefficientTable,
     HbarZero,
+    TailNotBounded,
     build_table,
     chi_q,
     chi_v,
@@ -24,6 +25,7 @@ from qbm import (
     sigma_q,
     xi_q0_sum,
 )
+import qbm.coefficients
 from qbm.coefficients import _mode_r
 
 
@@ -75,8 +77,55 @@ class TestClassicalClosedForms:
         assert sigma1_classical(p_over, 0.0) == 0.0
 
 
+def _mode_r_pairwise(p, nu_n, t):
+    """_mode_r written pair by pair, without hoisting: every (i, j) root pair
+    evaluates its own phi1_dd(-X, Z_j) and divided difference of G."""
+    from qbm.coefficients import _G, _Gp
+    from qbm.model import split_lambdas
+    from qbm.special import phi1_dd
+
+    def dG(x, y, Z):
+        x, y = np.broadcast_arrays(np.complex128(x), np.asarray(y, dtype=np.complex128))
+        out = np.empty_like(y)
+        near = np.abs(x - y) < 1e-6 * (1.0 + np.abs(x) + np.abs(y))
+        out[near] = _Gp((x[near] + y[near]) / 2.0, Z)
+        far = ~near
+        out[far] = (_G(x[far], Z) - _G(y[far], Z)) / (x[far] - y[far])
+        return out
+
+    l1, l2 = split_lambdas(p)
+    lam = (l1, l2)
+    c = (l1 / (l1 - l2), -l2 / (l1 - l2))
+    X = nu_n.astype(np.complex128) * t
+    jd, jn = 0.0j, np.zeros_like(X)
+    for i in range(2):
+        Y = lam[i] * t
+        for j in range(2):
+            Z = -lam[j] * t
+            Gij = complex(_G(Y, Z)[0])
+            jd += c[i] * c[j] * t * t * Gij
+            T12 = t * t * (Gij - np.exp(-Y) * phi1_dd(-X, Z)) / (lam[i] + nu_n)
+            jn += c[i] * c[j] * (T12 - t**3 * dG(Y, X, Z))
+    return (jd - nu_n / 2.0 * jn).real
+
+
 class TestQuantumModeTerms:
-    @pytest.mark.parametrize("regime", ["over", "under"])
+    @pytest.mark.parametrize(
+        "regime",
+        [
+            "over",
+            "under",
+            pytest.param(
+                "crit",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the split_lambdas partial fractions cancel: R_n is off by "
+                    "2e-7 (t=1e-4), 2e-8 (t=0.7) and 2e-3 (t=8) relative at critical damping",
+                ),
+            ),
+            "resonant",
+        ],
+    )
     @pytest.mark.parametrize("n", [1, 3])
     def test_mode_term_against_quadrature(self, regime, n, request):
         # each mode applies delta(tau) - (nu_n/2)*exp(-nu_n*|tau|) to the
@@ -84,14 +133,26 @@ class TestQuantumModeTerms:
         # reduces to a single convolution, which scipy can check directly
         p = request.getfixturevalue(f"pq_{regime}")
         nu_n = n * p.matsubara_nu()
-        t = 0.7
-        conv, err = quad(
-            lambda s: chi_v(p, t - s) * math.exp(-nu_n * s), 0.0, t, epsabs=1e-14
-        )
-        cv = chi_v(p, t)
-        want = cv * cv / 2.0 - nu_n / 2.0 * cv * conv
-        got = float(_mode_r(p, np.array([nu_n]), t)[0])
-        assert got == pytest.approx(want, rel=1e-10, abs=max(1e-13, 4 * err))
+        for t in (1e-4, 0.7, 8.0):
+            conv, err = quad(
+                lambda s: chi_v(p, t - s) * math.exp(-nu_n * s), 0.0, t, epsabs=1e-14
+            )
+            cv = chi_v(p, t)
+            want = cv * cv / 2.0 - nu_n / 2.0 * cv * conv
+            got = float(_mode_r(p, np.array([nu_n]), t)[0])
+            assert got == pytest.approx(want, rel=1e-10, abs=max(1e-13, 4 * err)), t
+
+    def test_resonant_mode_sits_on_a_root(self, pq_resonant):
+        assert pq_resonant.matsubara_nu() == pq_resonant.lambda1.real == 0.8
+
+    @pytest.mark.parametrize("regime", ["over", "under", "crit", "resonant"])
+    def test_hoisted_kernel_matches_pairwise_form(self, regime, request):
+        p = request.getfixturevalue(f"pq_{regime}")
+        nu_n = np.arange(1, 65, dtype=np.float64) * p.matsubara_nu()
+        # at t = 1e-8 the low modes fall in every near-coincidence window
+        for t in (1e-8, 1e-4, 0.7, 8.0):
+            # same arithmetic in the same order: equal to the last bit
+            np.testing.assert_array_equal(_mode_r(p, nu_n, t), _mode_r_pairwise(p, nu_n, t))
 
     def test_mode_term_large_n_asymptote(self, pq_over):
         # R_n -> chi_v_dot*chi_v/(2*nu_n) for large n
@@ -282,3 +343,31 @@ class TestCoefficientTable:
         table.to_csv(path)
         data = np.genfromtxt(path, delimiter=",", names=True)
         np.testing.assert_allclose(data["sigma_q"], table.sigma_q, rtol=1e-15)
+
+    def test_threaded_failure_names_grid_point(self, pq_over, monkeypatch):
+        real = qbm.coefficients.d1_quantum_detail
+
+        def failing_at_06(p, t, n_max=None, tol=1e-8):
+            if t == 0.6:
+                raise TailNotBounded("cannot certify")
+            return real(p, t, n_max, tol)
+
+        monkeypatch.setattr(qbm.coefficients, "d1_quantum_detail", failing_at_06)
+        grid = np.array([0.2, 0.6, 1.0])
+        with pytest.raises(TailNotBounded, match=r"^t_grid\[1\] = 0\.6: cannot certify$") as exc:
+            build_table(pq_over, grid, mode="quantum", n_max=50, threads=2)
+        assert isinstance(exc.value.__cause__, TailNotBounded)
+
+    def test_tol_met_false_at_capped_mode_count(self, pq_over):
+        # the default tol is out of reach of the 20000-mode cap
+        table = build_table(pq_over, np.array([0.5]), mode="quantum")
+        assert table.diagnostics["n_modes_max"] == 20000
+        assert table.diagnostics["d1_tail_bound_max"] > 1e-8
+        assert table.diagnostics["tol_met"] is False
+        assert table.manifest()["diagnostics"]["tol_met"] is False
+
+    def test_tol_met_true_when_bound_reaches_tol(self, pq_over):
+        table = build_table(pq_over, np.array([0.5]), mode="quantum", tol=1e-2)
+        assert table.diagnostics["d1_tail_bound_max"] <= 1e-2
+        assert table.diagnostics["tol_met"] is True
+        assert table.manifest()["diagnostics"]["tol_met"] is True

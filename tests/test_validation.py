@@ -1,6 +1,7 @@
 import pytest
 
-from qbm import CheckResult, ValidationReport, run_suite
+import qbm.validation
+from qbm import CheckResult, PoleWindow, ValidationReport, run_suite
 
 
 class TestReportStructures:
@@ -38,3 +39,21 @@ class TestSuites:
         # quantum suites still run every classical cross-check
         assert "classical-variance-routes" in names
         assert "fpe-vs-analytic" in names
+
+    def test_typed_fpe_failure_is_a_failed_check(self, p_over, monkeypatch):
+        def aborting(*args, **kwargs):
+            raise PoleWindow("step enters a pole window")
+
+        monkeypatch.setattr(qbm.validation, "solve", aborting)
+        rep = run_suite(p_over, mode="classical", quick=True)
+        assert not rep.passed
+        fpe_run = [c for c in rep.checks if c.name == "fpe-run"]
+        assert len(fpe_run) == 1 and "pole window" in fpe_run[0].detail
+
+    def test_untyped_fpe_failure_propagates(self, p_over, monkeypatch):
+        def buggy(*args, **kwargs):
+            raise ZeroDivisionError("solver bug")
+
+        monkeypatch.setattr(qbm.validation, "solve", buggy)
+        with pytest.raises(ZeroDivisionError, match="solver bug"):
+            run_suite(p_over, mode="classical", quick=True)
