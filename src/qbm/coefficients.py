@@ -34,7 +34,14 @@ from typing import Optional
 import numpy as np
 from scipy.special import digamma, polygamma
 
-from .errors import PoleAtChiQZero, QbmError, TailNotBounded
+from .errors import (
+    GridMismatch,
+    NegativeDiffusion,
+    NonFiniteCoefficient,
+    PoleWindow,
+    QbmError,
+    TailNotBounded,
+)
 from .model import PhysicalParams, split_lambdas
 from .response import (
     chi_q,
@@ -46,6 +53,7 @@ from .response import (
     sinhc,
     tanhc,
     _real_cast,
+    _shaped,
     _time_array,
 )
 from .special import NoConvergence, phi1, phi1_dd, phi1_deriv, xi_q0_closed, xi_q0_sum
@@ -80,7 +88,7 @@ def d1_classical(p: PhysicalParams, t):
     """
     cv = np.atleast_1d(np.asarray(chi_v(p, t), dtype=np.float64))
     out = (2.0 * p.gamma * p.kT / p.M) * cv * cv
-    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
+    return _shaped(out, t)
 
 
 def sigma1_classical(p: PhysicalParams, t):
@@ -115,14 +123,14 @@ def sigma1_classical(p: PhysicalParams, t):
             eg + gt * (E2 - E1) / (2.0 * zf) + gt * gt * ((E1 + E2) / 2.0 - eg) / (zf * zf)
         )
     out = (p.kT / p.omega0_sq) * (1.0 - _real_cast(bracket, "sigma1_classical"))
-    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
+    return _shaped(out, t)
 
 
 def sigma_cl_closed(p: PhysicalParams, t):
     """Thermal-initial-velocity variance (k_B*T/omega0_sq)*(1 - chi_q(t)**2)."""
     cq = np.atleast_1d(np.asarray(chi_q(p, t), dtype=np.float64))
     out = (p.kT / p.omega0_sq) * (1.0 - cq * cq)
-    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
+    return _shaped(out, t)
 
 
 def d_cl_closed(p: PhysicalParams, t):
@@ -136,7 +144,7 @@ def d_cl_closed(p: PhysicalParams, t):
     tc = tanhc(p.omega * ta / 2.0)
     out = (2.0 * p.kT / p.M) * ta * tc / (1.0 + (p.gamma * ta / 2.0) * tc)
     out = _real_cast(out, "d_cl_closed")
-    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
+    return _shaped(out, t)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +551,55 @@ class CoefficientTable:
     def in_pole_window(self, t_lo: float, t_hi: float) -> bool:
         return any(t_lo <= b and t_hi >= a for a, b in self.pole_windows)
 
+    def _in_range(self, t):
+        return (t >= self.t[0] - 1e-12) & (t <= self.t[-1] + 1e-12)
+
+    def _check_range(self, t) -> None:
+        ok = self._in_range(t)
+        if not np.all(ok):
+            raise GridMismatch(
+                f"t={np.ravel(t)[~np.ravel(ok)][0]} outside coefficient table range"
+                f" [{self.t[0]}, {self.t[-1]}]"
+            )
+
+    def at(self, t, name: str):
+        """Column ``name`` linearly interpolated at t (scalar or array); any t
+        outside the table range, with 1e-12 slack, raises GridMismatch."""
+        self._check_range(t)
+        return np.interp(t, self.t, self.column(name))
+
+    def step_coeffs(self, t_lo, t_hi, t_mid):
+        """(Omega, D) of the steps [t_lo, t_hi], interpolated at t_mid.
+
+        The one lookup and guard policy of the FPE and SDE steppers,
+        vectorised over steps.  A step is refused, in this order of checks,
+        if it overlaps a pole window padded by one table spacing
+        (PoleWindow), if t_mid is out of range as in ``at`` (GridMismatch),
+        if Omega or D is not finite (NonFiniteCoefficient) or if D < 0
+        (NegativeDiffusion).  The earliest refused step raises.
+        """
+        pad = float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
+        om = np.interp(t_mid, self.t, self.omega)
+        dc = np.interp(t_mid, self.t, self.d_fpe)
+        # comparisons, not np.isfinite/np.any: fpe.step calls this once per step
+        ok = self._in_range(t_mid) & (abs(om) < np.inf) & (0.0 <= dc) & (dc < np.inf)
+        for a, b in self.pole_windows:
+            ok = ok & ((t_lo > b + pad) | (t_hi < a - pad))
+        if np.count_nonzero(ok) < ok.size:
+            k = int(np.argmin(np.ravel(ok)))
+            lo, hi, tm, o, d = (
+                float(np.ravel(np.broadcast_to(x, np.shape(ok)))[k])
+                for x in (t_lo, t_hi, t_mid, om, dc)
+            )
+            for a, b in self.pole_windows:
+                if lo <= b + pad and hi >= a - pad:
+                    raise PoleWindow(f"step [{lo}, {hi}] overlaps drift pole window [{a}, {b}]")
+            self._check_range(tm)
+            if not (math.isfinite(o) and math.isfinite(d)):
+                raise NonFiniteCoefficient(f"omega/d_fpe not finite at t={tm}")
+            raise NegativeDiffusion(f"D(t={tm}) = {d} < 0")
+        return om, dc
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             f.write(",".join(_CSV_COLUMNS) + "\n")
@@ -582,6 +639,17 @@ class CoefficientTable:
             },
             "columns": list(_CSV_COLUMNS),
         }
+
+
+def _ordered_map(threads: int, fn, *iterables) -> list:
+    """list(map(fn, *iterables)), over a thread pool when threads > 1; the
+    first failing call in order raises, whatever the thread count."""
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by a single-thread run
+
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, *iterables))
+    return list(map(fn, *iterables))
 
 
 def _pole_windows_for(p: PhysicalParams, t_max: float) -> list:
@@ -654,14 +722,7 @@ def build_table(
             sqi = s1i + (p.kT / p.M) * cvi * cvi
             return i, det, s1i, sqi, cvi, cvdi
 
-        indices = range(len(t_arr))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(one, indices))
-        else:
-            results = [one(i) for i in indices]
+        results = _ordered_map(threads, one, range(len(t_arr)))
         d1 = np.empty(len(t_arr))
         s1 = np.empty(len(t_arr))
         sq = np.empty(len(t_arr))

@@ -13,9 +13,10 @@ Two schemes:
   CFL-limited) and diffusion (Crank-Nicolson): more robust at large cell
   Peclet number but only first order in dq.
 
-Coefficients are read from a CoefficientTable by linear interpolation; the
-solver refuses to step across annotated pole windows and refuses negative
-diffusion outright.
+Each step reads Omega and D at its midpoint t0 + dt/2 through
+``CoefficientTable.step_coeffs``, the lookup and guard policy shared with the
+reduced SDE: a step into a padded pole window, outside the table, onto a
+non-finite coefficient or onto negative diffusion raises a typed error.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .coefficients import CoefficientTable, build_table
-from .errors import (
-    CFLViolation,
-    GridMismatch,
-    NegativeDiffusion,
-    NonFiniteCoefficient,
-    NonFiniteState,
-    PoleWindow,
-)
+from .errors import CFLViolation, GridMismatch, NonFiniteState
 from .model import PhysicalParams
 from .response import chi_q
 
@@ -124,31 +118,6 @@ class DensityField:
         return f
 
 
-def _coeffs_at(table: CoefficientTable, t: float) -> tuple:
-    if not (table.t[0] - 1e-12 <= t <= table.t[-1] + 1e-12):
-        raise GridMismatch(
-            f"t={t} outside coefficient table range [{table.t[0]}, {table.t[-1]}]"
-        )
-    om = float(np.interp(t, table.t, table.omega))
-    dc = float(np.interp(t, table.t, table.d_fpe))
-    if not (math.isfinite(om) and math.isfinite(dc)):
-        raise NonFiniteCoefficient(
-            f"omega/d_fpe not finite at t={t} (adjacent to a pole window?)"
-        )
-    if dc < 0.0:
-        raise NegativeDiffusion(f"D(t={t}) = {dc} < 0")
-    return om, dc
-
-
-def _window_guard(table: CoefficientTable, t0: float, t1: float) -> None:
-    pad = float(table.t[1] - table.t[0]) if len(table.t) > 1 else 0.0
-    for a, b in table.pole_windows:
-        if t0 <= b + pad and t1 >= a - pad:
-            raise PoleWindow(
-                f"step [{t0}, {t1}] overlaps drift pole window [{a}, {b}]"
-            )
-
-
 def _flux_tridiag(q: np.ndarray, om: float, dc: float, boundary: str):
     """Rows of L with (L rho)_i = -(F_{i+1/2} - F_{i-1/2})/dq."""
     n = len(q)
@@ -192,8 +161,7 @@ def step(field: DensityField, table: CoefficientTable, cfg: SolverConfig) -> Den
     """Advance the density by one step of cfg.dt."""
     dt = cfg.dt
     t0, t1 = field.t, field.t + dt
-    _window_guard(table, t0, t1)
-    om, dc = _coeffs_at(table, t0 + dt / 2.0)
+    om, dc = table.step_coeffs(t0, t1, t0 + dt / 2.0)
     q = field.q
     if cfg.scheme == "cn-central":
         lower, diag, upper = _flux_tridiag(q, om, dc, cfg.boundary)
@@ -251,9 +219,7 @@ class SolveResult:
         return self.mass_final - self.mass_initial
 
 
-def _auto_domain(p: PhysicalParams, cfg: SolverConfig, t_final: float, table) -> tuple:
-    if cfg.q_min is not None and cfg.q_max is not None:
-        return cfg.q_min, cfg.q_max
+def _auto_domain(cfg: SolverConfig, table) -> tuple:
     var_max = float(np.nanmax(table.sigma_q)) + cfg.init_var
     half = cfg.domain_sigmas * math.sqrt(max(var_max, cfg.init_var))
     lo = min(0.0, cfg.q0) - half
@@ -289,7 +255,7 @@ def solve(
     t_nodes = np.linspace(cfg.t_start, t_final, n_table)
     table = build_table(p, t_nodes, mode=mode, n_max=cfg.n_max, tol=cfg.tol)
 
-    q_lo, q_hi = _auto_domain(p, cfg, t_final, table)
+    q_lo, q_hi = _auto_domain(cfg, table)
     q = np.linspace(q_lo, q_hi, cfg.n_q)
     field = DensityField.gaussian(q, cfg.q0, cfg.init_var, t=cfg.t_start)
     mass0 = field.mass()
@@ -300,26 +266,29 @@ def solve(
     stops = sorted(set(want + [t_final]))
 
     snapshots: dict = {}
-    peclet_max = 0.0
-    n_steps = 0
+    t_lo, dts = [], []  # realised steps, for the Peclet number
     for t_stop in stops:
         while field.t < t_stop - 1e-12 * max(1.0, t_stop):
             dt_step = min(cfg.dt, t_stop - field.t)
             cfg_step = replace(cfg, dt=dt_step) if dt_step != cfg.dt else cfg
-            om, dc = _coeffs_at(table, field.t + dt_step / 2.0)
-            if dc > 0.0:
-                pe = np.max(np.abs(om * field.q)) * field.dq / dc
-                peclet_max = max(peclet_max, float(pe))
+            t_lo.append(field.t)
+            dts.append(dt_step)
             field = step(field, table, cfg_step)
-            n_steps += 1
         field.t = t_stop
         if t_stop in want:
             snapshots[t_stop] = field.rho.copy()
 
+    # the steps' own coefficients; max|Omega*q| = |Omega|*max|q| exactly
+    t_lo, dts = np.array(t_lo), np.array(dts)
+    om, dc = table.step_coeffs(t_lo, t_lo + dts, t_lo + dts / 2.0)
+    pos = dc > 0.0
+    pe = np.abs(om[pos]) * np.max(np.abs(q)) * field.dq / dc[pos]
+    peclet_max = float(np.max(pe, initial=0.0))
+
     linf = peak = None
     if cfg.compare_analytic:
         cq = float(chi_q(p, t_final))
-        var_num = float(np.interp(t_final, table.t, table.sigma_q))
+        var_num = table.at(t_final, "sigma_q")
         var = var_num + cq * cq * cfg.init_var
         mean = cq * cfg.q0
         exact = np.exp(-((q - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
@@ -334,7 +303,7 @@ def solve(
         mass_final=field.mass(),
         min_density=float(np.min(field.rho)),
         peclet_max=peclet_max,
-        n_steps=n_steps,
+        n_steps=len(dts),
         linf_error=linf,
         peak_density=peak,
     )

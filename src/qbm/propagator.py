@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientTable, sigma1_classical, sigma_cl_closed
-from .errors import DegenerateVariance, GridMismatch
+from .errors import DegenerateVariance
 from .model import PhysicalParams
 from .response import chi_q, chi_q_dot, chi_v, chi_v_dot
 
@@ -101,14 +101,6 @@ def density(g: GaussianDensity, q, t: float):
     return float(out[0]) if np.ndim(q) == 0 else out.reshape(np.shape(q))
 
 
-def _table_at(table: CoefficientTable, name: str, t: float) -> float:
-    if not (table.t[0] <= t <= table.t[-1]):
-        raise GridMismatch(
-            f"t={t} outside table range [{table.t[0]}, {table.t[-1]}]"
-        )
-    return float(np.interp(t, table.t, table.column(name)))
-
-
 def fpe_residual(
     g: GaussianDensity,
     table: CoefficientTable,
@@ -127,22 +119,22 @@ def fpe_residual(
             "conditional densities obey the position-space FPE only for v0=0"
         )
     q = np.asarray(q_grid, dtype=np.float64)
-    om = _table_at(table, "omega", t)
+    om = table.at(t, "omega")
     if not np.isfinite(om):
         raise ValueError(f"table omega is NaN at t={t} (pole window)")
     if g.kind == "averaged":
-        dcoef = _table_at(table, "d_fpe", t)
-        var = _table_at(table, "sigma_q", t)
+        dcoef = table.at(t, "d_fpe")
+        var = table.at(t, "sigma_q")
     else:
-        var = _table_at(table, "sigma1", t)
-        dcoef = _table_at(table, "d1", t) - 2.0 * om * var
+        var = table.at(t, "sigma1")
+        dcoef = table.at(t, "d1") - 2.0 * om * var
     if var <= 0.0:
         raise DegenerateVariance(f"table variance {var} at t={t}")
 
     p = g.params
     mean = g.mean(t)
     mean_rate = g.mean_rate(t)
-    d1_tab = _table_at(table, "d1", t)
+    d1_tab = table.at(t, "d1")
     var_rate = d1_tab
     if g.kind == "averaged":
         var_rate += (

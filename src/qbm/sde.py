@@ -3,8 +3,9 @@
 Two simulators over ensembles of paths:
 
 * ``simulate_reduced`` — Euler-Maruyama for the one-dimensional reduced SDE
-  dq = Omega(t) q dt + sqrt(D(t)) dW with coefficients interpolated from a
-  CoefficientTable at the step midpoint.
+  dq = Omega(t) q dt + sqrt(D(t)) dW, with every step's coefficients read at
+  its midpoint (t_lo + t_hi)/2 by one ``CoefficientTable.step_coeffs`` call:
+  the lookup and guard policy shared with the FPE solver.
 * ``simulate_langevin`` — the underlying two-dimensional Langevin dynamics
   dq = v dt, dv = (-gamma v - (omega0_sq/M) q) dt + sqrt(2 gamma k_B T/M) dW,
   integrated by BAOAB splitting with the exact Ornstein-Uhlenbeck kick, so the
@@ -13,7 +14,8 @@ Two simulators over ensembles of paths:
 Reproducibility: paths are split over 16 fixed RNG blocks, each seeded by
 SeedSequence((seed, block)) driving Philox counters, and all reductions run
 in fixed block order — results are bit-identical for a given seed regardless
-of thread count.
+of thread count.  Each block keeps its exact sum and its M2 about its own
+mean, so the variance does not cancel at large |mean|.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import CoefficientTable
-from .errors import GridMismatch, NegativeDiffusion, NonFiniteCoefficient, PoleWindow
+from .coefficients import CoefficientTable, _ordered_map
+from .errors import GridMismatch
 from .model import PhysicalParams
 
 __all__ = [
@@ -109,18 +111,33 @@ class EnsembleStats:
             f.write(np.ascontiguousarray(self.paths, dtype="<f8").tobytes())
 
 
-def _combine(block_sums: list, n_paths: int, n_rec: int) -> tuple:
-    """Fixed-order pairwise combination of per-block moment accumulators."""
-    s1 = np.zeros(n_rec)
-    s2 = np.zeros(n_rec)
-    for k in range(n_rec):
-        s1[k] = math.fsum(b[0][k] for b in block_sums)
-        s2[k] = math.fsum(b[1][k] for b in block_sums)
-    mean = s1 / n_paths
-    var = (s2 - n_paths * mean * mean) / (n_paths - 1)
-    se_mean = np.sqrt(np.maximum(var, 0.0) / n_paths)
-    se_var = np.maximum(var, 0.0) * math.sqrt(2.0 / (n_paths - 1))
-    return mean, var, se_mean, se_var
+def _sum_m2(x: np.ndarray) -> tuple:
+    """Sum of x and the sum of squared deviations about its own mean."""
+    s = float(np.sum(x))
+    d = x - s / max(len(x), 1)
+    return s, float(np.sum(d * d))
+
+
+def _combine(block_sums: list, sizes: list) -> tuple:
+    """Ensemble moments from per-block (sum, M2) accumulators.
+
+    The mean is the exactly rounded total sum over n_paths.  The M2 are
+    merged in fixed block order by the pairwise update of Chan, Golub and
+    LeVeque (1979): n_b paths of mean m_b join n paths of mean m by adding
+    M2_b + (m_b - m)**2 * n * n_b / (n + n_b), which never cancels.
+    """
+    n_paths = sum(sizes)
+    s1 = np.array([math.fsum(col) for col in zip(*(b[0] for b in block_sums))])
+    n, m, m2 = 0, 0.0, 0.0
+    for (bs1, bm2), n_b in zip(block_sums, sizes):
+        if n_b == 0:
+            continue
+        d = bs1 / n_b - m
+        m = m + d * (n_b / (n + n_b))
+        m2 = m2 + bm2 + d * d * (n * n_b / (n + n_b))
+        n += n_b
+    var = m2 / (n_paths - 1)
+    return s1 / n_paths, var, np.sqrt(var / n_paths), var * math.sqrt(2.0 / (n_paths - 1))
 
 
 def _sample_indices(times: np.ndarray, sample_times, t0: float) -> list:
@@ -136,23 +153,6 @@ def _sample_indices(times: np.ndarray, sample_times, t0: float) -> list:
             )
         idx.append(k)
     return idx
-
-
-def _table_coeff_mid(table: CoefficientTable, t_lo: float, t_hi: float) -> tuple:
-    pad = float(table.t[1] - table.t[0]) if len(table.t) > 1 else 0.0
-    for a, b in table.pole_windows:
-        if t_lo <= b + pad and t_hi >= a - pad:
-            raise PoleWindow(
-                f"step [{t_lo}, {t_hi}] overlaps drift pole window [{a}, {b}]"
-            )
-    tm = (t_lo + t_hi) / 2.0
-    om = float(np.interp(tm, table.t, table.omega))
-    dc = float(np.interp(tm, table.t, table.d_fpe))
-    if not (math.isfinite(om) and math.isfinite(dc)):
-        raise NonFiniteCoefficient(f"omega/d_fpe not finite near t={tm}")
-    if dc < 0.0:
-        raise NegativeDiffusion(f"D(t={tm}) = {dc} < 0")
-    return om, dc
 
 
 def simulate_reduced(
@@ -175,27 +175,21 @@ def simulate_reduced(
     t0 = float(table.t[0])
     if not (t_final > t0):
         raise ValueError(f"t_final must exceed table start {t0}")
-    if t_final > float(table.t[-1]) + 1e-12:
-        raise GridMismatch(f"t_final={t_final} beyond table range")
+    table._check_range(t_final)
     times = _step_times(t0, t_final, dt)
     rec = _record_mask(len(times))
     samp_idx = _sample_indices(times, sample_times, t0)
-    # precompute per-step coefficients once; identical for every block
-    oms = np.empty(len(times))
-    dcs = np.empty(len(times))
-    t_prev = t0
-    for k, tk in enumerate(times):
-        oms[k], dcs[k] = _table_coeff_mid(table, t_prev, float(tk))
-        t_prev = float(tk)
-    dts = np.diff(np.concatenate(([t0], times)))
+    # per-step coefficients once, identical for every block
+    t_lo = np.concatenate(([t0], times[:-1]))
+    oms, dcs = table.step_coeffs(t_lo, times, (t_lo + times) / 2.0)
+    dts = times - t_lo
 
     n_rec = int(rec.sum())
 
     def run_block(b: int, n_b: int):
         rng = _rng(seed, b)
         q = np.full(n_b, float(q0))
-        s1 = np.empty(n_rec)
-        s2 = np.empty(n_rec)
+        mom = np.empty((2, n_rec))  # per record: sum and M2 about the block mean
         traj = np.empty((n_b, n_rec)) if keep_paths else None
         snaps = {}
         j = 0
@@ -203,24 +197,21 @@ def simulate_reduced(
             h = dts[k]
             q += oms[k] * q * h + math.sqrt(dcs[k] * h) * rng.standard_normal(n_b)
             if rec[k]:
-                s1[j] = float(np.sum(q))
-                s2[j] = float(np.sum(q * q))
+                mom[:, j] = _sum_m2(q)
                 if traj is not None:
                     traj[:, j] = q
                 j += 1
             if k in samp_idx:
                 snaps[float(times[k])] = q.copy()
-        return (s1, s2), q, snaps, traj
+        return mom, q, snaps, traj
 
     sizes = _block_sizes(n_paths)
-    results = _run_blocks(run_block, sizes, threads)
-    block_sums = [r[0] for r in results]
-    samples = np.concatenate([r[1] for r in results])
+    results = _ordered_map(threads, run_block, range(_N_BLOCKS), sizes)
     samples_at = {
         float(times[k]): np.concatenate([r[2][float(times[k])] for r in results])
         for k in samp_idx
     } or None
-    mean, var, se_mean, se_var = _combine(block_sums, n_paths, n_rec)
+    mean, var, se_mean, se_var = _combine([r[0] for r in results], sizes)
     return EnsembleStats(
         t=times[rec],
         mean=mean,
@@ -228,7 +219,7 @@ def simulate_reduced(
         se_mean=se_mean,
         se_var=se_var,
         n_paths=n_paths,
-        samples_q=samples,
+        samples_q=np.concatenate([r[1] for r in results]),
         label="reduced-em",
         samples_at=samples_at,
         paths=np.concatenate([r[3] for r in results]) if keep_paths else None,
@@ -271,10 +262,8 @@ def simulate_langevin(
         q = np.full(n_b, float(q0))
         v = (v_std * rng.standard_normal(n_b) if v0_mode == "thermal"
              else np.zeros(n_b))
-        sq1 = np.empty(n_rec)
-        sq2 = np.empty(n_rec)
-        sv1 = np.empty(n_rec)
-        sv2 = np.empty(n_rec)
+        mom_q = np.empty((2, n_rec))  # per record: sum and M2 about the block mean
+        mom_v = np.empty((2, n_rec))
         traj = np.empty((n_b, n_rec)) if keep_paths else None
         snaps = {}
         j = 0
@@ -288,21 +277,19 @@ def simulate_langevin(
             q += (h / 2.0) * v
             v += -(h / 2.0) * k_spring * q
             if rec[k]:
-                sq1[j] = float(np.sum(q))
-                sq2[j] = float(np.sum(q * q))
-                sv1[j] = float(np.sum(v))
-                sv2[j] = float(np.sum(v * v))
+                mom_q[:, j] = _sum_m2(q)
+                mom_v[:, j] = _sum_m2(v)
                 if traj is not None:
                     traj[:, j] = q
                 j += 1
             if k in samp_idx:
                 snaps[float(times[k])] = q.copy()
-        return (sq1, sq2), (sv1, sv2), q, v, snaps, traj
+        return mom_q, mom_v, q, v, snaps, traj
 
     sizes = _block_sizes(n_paths)
-    results = _run_blocks(run_block, sizes, threads)
-    mean, var, se_mean, se_var = _combine([r[0] for r in results], n_paths, n_rec)
-    mean_v, var_v, _, _ = _combine([r[1] for r in results], n_paths, n_rec)
+    results = _ordered_map(threads, run_block, range(_N_BLOCKS), sizes)
+    mean, var, se_mean, se_var = _combine([r[0] for r in results], sizes)
+    mean_v, var_v, _, _ = _combine([r[1] for r in results], sizes)
     samples_at = {
         float(times[k]): np.concatenate([r[4][float(times[k])] for r in results])
         for k in samp_idx
@@ -322,16 +309,6 @@ def simulate_langevin(
         samples_at=samples_at,
         paths=np.concatenate([r[5] for r in results]) if keep_paths else None,
     )
-
-
-def _run_blocks(run_block, sizes, threads):
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [ex.submit(run_block, b, n_b) for b, n_b in enumerate(sizes)]
-            return [f.result() for f in futs]
-    return [run_block(b, n_b) for b, n_b in enumerate(sizes)]
 
 
 def equivalence_report(

@@ -87,6 +87,24 @@ class TestReducedMoments:
         assert z_v < 4.0
 
 
+class TestRobustVariance:
+    @pytest.mark.parametrize("sim", ["reduced", "langevin"])
+    def test_large_offset_leaves_variance(self, table_over, sim):
+        # the noise does not depend on q0, so neither may the variance; a
+        # one-pass sum-of-squares variance cancels at q0 = 1e6
+        p, table = table_over
+
+        def run(q0):
+            if sim == "reduced":
+                return simulate_reduced(p, table, q0, 4000, 1e-2, 1.0, seed=3)
+            return simulate_langevin(p, q0, "thermal", 4000, 1e-2, 1.0, seed=3)
+
+        near, far = run(1.0), run(1e6)
+        np.testing.assert_allclose(far.var, near.var, rtol=1e-6)
+        if sim == "langevin":
+            np.testing.assert_allclose(far.var_v, near.var_v, rtol=1e-6)
+
+
 class TestLangevin:
     def test_equipartition(self, p_over):
         stats = simulate_langevin(p_over, 1.0, "thermal", 20000, 1e-2, 30.0, seed=19)
