@@ -548,8 +548,14 @@ class CoefficientTable:
             raise KeyError(name)
         return getattr(self, name)
 
+    def _pad(self) -> float:
+        return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
+
     def in_pole_window(self, t_lo: float, t_hi: float) -> bool:
-        return any(t_lo <= b and t_hi >= a for a, b in self.pole_windows)
+        """Whether [t_lo, t_hi] overlaps a pole window padded by one table
+        spacing: the rule on which ``step_coeffs`` refuses a step."""
+        pad = self._pad()
+        return any(t_lo <= b + pad and t_hi >= a - pad for a, b in self.pole_windows)
 
     def _in_range(self, t):
         return (t >= self.t[0] - 1e-12) & (t <= self.t[-1] + 1e-12)
@@ -578,7 +584,7 @@ class CoefficientTable:
         if Omega or D is not finite (NonFiniteCoefficient) or if D < 0
         (NegativeDiffusion).  The earliest refused step raises.
         """
-        pad = float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
+        pad = self._pad()
         om = np.interp(t_mid, self.t, self.omega)
         dc = np.interp(t_mid, self.t, self.d_fpe)
         # comparisons, not np.isfinite/np.any: fpe.step calls this once per step
@@ -591,9 +597,8 @@ class CoefficientTable:
                 float(np.ravel(np.broadcast_to(x, np.shape(ok)))[k])
                 for x in (t_lo, t_hi, t_mid, om, dc)
             )
-            for a, b in self.pole_windows:
-                if lo <= b + pad and hi >= a - pad:
-                    raise PoleWindow(f"step [{lo}, {hi}] overlaps drift pole window [{a}, {b}]")
+            if self.in_pole_window(lo, hi):
+                raise PoleWindow(f"step [{lo}, {hi}] overlaps a drift pole window padded by {pad}")
             self._check_range(tm)
             if not (math.isfinite(o) and math.isfinite(d)):
                 raise NonFiniteCoefficient(f"omega/d_fpe not finite at t={tm}")
@@ -701,51 +706,33 @@ def build_table(
         omega[ok] = np.atleast_1d(omega_drift(p, t_arr[ok]))
 
     diagnostics: dict = {}
+    cv = np.atleast_1d(chi_v(p, t_arr))
     if mode == "classical":
         d1 = np.atleast_1d(d1_classical(p, t_arr))
         s1 = np.atleast_1d(sigma1_classical(p, t_arr))
         sq = np.atleast_1d(sigma_cl_closed(p, t_arr))
-        cv = np.atleast_1d(chi_v(p, t_arr))
-        cvd = np.atleast_1d(chi_v_dot(p, t_arr))
-        sdot = d1 + (2.0 * p.kT / p.M) * cv * cvd
-        dq[ok] = sdot[ok] - 2.0 * omega[ok] * sq[ok]
     else:
         def one(i: int):
-            ti = float(t_arr[i])
             try:
-                det = d1_quantum_detail(p, ti, n_max, tol)
-                s1i = sigma1_quantum(p, ti, n_max, tol)
+                return (d1_quantum_detail(p, float(t_arr[i]), n_max, tol),
+                        sigma1_quantum(p, float(t_arr[i]), n_max, tol))
             except QbmError as exc:
                 raise type(exc)(f"t_grid[{i}] = {t_arr[i]}: {exc}") from exc
-            cvi = float(chi_v(p, ti))
-            cvdi = float(chi_v_dot(p, ti))
-            sqi = s1i + (p.kT / p.M) * cvi * cvi
-            return i, det, s1i, sqi, cvi, cvdi
 
-        results = _ordered_map(threads, one, range(len(t_arr)))
-        d1 = np.empty(len(t_arr))
-        s1 = np.empty(len(t_arr))
-        sq = np.empty(len(t_arr))
-        tails = np.empty(len(t_arr))
-        logc = np.empty(len(t_arr))
-        nmodes = np.empty(len(t_arr))
-        for i, det, s1i, sqi, cvi, cvdi in results:
-            d1[i] = det.value
-            s1[i] = s1i
-            sq[i] = sqi
-            tails[i] = det.tail_bound
-            logc[i] = det.log_coefficient
-            nmodes[i] = det.n_modes
-            if not in_window[i]:
-                sdot_i = det.value + (2.0 * p.kT / p.M) * cvi * cvdi
-                dq[i] = sdot_i - 2.0 * omega[i] * sqi
+        dets, s1 = zip(*_ordered_map(threads, one, range(len(t_arr))))
+        d1 = np.array([det.value for det in dets])
+        s1 = np.array(s1)
+        sq = s1 + (p.kT / p.M) * cv * cv
+        tails = np.array([det.tail_bound for det in dets])
         diagnostics = {
             "d1_tail_bound_max": float(np.max(tails)),
-            "d1_log_coefficient_max": float(np.max(np.abs(logc))),
-            "n_modes_max": float(np.max(nmodes)),
+            "d1_log_coefficient_max": float(np.max(np.abs([det.log_coefficient for det in dets]))),
+            "n_modes_max": float(np.max([det.n_modes for det in dets])),
             # the mode count is capped, so the certified bound can miss tol
             "tol_met": bool(np.max(tails) <= tol),
         }
+    sdot = d1 + (2.0 * p.kT / p.M) * cv * np.atleast_1d(chi_v_dot(p, t_arr))
+    dq[ok] = sdot[ok] - 2.0 * omega[ok] * sq[ok]
 
     if not np.all(np.isfinite(d1)) or not np.all(np.isfinite(s1)):
         bad = int(np.flatnonzero(~(np.isfinite(d1) & np.isfinite(s1)))[0])

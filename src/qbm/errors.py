@@ -103,4 +103,5 @@ class DegenerateVariance(QbmError):
 
 
 class NonFiniteState(QbmError):
-    """Integrator state left the finite range (timestep too large)."""
+    """Integrator state left the finite range (timestep too large): raised by
+    the FPE step for its density and by both path ensembles for their moments."""

@@ -11,11 +11,12 @@ Two simulators over ensembles of paths:
   integrated by BAOAB splitting with the exact Ornstein-Uhlenbeck kick, so the
   friction/noise substep introduces no stepsize bias.
 
-Reproducibility: paths are split over 16 fixed RNG blocks, each seeded by
-SeedSequence((seed, block)) driving Philox counters, and all reductions run
-in fixed block order — results are bit-identical for a given seed regardless
-of thread count.  Each block keeps its exact sum and its M2 about its own
-mean, so the variance does not cancel at large |mean|.
+Both keep only their start state and step; one driver, ``_ensemble``, owns
+the blocks, records and merge.  Paths are split over 16 fixed RNG blocks, each
+seeded by SeedSequence((seed, block)) driving Philox counters, and all
+reductions run in fixed block order — results are bit-identical for a given
+seed regardless of thread count.  Each block keeps its exact sum and its M2
+about its own mean, so the variance does not cancel at large |mean|.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientTable, _ordered_map
-from .errors import GridMismatch
+from .errors import GridMismatch, NonFiniteState
 from .model import PhysicalParams
 
 __all__ = [
@@ -51,7 +52,12 @@ def _rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _step_times(t0: float, t_final: float, dt: float) -> np.ndarray:
-    n = int(math.ceil((t_final - t0) / dt - 1e-12))
+    """End times of the steps of length dt from t0; the last one is t_final."""
+    if not (dt > 0.0):
+        raise ValueError("dt must be positive")
+    if not (t_final > t0):
+        raise ValueError(f"t_final must exceed the start time {t0}")
+    n = max(1, int(math.ceil((t_final - t0) / dt - 1e-12)))
     t = t0 + dt * np.arange(1, n + 1)
     t[-1] = t_final
     return t
@@ -155,6 +161,73 @@ def _sample_indices(times: np.ndarray, sample_times, t0: float) -> list:
     return idx
 
 
+def _ensemble(label, times, t0, n_paths, seed, threads, sample_times, keep_paths,
+              start, advance) -> EnsembleStats:
+    """Run one integrator over the 16 seeded blocks of paths and merge them.
+
+    ``start(rng, n_b)`` returns a block's state, ``[q]`` or ``[q, v]``;
+    ``advance(k, h, rng, s)`` takes step k, of length h, in place.  Each
+    record keeps every state variable's (sum, M2) for ``_combine``; the first
+    record at which a block's moments are not finite raises NonFiniteState
+    (blocks in order decide, so the message does not depend on threads).
+    """
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    rec = _record_mask(len(times))
+    samp_idx = _sample_indices(times, sample_times, t0)
+    dts = np.diff(np.concatenate(([t0], times)))
+    n_rec = int(rec.sum())
+
+    def one_block(b: int, n_b: int):
+        rng = _rng(seed, b)
+        s = start(rng, n_b)
+        mom = np.empty((len(s), 2, n_rec))  # per variable and record: sum and M2 about the block mean
+        traj = np.empty((n_b, n_rec)) if keep_paths else None
+        snaps = {}
+        j = 0
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteState
+            for k in range(len(times)):
+                advance(k, dts[k], rng, s)
+                if rec[k]:
+                    for i, x in enumerate(s):
+                        mom[i, :, j] = _sum_m2(x)
+                    if not np.isfinite(mom[:, :, j]).all():
+                        raise NonFiniteState(
+                            f"{label}: ensemble moments not finite at t={times[k]}"
+                            " (time step too large?)"
+                        )
+                    if traj is not None:
+                        traj[:, j] = s[0]
+                    j += 1
+                if k in samp_idx:
+                    snaps[k] = s[0].copy()
+        return mom, s, snaps, traj
+
+    sizes = _block_sizes(n_paths)
+    results = _ordered_map(threads, one_block, range(_N_BLOCKS), sizes)
+    n_var = len(results[0][1])
+    moments = [_combine([r[0][i] for r in results], sizes) for i in range(n_var)]
+    final = [np.concatenate([r[1][i] for r in results]) for i in range(n_var)]
+    mean, var, se_mean, se_var = moments[0]
+    return EnsembleStats(
+        t=times[rec],
+        mean=mean,
+        var=var,
+        se_mean=se_mean,
+        se_var=se_var,
+        n_paths=n_paths,
+        samples_q=final[0],
+        label=label,
+        mean_v=moments[1][0] if n_var > 1 else None,
+        var_v=moments[1][1] if n_var > 1 else None,
+        samples_v=final[1] if n_var > 1 else None,
+        samples_at={
+            float(times[k]): np.concatenate([r[2][k] for r in results]) for k in samp_idx
+        } or None,
+        paths=np.concatenate([r[3] for r in results]) if keep_paths else None,
+    )
+
+
 def simulate_reduced(
     p: PhysicalParams,
     table: CoefficientTable,
@@ -168,61 +241,20 @@ def simulate_reduced(
     keep_paths: bool = False,
 ) -> EnsembleStats:
     """Euler-Maruyama ensemble for the reduced position SDE."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    if not (dt > 0.0):
-        raise ValueError("dt must be positive")
     t0 = float(table.t[0])
-    if not (t_final > t0):
-        raise ValueError(f"t_final must exceed table start {t0}")
-    table._check_range(t_final)
     times = _step_times(t0, t_final, dt)
-    rec = _record_mask(len(times))
-    samp_idx = _sample_indices(times, sample_times, t0)
+    table._check_range(t_final)
     # per-step coefficients once, identical for every block
     t_lo = np.concatenate(([t0], times[:-1]))
     oms, dcs = table.step_coeffs(t_lo, times, (t_lo + times) / 2.0)
-    dts = times - t_lo
 
-    n_rec = int(rec.sum())
+    def advance(k, h, rng, s):
+        q = s[0]
+        q += oms[k] * q * h + math.sqrt(dcs[k] * h) * rng.standard_normal(len(q))
 
-    def run_block(b: int, n_b: int):
-        rng = _rng(seed, b)
-        q = np.full(n_b, float(q0))
-        mom = np.empty((2, n_rec))  # per record: sum and M2 about the block mean
-        traj = np.empty((n_b, n_rec)) if keep_paths else None
-        snaps = {}
-        j = 0
-        for k in range(len(times)):
-            h = dts[k]
-            q += oms[k] * q * h + math.sqrt(dcs[k] * h) * rng.standard_normal(n_b)
-            if rec[k]:
-                mom[:, j] = _sum_m2(q)
-                if traj is not None:
-                    traj[:, j] = q
-                j += 1
-            if k in samp_idx:
-                snaps[float(times[k])] = q.copy()
-        return mom, q, snaps, traj
-
-    sizes = _block_sizes(n_paths)
-    results = _ordered_map(threads, run_block, range(_N_BLOCKS), sizes)
-    samples_at = {
-        float(times[k]): np.concatenate([r[2][float(times[k])] for r in results])
-        for k in samp_idx
-    } or None
-    mean, var, se_mean, se_var = _combine([r[0] for r in results], sizes)
-    return EnsembleStats(
-        t=times[rec],
-        mean=mean,
-        var=var,
-        se_mean=se_mean,
-        se_var=se_var,
-        n_paths=n_paths,
-        samples_q=np.concatenate([r[1] for r in results]),
-        label="reduced-em",
-        samples_at=samples_at,
-        paths=np.concatenate([r[3] for r in results]) if keep_paths else None,
+    return _ensemble(
+        "reduced-em", times, t0, n_paths, seed, threads, sample_times, keep_paths,
+        lambda rng, n_b: [np.full(n_b, float(q0))], advance,
     )
 
 
@@ -245,69 +277,29 @@ def simulate_langevin(
     """
     if v0_mode not in ("zero", "thermal"):
         raise ValueError(f"v0_mode must be 'zero' or 'thermal', got {v0_mode!r}")
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    if not (dt > 0.0 and t_final > 0.0):
-        raise ValueError("dt and t_final must be positive")
     times = _step_times(0.0, t_final, dt)
-    rec = _record_mask(len(times))
-    samp_idx = _sample_indices(times, sample_times, 0.0)
-    dts = np.diff(np.concatenate(([0.0], times)))
     k_spring = p.omega0_sq / p.M
     v_std = math.sqrt(p.kT / p.M)
-    n_rec = int(rec.sum())
 
-    def run_block(b: int, n_b: int):
-        rng = _rng(seed, b)
-        q = np.full(n_b, float(q0))
-        v = (v_std * rng.standard_normal(n_b) if v0_mode == "thermal"
-             else np.zeros(n_b))
-        mom_q = np.empty((2, n_rec))  # per record: sum and M2 about the block mean
-        mom_v = np.empty((2, n_rec))
-        traj = np.empty((n_b, n_rec)) if keep_paths else None
-        snaps = {}
-        j = 0
-        for k in range(len(times)):
-            h = dts[k]
-            c = math.exp(-p.gamma * h)
-            o_std = v_std * math.sqrt(max(1.0 - c * c, 0.0))
-            v += -(h / 2.0) * k_spring * q
-            q += (h / 2.0) * v
-            v = c * v + o_std * rng.standard_normal(n_b)
-            q += (h / 2.0) * v
-            v += -(h / 2.0) * k_spring * q
-            if rec[k]:
-                mom_q[:, j] = _sum_m2(q)
-                mom_v[:, j] = _sum_m2(v)
-                if traj is not None:
-                    traj[:, j] = q
-                j += 1
-            if k in samp_idx:
-                snaps[float(times[k])] = q.copy()
-        return mom_q, mom_v, q, v, snaps, traj
+    def start(rng, n_b):
+        # the thermal v0 comes first in the block stream, before any step draw
+        v = v_std * rng.standard_normal(n_b) if v0_mode == "thermal" else np.zeros(n_b)
+        return [np.full(n_b, float(q0)), v]
 
-    sizes = _block_sizes(n_paths)
-    results = _ordered_map(threads, run_block, range(_N_BLOCKS), sizes)
-    mean, var, se_mean, se_var = _combine([r[0] for r in results], sizes)
-    mean_v, var_v, _, _ = _combine([r[1] for r in results], sizes)
-    samples_at = {
-        float(times[k]): np.concatenate([r[4][float(times[k])] for r in results])
-        for k in samp_idx
-    } or None
-    return EnsembleStats(
-        t=times[rec],
-        mean=mean,
-        var=var,
-        se_mean=se_mean,
-        se_var=se_var,
-        n_paths=n_paths,
-        samples_q=np.concatenate([r[2] for r in results]),
-        label=f"langevin-baoab-{v0_mode}",
-        mean_v=mean_v,
-        var_v=var_v,
-        samples_v=np.concatenate([r[3] for r in results]),
-        samples_at=samples_at,
-        paths=np.concatenate([r[5] for r in results]) if keep_paths else None,
+    def advance(k, h, rng, s):
+        q, v = s
+        c = math.exp(-p.gamma * h)
+        o_std = v_std * math.sqrt(max(1.0 - c * c, 0.0))
+        v += -(h / 2.0) * k_spring * q
+        q += (h / 2.0) * v
+        v = c * v + o_std * rng.standard_normal(len(v))
+        q += (h / 2.0) * v
+        v += -(h / 2.0) * k_spring * q
+        s[1] = v
+
+    return _ensemble(
+        f"langevin-baoab-{v0_mode}", times, 0.0, n_paths, seed, threads, sample_times,
+        keep_paths, start, advance,
     )
 
 

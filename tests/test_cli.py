@@ -248,6 +248,21 @@ class TestSde:
               "--t-final", "0.5", "--out", out])
         assert (tmp_path / "s.csv").read_text().splitlines()[0] == "t,mean,var,se_mean,se_var"
 
+    def test_unstable_run_exit_2(self, tmp_path, capsys):
+        # dt * omega0 = 5: BAOAB blows up, which is a numerical failure
+        out = str(tmp_path / "s.csv")
+        rc = main(["sde", "--omega0-sq", "100", "--gamma", "0.1", "--paths", "100",
+                   "--dt", "0.5", "--t-final", "2000", "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "t=" in err[0]
+
+    def test_sub_step_run_has_one_record(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        rc = main(["sde", "--t-final", "1e-14", "--dt", "1", "--paths", "10", "--out", out])
+        assert rc == 0
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 2
+
 
 class TestValidate:
     def test_quick_classical_suite_passes(self, tmp_path, capsys, monkeypatch):

@@ -79,6 +79,21 @@ class TestSharedGuardPolicy:
             assert table.step_coeffs(t0, t0 + 0.1, t0 + 0.05) == (om[k], dc[k])
 
 
+class TestPoleWindowRule:
+    def test_padded_overlap_matches_step_coeffs(self, p_under):
+        table = build_table(p_under, np.linspace(0.0, 3.0, 1501))
+        a = table.pole_windows[0][0]
+        pad = table.t[1] - table.t[0]
+        # inside the one-spacing pad, short of the window itself
+        lo, hi = a - 0.6 * pad, a - 0.3 * pad
+        assert table.in_pole_window(lo, hi)
+        with pytest.raises(PoleWindow):
+            table.step_coeffs(lo, hi, (lo + hi) / 2.0)
+        lo, hi = a - 1.6 * pad, a - 1.3 * pad
+        assert not table.in_pole_window(lo, hi)
+        table.step_coeffs(lo, hi, (lo + hi) / 2.0)
+
+
 class TestAt:
     def test_interpolates_scalar_and_array(self, table):
         assert table.at(0.5, "sigma_q") == table.sigma_q[32]

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbm import (
     EnsembleStats,
     GridMismatch,
     NegativeDiffusion,
+    NonFiniteState,
     PoleWindow,
     build_table,
     chi_q,
+    derive,
     equivalence_report,
     sigma_cl_closed,
     simulate_langevin,
@@ -24,6 +28,17 @@ def table_over():
 
     p = derive(1.0, 1.0, 0.16, 1.0)
     return p, build_table(p, np.linspace(0.0, 3.0, 1501))
+
+
+def _run(sim, table, q0, n_paths, dt, t_final, seed, **kw):
+    """One ensemble of either simulator on the fixture's parameters."""
+    p = table.params
+    if sim == "reduced":
+        return simulate_reduced(p, table, q0, n_paths, dt, t_final, seed, **kw)
+    return simulate_langevin(p, q0, "thermal", n_paths, dt, t_final, seed, **kw)
+
+
+SIMS = ["reduced", "langevin"]
 
 
 class TestDeterminism:
@@ -184,6 +199,64 @@ class TestSampling:
         p, table = table_over
         with pytest.raises(ValueError):
             simulate_reduced(p, table, 1.0, 100, 2e-3, 1.0, seed=1, sample_times=(5.0,))
+
+
+class TestSharedDriver:
+    @pytest.mark.parametrize("sim", SIMS)
+    def test_samples_and_paths_thread_invariant(self, table_over, sim):
+        _, table = table_over
+        kw = dict(sample_times=(0.5, 1.0), keep_paths=True)
+        a = _run(sim, table, 1.0, 300, 1e-2, 1.0, 5, threads=1, **kw)
+        b = _run(sim, table, 1.0, 300, 1e-2, 1.0, 5, threads=4, **kw)
+        for f in dataclasses.fields(EnsembleStats):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, dict):
+                assert x.keys() == y.keys()
+                for key in x:
+                    assert x[key].tobytes() == y[key].tobytes()
+            elif isinstance(x, np.ndarray):
+                assert x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
+        np.testing.assert_array_equal(a.samples_at[1.0], a.samples_q)
+        np.testing.assert_array_equal(a.paths[:, -1], a.samples_q)
+        assert a.paths.shape == (300, len(a.t))
+        assert (a.samples_v is None) == (sim == "reduced")
+
+    @pytest.mark.parametrize("sim", SIMS)
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        n_paths=st.integers(2, 40),
+        log_q0=st.floats(-3.0, 6.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_moments_match_final_sample(self, table_over, sim, n_paths, log_q0, sign):
+        # fewer than 16 paths leave some blocks empty; a large |q0| would
+        # cancel a one-pass variance
+        _, table = table_over
+        stats = _run(sim, table, sign * 10.0**log_q0, n_paths, 1e-2, 0.2, 9)
+        assert stats.mean[-1] == pytest.approx(np.mean(stats.samples_q), rel=1e-9)
+        assert stats.var[-1] == pytest.approx(np.var(stats.samples_q, ddof=1), rel=1e-9)
+
+    @pytest.mark.parametrize("sim", SIMS)
+    def test_single_short_step(self, table_over, sim):
+        # t_final - t0 below 1e-12 dt still makes one step, of length t_final
+        _, table = table_over
+        stats = _run(sim, table, 1.0, 10, 1.0, 1e-14, 1)
+        np.testing.assert_array_equal(stats.t, [1e-14])
+        assert np.all(np.isfinite(stats.samples_q))
+
+    @pytest.mark.parametrize("sim", SIMS)
+    def test_unstable_step_raises(self, table_over, sim):
+        # |1 + Omega dt| = 9 for the reduced EM step; dt omega0 = 5 > 2 for BAOAB
+        p, table = table_over
+        table = dataclasses.replace(table, omega=np.full_like(table.omega, -1e3))
+        with pytest.raises(NonFiniteState, match=r"not finite at t="):
+            if sim == "reduced":
+                simulate_reduced(p, table, 1.0, 100, 1e-2, 3.0, seed=1)
+            else:
+                simulate_langevin(derive(1.0, 0.1, 100.0, 1.0), 1.0, "thermal",
+                                  100, 0.5, 2000.0, seed=1)
 
 
 class TestGuardsAndIO:
