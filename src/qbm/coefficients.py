@@ -587,11 +587,10 @@ class CoefficientTable:
         pad = self._pad()
         om = np.interp(t_mid, self.t, self.omega)
         dc = np.interp(t_mid, self.t, self.d_fpe)
-        # comparisons, not np.isfinite/np.any: fpe.step calls this once per step
-        ok = self._in_range(t_mid) & (abs(om) < np.inf) & (0.0 <= dc) & (dc < np.inf)
+        ok = self._in_range(t_mid) & np.isfinite(om) & np.isfinite(dc) & (dc >= 0)
         for a, b in self.pole_windows:
             ok = ok & ((t_lo > b + pad) | (t_hi < a - pad))
-        if np.count_nonzero(ok) < ok.size:
+        if not np.all(ok):
             k = int(np.argmin(np.ravel(ok)))
             lo, hi, tm, o, d = (
                 float(np.ravel(np.broadcast_to(x, np.shape(ok)))[k])

@@ -104,4 +104,5 @@ class DegenerateVariance(QbmError):
 
 class NonFiniteState(QbmError):
     """Integrator state left the finite range (timestep too large): raised by
-    the FPE step for its density and by both path ensembles for their moments."""
+    the FPE solve for its density after a step and by both path ensembles for
+    their moments."""

@@ -13,16 +13,16 @@ Two schemes:
   CFL-limited) and diffusion (Crank-Nicolson): more robust at large cell
   Peclet number but only first order in dq.
 
-Each step reads Omega and D at its midpoint t0 + dt/2 through
-``CoefficientTable.step_coeffs``, the lookup and guard policy shared with the
-reduced SDE: a step into a padded pole window, outside the table, onto a
-non-finite coefficient or onto negative diffusion raises a typed error.
+``solve`` reads every step's Omega and D, at its midpoint t0 + h/2, by one
+``CoefficientTable.step_coeffs`` call (the guard policy shared with the reduced
+SDE) and checks the upwind CFL limit once, so a refused step raises its typed
+error before the first step is taken; ``step`` is a pure one-step kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -157,46 +157,30 @@ def _cn_solve(lower, diag, upper, rhs, dt):
     return solve_banded((1, 1), ab, rhs)
 
 
-def step(field: DensityField, table: CoefficientTable, cfg: SolverConfig) -> DensityField:
-    """Advance the density by one step of cfg.dt."""
-    dt = cfg.dt
-    t0, t1 = field.t, field.t + dt
-    om, dc = table.step_coeffs(t0, t1, t0 + dt / 2.0)
-    q = field.q
-    if cfg.scheme == "cn-central":
-        lower, diag, upper = _flux_tridiag(q, om, dc, cfg.boundary)
-        rhs = field.rho + dt / 2.0 * _apply_tridiag(lower, diag, upper, field.rho)
-        rho_new = _cn_solve(lower, diag, upper, rhs, dt)
-    else:
-        rho_new = _split_upwind_step(field.rho, q, om, dc, dt, cfg.boundary)
-    if not np.all(np.isfinite(rho_new)):
-        raise NonFiniteState(f"non-finite density after step to t={t1}")
-    return DensityField(q, rho_new, t1)
+def step(rho: np.ndarray, q: np.ndarray, om: float, dc: float, h: float, cfg: SolverConfig):
+    """Density after one step of length h with drift om and diffusion dc.
 
-
-def _split_upwind_step(rho, q, om, dc, dt, boundary):
-    n = len(q)
-    dq = q[1] - q[0]
-    u_f = om * (q[:-1] + q[1:]) / 2.0
-    cfl = float(np.max(np.abs(u_f))) * dt / dq if n > 1 else 0.0
-    if cfl > 1.0:
-        raise CFLViolation(f"advective CFL {cfl:.3f} > 1 for upwind substep")
-    # upwind advective flux at interior faces
-    F = np.where(u_f > 0.0, u_f * rho[:-1], u_f * rho[1:])
-    adv = np.zeros(n)
-    adv[:-1] -= F / dq
-    adv[1:] += F / dq
-    if boundary == "absorbing":
-        uL, uR = om * (q[0] - dq / 2.0), om * (q[-1] + dq / 2.0)
-        if uL < 0.0:
-            adv[0] += uL * rho[0] / dq
-        if uR > 0.0:
-            adv[-1] -= uR * rho[-1] / dq
-    rho_half = rho + dt * adv
-    # diffusion by Crank-Nicolson with pure-diffusive flux
-    lower, diag, upper = _flux_tridiag(q, 0.0, dc, boundary)
-    rhs = rho_half + dt / 2.0 * _apply_tridiag(lower, diag, upper, rho_half)
-    return _cn_solve(lower, diag, upper, rhs, dt)
+    ``cn-central`` makes one Crank-Nicolson solve of the full flux;
+    ``split-upwind`` advects by the explicit upwind flux, then makes the same
+    solve with om = 0.  The caller owns the grid, the time and every guard.
+    """
+    if cfg.scheme == "split-upwind":
+        dq = q[1] - q[0]
+        u_f = om * (q[:-1] + q[1:]) / 2.0
+        F = np.where(u_f > 0.0, u_f * rho[:-1], u_f * rho[1:])
+        adv = np.zeros(len(q))
+        adv[:-1] -= F / dq
+        adv[1:] += F / dq
+        if cfg.boundary == "absorbing":
+            uL, uR = om * (q[0] - dq / 2.0), om * (q[-1] + dq / 2.0)
+            if uL < 0.0:
+                adv[0] += uL * rho[0] / dq
+            if uR > 0.0:
+                adv[-1] -= uR * rho[-1] / dq
+        rho, om = rho + h * adv, 0.0
+    lower, diag, upper = _flux_tridiag(q, om, dc, cfg.boundary)
+    rhs = rho + h / 2.0 * _apply_tridiag(lower, diag, upper, rho)
+    return _cn_solve(lower, diag, upper, rhs, h)
 
 
 @dataclass
@@ -251,6 +235,20 @@ def solve(
     if mode == "quantum" and cfg.t_start <= 0.0:
         raise ValueError("quantum-mode solves require cfg.t_start > 0")
 
+    want = sorted(set(float(ts) for ts in cfg.snapshot_times))
+    if any(ts <= cfg.t_start or ts > t_final for ts in want):
+        raise ValueError("snapshot_times must lie in (t_start, t_final]")
+    stops = sorted(set(want + [t_final]))
+    t_lo, h, ends = [], [], []  # the steps, and how many of them reach each stop
+    t = cfg.t_start
+    for t_stop in stops:
+        while t < t_stop - 1e-12 * max(1.0, t_stop):
+            t_lo.append(t)
+            h.append(min(cfg.dt, t_stop - t))
+            t += h[-1]
+        t = t_stop
+        ends.append(len(h))
+
     n_table = cfg.n_table if mode == "classical" else min(cfg.n_table, 257)
     t_nodes = np.linspace(cfg.t_start, t_final, n_table)
     table = build_table(p, t_nodes, mode=mode, n_max=cfg.n_max, tol=cfg.tol)
@@ -258,32 +256,29 @@ def solve(
     q_lo, q_hi = _auto_domain(cfg, table)
     q = np.linspace(q_lo, q_hi, cfg.n_q)
     field = DensityField.gaussian(q, cfg.q0, cfg.init_var, t=cfg.t_start)
-    mass0 = field.mass()
+    mass0, dq = field.mass(), field.dq
 
-    want = sorted(set(float(ts) for ts in cfg.snapshot_times))
-    if any(ts <= cfg.t_start or ts > t_final for ts in want):
-        raise ValueError("snapshot_times must lie in (t_start, t_final]")
-    stops = sorted(set(want + [t_final]))
-
-    snapshots: dict = {}
-    t_lo, dts = [], []  # realised steps, for the Peclet number
-    for t_stop in stops:
-        while field.t < t_stop - 1e-12 * max(1.0, t_stop):
-            dt_step = min(cfg.dt, t_stop - field.t)
-            cfg_step = replace(cfg, dt=dt_step) if dt_step != cfg.dt else cfg
-            t_lo.append(field.t)
-            dts.append(dt_step)
-            field = step(field, table, cfg_step)
-        field.t = t_stop
-        if t_stop in want:
-            snapshots[t_stop] = field.rho.copy()
-
-    # the steps' own coefficients; max|Omega*q| = |Omega|*max|q| exactly
-    t_lo, dts = np.array(t_lo), np.array(dts)
-    om, dc = table.step_coeffs(t_lo, t_lo + dts, t_lo + dts / 2.0)
+    t0, dt = np.array(t_lo), np.array(h)
+    om, dc = table.step_coeffs(t0, t0 + dt, t0 + dt / 2.0)
+    # max|Omega*q| = |Omega|*max|q| exactly, for the CFL and Peclet numbers
+    if cfg.scheme == "split-upwind":
+        cfl = np.abs(om) * np.max(np.abs(q[:-1] + q[1:]) / 2.0) * dt / dq
+        if np.any(cfl > 1.0):
+            raise CFLViolation(f"advective CFL {cfl[cfl > 1.0][0]:.3f} > 1 for upwind substep")
     pos = dc > 0.0
-    pe = np.abs(om[pos]) * np.max(np.abs(q)) * field.dq / dc[pos]
+    pe = np.abs(om[pos]) * np.max(np.abs(q)) * dq / dc[pos]
     peclet_max = float(np.max(pe, initial=0.0))
+
+    rho, snapshots, done = field.rho, {}, 0
+    for t_stop, end in zip(stops, ends):
+        for i in range(done, end):
+            rho = step(rho, q, om[i], dc[i], h[i], cfg)
+            if not np.all(np.isfinite(rho)):
+                raise NonFiniteState(f"non-finite density after step to t={t_lo[i] + h[i]}")
+        done = end
+        if t_stop in want:
+            snapshots[t_stop] = rho.copy()
+    field = DensityField(q, rho, t)
 
     linf = peak = None
     if cfg.compare_analytic:
@@ -303,7 +298,7 @@ def solve(
         mass_final=field.mass(),
         min_density=float(np.min(field.rho)),
         peclet_max=peclet_max,
-        n_steps=len(dts),
+        n_steps=len(h),
         linf_error=linf,
         peak_density=peak,
     )

@@ -191,6 +191,16 @@ class TestFpe:
         ])
         assert rc == 1
 
+    def test_unresolved_analytic_density_exit_1(self, tmp_path, capsys):
+        # grid spacing ~1250 against an initial sd of 0.1: the exact density
+        # vanishes at every node, so its sampled peak is 0
+        out = str(tmp_path / "f.csv")
+        rc = main(["fpe", "--q0", "1e6", "--t-final", "0.01", "--compare-analytic",
+                   "--out", out])
+        assert rc == 1
+        assert json.loads((tmp_path / "f.csv.json").read_text())["peak_density"] == 0.0
+        assert "deviation from analytic: inf of peak" in capsys.readouterr().out
+
     def test_density_file_is_normalized(self, tmp_path):
         out = str(tmp_path / "f.csv")
         main(["fpe", "--t-final", "0.5", "--n-q", "301", "--dt", "2e-3",

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qbm.fpe
 from qbm import (
     CFLViolation,
     DensityField,
@@ -117,35 +118,73 @@ class TestSolveClassical:
         assert res.linf_error / res.peak_density < 5e-3
 
 
+def _solve_on(monkeypatch, p, table, t_start, t_final, dt=1e-3):
+    """solve with fpe.build_table returning ``table`` as it is."""
+    monkeypatch.setattr(qbm.fpe, "build_table", lambda *args, **kwargs: table)
+    cfg = SolverConfig(n_q=201, dt=dt, q_min=-5.0, q_max=5.0, t_start=t_start, init_var=0.1)
+    return solve(p, t_final=t_final, cfg=cfg)
+
+
 class TestStepGuards:
-    def test_negative_diffusion_rejected(self, p_over):
+    def test_negative_diffusion_rejected(self, p_over, monkeypatch):
         table = build_table(p_over, np.linspace(0.0, 1.0, 65))
         bad = dataclasses.replace(table, d_fpe=table.d_fpe - 2.0)
-        f = DensityField.gaussian(np.linspace(-5, 5, 201), 0.0, 0.1, t=0.5)
         with pytest.raises(NegativeDiffusion):
-            step(f, bad, SolverConfig(n_q=201))
+            _solve_on(monkeypatch, p_over, bad, 0.5, 0.501)
 
-    def test_nan_coefficient_rejected(self, p_over):
+    def test_nan_coefficient_rejected(self, p_over, monkeypatch):
         table = build_table(p_over, np.linspace(0.0, 1.0, 65))
         d = table.d_fpe.copy()
         d[32] = np.nan
         bad = dataclasses.replace(table, d_fpe=d)
-        f = DensityField.gaussian(np.linspace(-5, 5, 201), 0.0, 0.1, t=0.5)
         with pytest.raises(NonFiniteCoefficient):
-            step(f, bad, SolverConfig(n_q=201))
+            _solve_on(monkeypatch, p_over, bad, 0.5, 0.501)
 
-    def test_step_outside_table_rejected(self, p_over):
+    def test_step_outside_table_rejected(self, p_over, monkeypatch):
         table = build_table(p_over, np.linspace(0.0, 1.0, 65))
-        f = DensityField.gaussian(np.linspace(-5, 5, 201), 0.0, 0.1, t=0.9999)
         with pytest.raises(GridMismatch):
-            step(f, table, SolverConfig(n_q=201, dt=0.1))
+            _solve_on(monkeypatch, p_over, table, 0.9999, 1.0999, dt=0.1)
 
     def test_single_step_preserves_mass(self, p_over):
         table = build_table(p_over, np.linspace(0.0, 1.0, 65))
         f = DensityField.gaussian(np.linspace(-6, 6, 301), 0.5, 0.05, t=0.2)
-        g = step(f, table, SolverConfig(n_q=301, dt=1e-3))
-        assert g.t == pytest.approx(0.201)
-        assert g.mass() == pytest.approx(f.mass(), abs=1e-14)
+        om, dc = table.step_coeffs(0.2, 0.201, 0.2005)
+        g = step(f.rho, f.q, om, dc, 1e-3, SolverConfig(n_q=301))
+        assert np.sum(g) * f.dq == pytest.approx(f.mass(), abs=1e-14)
+
+
+class TestFailBeforeStepping:
+    """A run that cannot finish raises before its first step."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        taken = []
+        real = qbm.fpe.step
+
+        def counted(*args, **kwargs):
+            taken.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qbm.fpe, "step", counted)
+        return taken
+
+    def test_snapshot_checked_before_table(self, p_over, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("coefficient table built before the snapshot check")
+
+        monkeypatch.setattr(qbm.fpe, "build_table", no_table)
+        with pytest.raises(ValueError):
+            solve(p_over, t_final=1.0, cfg=_cfg(snapshot_times=(1.5,)))
+
+    def test_pole_window(self, p_under, steps):
+        with pytest.raises(PoleWindow):
+            solve(p_under, t_final=2.2, cfg=_cfg())
+        assert len(steps) == 0
+
+    def test_cfl_violation(self, p_over, steps):
+        with pytest.raises(CFLViolation):
+            solve(p_over, t_final=2.0, cfg=_cfg(scheme="split-upwind", n_q=2001, dt=0.5))
+        assert len(steps) == 0
 
 
 class TestSolveQuantum:

@@ -1,13 +1,13 @@
 """The coefficient-lookup policy of CoefficientTable (``at``, ``step_coeffs``)
-and its two steppers, the FPE ``step`` and the reduced SDE."""
+and its two callers, the FPE ``solve`` and the reduced SDE."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+import qbm.fpe
 from qbm import (
-    DensityField,
     GridMismatch,
     NegativeDiffusion,
     NonFiniteCoefficient,
@@ -15,7 +15,7 @@ from qbm import (
     SolverConfig,
     build_table,
     simulate_reduced,
-    step,
+    solve,
 )
 from qbm.coefficients import _CSV_COLUMNS
 
@@ -45,9 +45,10 @@ BAD_TABLES = {
 }
 
 
-def _fpe_step(p, tb):
-    f = DensityField.gaussian(np.linspace(-5.0, 5.0, 201), 0.0, 0.1, t=0.5)
-    step(f, tb, SolverConfig(n_q=201, dt=0.1))
+def _fpe_solve(p, tb):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qbm.fpe, "build_table", lambda *args, **kwargs: tb)
+        solve(p, t_final=0.6, cfg=SolverConfig(n_q=201, dt=0.1, t_start=0.5))
 
 
 def _sde(p, tb):
@@ -55,7 +56,7 @@ def _sde(p, tb):
 
 
 class TestSharedGuardPolicy:
-    @pytest.mark.parametrize("caller", [_fpe_step, _sde], ids=["fpe.step", "simulate_reduced"])
+    @pytest.mark.parametrize("caller", [_fpe_solve, _sde], ids=["fpe.step", "simulate_reduced"])
     @pytest.mark.parametrize("case", list(BAD_TABLES))
     def test_same_typed_error(self, p_over, table, caller, case):
         error, spoil = BAD_TABLES[case]
