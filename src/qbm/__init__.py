@@ -60,7 +60,7 @@ from .coefficients import (
     sigma_q,
 )
 from .propagator import GaussianDensity, density, fpe_residual, maxwell_average_check
-from .fpe import DensityField, SolveResult, SolverConfig, solve, step
+from .fpe import DensityField, SolveResult, SolverConfig, StepGrid, solve, step
 from .sde import EnsembleStats, equivalence_report, simulate_langevin, simulate_reduced
 from .validation import CheckResult, ValidationReport, run_suite
 
@@ -89,7 +89,7 @@ __all__ = [
     # propagator
     "GaussianDensity", "density", "fpe_residual", "maxwell_average_check",
     # fpe
-    "SolverConfig", "DensityField", "SolveResult", "step", "solve",
+    "SolverConfig", "DensityField", "SolveResult", "StepGrid", "step", "solve",
     # sde
     "EnsembleStats", "simulate_reduced", "simulate_langevin", "equivalence_report",
     # validation

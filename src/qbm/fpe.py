@@ -16,7 +16,8 @@ Two schemes:
 ``solve`` reads every step's Omega and D, at its midpoint t0 + h/2, by one
 ``CoefficientTable.step_coeffs`` call (the guard policy shared with the reduced
 SDE) and checks the upwind CFL limit once, so a refused step raises its typed
-error before the first step is taken; ``step`` is a pure one-step kernel.
+error before the first step is taken.  ``step`` is a pure one-step kernel on a
+``StepGrid`` built once per run; it solves by LAPACK gtsv, called directly.
 """
 
 from __future__ import annotations
@@ -26,17 +27,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv as _gtsv
 
 from .coefficients import CoefficientTable, build_table
 from .errors import CFLViolation, GridMismatch, NonFiniteState
 from .model import PhysicalParams
+from .propagator import GaussianDensity, density
 from .response import chi_q
 
 __all__ = [
     "SolverConfig",
     "DensityField",
     "SolveResult",
+    "StepGrid",
     "step",
     "solve",
 ]
@@ -118,69 +122,72 @@ class DensityField:
         return f
 
 
-def _flux_tridiag(q: np.ndarray, om: float, dc: float, boundary: str):
+class StepGrid:
+    """What ``step`` reads of a uniform grid q, built once per solve: the
+    spacing, the interior face centres and the two wall faces."""
+
+    def __init__(self, q: np.ndarray, scheme: str, boundary: str):
+        self.dq = float(q[1] - q[0])
+        self.qf = (q[:-1] + q[1:]) / 2.0
+        self.walls = (float(q[0]) - self.dq / 2.0, float(q[-1]) + self.dq / 2.0)
+        self.upwind, self.absorbing = scheme == "split-upwind", boundary == "absorbing"
+
+
+def _net(out, inn):
+    """Per cell, 0 - out[i] through its right face + inn[i-1] through its left."""
+    d = np.empty(len(out) + 1)
+    np.subtract(0.0, out, out=d[:-1])
+    d[-1] = 0.0
+    d[1:] += inn
+    return d
+
+
+def _flux_tridiag(grid: StepGrid, om: float, dc: float):
     """Rows of L with (L rho)_i = -(F_{i+1/2} - F_{i-1/2})/dq."""
-    n = len(q)
-    dq = q[1] - q[0]
-    qf = (q[:-1] + q[1:]) / 2.0
-    uf = om * qf
-    a_f = uf / 2.0 + dc / (2.0 * dq)   # multiplies rho_i in F_{i+1/2}
-    b_f = uf / 2.0 - dc / (2.0 * dq)   # multiplies rho_{i+1}
-    diag = np.zeros(n)
-    upper = np.zeros(n - 1)
-    lower = np.zeros(n - 1)
-    diag[:-1] -= a_f / dq
-    upper[:] = -b_f / dq
-    diag[1:] += b_f / dq
-    lower[:] = a_f / dq
-    if boundary == "absorbing":
-        uL = om * (q[0] - dq / 2.0)
-        uR = om * (q[-1] + dq / 2.0)
-        diag[0] += (uL / 2.0 - dc / (2.0 * dq)) / dq
-        diag[-1] -= (uR / 2.0 + dc / (2.0 * dq)) / dq
-    return lower, diag, upper
+    u2 = om * grid.qf / 2.0
+    k = dc / (2.0 * grid.dq)
+    a = (u2 + k) / grid.dq  # multiplies rho_i in F_{i+1/2}, over dq
+    b = (u2 - k) / grid.dq  # multiplies rho_{i+1}
+    diag = _net(a, b)
+    if grid.absorbing:
+        diag[0] += (om * grid.walls[0] / 2.0 - k) / grid.dq
+        diag[-1] -= (om * grid.walls[1] / 2.0 + k) / grid.dq
+    return a, diag, -b
 
 
-def _apply_tridiag(lower, diag, upper, x):
-    y = diag * x
-    y[:-1] += upper * x[1:]
-    y[1:] += lower * x[:-1]
-    return y
+def solve_banded(lower, diag, upper, rhs):
+    """Tridiagonal solve by LAPACK gtsv; overwrites all four arrays."""
+    x, info = _gtsv(lower, diag, upper, rhs, True, True, True, True)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
-def _cn_solve(lower, diag, upper, rhs, dt):
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -dt / 2.0 * upper
-    ab[1, :] = 1.0 - dt / 2.0 * diag
-    ab[2, :-1] = -dt / 2.0 * lower
-    return solve_banded((1, 1), ab, rhs)
-
-
-def step(rho: np.ndarray, q: np.ndarray, om: float, dc: float, h: float, cfg: SolverConfig):
+def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.ndarray:
     """Density after one step of length h with drift om and diffusion dc.
 
     ``cn-central`` makes one Crank-Nicolson solve of the full flux;
     ``split-upwind`` advects by the explicit upwind flux, then makes the same
-    solve with om = 0.  The caller owns the grid, the time and every guard.
+    solve with om = 0.  The caller owns the time and every guard, and starts
+    each step from a finite rho, so no input is scanned for finiteness.
     """
-    if cfg.scheme == "split-upwind":
-        dq = q[1] - q[0]
-        u_f = om * (q[:-1] + q[1:]) / 2.0
-        F = np.where(u_f > 0.0, u_f * rho[:-1], u_f * rho[1:])
-        adv = np.zeros(len(q))
-        adv[:-1] -= F / dq
-        adv[1:] += F / dq
-        if cfg.boundary == "absorbing":
-            uL, uR = om * (q[0] - dq / 2.0), om * (q[-1] + dq / 2.0)
+    if grid.upwind:
+        uf = om * grid.qf
+        f = uf * np.where(uf > 0.0, rho[:-1], rho[1:]) / grid.dq  # upwind cell's rho
+        adv = _net(f, f)
+        if grid.absorbing:
+            uL, uR = om * grid.walls[0], om * grid.walls[1]
             if uL < 0.0:
-                adv[0] += uL * rho[0] / dq
+                adv[0] += uL * rho[0] / grid.dq
             if uR > 0.0:
-                adv[-1] -= uR * rho[-1] / dq
+                adv[-1] -= uR * rho[-1] / grid.dq
         rho, om = rho + h * adv, 0.0
-    lower, diag, upper = _flux_tridiag(q, om, dc, cfg.boundary)
-    rhs = rho + h / 2.0 * _apply_tridiag(lower, diag, upper, rho)
-    return _cn_solve(lower, diag, upper, rhs, h)
+    lower, diag, upper = _flux_tridiag(grid, om, dc)
+    y = diag * rho
+    y[:-1] += upper * rho[1:]
+    y[1:] += lower * rho[:-1]
+    c = h / 2.0
+    return solve_banded(-c * lower, 1.0 - c * diag, -c * upper, rho + c * y)
 
 
 @dataclass
@@ -223,8 +230,8 @@ def solve(
 
     ``form`` selects the time-local position-space equation (the only one
     implemented).  With ``compare_analytic`` the result carries the maximum
-    pointwise deviation from the exact Gaussian evolution of the same initial
-    condition: mean chi_q(t)*q0, variance sigma_q(t) + chi_q(t)**2*init_var.
+    pointwise deviation from the exact ``propagator`` density of the same
+    initial condition: mean chi_q(t)*q0, variance sigma_q(t) + chi_q(t)**2*init_var.
     """
     if form != "adelman":
         raise ValueError(f"unknown FPE form {form!r}; only 'adelman' is implemented")
@@ -256,23 +263,23 @@ def solve(
     q_lo, q_hi = _auto_domain(cfg, table)
     q = np.linspace(q_lo, q_hi, cfg.n_q)
     field = DensityField.gaussian(q, cfg.q0, cfg.init_var, t=cfg.t_start)
-    mass0, dq = field.mass(), field.dq
+    grid, mass0 = StepGrid(q, cfg.scheme, cfg.boundary), field.mass()
 
     t0, dt = np.array(t_lo), np.array(h)
     om, dc = table.step_coeffs(t0, t0 + dt, t0 + dt / 2.0)
     # max|Omega*q| = |Omega|*max|q| exactly, for the CFL and Peclet numbers
-    if cfg.scheme == "split-upwind":
-        cfl = np.abs(om) * np.max(np.abs(q[:-1] + q[1:]) / 2.0) * dt / dq
+    if grid.upwind:
+        cfl = np.abs(om) * np.max(np.abs(grid.qf)) * dt / grid.dq
         if np.any(cfl > 1.0):
             raise CFLViolation(f"advective CFL {cfl[cfl > 1.0][0]:.3f} > 1 for upwind substep")
     pos = dc > 0.0
-    pe = np.abs(om[pos]) * np.max(np.abs(q)) * dq / dc[pos]
+    pe = np.abs(om[pos]) * np.max(np.abs(q)) * grid.dq / dc[pos]
     peclet_max = float(np.max(pe, initial=0.0))
 
-    rho, snapshots, done = field.rho, {}, 0
+    rho, snapshots, done, oms, dcs = field.rho, {}, 0, om.tolist(), dc.tolist()
     for t_stop, end in zip(stops, ends):
         for i in range(done, end):
-            rho = step(rho, q, om[i], dc[i], h[i], cfg)
+            rho = step(rho, grid, oms[i], dcs[i], h[i])
             if not np.all(np.isfinite(rho)):
                 raise NonFiniteState(f"non-finite density after step to t={t_lo[i] + h[i]}")
         done = end
@@ -282,11 +289,11 @@ def solve(
 
     linf = peak = None
     if cfg.compare_analytic:
-        cq = float(chi_q(p, t_final))
-        var_num = table.at(t_final, "sigma_q")
-        var = var_num + cq * cq * cfg.init_var
-        mean = cq * cfg.q0
-        exact = np.exp(-((q - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+        def var(t):
+            c = float(chi_q(p, t))
+            return table.at(t, "sigma_q") + c * c * cfg.init_var
+
+        exact = density(GaussianDensity(p, "averaged", cfg.q0, variance_fn=var), q, t_final)
         linf = float(np.max(np.abs(field.rho - exact)))
         peak = float(np.max(exact))
 

@@ -17,6 +17,10 @@ seeded by SeedSequence((seed, block)) driving Philox counters, and all
 reductions run in fixed block order — results are bit-identical for a given
 seed regardless of thread count.  Each block keeps its exact sum and its M2
 about its own mean, so the variance does not cancel at large |mean|.
+
+Each simulator refuses, by CFLViolation and before its first step, a step past
+the linear stability limit of its update: Omega*h < -2 for Euler-Maruyama and
+h*sqrt(omega0_sq/M) >= 2 for BAOAB.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientTable, _ordered_map
-from .errors import GridMismatch, NonFiniteState
+from .errors import CFLViolation, GridMismatch, NonFiniteState
 from .model import PhysicalParams
 
 __all__ = [
@@ -61,6 +65,12 @@ def _step_times(t0: float, t_final: float, dt: float) -> np.ndarray:
     t = t0 + dt * np.arange(1, n + 1)
     t[-1] = t_final
     return t
+
+
+def _refuse_unstable(unstable: np.ndarray, t_lo: np.ndarray, limit: str) -> None:
+    """Raise CFLViolation naming the first step flagged ``unstable``, if any."""
+    if unstable.any():
+        raise CFLViolation(f"step from t={t_lo[np.argmax(unstable)]} breaks {limit}")
 
 
 def _record_mask(n_steps: int) -> np.ndarray:
@@ -247,6 +257,7 @@ def simulate_reduced(
     # per-step coefficients once, identical for every block
     t_lo = np.concatenate(([t0], times[:-1]))
     oms, dcs = table.step_coeffs(t_lo, times, (t_lo + times) / 2.0)
+    _refuse_unstable(oms * (times - t_lo) < -2.0, t_lo, "the Euler-Maruyama limit Omega*h >= -2")
 
     def advance(k, h, rng, s):
         q = s[0]
@@ -279,6 +290,9 @@ def simulate_langevin(
         raise ValueError(f"v0_mode must be 'zero' or 'thermal', got {v0_mode!r}")
     times = _step_times(0.0, t_final, dt)
     k_spring = p.omega0_sq / p.M
+    t_lo = np.concatenate(([0.0], times[:-1]))
+    _refuse_unstable((times - t_lo) * math.sqrt(k_spring) >= 2.0, t_lo,
+                     "the BAOAB limit h*sqrt(omega0_sq/M) < 2")
     v_std = math.sqrt(p.kT / p.M)
 
     def start(rng, n_b):

@@ -2,16 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qbm.fpe
 from qbm import (
     CFLViolation,
+    DegenerateVariance,
     DensityField,
     GridMismatch,
     NegativeDiffusion,
     NonFiniteCoefficient,
     PoleWindow,
     SolverConfig,
+    StepGrid,
     build_table,
     solve,
     step,
@@ -118,10 +121,10 @@ class TestSolveClassical:
         assert res.linf_error / res.peak_density < 5e-3
 
 
-def _solve_on(monkeypatch, p, table, t_start, t_final, dt=1e-3):
+def _solve_on(monkeypatch, p, table, t_start, t_final, dt=1e-3, **kw):
     """solve with fpe.build_table returning ``table`` as it is."""
     monkeypatch.setattr(qbm.fpe, "build_table", lambda *args, **kwargs: table)
-    cfg = SolverConfig(n_q=201, dt=dt, q_min=-5.0, q_max=5.0, t_start=t_start, init_var=0.1)
+    cfg = SolverConfig(n_q=201, dt=dt, q_min=-5.0, q_max=5.0, t_start=t_start, init_var=0.1, **kw)
     return solve(p, t_final=t_final, cfg=cfg)
 
 
@@ -145,12 +148,89 @@ class TestStepGuards:
         with pytest.raises(GridMismatch):
             _solve_on(monkeypatch, p_over, table, 0.9999, 1.0999, dt=0.1)
 
+    def test_negative_analytic_variance_rejected(self, p_over, monkeypatch):
+        # the exact density comes from the propagator, which refuses by type
+        table = build_table(p_over, np.linspace(0.0, 1.0, 65))
+        bad = dataclasses.replace(table, sigma_q=np.full_like(table.sigma_q, -1.0))
+        with pytest.raises(DegenerateVariance):
+            _solve_on(monkeypatch, p_over, bad, 0.5, 0.51, compare_analytic=True)
+
     def test_single_step_preserves_mass(self, p_over):
         table = build_table(p_over, np.linspace(0.0, 1.0, 65))
         f = DensityField.gaussian(np.linspace(-6, 6, 301), 0.5, 0.05, t=0.2)
         om, dc = table.step_coeffs(0.2, 0.201, 0.2005)
-        g = step(f.rho, f.q, om, dc, 1e-3, SolverConfig(n_q=301))
+        g = step(f.rho, StepGrid(f.q, "cn-central", "zero-flux"), om, dc, 1e-3)
         assert np.sum(g) * f.dq == pytest.approx(f.mass(), abs=1e-14)
+
+
+def _reference_step(rho, q, om, dc, h, scheme, boundary):
+    """The step kernel as first written: zero-filled diagonals, a 3 x n band
+    array and scipy's solve_banded.  ``step`` must match it bit for bit."""
+    def flux_tridiag(om):
+        n = len(q)
+        dq = q[1] - q[0]
+        qf = (q[:-1] + q[1:]) / 2.0
+        uf = om * qf
+        a_f = uf / 2.0 + dc / (2.0 * dq)
+        b_f = uf / 2.0 - dc / (2.0 * dq)
+        diag, upper, lower = np.zeros(n), np.zeros(n - 1), np.zeros(n - 1)
+        diag[:-1] -= a_f / dq
+        upper[:] = -b_f / dq
+        diag[1:] += b_f / dq
+        lower[:] = a_f / dq
+        if boundary == "absorbing":
+            uL = om * (q[0] - dq / 2.0)
+            uR = om * (q[-1] + dq / 2.0)
+            diag[0] += (uL / 2.0 - dc / (2.0 * dq)) / dq
+            diag[-1] -= (uR / 2.0 + dc / (2.0 * dq)) / dq
+        return lower, diag, upper
+
+    if scheme == "split-upwind":
+        dq = q[1] - q[0]
+        u_f = om * (q[:-1] + q[1:]) / 2.0
+        F = np.where(u_f > 0.0, u_f * rho[:-1], u_f * rho[1:])
+        adv = np.zeros(len(q))
+        adv[:-1] -= F / dq
+        adv[1:] += F / dq
+        if boundary == "absorbing":
+            uL, uR = om * (q[0] - dq / 2.0), om * (q[-1] + dq / 2.0)
+            if uL < 0.0:
+                adv[0] += uL * rho[0] / dq
+            if uR > 0.0:
+                adv[-1] -= uR * rho[-1] / dq
+        rho, om = rho + h * adv, 0.0
+    lower, diag, upper = flux_tridiag(om)
+    y = diag * rho
+    y[:-1] += upper * rho[1:]
+    y[1:] += lower * rho[:-1]
+    rhs = rho + h / 2.0 * y
+    ab = np.zeros((3, len(q)))
+    ab[0, 1:] = -h / 2.0 * upper
+    ab[1, :] = 1.0 - h / 2.0 * diag
+    ab[2, :-1] = -h / 2.0 * lower
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+@pytest.mark.parametrize("n", [5, 801])
+@pytest.mark.parametrize("om", [-0.7, 0.0, 0.4])
+@pytest.mark.parametrize("boundary", ["zero-flux", "absorbing"])
+@pytest.mark.parametrize("scheme", ["cn-central", "split-upwind"])
+def test_lean_kernel_matches_reference_assembly(scheme, boundary, om, n):
+    # both end cells underflow to exact zeros, so signed zeros are compared too
+    q = np.linspace(-3.0, 4.0, n)
+    rho = DensityField.gaussian(q, 0.5, 0.005).rho
+    assert rho[0] == rho[-1] == 0.0
+    want = _reference_step(rho, q, np.float64(om), 0.9, 2e-3, scheme, boundary)
+    got = step(rho, StepGrid(q, scheme, boundary), om, 0.9, 2e-3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_singular_solve_raises():
+    zeros = (np.zeros(2), np.zeros(3), np.zeros(2))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        scipy.linalg.solve_banded((1, 1), np.zeros((3, 3)), np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        qbm.fpe.solve_banded(*zeros, np.ones(3))
 
 
 class TestFailBeforeStepping:

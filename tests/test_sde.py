@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbm import (
+    CFLViolation,
     EnsembleStats,
     GridMismatch,
     NegativeDiffusion,
@@ -248,15 +250,44 @@ class TestSharedDriver:
 
     @pytest.mark.parametrize("sim", SIMS)
     def test_unstable_step_raises(self, table_over, sim):
-        # |1 + Omega dt| = 9 for the reduced EM step; dt omega0 = 5 > 2 for BAOAB
+        # Omega dt = -10 < -2 for the reduced EM step; dt omega0 = 5 >= 2 for
+        # BAOAB: both refused before the first step
         p, table = table_over
         table = dataclasses.replace(table, omega=np.full_like(table.omega, -1e3))
-        with pytest.raises(NonFiniteState, match=r"not finite at t="):
+        with pytest.raises(CFLViolation, match=r"step from t=0\.0 breaks"):
             if sim == "reduced":
                 simulate_reduced(p, table, 1.0, 100, 1e-2, 3.0, seed=1)
             else:
                 simulate_langevin(derive(1.0, 0.1, 100.0, 1.0), 1.0, "thermal",
                                   100, 0.5, 2000.0, seed=1)
+
+    @pytest.mark.parametrize("sim", SIMS)
+    def test_step_inside_limit_runs(self, table_over, sim):
+        # Omega dt = -1.99 and dt omega0 = 1.99: stable, so the run finishes
+        p, table = table_over
+        if sim == "reduced":
+            table = dataclasses.replace(table, omega=np.full_like(table.omega, -199.0))
+            stats = simulate_reduced(p, table, 1.0, 100, 1e-2, 3.0, seed=1)
+        else:
+            stats = simulate_langevin(derive(1.0, 0.1, 100.0, 1.0), 1.0, "thermal",
+                                      100, 0.199, 20.0, seed=1)
+        assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.var))
+
+    def test_refusal_names_first_unstable_step(self, table_over):
+        p, table = table_over
+        table = dataclasses.replace(table, omega=np.where(table.t >= 1.5, -1e3, table.omega))
+        with pytest.raises(CFLViolation) as exc:
+            simulate_reduced(p, table, 1.0, 100, 1e-2, 3.0, seed=1)
+        t = float(re.search(r"step from t=(\S+) breaks", str(exc.value)).group(1))
+        assert t == pytest.approx(1.5, abs=1e-9)
+
+    def test_growth_past_overflow_raises(self, table_over):
+        # Omega dt = +10 is inside the EM limit, but the paths grow by 11 per
+        # step and overflow: the ensemble's non-finite check catches it
+        p, table = table_over
+        table = dataclasses.replace(table, omega=np.full_like(table.omega, 1e3))
+        with pytest.raises(NonFiniteState, match=r"not finite at t="):
+            simulate_reduced(p, table, 1.0, 100, 1e-2, 3.0, seed=1)
 
 
 class TestGuardsAndIO:
