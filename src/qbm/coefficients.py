@@ -56,7 +56,7 @@ from .response import (
     _shaped,
     _time_array,
 )
-from .special import NoConvergence, phi1, phi1_dd, phi1_deriv, xi_q0_closed, xi_q0_sum
+from .special import NoConvergence, _as_array, phi1, phi1_dd, phi1_deriv, xi_q0_closed, xi_q0_sum
 
 __all__ = [
     "d1_classical",
@@ -160,14 +160,15 @@ def d_cl_closed(p: PhysicalParams, t):
 # once per root j, with the scalars phi1(Z_j) and G(Y_i, Z_j) (Y_i =
 # lambda_i*t) folded in.  Each array form is taken in its far
 # (divided-difference) shape and the few modes inside a near-coincidence
-# window are overwritten by the helpers above.
+# window are overwritten by the helpers above.  Every factor is evaluated in
+# its own argument's dtype and promoted only where factors combine: X is
+# float64, so phi1(-X) and exp(-X) are real in every regime, and the root
+# factors are real whenever the roots are.
 
 
 def _G(s, Z):
-    s = np.asarray(s, dtype=np.complex128)
-    Z = np.asarray(Z, dtype=np.complex128)
-    s, Z = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(Z))
-    out = np.empty_like(s)
+    s, Z = np.broadcast_arrays(np.atleast_1d(_as_array(s)), np.atleast_1d(_as_array(Z)))
+    out = np.empty(s.shape, dtype=np.result_type(s, Z))
     near = np.abs(s - Z) < 1e-6 * (1.0 + np.abs(s) + np.abs(Z))
     if near.any():
         # s ~ Z forces both toward 0 here, so exp(-s) is tame
@@ -180,9 +181,7 @@ def _G(s, Z):
 
 
 def _Gp(s, Z):
-    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    Z = np.atleast_1d(np.asarray(Z, dtype=np.complex128))
-    s, Z = np.broadcast_arrays(s, Z)
+    s, Z = np.broadcast_arrays(np.atleast_1d(_as_array(s)), np.atleast_1d(_as_array(Z)))
     return (-phi1_deriv(-s) + np.exp(-s) * phi1(Z) - _G(s, Z)) / (s - Z)
 
 
@@ -196,14 +195,18 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
     pair (i, j) contributes t**2*(G(Y_i, Z_j) - exp(-Y_i)*phi1_dd(-X, Z_j))
     /(lambda_i + nu_n) - t**3*(G(Y_i, Z_j) - G(X, Z_j))/(Y_i - X).  The
     array factors phi1(-X) and exp(-X) are evaluated once, phi1_dd(-X, Z_j)
-    and G(X, Z_j) once per j.
+    and G(X, Z_j) once per j.  X is float64 and real roots are used as
+    floats, so the kernel runs in real arithmetic unless the roots are
+    complex (underdamped).
     """
     l1, l2 = split_lambdas(p)
+    if l1.imag == 0.0 and l2.imag == 0.0:
+        l1, l2 = l1.real, l2.real
     dl = l1 - l2
     lam = (l1, l2)
     c = (l1 / dl, -l2 / dl)
-    nu = np.asarray(nu_n)
-    X = np.asarray(nu_n, dtype=np.complex128) * t
+    nu = np.asarray(nu_n, dtype=np.float64)
+    X = nu * t
     absX = np.abs(X)
     # far forms divide by zero where a near window holds; those entries are
     # overwritten
@@ -228,8 +231,7 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
             dd.append(ddj)
             GX.append(GXj)
         del pX, eX  # unused by the pair loop; freeing them lowers its peak memory
-        jd = 0.0 + 0.0j
-        jn = np.zeros_like(X)
+        jd = jn = 0.0
         for i in range(2):
             Y = lam[i] * t
             eY = np.exp(-Y)
@@ -239,7 +241,7 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
             for j in range(2):
                 Z = -lam[j] * t
                 cij = c[i] * c[j]
-                Gij = complex(_G(Y, Z)[0])
+                Gij = _G(Y, Z)[0]
                 jd += cij * t * t * Gij
                 T12 = t * t * (Gij - eY * dd[j]) / den
                 dGij = (Gij - GX[j]) / YmX
@@ -456,8 +458,10 @@ def sigma1_quantum(
     n_modes = _choose_n_modes(pref, K, nu, tol, n_max)
     nu_n = np.arange(1, n_modes + 1, dtype=np.float64) * nu
     u, wts = _panel_nodes(t)
-    vals = np.array([math.fsum(_mode_r(p, nu_n, ui).tolist()) for ui in u])
-    modes = pref * float(np.dot(wts, vals))
+    acc = np.zeros(n_modes)
+    for ui, wi in zip(u.tolist(), wts.tolist()):
+        acc += wi * _mode_r(p, nu_n, ui)
+    modes = pref * math.fsum(acc.tolist())
     corr, _ = _sigma1_corr_modes(p, t, tol)
     return base + modes + corr
 

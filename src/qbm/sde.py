@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtri
 
 from .coefficients import CoefficientTable, _ordered_map
 from .errors import CFLViolation, GridMismatch, NonFiniteState
@@ -44,6 +45,8 @@ __all__ = [
 
 _N_BLOCKS = 16
 _N_RECORD = 64
+#: family-wise chance that equivalence_report fails two correct ensembles
+_FALSE_ALARM = 1e-3
 
 
 def _block_sizes(n_paths: int) -> list:
@@ -321,14 +324,18 @@ def equivalence_report(
     stats_a: EnsembleStats,
     stats_b: EnsembleStats,
     analytic: Optional[dict] = None,
-    z_limit: float = 3.0,
+    z_limit: Optional[float] = None,
 ) -> dict:
     """Moment-by-moment comparison of two ensembles (and optional analytic
     reference) on their shared record grid.
 
     The analytic reference, if given, maps 'mean' and 'var' to callables of t
     or to arrays aligned with the record grid.  z-scores use combined
-    standard errors; ``passed`` requires every |z| <= z_limit.
+    standard errors; ``passed`` requires every |z| <= z_limit.  By default
+    z_limit is the Bonferroni limit ndtri(1 - alpha/(2m)) for the m scores
+    compared, so that correct ensembles fail with probability at most
+    alpha = 1e-3 however many record points there are.  The limit used is
+    reported as ``z_limit``.
     """
     if len(stats_a.t) != len(stats_b.t) or not np.allclose(
         stats_a.t, stats_b.t, rtol=1e-12, atol=1e-12
@@ -354,7 +361,9 @@ def equivalence_report(
             report[f"max_z_var_{key}_vs_analytic"] = float(
                 np.max(np.abs(stats.var - v) / np.maximum(stats.se_var, 1e-300))
             )
-    report["passed"] = all(
-        val <= z_limit for name, val in report.items() if name.startswith("max_z")
-    )
+    scores = [name for name in report if name.startswith("max_z")]
+    if z_limit is None:
+        z_limit = float(ndtri(1.0 - _FALSE_ALARM / (2 * len(scores) * len(stats_a.t))))
+    report["z_limit"] = z_limit
+    report["passed"] = all(report[name] <= z_limit for name in scores)
     return report

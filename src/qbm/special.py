@@ -14,7 +14,9 @@ Four groups of tools:
   formula;
 * the phi-function family ``phi1(z) = (exp(z) - 1)/z``, its derivative and
   divided difference, used to evaluate exponential integrals without
-  cancellation.  All three are vectorized over complex arrays.
+  cancellation.  All three are vectorized and keep the dtype of their
+  arguments: real arguments give float64, and complex arithmetic happens only
+  where a complex argument enters.
 """
 
 from __future__ import annotations
@@ -47,20 +49,22 @@ __all__ = [
 _FACT = [math.factorial(k) for k in range(40)]
 
 
-def _as_complex_array(z) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(z, dtype=np.complex128)
-    return arr, arr.ndim == 0
+def _as_array(z) -> np.ndarray:
+    """z as a float64 array, or complex128 if z is complex."""
+    return np.asarray(z, dtype=np.complex128 if np.iscomplexobj(z) else np.float64)
 
 
 def phi1(z):
     """(exp(z) - 1)/z, the first phi function; phi1(0) = 1.
 
     Series branch for |z| < 0.5 avoids the subtractive cancellation of the
-    direct form near zero.  Accepts scalars or arrays (complex).
+    direct form near zero; the direct form is taken over the whole array and
+    the series entries overwrite it.  Accepts real or complex scalars or
+    arrays and returns the same kind.
     """
-    arr, scalar = _as_complex_array(z)
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
+    arr = np.atleast_1d(_as_array(z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.expm1(arr) / arr
     small = np.abs(arr) < 0.5
     if small.any():
         zs = arr[small]
@@ -68,17 +72,12 @@ def phi1(z):
         for k in range(21, -1, -1):
             acc = acc * zs + 1.0 / _FACT[k + 1]
         out[small] = acc
-    big = ~small
-    if big.any():
-        zb = arr[big]
-        out[big] = np.expm1(zb) / zb
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def phi1_deriv(z):
     """d/dz of phi1(z); phi1_deriv(0) = 1/2."""
-    arr, scalar = _as_complex_array(z)
-    arr = np.atleast_1d(arr)
+    arr = np.atleast_1d(_as_array(z))
     out = np.empty_like(arr)
     small = np.abs(arr) < 1.0
     if small.any():
@@ -91,15 +90,13 @@ def phi1_deriv(z):
     if big.any():
         zb = arr[big]
         out[big] = (np.exp(zb) * (zb - 1.0) + 1.0) / (zb * zb)
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def phi1_dd(x, y):
     """Divided difference (phi1(x) - phi1(y))/(x - y), stable as x -> y."""
-    xa = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    ya = np.atleast_1d(np.asarray(y, dtype=np.complex128))
-    xa, ya = np.broadcast_arrays(xa, ya)
-    out = np.empty_like(xa)
+    xa, ya = np.broadcast_arrays(np.atleast_1d(_as_array(x)), np.atleast_1d(_as_array(y)))
+    out = np.empty(xa.shape, dtype=np.result_type(xa, ya))
     near = np.abs(xa - ya) < 1e-6 * (1.0 + np.abs(xa) + np.abs(ya))
     if near.any():
         out[near] = phi1_deriv((xa[near] + ya[near]) / 2.0)
@@ -107,7 +104,7 @@ def phi1_dd(x, y):
     if far.any():
         out[far] = (phi1(xa[far]) - phi1(ya[far])) / (xa[far] - ya[far])
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    return complex(out[0]) if scalar else out.reshape(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    return out[0].item() if scalar else out.reshape(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
 
 # ---------------------------------------------------------------------------

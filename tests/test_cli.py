@@ -252,6 +252,18 @@ class TestSde:
         man = json.loads((tmp_path / "s.csv.json").read_text())
         assert man["equivalence"]["passed"] is True
 
+    def test_compare_default_run_passes(self, tmp_path, capsys):
+        # 6 x 65 z-scores: at this seed one exceeds 3 by chance, which the
+        # limit derived from the score count allows
+        out = str(tmp_path / "s.csv")
+        rc = main(["--threads", "2", "sde", "--compare", "--paths", "2000", "--out", out])
+        assert rc == 0
+        eq = json.loads((tmp_path / "s.csv.json").read_text())["equivalence"]
+        assert eq["passed"] is True
+        assert 3.0 < max(v for k, v in eq.items() if k.startswith("max_z")) <= eq["z_limit"]
+        assert eq["z_limit"] == pytest.approx(4.703, abs=1e-3)
+        assert "z_limit" in capsys.readouterr().out
+
     def test_csv_header(self, tmp_path):
         out = str(tmp_path / "s.csv")
         main(["sde", "--paths", "100", "--seed", "1", "--dt", "1e-2",

@@ -77,16 +77,21 @@ class TestClassicalClosedForms:
         assert sigma1_classical(p_over, 0.0) == 0.0
 
 
-def _mode_r_pairwise(p, nu_n, t):
+def _mode_r_pairwise(p, nu_n, t, complex_arithmetic=False):
     """_mode_r written pair by pair, without hoisting: every (i, j) root pair
-    evaluates its own phi1_dd(-X, Z_j) and divided difference of G."""
+    evaluates its own phi1_dd(-X, Z_j) and divided difference of G.
+
+    Each factor is evaluated in its own argument's dtype: real roots as
+    floats and X = nu_n*t as float64.  ``complex_arithmetic=True`` gives the
+    earlier form, which cast the roots and X to complex128 throughout.
+    """
     from qbm.coefficients import _G, _Gp
     from qbm.model import split_lambdas
     from qbm.special import phi1_dd
 
     def dG(x, y, Z):
-        x, y = np.broadcast_arrays(np.complex128(x), np.asarray(y, dtype=np.complex128))
-        out = np.empty_like(y)
+        x, y = np.broadcast_arrays(x, y)
+        out = np.empty(y.shape, dtype=np.result_type(x, y, Z))
         near = np.abs(x - y) < 1e-6 * (1.0 + np.abs(x) + np.abs(y))
         out[near] = _Gp((x[near] + y[near]) / 2.0, Z)
         far = ~near
@@ -94,15 +99,20 @@ def _mode_r_pairwise(p, nu_n, t):
         return out
 
     l1, l2 = split_lambdas(p)
+    if complex_arithmetic:
+        X = nu_n.astype(np.complex128) * t
+    else:
+        if l1.imag == 0.0 and l2.imag == 0.0:
+            l1, l2 = l1.real, l2.real
+        X = nu_n * t
     lam = (l1, l2)
     c = (l1 / (l1 - l2), -l2 / (l1 - l2))
-    X = nu_n.astype(np.complex128) * t
-    jd, jn = 0.0j, np.zeros_like(X)
+    jd = jn = 0.0
     for i in range(2):
         Y = lam[i] * t
         for j in range(2):
             Z = -lam[j] * t
-            Gij = complex(_G(Y, Z)[0])
+            Gij = _G(Y, Z)[0]
             jd += c[i] * c[j] * t * t * Gij
             T12 = t * t * (Gij - np.exp(-Y) * phi1_dd(-X, Z)) / (lam[i] + nu_n)
             jn += c[i] * c[j] * (T12 - t**3 * dG(Y, X, Z))
@@ -153,6 +163,23 @@ class TestQuantumModeTerms:
         for t in (1e-8, 1e-4, 0.7, 8.0):
             # same arithmetic in the same order: equal to the last bit
             np.testing.assert_array_equal(_mode_r(p, nu_n, t), _mode_r_pairwise(p, nu_n, t))
+
+    @pytest.mark.parametrize("regime", ["over", "resonant"])
+    def test_real_kernel_matches_complex_arithmetic(self, regime, request):
+        # real roots run the kernel in real arithmetic; the full mode sum must
+        # agree with the all-complex128 form to round-off.  At t = 8 the
+        # high modes are small differences of cancelling terms, and the sum
+        # (-0.018 on pq_over) carries their round-off: against an 80-bit
+        # evaluation the real form is off by 4.4e-11 and the complex one by
+        # 5.7e-11 relative, 1.3e-11 apart
+        p = request.getfixturevalue(f"pq_{regime}")
+        nu_n = np.arange(1, 20001, dtype=np.float64) * p.matsubara_nu()
+        for t, rel in ((1e-4, 1e-11), (0.7, 1e-11), (8.0, 3e-11)):
+            r = _mode_r(p, nu_n, t)
+            assert r.dtype == np.float64
+            got = math.fsum(r.tolist())
+            want = math.fsum(_mode_r_pairwise(p, nu_n, t, complex_arithmetic=True).tolist())
+            assert got == pytest.approx(want, rel=rel, abs=0.0), t
 
     def test_mode_term_large_n_asymptote(self, pq_over):
         # R_n -> chi_v_dot*chi_v/(2*nu_n) for large n
@@ -229,17 +256,19 @@ class TestSigma1Quantum:
     def test_zero_at_origin(self, pq_over):
         assert sigma1_quantum(pq_over, 0.0) == 0.0
 
-    def test_integral_identity_with_matched_modes(self, pq_over):
+    def test_integral_identity_with_matched_modes(self, request):
         # sigma1(t2) - sigma1(t1) must equal the integral of D1 between them
-        # when both use the same frozen mode count
-        p = pq_over
+        # when both use the same frozen mode count: real roots, complex roots
+        # and a mode on a root (near windows)
         n = 200
         t1, t2 = 0.3, 1.0
-        want, err = quad(
-            lambda u: d1_quantum(p, u, n_max=n), t1, t2, epsabs=1e-10, limit=60
-        )
-        got = sigma1_quantum(p, t2, n_max=n) - sigma1_quantum(p, t1, n_max=n)
-        assert got == pytest.approx(want, abs=max(5e-9, 10 * err))
+        for regime in ("over", "under", "resonant"):
+            p = request.getfixturevalue(f"pq_{regime}")
+            want, err = quad(
+                lambda u: d1_quantum(p, u, n_max=n), t1, t2, epsabs=1e-10, limit=60
+            )
+            got = sigma1_quantum(p, t2, n_max=n) - sigma1_quantum(p, t1, n_max=n)
+            assert got == pytest.approx(want, abs=max(5e-9, 10 * err)), regime
 
     def test_exceeds_classical_variance(self, pq_over):
         # quantum bath adds fluctuation on top of the white-noise part

@@ -162,6 +162,38 @@ class TestEquivalence:
         assert rep["max_z_var_b_vs_analytic"] < 3.0
         assert rep["n_points"] > 50
 
+    def test_default_limit_follows_score_count(self, table_over):
+        from scipy.special import ndtri
+
+        p, table = table_over
+        red = simulate_reduced(p, table, 1.0, 500, 1e-2, 2.0, seed=5)
+        lan = simulate_langevin(p, 1.0, "thermal", 500, 1e-2, 2.0, seed=7)
+        analytic = {"mean": lambda t: chi_q(p, t), "var": lambda t: sigma_cl_closed(p, t)}
+        m = len(red.t)
+        bare = equivalence_report(red, lan)
+        full = equivalence_report(red, lan, analytic)
+        # Bonferroni at a family-wise false-alarm rate of 1e-3
+        assert bare["z_limit"] == ndtri(1.0 - 1e-3 / (2 * 2 * m))
+        assert full["z_limit"] == ndtri(1.0 - 1e-3 / (2 * 6 * m))
+        assert 3.0 < bare["z_limit"] < full["z_limit"] < 6.0
+        explicit = equivalence_report(red, lan, analytic, z_limit=3.0)
+        assert explicit["z_limit"] == 3.0
+        assert explicit["passed"] == all(
+            v <= 3.0 for k, v in explicit.items() if k.startswith("max_z")
+        )
+
+    def test_real_mean_shift_fails(self, table_over):
+        # a 2 % shift of the initial position is a real disagreement
+        p, table = table_over
+        red = simulate_reduced(p, table, 1.0, 2000, 1e-2, 2.0, seed=5)
+        lan = simulate_langevin(p, 1.02, "thermal", 2000, 1e-2, 2.0, seed=7)
+        rep = equivalence_report(
+            red, lan, {"mean": lambda t: chi_q(p, t), "var": lambda t: sigma_cl_closed(p, t)}
+        )
+        assert rep["max_z_mean"] > rep["z_limit"]
+        assert rep["max_z_mean_b_vs_analytic"] > rep["z_limit"]
+        assert rep["passed"] is False
+
     def test_mismatched_grids_rejected(self, table_over):
         p, table = table_over
         a = simulate_reduced(p, table, 1.0, 100, 1e-2, 1.0, seed=1)

@@ -78,6 +78,85 @@ class TestPhiKit:
         assert phi1_dd(0.7, -0.2) == pytest.approx(phi1_dd(-0.2, 0.7), rel=1e-15)
 
 
+def _mp_phi1_dd(x, y):
+    if x == y:
+        return _mp_phi1p(x)
+    return (_mp_phi1(x) - _mp_phi1(y)) / (mp.mpc(x) - mp.mpc(y))
+
+
+def _phi1_scattered(arr):
+    """phi1 with each branch gathered from and scattered back to its own
+    entries, the form phi1 had when it evaluated everything in complex128."""
+    out = np.empty_like(arr)
+    small = np.abs(arr) < 0.5
+    acc = np.full_like(arr[small], 1.0 / math.factorial(23))
+    for k in range(21, -1, -1):
+        acc = acc * arr[small] + 1.0 / math.factorial(k + 1)
+    out[small] = acc
+    out[~small] = np.expm1(arr[~small]) / arr[~small]
+    return out
+
+
+class TestPhiKitDtype:
+    # x = 0, the series branches of phi1 (|x| < 0.5) and phi1_deriv (|x| < 1),
+    # the direct forms, and far down the negative axis
+    REAL = [0.0, 1e-12, -0.3, 0.499, 0.9, -0.999, 2.0, -3.0, -700.0, -1e5]
+
+    @pytest.mark.parametrize("fn,ref", [(phi1, _mp_phi1), (phi1_deriv, _mp_phi1p)])
+    def test_real_argument_stays_real(self, fn, ref):
+        out = fn(np.array(self.REAL))
+        assert out.dtype == np.float64
+        for x, got in zip(self.REAL, out):
+            assert got == pytest.approx(float(ref(x).real), rel=1e-14, abs=0.0), x
+            assert type(fn(x)) is float
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [(0.3, -0.4), (2.0, -1.0), (-1e5, -3.0), (0.0, 0.0),
+         # near branch: |x - y| inside the 1e-6 relative window
+         (0.2, 0.2 + 1e-9), (-3.0, -3.0 + 1e-9), (-700.0, -700.0 + 1e-5), (-1e5, -1e5 + 1e-3)],
+    )
+    def test_real_divided_difference_stays_real(self, x, y):
+        got = phi1_dd(x, y)
+        assert type(got) is float
+        assert got == pytest.approx(float(_mp_phi1_dd(x, y).real), rel=1e-14, abs=0.0)
+        arr = phi1_dd(np.array([x, y]), y)
+        assert arr.dtype == np.float64
+        assert arr[0] == got
+
+    @pytest.mark.parametrize(
+        "s,Z", [(0.3, -0.4), (2.0, -1.6), (5.0, -6.4), (50.0, -0.2), (700.0, -3.0)]
+    )
+    def test_mode_kernel_blocks_stay_real(self, s, Z):
+        from qbm.coefficients import _G, _Gp
+
+        def g(u):
+            return mp.e ** (-u) * _mp_phi1_dd(u, Z)
+
+        for fn, want in ((_G, g(mp.mpf(s))), (_Gp, mp.diff(g, mp.mpf(s)))):
+            got = fn(np.array([s, s]), Z)
+            assert got.dtype == np.float64
+            assert got[0] == pytest.approx(float(mp.re(want)), rel=1e-14, abs=0.0)
+
+    def test_complex_argument_unchanged(self):
+        # complex input evaluates exactly as in the all-complex128 kit, and
+        # the whole-array direct form equals the gathered one in either dtype
+        z = np.array([0.0, 1e-12, 0.3 + 0.4j, -0.2 - 0.45j, 0.5, 4.0 - 1.0j, -700.0, -1e5 + 3j])
+        np.testing.assert_array_equal(phi1(z), _phi1_scattered(z))
+        x = z.real.copy()
+        np.testing.assert_array_equal(phi1(x), _phi1_scattered(x))
+        assert phi1(z).dtype == np.complex128
+        assert type(phi1(0.3 + 0.0j)) is complex
+
+    def test_mixed_arguments_promote(self):
+        # a real array against a complex root promotes where they combine
+        x = np.array([-0.3, -2.0, -50.0])
+        out = phi1_dd(x, -0.4 + 0.3j)
+        assert out.dtype == np.complex128
+        for xi, got in zip(x, out):
+            assert got == pytest.approx(complex(_mp_phi1_dd(xi, -0.4 + 0.3j)), rel=1e-14)
+
+
 class TestHyp2F1:
     @pytest.mark.parametrize(
         "a,b,c,x",
