@@ -23,6 +23,7 @@ from .errors import (
     PoleWindow,
     QbmError,
     TailNotBounded,
+    UnresolvedGrid,
 )
 from .model import PhysicalParams, derive, split_lambdas
 from .special import (
@@ -35,7 +36,6 @@ from .special import (
     xi_q0_sum,
 )
 from .response import (
-    SusceptibilitySet,
     chi_q,
     chi_q_dot,
     chi_v,
@@ -43,21 +43,18 @@ from .response import (
     drift_velocity,
     omega_drift,
     pole_times,
-    susceptibilities,
 )
 from .coefficients import (
     CoefficientTable,
     D1Result,
+    N_MODES,
     build_table,
     d1_classical,
-    d1_quantum,
     d1_quantum_detail,
     d_cl_closed,
-    d_fpe,
     sigma1_classical,
     sigma1_quantum,
     sigma_cl_closed,
-    sigma_q,
 )
 from .propagator import GaussianDensity, density, fpe_residual, maxwell_average_check
 from .fpe import DensityField, SolveResult, SolverConfig, StepGrid, solve, step
@@ -73,19 +70,19 @@ __all__ = [
     "NonPositiveCurvature",
     "HbarZero", "NoConvergence", "InvalidC", "TailNotBounded", "PoleAtChiQZero",
     "NonFiniteCoefficient", "NegativeDiffusion", "PoleWindow", "CFLViolation",
-    "GridMismatch", "DegenerateVariance", "NonFiniteState",
+    "GridMismatch", "DegenerateVariance", "NonFiniteState", "UnresolvedGrid",
     # model
     "PhysicalParams", "derive", "split_lambdas",
     # special functions and bath sums
     "Hyp2F1Args", "hyp2f1", "hyp2f1_ex", "xi_q0_sum", "xi_q0_closed",
     "noise_kernel_modes", "noise_kernel_closed",
     # response
-    "chi_q", "chi_v", "chi_q_dot", "chi_v_dot", "susceptibilities",
-    "SusceptibilitySet", "omega_drift", "drift_velocity", "pole_times",
+    "chi_q", "chi_v", "chi_q_dot", "chi_v_dot", "omega_drift", "drift_velocity",
+    "pole_times",
     # coefficients
     "d1_classical", "sigma1_classical", "sigma_cl_closed", "d_cl_closed",
-    "D1Result", "d1_quantum", "d1_quantum_detail", "sigma1_quantum",
-    "sigma_q", "d_fpe", "CoefficientTable", "build_table",
+    "N_MODES", "D1Result", "d1_quantum_detail", "sigma1_quantum",
+    "CoefficientTable", "build_table",
     # propagator
     "GaussianDensity", "density", "fpe_residual", "maxwell_average_check",
     # fpe

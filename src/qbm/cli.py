@@ -4,9 +4,9 @@ Subcommands: ``coeffs`` (tabulate coefficients to CSV + JSON manifest),
 ``fpe`` (grid solve), ``sde`` (ensemble simulation / equivalence check) and
 ``validate`` (consistency suite, written as a JSON report).
 
-Exit codes: 0 success, 1 bad input or a failed consistency check, 2 a
-numerical failure inside the engines (unbounded tail, pole-window crossing,
-non-finite state, ...).
+Exit codes: 0 success, 1 bad input (including an FPE grid too coarse for its
+initial density) or a failed consistency check, 2 a numerical failure inside
+the engines (unbounded tail, pole-window crossing, non-finite state, ...).
 
 Settings may come from a flat key-value config file (``--config``): one
 ``key = value`` pair per line, ``#`` comments, keys spelled like the long
@@ -156,14 +156,20 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     c.add_argument("--t-min", type=float, default=None)
     c.add_argument("--t-max", type=float, default=10.0)
     c.add_argument("--n-points", "--n", type=int, default=201, dest="n_points")
-    c.add_argument("--n-max", type=int, default=None, help="Matsubara modes kept")
-    c.add_argument("--tol", type=float, default=1e-8)
+    c.add_argument(
+        "--n-max", type=int, default=None,
+        help="Matsubara mode cutoff N of quantum coefficients (default 20000; "
+        "recorded in the manifest)",
+    )
+    c.add_argument(
+        "--tol", type=float, default=1e-8,
+        help="target of the certified tail bounds; it does not change the mode cutoff",
+    )
     c.add_argument("--out", default="coeffs.csv")
 
     f = sub.add_parser("fpe", help="evolve a density on a grid")
     _add_physics(f)
     f.add_argument("--mode", choices=("classical", "quantum"), default=None)
-    f.add_argument("--form", choices=("adelman",), default="adelman")
     f.add_argument("--t-final", type=float, default=5.0)
     f.add_argument("--t-start", type=float, default=0.0)
     f.add_argument("--n-q", type=int, default=801)
@@ -255,7 +261,7 @@ def _cmd_coeffs(args) -> int:
     table.to_csv(args.out)
     manifest_path = args.out + ".json"
     cfg = _effective(args, ("t_max", "n_points", "n_max", "tol", "out"))
-    cfg["t_min"] = t_min
+    cfg["t_min"], cfg["n_max"] = t_min, table.n_max
     _write_manifest(
         manifest_path,
         {**table.manifest(), "csv": os.path.basename(args.out), "config": cfg},
@@ -289,14 +295,14 @@ def _cmd_fpe(args) -> int:
         init_var=args.init_var,
         compare_analytic=args.compare_analytic,
     )
-    res = solve(p, args.form, mode, args.t_final, cfg)
+    res = solve(p, "adelman", mode, args.t_final, cfg)
     with open(args.out, "w", newline="") as fh:
         fh.write("q,rho\n")
         for qi, ri in zip(res.field.q, res.field.rho):
             fh.write("%.17g,%.17g\n" % (qi, ri))
     effective = _effective(
         args,
-        ("form", "t_final", "n_q", "dt", "scheme", "boundary", "q0",
+        ("t_final", "n_q", "dt", "scheme", "boundary", "q0",
          "init_var", "compare_analytic", "out"),
     )
     effective["t_start"] = t_start

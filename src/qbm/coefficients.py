@@ -16,13 +16,16 @@ two-exponential response functions is reduced to closed form in the phi1
 divided-difference kit (no numerical quadrature per mode), leaving only the
 sum over n.  The mode sum behaves like ``chi_v_dot*chi_v/(2*nu_n)`` at large
 n — a logarithmically divergent series, the strictly-Ohmic ultraviolet
-pathology of this model — so results carry, besides the certified bound on
-the convergent remainder, the coefficient of the residual log(n_max)
-sensitivity.  The initial system/bath correlation enters as
-``2*chi_q(t)*xi_q0(t)``.
+pathology of this model.  The mode count N is therefore a physical
+ultraviolet cutoff, ``n_max`` (``N_MODES`` by default), not a tolerance:
+results carry, besides the certified bound on the convergent remainder, the
+coefficient of the residual log(N) sensitivity.  The initial system/bath
+correlation enters as ``2*chi_q(t)*xi_q0(t)``.
 
-``d_fpe`` assembles D = sigma_dot - 2*Omega*sigma with the exact derivative
-sigma_dot = D1 + (2*k_B*T/M)*chi_v*chi_v_dot (no numerical differentiation).
+``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
++ (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
+derivative sigma_dot = D1 + (2*k_B*T/M)*chi_v*chi_v_dot (no numerical
+differentiation).
 """
 
 from __future__ import annotations
@@ -63,12 +66,10 @@ __all__ = [
     "sigma1_classical",
     "sigma_cl_closed",
     "d_cl_closed",
+    "N_MODES",
     "D1Result",
-    "d1_quantum",
     "d1_quantum_detail",
     "sigma1_quantum",
-    "sigma_q",
-    "d_fpe",
     "CoefficientTable",
     "build_table",
 ]
@@ -273,7 +274,17 @@ def _sum_inv_sq_tail(n: int) -> float:
     return float(polygamma(1, n + 1))
 
 
-_N_MODE_CAP = 20_000
+#: Default Matsubara mode cutoff N of the quantum coefficients.
+N_MODES = 20_000
+
+
+def _n_modes(n_max: Optional[int]) -> int:
+    """The mode cutoff N: ``n_max``, or ``N_MODES`` when it is None."""
+    if n_max is None:
+        return N_MODES
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return int(n_max)
 
 
 @dataclass(frozen=True)
@@ -297,20 +308,6 @@ class D1Result:
     doubling_bound: float
 
 
-def _choose_n_modes(pref: float, K: float, nu: float, tol: float, n_max: Optional[int]) -> int:
-    """Mode count: n_max if given, else doubled until the convergent remainder
-    meets tol, capped at _N_MODE_CAP (the remainder shrinks only like 1/n, and
-    the reported bounds stay honest either way)."""
-    if n_max is not None:
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        return int(n_max)
-    n = 32
-    while n < _N_MODE_CAP and pref * K * _sum_inv_sq_tail(n) / (nu * nu) > tol:
-        n *= 2
-    return min(n, _N_MODE_CAP)
-
-
 def _xi_q0(p: PhysicalParams, t: float, tol: float) -> float:
     try:
         return xi_q0_closed(p, t, tol)
@@ -326,21 +323,21 @@ def d1_quantum_detail(
 ) -> D1Result:
     """Quantum diffusion function D1(t) with diagnostics.
 
-    D1 = d1_classical + (8*gamma/(M*beta)) * sum_n R_n + 2*chi_q*xi_q0,
-    with R_n from :func:`_mode_r`.  ``tol`` controls both the automatic mode
-    count (via the certified convergent-remainder bound) and the tolerance
-    passed to the correlation-term series.
+    D1 = d1_classical + (8*gamma/(M*beta)) * sum_{n <= N} R_n + 2*chi_q*xi_q0,
+    with R_n from :func:`_mode_r` and the cutoff N = ``n_max`` (``N_MODES``
+    if None).  ``tol`` does not change N: it is the tolerance of the
+    correlation-term series and the target that ``tail_bound`` is held to.
     """
     nu = p.matsubara_nu()
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
+    n_modes = _n_modes(n_max)
     white = float(d1_classical(p, t))
     if p.gamma == 0.0:
         return D1Result(white, white, 0.0, 0.0, 0, 0.0, 0.0, 0.0)
 
     pref = 8.0 * p.gamma * p.kT / p.M
     K = _remainder_scale(p, t)
-    n_modes = _choose_n_modes(pref, K, nu, tol, n_max)
     nu_n = np.arange(1, n_modes + 1, dtype=np.float64) * nu
     modes = pref * math.fsum(_mode_r(p, nu_n, t).tolist())
 
@@ -362,15 +359,6 @@ def d1_quantum_detail(
         log_coefficient=log_coeff,
         doubling_bound=doubling,
     )
-
-
-def d1_quantum(
-    p: PhysicalParams,
-    t: float,
-    n_max: Optional[int] = None,
-    tol: float = 1e-8,
-) -> float:
-    return d1_quantum_detail(p, t, n_max, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +429,19 @@ def sigma1_quantum(
 
     Assembled as sigma1_classical (closed form) + quadrature of the mode sum
     + the analytic mode form of the correlation part.  The quadrature sees a
-    smooth integrand; the only numerical series are the mode sums, with the
-    same certified-tail policy as :func:`d1_quantum_detail`.
+    smooth integrand.  The mode sum stops at the same cutoff N as
+    :func:`d1_quantum_detail`, so the exact derivative identity sigma1' = D1
+    holds at the truncated level; ``tol`` bounds the correlation-part tail.
     """
     nu = p.matsubara_nu()
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
+    n_modes = _n_modes(n_max)
     base = float(sigma1_classical(p, t))
     if t == 0.0 or p.gamma == 0.0:
         return base
 
     pref = 8.0 * p.gamma * p.kT / p.M
-    K = _remainder_scale(p, t)
-    # identical mode count as d1_quantum_detail at this t, so that the exact
-    # derivative identity sigma1' = D1 holds at the truncated level
-    n_modes = _choose_n_modes(pref, K, nu, tol, n_max)
     nu_n = np.arange(1, n_modes + 1, dtype=np.float64) * nu
     u, wts = _panel_nodes(t)
     acc = np.zeros(n_modes)
@@ -464,58 +450,6 @@ def sigma1_quantum(
     modes = pref * math.fsum(acc.tolist())
     corr, _ = _sigma1_corr_modes(p, t, tol)
     return base + modes + corr
-
-
-def sigma_q(
-    p: PhysicalParams,
-    t,
-    mode: str = "classical",
-    n_max: Optional[int] = None,
-    tol: float = 1e-8,
-):
-    """Variance of the thermal-initial-velocity-averaged density.
-
-    sigma_q = sigma1 + (k_B*T/M)*chi_v**2 in both modes; the classical branch
-    returns the printed closed form (k_B*T/omega0_sq)*(1 - chi_q**2).
-    """
-    if mode == "classical":
-        return sigma_cl_closed(p, t)
-    if mode != "quantum":
-        raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
-    if np.ndim(t) == 0:
-        cv = float(chi_v(p, t))
-        return sigma1_quantum(p, float(t), n_max, tol) + (p.kT / p.M) * cv * cv
-    return np.array([sigma_q(p, float(ti), "quantum", n_max, tol) for ti in np.asarray(t)])
-
-
-def d_fpe(
-    p: PhysicalParams,
-    t,
-    mode: str = "classical",
-    n_max: Optional[int] = None,
-    tol: float = 1e-8,
-):
-    """FPE diffusion coefficient D(t) = sigma_dot - 2*Omega*sigma.
-
-    sigma_dot is assembled exactly as D1 + (2*k_B*T/M)*chi_v*chi_v_dot.
-    Raises PoleAtChiQZero where Omega is undefined.
-    """
-    if mode not in ("classical", "quantum"):
-        raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
-    om = omega_drift(p, t)
-    cv = chi_v(p, t)
-    cvd = chi_v_dot(p, t)
-    if mode == "classical":
-        d1 = d1_classical(p, t)
-        sig = sigma_cl_closed(p, t)
-    else:
-        if np.ndim(t) == 0:
-            d1 = d1_quantum(p, float(t), n_max, tol)
-            sig = sigma_q(p, float(t), "quantum", n_max, tol)
-        else:
-            d1 = np.array([d1_quantum(p, float(ti), n_max, tol) for ti in np.asarray(t)])
-            sig = sigma_q(p, t, "quantum", n_max, tol)
-    return d1 + (2.0 * p.kT / p.M) * cv * cvd - 2.0 * om * sig
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +464,9 @@ class CoefficientTable:
     """Sampled coefficients on an increasing time grid.
 
     Inside annotated pole windows the omega/d_fpe columns hold NaN; solvers
-    must refuse to step there.  Serializes to CSV (columns t, omega, d1,
-    sigma1, sigma_q, d_fpe) plus a JSON manifest.
+    must refuse to step there.  A quantum table records its mode cutoff N as
+    ``n_max``.  Serializes to CSV (columns t, omega, d1, sigma1, sigma_q,
+    d_fpe) plus a JSON manifest.
     """
 
     t: np.ndarray
@@ -679,9 +614,12 @@ def build_table(
     """Evaluate all coefficient columns on a time grid.
 
     Classical columns are vectorized closed forms.  Quantum columns evaluate
-    pointwise (optionally across a thread pool — the computations are pure).
-    Points inside pole windows get NaN omega/d_fpe and the window is
-    annotated; any other per-point failure aborts with the grid index named.
+    pointwise (optionally across a thread pool — the computations are pure)
+    at the mode cutoff N = ``n_max`` (``N_MODES`` if None), which the table
+    records.  sigma_q and d_fpe are assembled here, in both modes, from d1,
+    sigma1 and the response functions.  Points inside pole windows get NaN
+    omega/d_fpe and the window is annotated; any other per-point failure
+    aborts with the grid index named.
     """
     t_arr = np.asarray(t_grid, dtype=np.float64)
     if t_arr.ndim != 1 or len(t_arr) == 0:
@@ -696,6 +634,7 @@ def build_table(
         p.matsubara_nu()
         if t_arr[0] <= 0.0:
             raise ValueError("quantum-mode tables require t_grid[0] > 0")
+        n_max = _n_modes(n_max)
 
     windows = _pole_windows_for(p, float(t_arr[-1]))
     in_window = np.zeros(len(t_arr), dtype=bool)
@@ -731,7 +670,8 @@ def build_table(
             "d1_tail_bound_max": float(np.max(tails)),
             "d1_log_coefficient_max": float(np.max(np.abs([det.log_coefficient for det in dets]))),
             "n_modes_max": float(np.max([det.n_modes for det in dets])),
-            # the mode count is capped, so the certified bound can miss tol
+            # the remainder past the fixed cutoff shrinks only like 1/N, so
+            # the certified bound can miss tol; it is reported, not hidden
             "tol_met": bool(np.max(tails) <= tol),
         }
     sdot = d1 + (2.0 * p.kT / p.M) * cv * np.atleast_1d(chi_v_dot(p, t_arr))

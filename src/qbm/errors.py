@@ -36,6 +36,10 @@ class HbarZero(InvalidInput):
     """An operation requiring the Matsubara frequency was called with hbar = 0."""
 
 
+class UnresolvedGrid(InvalidInput):
+    """An FPE grid's cell width exceeds the initial density's standard deviation."""
+
+
 # ---------------------------------------------------------------------------
 # special functions / series
 

@@ -18,6 +18,8 @@ Two schemes:
 SDE) and checks the upwind CFL limit once, so a refused step raises its typed
 error before the first step is taken.  ``step`` is a pure one-step kernel on a
 ``StepGrid`` built once per run; it solves by LAPACK gtsv, called directly.
+A grid whose cell width exceeds the initial standard deviation is refused
+(``UnresolvedGrid``) before the first step.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv as _gtsv
 
 from .coefficients import CoefficientTable, build_table
-from .errors import CFLViolation, GridMismatch, NonFiniteState
+from .errors import CFLViolation, GridMismatch, NonFiniteState, UnresolvedGrid
 from .model import PhysicalParams
 from .propagator import GaussianDensity, density
 from .response import chi_q
@@ -51,7 +53,13 @@ _BOUNDARIES = ("zero-flux", "absorbing")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, stepping, and policy knobs for the FPE solver."""
+    """Grid, stepping, and policy knobs for the FPE solver.
+
+    The cells must resolve the initial density: dq <= sqrt(init_var), or
+    ``solve`` raises ``UnresolvedGrid``.  ``n_max`` is the Matsubara mode
+    cutoff of a quantum coefficient table (``N_MODES`` if None) and ``tol``
+    the target of its certified tail bounds.
+    """
 
     n_q: int = 801
     dt: float = 1e-3
@@ -264,6 +272,12 @@ def solve(
     q = np.linspace(q_lo, q_hi, cfg.n_q)
     field = DensityField.gaussian(q, cfg.q0, cfg.init_var, t=cfg.t_start)
     grid, mass0 = StepGrid(q, cfg.scheme, cfg.boundary), field.mass()
+    sd0 = math.sqrt(cfg.init_var)
+    if grid.dq > sd0:
+        raise UnresolvedGrid(
+            f"cell width {grid.dq:.4g} exceeds the initial sd {sd0:.4g}:"
+            " raise n_q or narrow [q_min, q_max]"
+        )
 
     t0, dt = np.array(t_lo), np.array(h)
     om, dc = table.step_coeffs(t0, t0 + dt, t0 + dt / 2.0)

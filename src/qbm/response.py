@@ -24,8 +24,6 @@ conditional drift velocity vbar(t) = chi_q_dot*q0 + chi_v_dot*v0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,8 +38,6 @@ __all__ = [
     "chi_v",
     "chi_q_dot",
     "chi_v_dot",
-    "SusceptibilitySet",
-    "susceptibilities",
     "omega_drift",
     "omega_drift_closed",
     "pole_times",
@@ -162,25 +158,6 @@ def chi_v_dot(p: PhysicalParams, t):
 def chi_q_dot(p: PhysicalParams, t):
     """Time derivative of chi_q, identically -(omega0_sq/M)*chi_v."""
     return _shaped(-(p.omega0_sq / p.M) * _chi_all(p, t)[1], t)
-
-
-@dataclass(frozen=True)
-class SusceptibilitySet:
-    """The four response functions bound to one parameter set."""
-
-    chi_q: Callable
-    chi_v: Callable
-    chi_q_dot: Callable
-    chi_v_dot: Callable
-
-
-def susceptibilities(p: PhysicalParams) -> SusceptibilitySet:
-    return SusceptibilitySet(
-        chi_q=lambda t: chi_q(p, t),
-        chi_v=lambda t: chi_v(p, t),
-        chi_q_dot=lambda t: chi_q_dot(p, t),
-        chi_v_dot=lambda t: chi_v_dot(p, t),
-    )
 
 
 def pole_times(p: PhysicalParams, t_max: float) -> np.ndarray:

@@ -21,7 +21,6 @@ from qbm import (
     chi_v,
     chi_v_dot,
     d1_classical,
-    d1_quantum,
     d_cl_closed,
     density,
     derive,
@@ -29,7 +28,6 @@ from qbm import (
     omega_drift,
     sigma1_classical,
     sigma_cl_closed,
-    sigma_q,
     simulate_langevin,
     simulate_reduced,
     solve,
@@ -87,16 +85,16 @@ def test_quantum_coefficients_collapse_to_classical(capsys):
 
     The bath-mode sum carries a strict-Ohmic remnant that grows like
     hbar*ln(n_modes) (the log_coefficient diagnostic of d1_quantum_detail),
-    so the collapse is evaluated at a fixed small truncation, equivalent to
+    so the collapse is evaluated at a fixed small cutoff, equivalent to
     imposing a finite high-frequency bath cutoff (n_max = 8 here corresponds
     to a cutoff near 5e5 * gamma).
     """
     t0 = time.perf_counter()
     p = derive(1.0, 1.0, 0.16, 1.0, hbar=1e-4)
-    worst_d = worst_s = 0.0
-    for t in np.linspace(0.1, 10.0, 50):
-        worst_d = max(worst_d, abs(d1_quantum(p, t, n_max=8) / d1_classical(p, t) - 1.0))
-        worst_s = max(worst_s, abs(sigma_q(p, t, "quantum", n_max=8) / sigma_cl_closed(p, t) - 1.0))
+    t = np.linspace(0.1, 10.0, 50)
+    table = build_table(p, t, "quantum", n_max=8)
+    worst_d = float(np.max(np.abs(table.d1 / d1_classical(p, t) - 1.0)))
+    worst_s = float(np.max(np.abs(table.sigma_q / sigma_cl_closed(p, t) - 1.0)))
     elapsed = time.perf_counter() - t0
     ok = worst_d <= 1e-3 and worst_s <= 1e-3 and elapsed < 60.0
     _emit(capsys, ok, "classical-limit collapse",

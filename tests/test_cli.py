@@ -158,6 +158,15 @@ class TestCoeffs:
         man = json.loads((tmp_path / "q.csv.json").read_text())
         assert man["diagnostics"]["tol_met"] is False
 
+    def test_default_cutoff_recorded(self, tmp_path):
+        out = str(tmp_path / "q.csv")
+        rc = main(["coeffs", "--hbar", "1", "--t-max", "0.5", "--n-points", "1",
+                   "--out", out])
+        assert rc == 0
+        man = json.loads((tmp_path / "q.csv.json").read_text())
+        assert man["n_max"] == man["config"]["n_max"] == 20000
+        assert man["diagnostics"]["n_modes_max"] == 20000
+
     def test_met_tol_is_silent(self, tmp_path, capsys):
         out = str(tmp_path / "q.csv")
         rc = main(["coeffs", "--hbar", "1", "--t-max", "1", "--n-points", "2",
@@ -192,14 +201,28 @@ class TestFpe:
         assert rc == 1
 
     def test_unresolved_analytic_density_exit_1(self, tmp_path, capsys):
-        # grid spacing ~1250 against an initial sd of 0.1: the exact density
-        # vanishes at every node, so its sampled peak is 0
+        # grid spacing ~1250 against an initial sd of 0.1: refused before
+        # the first step, with both widths named
         out = str(tmp_path / "f.csv")
         rc = main(["fpe", "--q0", "1e6", "--t-final", "0.01", "--compare-analytic",
                    "--out", out])
         assert rc == 1
-        assert json.loads((tmp_path / "f.csv.json").read_text())["peak_density"] == 0.0
-        assert "deviation from analytic: inf of peak" in capsys.readouterr().out
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell width 1250")
+        assert "initial sd 0.1" in err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_inaccurate_resolved_run_exit_1(self, tmp_path):
+        # the grid resolves the initial density, but dt = 0.2 is too coarse
+        # for the --compare-analytic gate
+        out = str(tmp_path / "f.csv")
+        rc = main([
+            "fpe", "--t-final", "1", "--n-q", "201", "--dt", "0.2",
+            "--q0", "1", "--compare-analytic", "--out", out,
+        ])
+        assert rc == 1
+        summary = json.loads((tmp_path / "f.csv.json").read_text())
+        assert summary["linf_error"] / summary["peak_density"] > 5e-3
 
     def test_density_file_is_normalized(self, tmp_path):
         out = str(tmp_path / "f.csv")

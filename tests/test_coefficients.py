@@ -13,16 +13,12 @@ from qbm import (
     chi_v,
     chi_v_dot,
     d1_classical,
-    d1_quantum,
     d1_quantum_detail,
     d_cl_closed,
-    d_fpe,
     derive,
-    omega_drift,
     sigma1_classical,
     sigma1_quantum,
     sigma_cl_closed,
-    sigma_q,
     xi_q0_sum,
 )
 import qbm.coefficients
@@ -198,11 +194,11 @@ class TestQuantumModeTerms:
 class TestD1Quantum:
     def test_requires_quantum_params(self, p_over):
         with pytest.raises(HbarZero):
-            d1_quantum(p_over, 1.0)
+            d1_quantum_detail(p_over, 1.0)
 
     def test_requires_positive_time(self, pq_over):
         with pytest.raises(ValueError):
-            d1_quantum(pq_over, 0.0)
+            d1_quantum_detail(pq_over, 0.0)
 
     def test_decomposition_sums_to_value(self, pq_over):
         det = d1_quantum_detail(pq_over, 0.8, n_max=500)
@@ -243,13 +239,27 @@ class TestD1Quantum:
     def test_classical_collapse(self):
         p = derive(1.0, 1.0, 0.16, 1.0, hbar=1e-4)
         for t in (0.5, 2.0):
-            dq = d1_quantum(p, t)
+            dq = d1_quantum_detail(p, t).value
             dc = d1_classical(p, t)
             assert dq == pytest.approx(dc, rel=1e-3)
 
     def test_rejects_bad_n_max(self, pq_over):
         with pytest.raises(ValueError):
-            d1_quantum(pq_over, 1.0, n_max=0)
+            d1_quantum_detail(pq_over, 1.0, n_max=0)
+        with pytest.raises(ValueError):
+            build_table(pq_over, np.array([1.0]), mode="quantum", n_max=0)
+
+    def test_tol_does_not_move_the_cutoff(self, pq_over):
+        # the mode count is the cutoff N, whatever tol: a loose tol sums the
+        # same 20000 modes; it only loosens the correlation series, within
+        # its certified bound
+        loose = d1_quantum_detail(pq_over, 0.5, tol=1e-2)
+        default = d1_quantum_detail(pq_over, 0.5)
+        assert loose.n_modes == default.n_modes == qbm.coefficients.N_MODES == 20000
+        assert loose.modes == default.modes
+        assert loose.white == default.white
+        assert default.value == pytest.approx(1.8604845752010228, rel=1e-12)
+        assert loose.value == pytest.approx(default.value, abs=1e-2)
 
 
 class TestSigma1Quantum:
@@ -265,7 +275,7 @@ class TestSigma1Quantum:
         for regime in ("over", "under", "resonant"):
             p = request.getfixturevalue(f"pq_{regime}")
             want, err = quad(
-                lambda u: d1_quantum(p, u, n_max=n), t1, t2, epsabs=1e-10, limit=60
+                lambda u: d1_quantum_detail(p, u, n_max=n).value, t1, t2, epsabs=1e-10, limit=60
             )
             got = sigma1_quantum(p, t2, n_max=n) - sigma1_quantum(p, t1, n_max=n)
             assert got == pytest.approx(want, abs=max(5e-9, 10 * err)), regime
@@ -277,38 +287,20 @@ class TestSigma1Quantum:
 
 class TestSigmaQAndDFpe:
     def test_classical_mode_matches_closed(self, p_over):
+        # the table's sigma_q column (closed form 1 - chi_q**2) against its
+        # sigma1 column (independent closed form) plus the thermal drift
         t = np.linspace(0.0, 5.0, 20)
+        table = build_table(p_over, t)
         np.testing.assert_allclose(
-            sigma_q(p_over, t, "classical"), sigma_cl_closed(p_over, t), rtol=1e-14
+            table.sigma_q, table.sigma1 + (p_over.kT / p_over.M) * chi_v(p_over, t) ** 2,
+            rtol=1e-12, atol=1e-14,
         )
-
-    def test_quantum_mode_assembly(self, pq_over):
-        t = 0.9
-        want = (
-            sigma1_quantum(pq_over, t, n_max=800)
-            + (pq_over.kT / pq_over.M) * chi_v(pq_over, t) ** 2
-        )
-        assert sigma_q(pq_over, t, "quantum", n_max=800) == pytest.approx(want, rel=1e-10)
-
-    def test_rejects_unknown_mode(self, p_over):
-        with pytest.raises(ValueError):
-            sigma_q(p_over, 1.0, "semiclassical")
-        with pytest.raises(ValueError):
-            d_fpe(p_over, 1.0, "semiclassical")
 
     def test_classical_d_fpe_equals_closed_form(self, p_over):
         t = np.linspace(0.05, 8.0, 40)
         np.testing.assert_allclose(
-            d_fpe(p_over, t, "classical"), d_cl_closed(p_over, t), rtol=1e-11
+            build_table(p_over, t).d_fpe, d_cl_closed(p_over, t), rtol=1e-11
         )
-
-    def test_quantum_d_fpe_identity(self, pq_over):
-        # D = sigma_dot - 2*Omega*sigma assembled from the pieces
-        p = pq_over
-        t = 0.8
-        sdot = d1_quantum(p, t, n_max=800) + (2.0 * p.kT / p.M) * chi_v(p, t) * chi_v_dot(p, t)
-        want = sdot - 2.0 * omega_drift(p, t) * sigma_q(p, t, "quantum", n_max=800)
-        assert d_fpe(p, t, "quantum", n_max=800) == pytest.approx(want, rel=1e-10)
 
 
 class TestCoefficientTable:
@@ -388,7 +380,7 @@ class TestCoefficientTable:
         assert isinstance(exc.value.__cause__, TailNotBounded)
 
     def test_tol_met_false_at_capped_mode_count(self, pq_over):
-        # the default tol is out of reach of the 20000-mode cap
+        # the default tol is out of reach at the default 20000-mode cutoff
         table = build_table(pq_over, np.array([0.5]), mode="quantum")
         assert table.diagnostics["n_modes_max"] == 20000
         assert table.diagnostics["d1_tail_bound_max"] > 1e-8

@@ -15,6 +15,7 @@ from qbm import (
     PoleWindow,
     SolverConfig,
     StepGrid,
+    UnresolvedGrid,
     build_table,
     solve,
     step,
@@ -63,6 +64,19 @@ class TestSolveClassical:
             solve(p_over, mode="wkb")
         with pytest.raises(ValueError):
             solve(p_over, t_final=0.0)
+
+    def test_refuses_unresolved_grid(self, p_over, monkeypatch):
+        # 801 cells from 0 to q0 = 1e6 are ~1250 wide against an initial sd
+        # of 0.1: refused before the first step
+        def no_step(*args):
+            raise AssertionError("stepped an unresolved grid")
+
+        monkeypatch.setattr(qbm.fpe, "step", no_step)
+        with pytest.raises(UnresolvedGrid, match="cell width 1250 exceeds the initial sd 0.1"):
+            solve(p_over, t_final=0.01, cfg=SolverConfig(q0=1e6))
+        # cells just under one sd wide are resolved, and stepped
+        with pytest.raises(AssertionError, match="stepped"):
+            solve(p_over, t_final=0.01, cfg=SolverConfig(n_q=5, q_min=-0.19, q_max=0.19))
 
     def test_mass_conservation_zero_flux(self, p_over):
         res = solve(p_over, t_final=1.0, cfg=_cfg())

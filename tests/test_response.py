@@ -15,7 +15,6 @@ from qbm import (
     drift_velocity,
     omega_drift,
     pole_times,
-    susceptibilities,
 )
 from qbm.response import coshm1c, omega_drift_closed, sinhc, tanhc
 
@@ -122,11 +121,6 @@ class TestSusceptibilities:
         ratio = chi_q(p_over, above) / chi_q(p_over, below)
         expected = math.exp(-p_over.lambda2.real * (above - below))
         assert ratio == pytest.approx(expected, rel=1e-9)
-
-    def test_susceptibility_set_binds_params(self, p_over):
-        s = susceptibilities(p_over)
-        assert s.chi_q(1.3) == chi_q(p_over, 1.3)
-        assert s.chi_v_dot(1.3) == chi_v_dot(p_over, 1.3)
 
     def test_critical_equals_overdamped_limit(self):
         # continuity across the regime boundary
