@@ -10,10 +10,10 @@ the engines (unbounded tail, pole-window crossing, non-finite state, ...).
 
 Settings may come from a flat key-value config file (``--config``): one
 ``key = value`` pair per line, ``#`` comments, keys spelled like the long
-flags with ``-`` or ``_``.  Explicit command-line flags override config
-values, which override built-in defaults.  Every output file is accompanied
-by a ``<out>.json`` manifest echoing the effective configuration, seeds and
-tolerances that produced it.
+flags with ``-`` or ``_``; a key that matches no flag is refused (exit 1).
+Explicit command-line flags override config values, which override built-in
+defaults.  Every output file is accompanied by a ``<out>.json`` manifest
+echoing the effective configuration, seeds and tolerances that produced it.
 """
 
 from __future__ import annotations
@@ -98,11 +98,18 @@ def save_config(cfg: dict, path) -> None:
 
 
 def _apply_config_defaults(parsers, overrides: dict) -> None:
+    """Make config values the parsers' defaults; a key that no parser knows
+    (a typo, a retired option) raises InvalidInput naming it."""
+    known = set()
     for parser in parsers:
         dests = {a.dest for a in parser._actions}
+        known |= dests
         hit = {k: v for k, v in overrides.items() if k in dests}
         if hit:
             parser.set_defaults(**hit)
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        raise InvalidInput(f"unknown config key(s): {', '.join(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +339,10 @@ def _cmd_fpe(args) -> int:
 
 def _cmd_sde(args) -> int:
     p = _params(args)
+    if not p.is_classical:
+        raise InvalidInput(
+            "sde simulates the classical dynamics only; drop --hbar or pass --classical"
+        )
     threads = _threads(args)
     stats_l = simulate_langevin(
         p, args.q0, args.v0_mode, args.paths, args.dt, args.t_final, args.seed,
@@ -408,7 +419,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    ap = build_parser(overrides)
+    try:
+        ap = build_parser(overrides)
+    except InvalidInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     args = ap.parse_args(argv)
     try:
         if args.validate:

@@ -11,10 +11,12 @@ Classical closed forms (exact in every damping regime, overflow-free):
 Quantum coefficients decompose the bath noise correlation into a white-noise
 part plus Matsubara modes ``(4*gamma*M/beta)*[delta(tau) -
 (nu_n/2)*exp(-nu_n|tau|)]``.  The white part reproduces the classical
-coefficient; each mode's double/triple time integral over products of the
-two-exponential response functions is reduced to closed form in the phi1
-divided-difference kit (no numerical quadrature per mode), leaving only the
-sum over n.  The mode sum behaves like ``chi_v_dot*chi_v/(2*nu_n)`` at large
+coefficient.  Each mode's contribution R_n is elementary in the two
+exponentials of chi_v, and so is its sum over n <= N: digamma values at the
+roots plus a fast-decaying exponential series (``_mode_sums``), exact at the
+cutoff up to round-off and independent of N in cost.  The explicit sum of
+the per-mode kernel ``_mode_r`` is kept as the second route, checked by
+``qbm validate``.  R_n behaves like ``chi_v_dot*chi_v/(2*nu_n)`` at large
 n — a logarithmically divergent series, the strictly-Ohmic ultraviolet
 pathology of this model.  The mode count N is therefore a physical
 ultraviolet cutoff, ``n_max`` (``N_MODES`` by default), not a tolerance:
@@ -59,7 +61,17 @@ from .response import (
     _shaped,
     _time_array,
 )
-from .special import NoConvergence, _as_array, phi1, phi1_dd, phi1_deriv, xi_q0_closed, xi_q0_sum
+from .special import (
+    _CS_H,
+    _DEGENERATE_FRAC,
+    NoConvergence,
+    _as_array,
+    phi1,
+    phi1_dd,
+    phi1_deriv,
+    xi_q0_closed,
+    xi_q0_sum,
+)
 
 __all__ = [
     "d1_classical",
@@ -149,7 +161,8 @@ def d_cl_closed(p: PhysicalParams, t):
 
 
 # ---------------------------------------------------------------------------
-# quantum mode machinery
+# quantum mode machinery: the per-mode kernel, summed explicitly by the
+# second route (``qbm validate``, tests)
 #
 # Building blocks (s with Re >= 0, Z with Re <= 0, all scaled by t):
 #   _G(s, Z)  = exp(-s) * phi1_dd(s, Z)      evaluated cancellation-free as
@@ -253,6 +266,94 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
     return (jd - nu / 2.0 * jn).real
 
 
+# ---------------------------------------------------------------------------
+# quantum mode sum at the cutoff N, in closed form
+#
+# With chi_v = sum_j c_j exp(-lambda_j t) and c = (-1, +1)/(lambda1 - lambda2),
+# the convolution in R_n is elementary:
+#   R_n(t) = (chi_v(t)/2) * sum_j c_j g(nu_n, lambda_j),
+#   g(nu, lam) = (nu*exp(-nu*t) - lam*exp(-lam*t))/(nu - lam)
+#              = exp(-lam*t) * (1 - nu*t*phi1(-(nu - lam)*t)).
+# Summed over n <= N it splits into
+#   * an exponential part sum_n w_n exp(-nu_n t), where the root weights
+#     combine exactly, w_n = -nu_n/((nu_n - lambda1)(nu_n - lambda2)) (real,
+#     no cancellation); terms with nu_n*t > _EXP_CUT are below round-off;
+#   * a rational part -sum_j c_j lambda_j exp(-lambda_j t) H(lambda_j), with
+#     H(lam) = sum_n 1/(nu_n - lam) = [psi(N+1-lam/nu) - psi(1-lam/nu)]/nu,
+#     which does not depend on t.
+# The mode nearest each root, a pole of H when lambda_j = k*nu, leaves both
+# parts and enters through the stable form of g.  With F(lam) = lam*exp(-lam
+# t)*H(lam) minus those modes' g, the rest is -sum_j c_j F(lambda_j), the
+# divided difference F[lambda1, lambda2].  Within _DEGENERATE_FRAC*gamma of
+# the double root it takes its confluent limit F'(gamma/2) by a complex step,
+# as xi_q0_closed does: the limit's bias is O((lambda1 - lambda2)**2) and the
+# divided difference's round-off O(eps/(lambda1 - lambda2)), and the two
+# meet near 1e-5.
+
+_EXP_CUT = 40.0
+
+
+def _psi_sum(a, n_modes: int, excluded) -> complex:
+    """sum of 1/(n - a) over n = 1..N outside ``excluded``, via digamma.
+
+    The nearest mode k = round(Re a) splits the range so that every digamma
+    argument has real part >= 1/2, away from the poles.
+    """
+    k = round(a.real)
+    if k < 1:
+        s = digamma(n_modes + 1 - a) - digamma(1 - a)
+    elif k > n_modes:
+        s = digamma(a - n_modes) - digamma(a)
+    else:  # k is in ``excluded``: the sums below and above it
+        s = digamma(a + 1 - k) - digamma(a) + digamma(n_modes + 1 - a) - digamma(k + 1 - a)
+    for m in excluded:
+        if m != k:
+            s -= 1.0 / (m - a)
+    return s
+
+
+def _mode_sums(p: PhysicalParams, n_modes: int, t) -> np.ndarray:
+    """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form.
+
+    Exact at the cutoff N up to round-off; the digamma values are taken once
+    per call, so a whole quadrature rule costs little more than one time.
+    """
+    nu = p.matsubara_nu()
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    l1, l2 = p.lambda1, p.lambda2
+    if abs(l1 - l2) < _DEGENERATE_FRAC * p.gamma:
+        roots = (complex(p.gamma / 2.0, _CS_H),)
+    elif l1.imag == 0.0 and l2.imag == 0.0:
+        roots = (l1.real, l2.real)
+    else:
+        roots = (l1, l2)
+    excluded = sorted({k for k in (round(lam.real / nu) for lam in roots) if 1 <= k <= n_modes})
+
+    n_top = min(n_modes, math.ceil(_EXP_CUT / (nu * float(t.min()))) + 1)
+    nu_n = np.arange(1, n_top + 1, dtype=np.float64) * nu
+    w = -nu_n / (nu_n * (nu_n - p.gamma) + p.omega0_sq / p.M)
+    w[[k - 1 for k in excluded if k <= n_top]] = 0.0
+    exp_part = np.empty(t.shape)
+    for i, ti in enumerate(t.tolist()):
+        m = min(n_top, math.ceil(_EXP_CUT / (nu * ti)) + 1)
+        e = np.exp(nu_n[:m] * -ti)
+        e *= w[:m]
+        exp_part[i] = e.sum()
+
+    def F(lam):
+        el = np.exp(-lam * t)
+        out = lam * el * (_psi_sum(lam / nu, n_modes, excluded) / nu)
+        for k in excluded:
+            out -= el * (1.0 - k * nu * t * phi1(-(k * nu - lam) * t))
+        return out
+
+    if len(roots) == 1:
+        rational = F(roots[0]).imag / _CS_H
+    else:
+        rational = ((F(l1) - F(l2)) / (l1 - l2)).real
+    return np.atleast_1d(chi_v(p, t)) / 2.0 * (exp_part + rational)
+
+
 def _remainder_scale(p: PhysicalParams, t: float) -> float:
     """Envelope K(t) with |R_n - chi_v_dot*chi_v/(2 nu_n)| <= K(t)/nu_n**2."""
     l1, l2 = split_lambdas(p)
@@ -324,8 +425,9 @@ def d1_quantum_detail(
     """Quantum diffusion function D1(t) with diagnostics.
 
     D1 = d1_classical + (8*gamma/(M*beta)) * sum_{n <= N} R_n + 2*chi_q*xi_q0,
-    with R_n from :func:`_mode_r` and the cutoff N = ``n_max`` (``N_MODES``
-    if None).  ``tol`` does not change N: it is the tolerance of the
+    with the cutoff N = ``n_max`` (``N_MODES`` if None).  The mode sum is
+    taken in closed form at N (:func:`_mode_sums`), so its cost does not grow
+    with N.  ``tol`` does not change N: it is the tolerance of the
     correlation-term series and the target that ``tail_bound`` is held to.
     """
     nu = p.matsubara_nu()
@@ -338,8 +440,7 @@ def d1_quantum_detail(
 
     pref = 8.0 * p.gamma * p.kT / p.M
     K = _remainder_scale(p, t)
-    nu_n = np.arange(1, n_modes + 1, dtype=np.float64) * nu
-    modes = pref * math.fsum(_mode_r(p, nu_n, t).tolist())
+    modes = pref * float(_mode_sums(p, n_modes, t)[0])
 
     cq = float(chi_q(p, t))
     xi = _xi_q0(p, t, tol / (2.0 * abs(cq) + 1.0))
@@ -429,11 +530,12 @@ def sigma1_quantum(
 
     Assembled as sigma1_classical (closed form) + quadrature of the mode sum
     + the analytic mode form of the correlation part.  The quadrature sees a
-    smooth integrand.  The mode sum stops at the same cutoff N as
-    :func:`d1_quantum_detail`, so the exact derivative identity sigma1' = D1
-    holds at the truncated level; ``tol`` bounds the correlation-part tail.
+    smooth integrand: the closed-form mode sum at the same cutoff N as
+    :func:`d1_quantum_detail`, evaluated at all nodes in one call, so the
+    exact derivative identity sigma1' = D1 holds at the truncated level;
+    ``tol`` bounds the correlation-part tail.
     """
-    nu = p.matsubara_nu()
+    p.matsubara_nu()  # HbarZero for classical parameters
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
     n_modes = _n_modes(n_max)
@@ -442,12 +544,8 @@ def sigma1_quantum(
         return base
 
     pref = 8.0 * p.gamma * p.kT / p.M
-    nu_n = np.arange(1, n_modes + 1, dtype=np.float64) * nu
     u, wts = _panel_nodes(t)
-    acc = np.zeros(n_modes)
-    for ui, wi in zip(u.tolist(), wts.tolist()):
-        acc += wi * _mode_r(p, nu_n, ui)
-    modes = pref * math.fsum(acc.tolist())
+    modes = pref * math.fsum((wts * _mode_sums(p, n_modes, u)).tolist())
     corr, _ = _sigma1_corr_modes(p, t, tol)
     return base + modes + corr
 

@@ -86,6 +86,25 @@ class TestConfigFile:
         assert man["params"]["gamma"] == 0.25   # flag wins
         assert man["n_points"] == 7             # config beats default
 
+    def test_unknown_key_exit_1(self, tmp_path, capsys):
+        # a misspelled key must not silently fall back to the default t_max
+        path = tmp_path / "typo.cfg"
+        path.write_text("t_maxx = 2\nn_points = 3\n")
+        out = tmp_path / "c.csv"
+        assert main(["--config", str(path), "coeffs", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "t_maxx" in err
+        assert not out.exists()
+
+    def test_keys_of_any_subcommand_accepted(self, tmp_path):
+        # one file may serve several subcommands: keys of the others pass
+        path = tmp_path / "shared.cfg"
+        path.write_text("t_max = 2\nn_points = 3\npaths = 100\nscheme = split-upwind\n")
+        out = str(tmp_path / "c.csv")
+        assert main(["--config", str(path), "coeffs", "--out", out]) == 0
+        man = json.loads((tmp_path / "c.csv.json").read_text())
+        assert man["config"]["t_max"] == 2 and man["n_points"] == 3
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "coeffs"]) == 1
 
@@ -286,6 +305,20 @@ class TestSde:
         assert 3.0 < max(v for k, v in eq.items() if k.startswith("max_z")) <= eq["z_limit"]
         assert eq["z_limit"] == pytest.approx(4.703, abs=1e-3)
         assert "z_limit" in capsys.readouterr().out
+
+    def test_quantum_hbar_refused_exit_1(self, tmp_path, capsys):
+        # the SDE routes are classical: a run with hbar > 0 must not pass for
+        # a quantum one
+        out = tmp_path / "s.csv"
+        rc = main(["sde", "--hbar", "1", "--paths", "10", "--t-final", "0.1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "classical" in capsys.readouterr().err
+        assert not out.exists()
+        rc = main(["sde", "--hbar", "1", "--classical", "--paths", "10",
+                   "--t-final", "0.1", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((tmp_path / "s.csv.json").read_text())["config"]["hbar"] == 1.0
 
     def test_csv_header(self, tmp_path):
         out = str(tmp_path / "s.csv")

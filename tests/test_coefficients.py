@@ -22,7 +22,7 @@ from qbm import (
     xi_q0_sum,
 )
 import qbm.coefficients
-from qbm.coefficients import _mode_r
+from qbm.coefficients import _mode_r, _mode_sums
 
 
 class TestClassicalClosedForms:
@@ -71,6 +71,18 @@ class TestClassicalClosedForms:
     def test_d1_zero_at_origin(self, p_over):
         assert d1_classical(p_over, 0.0) == 0.0
         assert sigma1_classical(p_over, 0.0) == 0.0
+
+
+def _quad_mode_term(p, nu_n, t):
+    """R_n(t) by quadrature, with the quadrature's error estimate.
+
+    Each mode applies delta(tau) - (nu_n/2)*exp(-nu_n*|tau|) to the
+    chi_v(t-u)*chi_v(t-v) double integral; the time derivative of that
+    reduces to a single convolution, which scipy can check directly.
+    """
+    conv, err = quad(lambda s: chi_v(p, t - s) * math.exp(-nu_n * s), 0.0, t, epsabs=1e-14)
+    cv = chi_v(p, t)
+    return cv * cv / 2.0 - nu_n / 2.0 * cv * conv, err
 
 
 def _mode_r_pairwise(p, nu_n, t, complex_arithmetic=False):
@@ -134,17 +146,10 @@ class TestQuantumModeTerms:
     )
     @pytest.mark.parametrize("n", [1, 3])
     def test_mode_term_against_quadrature(self, regime, n, request):
-        # each mode applies delta(tau) - (nu_n/2)*exp(-nu_n*|tau|) to the
-        # chi_v(t-u)*chi_v(t-v) double integral; the time derivative of that
-        # reduces to a single convolution, which scipy can check directly
         p = request.getfixturevalue(f"pq_{regime}")
         nu_n = n * p.matsubara_nu()
         for t in (1e-4, 0.7, 8.0):
-            conv, err = quad(
-                lambda s: chi_v(p, t - s) * math.exp(-nu_n * s), 0.0, t, epsabs=1e-14
-            )
-            cv = chi_v(p, t)
-            want = cv * cv / 2.0 - nu_n / 2.0 * cv * conv
+            want, err = _quad_mode_term(p, nu_n, t)
             got = float(_mode_r(p, np.array([nu_n]), t)[0])
             assert got == pytest.approx(want, rel=1e-10, abs=max(1e-13, 4 * err)), t
 
@@ -189,6 +194,62 @@ class TestQuantumModeTerms:
     def test_critical_split_is_finite_and_smooth(self, pq_crit):
         r = _mode_r(pq_crit, np.arange(1, 50, dtype=float) * pq_crit.matsubara_nu(), 0.6)
         assert np.all(np.isfinite(r))
+
+
+class TestClosedFormModeSum:
+    """_mode_sums, the production route: sum_{n <= N} R_n in closed form."""
+
+    @pytest.mark.parametrize("regime", ["over", "under", "crit", "resonant"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_against_quadrature(self, regime, n, request):
+        # unlike _mode_r, the closed form holds at critical damping (its
+        # confluent limit) and with a mode on a root (resonant)
+        p = request.getfixturevalue(f"pq_{regime}")
+        nu = p.matsubara_nu()
+        for t in (1e-4, 0.7, 8.0):
+            parts = [_quad_mode_term(p, k * nu, t) for k in range(1, n + 1)]
+            want = math.fsum(v for v, _ in parts)
+            err = sum(e for _, e in parts)
+            got = float(_mode_sums(p, n, t)[0])
+            assert got == pytest.approx(want, rel=1e-10, abs=max(1e-13, 4 * err)), t
+
+    @pytest.mark.parametrize("regime", ["over", "under", "resonant"])
+    @pytest.mark.parametrize("n", [64, 2000])
+    def test_matches_explicit_sum(self, regime, n, request):
+        p = request.getfixturevalue(f"pq_{regime}")
+        nu_n = np.arange(1, n + 1, dtype=np.float64) * p.matsubara_nu()
+        t = np.array([1e-4, 0.05, 0.7, 8.0])
+        got = _mode_sums(p, n, t)
+        want = [math.fsum(_mode_r(p, nu_n, ti).tolist()) for ti in t.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_exact_at_default_cutoff(self, pq_over):
+        # 40-digit mpmath sums of the 20000 elementary mode terms.  The
+        # explicit fsum of _mode_r misses the t = 8 value by 4.4e-11 relative:
+        # its high modes are small differences of large cancelling terms
+        got = _mode_sums(pq_over, 20000, np.array([8.0, 0.05]))
+        assert got[0] == pytest.approx(-0.018197298261650919, rel=1e-14, abs=0.0)
+        assert got[1] == pytest.approx(0.034017619693985446, rel=1e-14, abs=0.0)
+
+    def test_continuous_through_critical_damping(self):
+        # the explicit sum jumps to -4.998e-6 at critical damping (N = 2000,
+        # t = 8); the closed form lies midway between its neighbours at
+        # omega0_sq = 1 -+ 1e-6, an overdamped and an underdamped one
+        lo, crit, hi = (
+            float(_mode_sums(derive(1.0, 2.0, w0, 1.0, hbar=1.0), 2000, 8.0)[0])
+            for w0 in (1.0 - 1e-6, 1.0, 1.0 + 1e-6)
+        )
+        assert crit == pytest.approx((lo + hi) / 2.0, rel=1e-8)
+        assert crit == pytest.approx(-4.2262e-6, rel=1e-4)
+
+    def test_production_routes_do_not_call_the_explicit_kernel(self, pq_over, monkeypatch):
+        def explicit(*args, **kwargs):
+            raise AssertionError("_mode_r called")
+
+        monkeypatch.setattr(qbm.coefficients, "_mode_r", explicit)
+        assert math.isfinite(d1_quantum_detail(pq_over, 0.5).value)
+        assert math.isfinite(sigma1_quantum(pq_over, 0.5))
+        build_table(pq_over, np.array([0.5]), mode="quantum")
 
 
 class TestD1Quantum:
@@ -258,7 +319,10 @@ class TestD1Quantum:
         assert loose.n_modes == default.n_modes == qbm.coefficients.N_MODES == 20000
         assert loose.modes == default.modes
         assert loose.white == default.white
-        assert default.value == pytest.approx(1.8604845752010228, rel=1e-12)
+        # the mode part, 1.57874419427388, agrees with a 40-digit mpmath sum of
+        # the 20000 mode terms (1.5787441942738792); the explicit fsum of
+        # _mode_r gave 1.8604845752010228 here, 1.4e-12 low
+        assert default.value == pytest.approx(1.8604845752035863, rel=1e-12)
         assert loose.value == pytest.approx(default.value, abs=1e-2)
 
 
