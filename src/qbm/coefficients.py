@@ -65,10 +65,9 @@ from .special import (
     _CS_H,
     _DEGENERATE_FRAC,
     NoConvergence,
-    _as_array,
     phi1,
     phi1_dd,
-    phi1_deriv,
+    phi1_deriv,  # unused here: perfbench/workloads.py TARGETS traces coefficients.phi1_deriv
     xi_q0_closed,
     xi_q0_sum,
 )
@@ -161,109 +160,31 @@ def d_cl_closed(p: PhysicalParams, t):
 
 
 # ---------------------------------------------------------------------------
-# quantum mode machinery: the per-mode kernel, summed explicitly by the
-# second route (``qbm validate``, tests)
+# quantum per-mode kernel, summed explicitly by the second route
+# (``qbm validate``, tests)
 #
-# Building blocks (s with Re >= 0, Z with Re <= 0, all scaled by t):
-#   _G(s, Z)  = exp(-s) * phi1_dd(s, Z)      evaluated cancellation-free as
-#               (phi1(-s) - exp(-s)*phi1(Z))/(s - Z)
-#   _Gp(s, Z) = d_G/d_s
-# Every factor decays or is bounded, so the forms are safe for arbitrarily
-# large nu_n*t.  In _mode_r the mode-dependent kernel is evaluated once per
-# call: phi1(-X) and exp(-X) (X = nu_n*t) once, phi1_dd(-X, Z_j) and G(X, Z_j)
-# once per root j, with the scalars phi1(Z_j) and G(Y_i, Z_j) (Y_i =
-# lambda_i*t) folded in.  Each array form is taken in its far
-# (divided-difference) shape and the few modes inside a near-coincidence
-# window are overwritten by the helpers above.  Every factor is evaluated in
-# its own argument's dtype and promoted only where factors combine: X is
-# float64, so phi1(-X) and exp(-X) are real in every regime, and the root
-# factors are real whenever the roots are.
-
-
-def _G(s, Z):
-    s, Z = np.broadcast_arrays(np.atleast_1d(_as_array(s)), np.atleast_1d(_as_array(Z)))
-    out = np.empty(s.shape, dtype=np.result_type(s, Z))
-    near = np.abs(s - Z) < 1e-6 * (1.0 + np.abs(s) + np.abs(Z))
-    if near.any():
-        # s ~ Z forces both toward 0 here, so exp(-s) is tame
-        out[near] = np.exp(-s[near]) * phi1_dd(s[near], Z[near])
-    far = ~near
-    if far.any():
-        sf, Zf = s[far], Z[far]
-        out[far] = (phi1(-sf) - np.exp(-sf) * phi1(Zf)) / (sf - Zf)
-    return out
-
-
-def _Gp(s, Z):
-    s, Z = np.broadcast_arrays(np.atleast_1d(_as_array(s)), np.atleast_1d(_as_array(Z)))
-    return (-phi1_deriv(-s) + np.exp(-s) * phi1(Z) - _G(s, Z)) / (s - Z)
+# R_n = -(chi_v/2)*g[lambda1, lambda2], the divided difference over the roots
+# of g(lam) = exp(-lam*t)*(1 - X*phi1((lam - nu_n)*t)), X = nu_n*t, taken by
+# the Leibniz rule with chi_v = t*exp(-lambda2*t)*phi1(-(lambda1 - lambda2)*t)
+# and a_j = lambda_j*t - X.  phi1_dd is stable as a1 -> a2, so critical
+# damping needs no branch.
 
 
 def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
     """Per-mode reduced integral R_n(t) for an array of mode rates nu_n.
 
-    R_n is the exact closed form of the difference between the white-noise
-    double integral and (nu_n/2) times the exponentially-correlated triple
-    integral of chi_v_dot products; R_n -> chi_v_dot*chi_v/(2*nu_n) as
-    nu_n grows.  With X = nu_n*t, Y_i = lambda_i*t and Z_j = -lambda_j*t,
-    pair (i, j) contributes t**2*(G(Y_i, Z_j) - exp(-Y_i)*phi1_dd(-X, Z_j))
-    /(lambda_i + nu_n) - t**3*(G(Y_i, Z_j) - G(X, Z_j))/(Y_i - X).  The
-    array factors phi1(-X) and exp(-X) are evaluated once, phi1_dd(-X, Z_j)
-    and G(X, Z_j) once per j.  X is float64 and real roots are used as
-    floats, so the kernel runs in real arithmetic unless the roots are
-    complex (underdamped).
+    R_n -> chi_v_dot*chi_v/(2*nu_n) as nu_n grows.  Real roots are used as
+    floats, so the kernel runs in real arithmetic unless they are complex.
+    A mode below lambda1 overflows to NaN once (lambda1 - nu_n)*t > ~700.
     """
-    l1, l2 = split_lambdas(p)
+    l1, l2 = p.lambda1, p.lambda2
     if l1.imag == 0.0 and l2.imag == 0.0:
         l1, l2 = l1.real, l2.real
-    dl = l1 - l2
-    lam = (l1, l2)
-    c = (l1 / dl, -l2 / dl)
-    nu = np.asarray(nu_n, dtype=np.float64)
-    X = nu * t
-    absX = np.abs(X)
-    # far forms divide by zero where a near window holds; those entries are
-    # overwritten
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pX = phi1(-X)
-        eX = np.exp(-X)
-        dd, GX = [], []
-        for j in range(2):
-            Z = -lam[j] * t
-            pZ = phi1(Z)
-            window = 1e-6 * (1.0 + absX + abs(Z))
-            d = -X - Z
-            ddj = (pX - pZ) / d
-            near = np.abs(d) < window
-            if near.any():
-                ddj[near] = phi1_dd(-X[near], Z)
-            d = X - Z
-            GXj = (pX - eX * pZ) / d
-            near = np.abs(d) < window
-            if near.any():
-                GXj[near] = _G(X[near], Z)
-            dd.append(ddj)
-            GX.append(GXj)
-        del pX, eX  # unused by the pair loop; freeing them lowers its peak memory
-        jd = jn = 0.0
-        for i in range(2):
-            Y = lam[i] * t
-            eY = np.exp(-Y)
-            den = lam[i] + nu
-            YmX = Y - X
-            near = np.abs(YmX) < 1e-6 * (1.0 + abs(Y) + absX)
-            for j in range(2):
-                Z = -lam[j] * t
-                cij = c[i] * c[j]
-                Gij = _G(Y, Z)[0]
-                jd += cij * t * t * Gij
-                T12 = t * t * (Gij - eY * dd[j]) / den
-                dGij = (Gij - GX[j]) / YmX
-                if near.any():
-                    dGij[near] = _Gp((Y + X[near]) / 2.0, Z)
-                T34 = -(t**3) * dGij
-                jn += cij * (T12 + T34)
-    return (jd - nu / 2.0 * jn).real
+    X = np.asarray(nu_n, dtype=np.float64) * t
+    a1, a2 = l1 * t - X, l2 * t - X
+    cv = t * np.exp(-l2 * t) * phi1(-(l1 - l2) * t)
+    g_dd = -cv * (1.0 - X * phi1(a2)) - X * t * np.exp(-l1 * t) * phi1_dd(a1, a2)
+    return (-cv / 2.0 * g_dd).real
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +387,18 @@ def d1_quantum_detail(
 # quantum variance
 
 
-def _panel_nodes(t: float, order: int = 24, n_geom: int = 6):
-    """Gauss-Legendre nodes/weights on [0, t], geometrically graded toward 0."""
-    x, wts = np.polynomial.legendre.leggauss(order)
-    edges = [0.0] + [t * 2.0 ** (k - n_geom) for k in range(n_geom + 1)]
+#: 24-point Gauss-Legendre rule on [-1, 1], the base rule of every panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+
+
+def _panel_nodes(t: float):
+    """Gauss-Legendre nodes/weights on [0, t], on 7 panels graded
+    geometrically toward 0: [0, t/64], [t/64, t/32], ..., [t/2, t]."""
+    edges = [0.0] + [t * 2.0 ** (k - 6) for k in range(7)]
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append((a + b) / 2.0 + (b - a) / 2.0 * x)
-        weights.append((b - a) / 2.0 * wts)
+        nodes.append((a + b) / 2.0 + (b - a) / 2.0 * _GL_X)
+        weights.append((b - a) / 2.0 * _GL_W)
     return np.concatenate(nodes), np.concatenate(weights)
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -85,65 +86,32 @@ def _quad_mode_term(p, nu_n, t):
     return cv * cv / 2.0 - nu_n / 2.0 * cv * conv, err
 
 
-def _mode_r_pairwise(p, nu_n, t, complex_arithmetic=False):
-    """_mode_r written pair by pair, without hoisting: every (i, j) root pair
-    evaluates its own phi1_dd(-X, Z_j) and divided difference of G.
+def _mp_mode_term(p, k, t):
+    """-(chi_v/2)*g[lambda1, lambda2] in 50-digit arithmetic, with
+    g(lam) = exp(-lam*t)*(1 - X*phi1((lam - nu_k)*t)) and X = nu_k*t; the
+    confluent limit (derivative in lam) at critical damping."""
+    with mp.workdps(50):
+        nu = mp.mpf(p.matsubara_nu())
+        gam, w0 = mp.mpf(p.gamma), mp.mpf(p.omega0_sq) / mp.mpf(p.M)
+        om = mp.sqrt(mp.mpc(gam * gam - 4 * w0))
+        l1, l2 = (gam + om) / 2, (gam - om) / 2
+        t = mp.mpf(t)
+        X = k * nu * t
 
-    Each factor is evaluated in its own argument's dtype: real roots as
-    floats and X = nu_n*t as float64.  ``complex_arithmetic=True`` gives the
-    earlier form, which cast the roots and X to complex128 throughout.
-    """
-    from qbm.coefficients import _G, _Gp
-    from qbm.model import split_lambdas
-    from qbm.special import phi1_dd
+        def g(lam):
+            a = lam * t - X
+            return mp.e ** (-lam * t) * (1 - X * (mp.expm1(a) / a if a != 0 else 1))
 
-    def dG(x, y, Z):
-        x, y = np.broadcast_arrays(x, y)
-        out = np.empty(y.shape, dtype=np.result_type(x, y, Z))
-        near = np.abs(x - y) < 1e-6 * (1.0 + np.abs(x) + np.abs(y))
-        out[near] = _Gp((x[near] + y[near]) / 2.0, Z)
-        far = ~near
-        out[far] = (_G(x[far], Z) - _G(y[far], Z)) / (x[far] - y[far])
-        return out
-
-    l1, l2 = split_lambdas(p)
-    if complex_arithmetic:
-        X = nu_n.astype(np.complex128) * t
-    else:
-        if l1.imag == 0.0 and l2.imag == 0.0:
-            l1, l2 = l1.real, l2.real
-        X = nu_n * t
-    lam = (l1, l2)
-    c = (l1 / (l1 - l2), -l2 / (l1 - l2))
-    jd = jn = 0.0
-    for i in range(2):
-        Y = lam[i] * t
-        for j in range(2):
-            Z = -lam[j] * t
-            Gij = _G(Y, Z)[0]
-            jd += c[i] * c[j] * t * t * Gij
-            T12 = t * t * (Gij - np.exp(-Y) * phi1_dd(-X, Z)) / (lam[i] + nu_n)
-            jn += c[i] * c[j] * (T12 - t**3 * dG(Y, X, Z))
-    return (jd - nu_n / 2.0 * jn).real
+        if l1 == l2:
+            cv, g_dd = t * mp.e ** (-l1 * t), mp.diff(g, l1)
+        else:
+            cv = (mp.e ** (-l2 * t) - mp.e ** (-l1 * t)) / (l1 - l2)
+            g_dd = (g(l1) - g(l2)) / (l1 - l2)
+        return float(mp.re(-cv / 2 * g_dd))
 
 
 class TestQuantumModeTerms:
-    @pytest.mark.parametrize(
-        "regime",
-        [
-            "over",
-            "under",
-            pytest.param(
-                "crit",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the split_lambdas partial fractions cancel: R_n is off by "
-                    "2e-7 (t=1e-4), 2e-8 (t=0.7) and 2e-3 (t=8) relative at critical damping",
-                ),
-            ),
-            "resonant",
-        ],
-    )
+    @pytest.mark.parametrize("regime", ["over", "under", "crit", "resonant"])
     @pytest.mark.parametrize("n", [1, 3])
     def test_mode_term_against_quadrature(self, regime, n, request):
         p = request.getfixturevalue(f"pq_{regime}")
@@ -157,30 +125,16 @@ class TestQuantumModeTerms:
         assert pq_resonant.matsubara_nu() == pq_resonant.lambda1.real == 0.8
 
     @pytest.mark.parametrize("regime", ["over", "under", "crit", "resonant"])
-    def test_hoisted_kernel_matches_pairwise_form(self, regime, request):
+    def test_mode_term_against_mpmath(self, regime, request):
+        # low modes and modes far past every root, at times from 1e-8 to
+        # where chi_v has decayed by e**-10 or more
         p = request.getfixturevalue(f"pq_{regime}")
-        nu_n = np.arange(1, 65, dtype=np.float64) * p.matsubara_nu()
-        # at t = 1e-8 the low modes fall in every near-coincidence window
-        for t in (1e-8, 1e-4, 0.7, 8.0):
-            # same arithmetic in the same order: equal to the last bit
-            np.testing.assert_array_equal(_mode_r(p, nu_n, t), _mode_r_pairwise(p, nu_n, t))
-
-    @pytest.mark.parametrize("regime", ["over", "resonant"])
-    def test_real_kernel_matches_complex_arithmetic(self, regime, request):
-        # real roots run the kernel in real arithmetic; the full mode sum must
-        # agree with the all-complex128 form to round-off.  At t = 8 the
-        # high modes are small differences of cancelling terms, and the sum
-        # (-0.018 on pq_over) carries their round-off: against an 80-bit
-        # evaluation the real form is off by 4.4e-11 and the complex one by
-        # 5.7e-11 relative, 1.3e-11 apart
-        p = request.getfixturevalue(f"pq_{regime}")
-        nu_n = np.arange(1, 20001, dtype=np.float64) * p.matsubara_nu()
-        for t, rel in ((1e-4, 1e-11), (0.7, 1e-11), (8.0, 3e-11)):
-            r = _mode_r(p, nu_n, t)
+        nu = p.matsubara_nu()
+        for t in (1e-8, 8.0, 50.0):
+            r = _mode_r(p, np.array([1.0, 3.0, 1000.0, 20000.0]) * nu, t)
             assert r.dtype == np.float64
-            got = math.fsum(r.tolist())
-            want = math.fsum(_mode_r_pairwise(p, nu_n, t, complex_arithmetic=True).tolist())
-            assert got == pytest.approx(want, rel=rel, abs=0.0), t
+            for k, got in zip((1, 3, 1000, 20000), r.tolist()):
+                assert got == pytest.approx(_mp_mode_term(p, k, t), rel=1e-9, abs=0.0), (k, t)
 
     def test_mode_term_large_n_asymptote(self, pq_over):
         # R_n -> chi_v_dot*chi_v/(2*nu_n) for large n
@@ -202,8 +156,8 @@ class TestClosedFormModeSum:
     @pytest.mark.parametrize("regime", ["over", "under", "crit", "resonant"])
     @pytest.mark.parametrize("n", [1, 3])
     def test_against_quadrature(self, regime, n, request):
-        # unlike _mode_r, the closed form holds at critical damping (its
-        # confluent limit) and with a mode on a root (resonant)
+        # at critical damping the closed form takes its confluent limit, and
+        # with a mode on a root (resonant) that mode enters separately
         p = request.getfixturevalue(f"pq_{regime}")
         nu = p.matsubara_nu()
         for t in (1e-4, 0.7, 8.0):
@@ -213,7 +167,7 @@ class TestClosedFormModeSum:
             got = float(_mode_sums(p, n, t)[0])
             assert got == pytest.approx(want, rel=1e-10, abs=max(1e-13, 4 * err)), t
 
-    @pytest.mark.parametrize("regime", ["over", "under", "resonant"])
+    @pytest.mark.parametrize("regime", ["over", "under", "crit", "resonant"])
     @pytest.mark.parametrize("n", [64, 2000])
     def test_matches_explicit_sum(self, regime, n, request):
         p = request.getfixturevalue(f"pq_{regime}")
@@ -225,16 +179,16 @@ class TestClosedFormModeSum:
 
     def test_exact_at_default_cutoff(self, pq_over):
         # 40-digit mpmath sums of the 20000 elementary mode terms.  The
-        # explicit fsum of _mode_r misses the t = 8 value by 4.4e-11 relative:
+        # explicit fsum of _mode_r misses the t = 8 value by 1.5e-12 relative:
         # its high modes are small differences of large cancelling terms
         got = _mode_sums(pq_over, 20000, np.array([8.0, 0.05]))
         assert got[0] == pytest.approx(-0.018197298261650919, rel=1e-14, abs=0.0)
         assert got[1] == pytest.approx(0.034017619693985446, rel=1e-14, abs=0.0)
 
     def test_continuous_through_critical_damping(self):
-        # the explicit sum jumps to -4.998e-6 at critical damping (N = 2000,
-        # t = 8); the closed form lies midway between its neighbours at
+        # the closed form lies midway between its neighbours at
         # omega0_sq = 1 -+ 1e-6, an overdamped and an underdamped one
+        # (N = 2000, t = 8)
         lo, crit, hi = (
             float(_mode_sums(derive(1.0, 2.0, w0, 1.0, hbar=1.0), 2000, 8.0)[0])
             for w0 in (1.0 - 1e-6, 1.0, 1.0 + 1e-6)
@@ -320,8 +274,7 @@ class TestD1Quantum:
         assert loose.modes == default.modes
         assert loose.white == default.white
         # the mode part, 1.57874419427388, agrees with a 40-digit mpmath sum of
-        # the 20000 mode terms (1.5787441942738792); the explicit fsum of
-        # _mode_r gave 1.8604845752010228 here, 1.4e-12 low
+        # the 20000 mode terms (1.5787441942738792)
         assert default.value == pytest.approx(1.8604845752035863, rel=1e-12)
         assert loose.value == pytest.approx(default.value, abs=1e-2)
 

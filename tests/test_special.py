@@ -124,20 +124,6 @@ class TestPhiKitDtype:
         assert arr.dtype == np.float64
         assert arr[0] == got
 
-    @pytest.mark.parametrize(
-        "s,Z", [(0.3, -0.4), (2.0, -1.6), (5.0, -6.4), (50.0, -0.2), (700.0, -3.0)]
-    )
-    def test_mode_kernel_blocks_stay_real(self, s, Z):
-        from qbm.coefficients import _G, _Gp
-
-        def g(u):
-            return mp.e ** (-u) * _mp_phi1_dd(u, Z)
-
-        for fn, want in ((_G, g(mp.mpf(s))), (_Gp, mp.diff(g, mp.mpf(s)))):
-            got = fn(np.array([s, s]), Z)
-            assert got.dtype == np.float64
-            assert got[0] == pytest.approx(float(mp.re(want)), rel=1e-14, abs=0.0)
-
     def test_complex_argument_unchanged(self):
         # complex input evaluates exactly as in the all-complex128 kit, and
         # the whole-array direct form equals the gathered one in either dtype
