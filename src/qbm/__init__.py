@@ -25,7 +25,7 @@ from .errors import (
     TailNotBounded,
     UnresolvedGrid,
 )
-from .model import PhysicalParams, derive, split_lambdas
+from .model import PhysicalParams, derive
 from .special import (
     Hyp2F1Args,
     hyp2f1,
@@ -72,7 +72,7 @@ __all__ = [
     "NonFiniteCoefficient", "NegativeDiffusion", "PoleWindow", "CFLViolation",
     "GridMismatch", "DegenerateVariance", "NonFiniteState", "UnresolvedGrid",
     # model
-    "PhysicalParams", "derive", "split_lambdas",
+    "PhysicalParams", "derive",
     # special functions and bath sums
     "Hyp2F1Args", "hyp2f1", "hyp2f1_ex", "xi_q0_sum", "xi_q0_closed",
     "noise_kernel_modes", "noise_kernel_closed",

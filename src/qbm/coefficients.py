@@ -14,15 +14,17 @@ part plus Matsubara modes ``(4*gamma*M/beta)*[delta(tau) -
 coefficient.  Each mode's contribution R_n is elementary in the two
 exponentials of chi_v, and so is its sum over n <= N: digamma values at the
 roots plus a fast-decaying exponential series (``_mode_sums``), exact at the
-cutoff up to round-off and independent of N in cost.  The explicit sum of
-the per-mode kernel ``_mode_r`` is kept as the second route, checked by
-``qbm validate``.  R_n behaves like ``chi_v_dot*chi_v/(2*nu_n)`` at large
-n — a logarithmically divergent series, the strictly-Ohmic ultraviolet
-pathology of this model.  The mode count N is therefore a physical
-ultraviolet cutoff, ``n_max`` (``N_MODES`` by default), not a tolerance:
-results carry, besides the certified bound on the convergent remainder, the
-coefficient of the residual log(N) sensitivity.  The initial system/bath
-correlation enters as ``2*chi_q(t)*xi_q0(t)``.
+cutoff up to round-off and independent of N in cost.  Every closed form is a
+divided difference over the two roots, taken by ``special.root_dd``, the one
+rule for the critical-damping limit.  The explicit sum of the per-mode kernel
+``_mode_r`` is kept as the second route, checked by ``qbm validate``.  R_n
+behaves like ``chi_v_dot*chi_v/(2*nu_n)`` at large n — a logarithmically
+divergent series, the strictly-Ohmic ultraviolet pathology of this model.
+The mode count N is therefore a physical ultraviolet cutoff, ``n_max``
+(``N_MODES`` by default), not a tolerance: results carry a certified bound
+on what the value at N drops (the exponential terms cut below round-off,
+and round-off) and the coefficient of the residual log(N) sensitivity.  The
+initial system/bath correlation enters as ``2*chi_q(t)*xi_q0(t)``.
 
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
@@ -37,17 +39,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, polygamma
+from scipy.special import digamma
 
 from .errors import (
     GridMismatch,
+    InvalidInput,
     NegativeDiffusion,
     NonFiniteCoefficient,
     PoleWindow,
     QbmError,
     TailNotBounded,
 )
-from .model import PhysicalParams, split_lambdas
+from .model import PhysicalParams
 from .response import (
     chi_q,
     chi_v,
@@ -62,12 +65,12 @@ from .response import (
     _time_array,
 )
 from .special import (
-    _CS_H,
-    _DEGENERATE_FRAC,
     NoConvergence,
     phi1,
     phi1_dd,
     phi1_deriv,  # unused here: perfbench/workloads.py TARGETS traces coefficients.phi1_deriv
+    root_dd,
+    root_dd_sep,
     xi_q0_closed,
     xi_q0_sum,
 )
@@ -205,13 +208,11 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
 # The mode nearest each root, a pole of H when lambda_j = k*nu, leaves both
 # parts and enters through the stable form of g.  With F(lam) = lam*exp(-lam
 # t)*H(lam) minus those modes' g, the rest is -sum_j c_j F(lambda_j), the
-# divided difference F[lambda1, lambda2].  Within _DEGENERATE_FRAC*gamma of
-# the double root it takes its confluent limit F'(gamma/2) by a complex step,
-# as xi_q0_closed does: the limit's bias is O((lambda1 - lambda2)**2) and the
-# divided difference's round-off O(eps/(lambda1 - lambda2)), and the two
-# meet near 1e-5.
+# divided difference F[lambda1, lambda2] (``root_dd``, with its confluent
+# limit at critical damping).
 
 _EXP_CUT = 40.0
+_ROUNDOFF = 4.0 * np.finfo(np.float64).eps
 
 
 def _psi_sum(a, n_modes: int, excluded) -> complex:
@@ -233,32 +234,28 @@ def _psi_sum(a, n_modes: int, excluded) -> complex:
     return s
 
 
-def _mode_sums(p: PhysicalParams, n_modes: int, t) -> np.ndarray:
-    """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form.
+def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form,
+    and a bound on what each value drops.
 
-    Exact at the cutoff N up to round-off; the digamma values are taken once
-    per call, so a whole quadrature rule costs little more than one time.
+    The digamma values are taken once per call, so a whole quadrature rule
+    costs little more than one time.  The bound covers the exponential terms
+    cut at nu_n*t > _EXP_CUT (n <= N) and round-off, in O(1) per time.
     """
     nu = p.matsubara_nu()
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    l1, l2 = p.lambda1, p.lambda2
-    if abs(l1 - l2) < _DEGENERATE_FRAC * p.gamma:
-        roots = (complex(p.gamma / 2.0, _CS_H),)
-    elif l1.imag == 0.0 and l2.imag == 0.0:
-        roots = (l1.real, l2.real)
-    else:
-        roots = (l1, l2)
-    excluded = sorted({k for k in (round(lam.real / nu) for lam in roots) if 1 <= k <= n_modes})
+    points = (p.lambda1.real, p.lambda2.real, p.gamma / 2.0)  # where root_dd evaluates F
+    excluded = sorted({k for k in (round(x / nu) for x in points) if 1 <= k <= n_modes})
 
     n_top = min(n_modes, math.ceil(_EXP_CUT / (nu * float(t.min()))) + 1)
     nu_n = np.arange(1, n_top + 1, dtype=np.float64) * nu
     w = -nu_n / (nu_n * (nu_n - p.gamma) + p.omega0_sq / p.M)
     w[[k - 1 for k in excluded if k <= n_top]] = 0.0
+    m = np.minimum(n_top, np.ceil(_EXP_CUT / (nu * t)) + 1.0)
     exp_part = np.empty(t.shape)
-    for i, ti in enumerate(t.tolist()):
-        m = min(n_top, math.ceil(_EXP_CUT / (nu * ti)) + 1)
-        e = np.exp(nu_n[:m] * -ti)
-        e *= w[:m]
+    for i, (ti, mi) in enumerate(zip(t.tolist(), m.astype(int).tolist())):
+        e = np.exp(nu_n[:mi] * -ti)
+        e *= w[:mi]
         exp_part[i] = e.sum()
 
     def F(lam):
@@ -268,32 +265,18 @@ def _mode_sums(p: PhysicalParams, n_modes: int, t) -> np.ndarray:
             out -= el * (1.0 - k * nu * t * phi1(-(k * nu - lam) * t))
         return out
 
-    if len(roots) == 1:
-        rational = F(roots[0]).imag / _CS_H
-    else:
-        rational = ((F(l1) - F(l2)) / (l1 - l2)).real
-    return np.atleast_1d(chi_v(p, t)) / 2.0 * (exp_part + rational)
-
-
-def _remainder_scale(p: PhysicalParams, t: float) -> float:
-    """Envelope K(t) with |R_n - chi_v_dot*chi_v/(2 nu_n)| <= K(t)/nu_n**2."""
-    l1, l2 = split_lambdas(p)
-    dl = l1 - l2
-    c = (abs(l1 / dl), abs(-l2 / dl))
-    la = (abs(l1), abs(l2))
-    b0 = c[0] + c[1]
-    b1 = c[0] * la[0] + c[1] * la[1]
-    b2 = c[0] * la[0] ** 2 + c[1] * la[1] ** 2
-    return b0 * (b2 * t * t / 2.0 + b1 * t + 2.0 * b0)
-
-
-def _harmonic(m: int) -> float:
-    return float(digamma(m + 1)) + float(np.euler_gamma)
-
-
-def _sum_inv_sq_tail(n: int) -> float:
-    """sum_{k > n} 1/k**2, exactly (trigamma)."""
-    return float(polygamma(1, n + 1))
+    half_cv = np.atleast_1d(chi_v(p, t)) / 2.0
+    # |w_n| <= 4n/nu once the mode nearest each root is out, so the terms cut
+    # past m sum to at most (4/nu)*x**(m+1)*((m+1) - m*x)/(1 - x)**2
+    x = np.exp(-nu * t)
+    cut = np.where(m < n_modes, 4.0 / nu * x ** (m + 1.0) * (m + 1.0 - m * x)
+                   / np.expm1(-nu * t) ** 2, 0.0)
+    # round-off: |F| and its intermediates stay below 4*psi_max*|lambda1|/nu *
+    # exp(-Re(lambda2)*t) + 2 per excluded mode, and root_dd magnifies them
+    psi_max = 2.0 + math.log(n_modes + abs(p.lambda1) / nu)
+    f_max = 4.0 * psi_max * abs(p.lambda1) / nu * np.exp(-p.lambda2.real * t) + 2 * len(excluded)
+    roundoff = _ROUNDOFF * (np.abs(exp_part) + 2.0 * f_max / root_dd_sep(p))
+    return half_cv * (exp_part + np.real(root_dd(p, F))), np.abs(half_cv) * (cut + roundoff)
 
 
 #: Default Matsubara mode cutoff N of the quantum coefficients.
@@ -313,11 +296,11 @@ def _n_modes(n_max: Optional[int]) -> int:
 class D1Result:
     """Quantum diffusion function with its decomposition and error budget.
 
-    ``tail_bound`` bounds the dropped convergent remainder of the mode sum,
-    i.e. everything beyond the harmonic-number piece; ``log_coefficient`` is
-    the prefactor of that residual log(n_max) sensitivity, which is intrinsic
-    to the strictly-Ohmic kernel and cannot be summed away;
-    ``doubling_bound`` bounds |D1(2*n_modes) - D1(n_modes)|.
+    ``tail_bound`` bounds what the mode sum at the cutoff N drops: the
+    exponential terms cut below round-off, and round-off itself.
+    ``log_coefficient`` is the prefactor of the residual log(n_max)
+    sensitivity, which is intrinsic to the strictly-Ohmic kernel and cannot
+    be summed away.
     """
 
     value: float
@@ -327,7 +310,6 @@ class D1Result:
     n_modes: int
     tail_bound: float
     log_coefficient: float
-    doubling_bound: float
 
 
 def _xi_q0(p: PhysicalParams, t: float, tol: float) -> float:
@@ -357,29 +339,25 @@ def d1_quantum_detail(
     n_modes = _n_modes(n_max)
     white = float(d1_classical(p, t))
     if p.gamma == 0.0:
-        return D1Result(white, white, 0.0, 0.0, 0, 0.0, 0.0, 0.0)
+        return D1Result(white, white, 0.0, 0.0, 0, 0.0, 0.0)
 
     pref = 8.0 * p.gamma * p.kT / p.M
-    K = _remainder_scale(p, t)
-    modes = pref * float(_mode_sums(p, n_modes, t)[0])
+    sums, bounds = _mode_sums(p, n_modes, t)
 
     cq = float(chi_q(p, t))
     xi = _xi_q0(p, t, tol / (2.0 * abs(cq) + 1.0))
     corr = 2.0 * cq * xi
 
     a = float(chi_v_dot(p, t)) * float(chi_v(p, t)) / 2.0
-    log_coeff = pref * a / nu
-    tail = pref * K * _sum_inv_sq_tail(n_modes) / (nu * nu)
-    doubling = abs(log_coeff) * (_harmonic(2 * n_modes) - _harmonic(n_modes)) + tail
+    modes = pref * float(sums[0])
     return D1Result(
         value=white + modes + corr,
         white=white,
         modes=modes,
         correlation=corr,
         n_modes=n_modes,
-        tail_bound=tail,
-        log_coefficient=log_coeff,
-        doubling_bound=doubling,
+        tail_bound=pref * float(bounds[0]),
+        log_coefficient=pref * a / nu,
     )
 
 
@@ -402,27 +380,28 @@ def _panel_nodes(t: float):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _sigma1_corr_modes(p: PhysicalParams, t: float, tol: float) -> tuple[float, float]:
-    """Analytic mode form of 2*int_0^t chi_q(u)*xi_q0(u) du, with tail bound.
+def _sigma1_corr_modes(p: PhysicalParams, t: float, tol: float) -> float:
+    """Analytic mode form of 2*int_0^t chi_q(u)*xi_q0(u) du, to within tol.
 
     Term n: weight w_n = nu_n/((nu_n+l1)(nu_n+l2)) times the exact integral
-    I_n = int_0^t chi_q(u) exp(-nu_n u) du expressed through phi1.  Since
-    I_n = 1/nu_n + O(1/nu_n**2), the slowly-decaying part of the tail is the
-    digamma-exact sum of w_n/nu_n = 1/((nu_n+l1)(nu_n+l2)) beyond n; what
-    remains falls like 1/n**3 and is bounded explicitly.
+    I_n = int_0^t chi_q(u) exp(-nu_n u) du = t*phi1(b2) + l2*t**2*phi1_dd(b1,
+    b2), b_j = -(l_j + nu_n)*t, over the true roots (no branch at critical
+    damping).  Since I_n = 1/nu_n + O(1/nu_n**2), the slowly-decaying part of
+    the tail is the digamma-exact sum of w_n/nu_n = 1/((nu_n+l1)(nu_n+l2))
+    beyond n; what remains falls like 1/n**3 and is bounded with |chi_q| <= 1
+    and |chi_v| <= min(t, sqrt(M/omega0_sq)) (the energy never grows).
     """
     nu = p.matsubara_nu()
-    l1, l2 = split_lambdas(p)
-    dl = l1 - l2
-    d1_, d2_ = l1 / dl, -l2 / dl
+    l1, l2 = p.lambda1, p.lambda2
+    if l1.imag == 0.0:
+        l1, l2 = l1.real, l2.real
     scale = 4.0 * p.gamma * p.kT
-    grid = np.linspace(0.0, t, 257)
-    cq_max = float(np.max(np.abs(np.atleast_1d(chi_q(p, grid))))) * 1.01
-    cv_max = float(np.max(np.abs(np.atleast_1d(chi_v(p, grid))))) * 1.01
+    cv_max = min(t, math.sqrt(p.M / p.omega0_sq))
+
+    x = math.exp(-nu * t)
 
     def residual_bound(n: int) -> float:
-        x = math.exp(-nu * t) if nu * t < 700.0 else 0.0
-        exp_part = cq_max * x ** (n + 1) / ((nu * (n + 1)) ** 2 * max(1.0 - x, 1e-300))
+        exp_part = x ** (n + 1) / ((nu * (n + 1)) ** 2 * max(1.0 - x, 1e-300))
         alg_part = (p.omega0_sq / p.M) * cv_max / (nu**3) / (2.0 * n * n)
         return scale * (exp_part + alg_part)
 
@@ -435,14 +414,11 @@ def _sigma1_corr_modes(p: PhysicalParams, t: float, tol: float) -> tuple[float, 
             )
     nu_n = np.arange(1, n + 1, dtype=np.float64) * nu
     wn = nu_n / (nu_n * nu_n + p.gamma * nu_n + p.omega0_sq / p.M)
-    In = d1_ * t * phi1(-(l2 + nu_n) * t) + d2_ * t * phi1(-(l1 + nu_n) * t)
+    b1, b2 = -(l1 + nu_n) * t, -(l2 + nu_n) * t
+    In = t * phi1(b2) + l2 * t * t * phi1_dd(b1, b2)
     partial = math.fsum((wn * In).real.tolist())
-    a1, a2 = l1 / nu, l2 / nu
-    lead_tail = (digamma(n + 1 + a1) - digamma(n + 1 + a2)) / (nu * dl)
-    if abs(lead_tail.imag) > 1e-12 * (abs(lead_tail.real) + 1e-300):
-        raise ArithmeticError("correlation tail acquired an imaginary part")
-    total = partial + lead_tail.real
-    return -scale * total, residual_bound(n)
+    lead_tail = np.real(root_dd(p, lambda lam: digamma(n + 1 + lam / nu))) / nu
+    return -scale * (partial + lead_tail)
 
 
 def sigma1_quantum(
@@ -470,9 +446,8 @@ def sigma1_quantum(
 
     pref = 8.0 * p.gamma * p.kT / p.M
     u, wts = _panel_nodes(t)
-    modes = pref * math.fsum((wts * _mode_sums(p, n_modes, u)).tolist())
-    corr, _ = _sigma1_corr_modes(p, t, tol)
-    return base + modes + corr
+    modes = pref * math.fsum((wts * _mode_sums(p, n_modes, u)[0]).tolist())
+    return base + modes + _sigma1_corr_modes(p, t, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +628,8 @@ def build_table(
         raise ValueError("t_grid must be nonnegative")
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidInput(f"tol must be a positive finite number, got {tol}")
     if mode == "quantum":
         p.matsubara_nu()
         if t_arr[0] <= 0.0:
@@ -693,8 +670,7 @@ def build_table(
             "d1_tail_bound_max": float(np.max(tails)),
             "d1_log_coefficient_max": float(np.max(np.abs([det.log_coefficient for det in dets]))),
             "n_modes_max": float(np.max([det.n_modes for det in dets])),
-            # the remainder past the fixed cutoff shrinks only like 1/N, so
-            # the certified bound can miss tol; it is reported, not hidden
+            # whether every value at the cutoff met tol; reported, not hidden
             "tol_met": bool(np.max(tails) <= tol),
         }
     sdot = d1 + (2.0 * p.kT / p.M) * cv * np.atleast_1d(chi_v_dot(p, t_arr))

@@ -143,20 +143,3 @@ def derive(
         regime=regime,
     )
 
-
-def split_lambdas(p: PhysicalParams, delta_frac: float = 1e-4) -> tuple[complex, complex]:
-    """Characteristic roots, regularized away from the degenerate point.
-
-    Near the critical regime the partial-fraction coefficients
-    lambda_i/(lambda1 - lambda2) blow up and closed forms built from them lose
-    all precision.  When |lambda1 - lambda2| < delta_frac*gamma this returns
-    the artificial split gamma/2 +- delta with delta = delta_frac*gamma.  The
-    bias of the replacement is O(delta**2) while the cancellation error decays
-    like eps/delta**2, and delta_frac = 1e-4 balances the two at ~1e-8
-    relative.  Functions symmetric in (lambda1, lambda2) may use this split
-    transparently; lambda1 + lambda2 = gamma is preserved exactly.
-    """
-    if abs(p.lambda1 - p.lambda2) < delta_frac * p.gamma:
-        delta = delta_frac * p.gamma
-        return complex(p.gamma / 2.0 + delta), complex(p.gamma / 2.0 - delta)
-    return p.lambda1, p.lambda2

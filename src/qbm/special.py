@@ -8,7 +8,8 @@ Four groups of tools:
 * the noise/position initial-correlation function ``xi_q0`` in its two
   representations — a Matsubara mode sum with a certified geometric tail
   bound, and a closed form built from two hypergeometric evaluations at
-  ``x = exp(-nu*t)`` (with a complex-step limit path for degenerate roots);
+  ``x = exp(-nu*t)``, a divided difference over the characteristic roots
+  (``root_dd``, the one rule for their critical-damping limit);
 * the exponential-mode decomposition of the stationary bath noise kernel
   ``-(gamma*M*nu/(2*beta)) / sinh(nu*tau/2)**2`` with an exact dropped-tail
   formula;
@@ -41,6 +42,8 @@ __all__ = [
     "xi_q0_sum",
     "xi_q0_sum_ex",
     "xi_q0_closed",
+    "root_dd",
+    "root_dd_sep",
     "ModeExpansion",
     "noise_kernel_modes",
     "noise_kernel_closed",
@@ -265,20 +268,47 @@ def xi_q0_sum(
     return xi_q0_sum_ex(p, t, n_max, tol).value
 
 
-#: Root-separation threshold below which the closed form switches to the
-#: complex-step limit path at the double root gamma/2.
+#: Root-separation threshold below which ``root_dd`` takes the confluent
+#: limit at the double root gamma/2.
 _DEGENERATE_FRAC = 1e-5
 _CS_H = 1e-120  # complex-step size; no subtractive cancellation, so tiny is safe
+
+
+def root_dd(p: PhysicalParams, F):
+    """F[lambda1, lambda2] = (F(lambda1) - F(lambda2))/(lambda1 - lambda2).
+
+    The divided difference over the characteristic roots, the one rule for
+    their critical-damping limit.  Real roots enter F as floats, complex
+    roots as complex (the result is then real up to rounding when F is real
+    on the real axis).  Within _DEGENERATE_FRAC*gamma of the double root it
+    returns the confluent limit F'(gamma/2), by a complex step, so F must be
+    analytic and accept a complex argument: the limit's bias is
+    O((lambda1 - lambda2)**2) and the divided difference's round-off
+    O(eps/(lambda1 - lambda2)), and the two meet near 1e-5.  F may return an
+    array.
+    """
+    l1, l2 = p.lambda1, p.lambda2
+    if abs(l1 - l2) < _DEGENERATE_FRAC * p.gamma:
+        return F(complex(p.gamma / 2.0, _CS_H)).imag / _CS_H
+    if l1.imag == 0.0:
+        l1, l2 = l1.real, l2.real
+    return (F(l1) - F(l2)) / (l1 - l2)
+
+
+def root_dd_sep(p: PhysicalParams) -> float:
+    """|lambda1 - lambda2|, or _DEGENERATE_FRAC*gamma if larger: an error e in
+    F moves :func:`root_dd` by at most 2*e/root_dd_sep(p) (an overestimate
+    within the confluent band, where the complex step does not cancel)."""
+    return max(abs(p.lambda1 - p.lambda2), _DEGENERATE_FRAC * p.gamma)
 
 
 def xi_q0_closed(p: PhysicalParams, t: float, tol: float = 1e-12) -> float:
     """Closed form of the initial correlation via two 2F1 evaluations.
 
     Evaluates at x = exp(-nu*t); for x > 0.99 the underlying series refuses
-    (NoConvergence) and callers should fall back to :func:`xi_q0_sum`.  For
-    (near-)degenerate roots the partial-fraction form loses precision, so the
-    value is taken as the derivative of the one-root building block at the
-    double root gamma/2, computed by a complex-step derivative.
+    (NoConvergence) and callers should fall back to :func:`xi_q0_sum`.  The
+    value is the divided difference of a one-root building block over the
+    roots (:func:`root_dd`, which takes its limit at critical damping).
     """
     nu = p.matsubara_nu()
     if not (t > 0.0):
@@ -291,15 +321,11 @@ def xi_q0_closed(p: PhysicalParams, t: float, tol: float = 1e-12) -> float:
         return 0.0
 
     def g(mu: complex) -> complex:
-        # one-root building block: xi = -(2*gamma/beta) * (g(l1) - g(l2))/(l1 - l2)
+        # one-root building block: xi = -(2*gamma/beta) * g[lambda1, lambda2]
         F = hyp2f1(Hyp2F1Args(1.0, (mu + nu) / nu, 2.0 + mu / nu, x), tol)
         return mu * x * F / (nu + mu)
 
-    l1, l2 = p.lambda1, p.lambda2
-    if abs(l1 - l2) < _DEGENERATE_FRAC * p.gamma:
-        val = -pref * g(p.gamma / 2.0 + 1j * _CS_H).imag / _CS_H
-        return float(val)
-    val = -pref * (g(l1) - g(l2)) / (l1 - l2)
+    val = -pref * root_dd(p, g)
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise ArithmeticError(
             f"imaginary residue {val.imag:.3e} in xi_q0_closed at t = {t}"

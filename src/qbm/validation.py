@@ -221,7 +221,7 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
         nmx = 2000
         terms = _mode_r(p, np.arange(1, nmx + 1, dtype=np.float64) * nu, tc)
         explicit = math.fsum(terms.tolist())
-        closed = float(_mode_sums(p, nmx, tc)[0])
+        closed = float(_mode_sums(p, nmx, tc)[0][0])
         rep.checks.append(
             CheckResult(
                 "quantum-mode-sum-routes",
@@ -231,9 +231,9 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
                 "to sum |R_n|",
             )
         )
-        # d/dt sigma1 = D1 at the truncated-mode level.  The step is kept
-        # coarse: near degenerate damping the root-splitting leaves ~1e-7
-        # pointwise noise on sigma1, which a small-h difference would amplify.
+        # d/dt sigma1 = D1 at the truncated-mode level.  The 5e-4 limit
+        # covers the O(h**2) error of the central difference at this step
+        # (measured values stay below 3e-5).
         h = 2e-3 * tc
         der = (
             sigma1_quantum(p, tc + h, n_max=nmx)

@@ -166,9 +166,12 @@ class TestCoeffs:
 
 
     def test_unmet_tol_warns_on_stderr(self, tmp_path, capsys):
+        # just off critical damping (lambda1 - lambda2 = 1e-5) the divided
+        # difference over the roots leaves ~1e-10 of round-off, above tol
         out = str(tmp_path / "q.csv")
         rc = main(["coeffs", "--hbar", "1", "--t-max", "1", "--n-points", "2",
-                   "--n-max", "100", "--out", out])
+                   "--gamma", "0.5", "--omega0-sq", "0.062499999975",
+                   "--n-max", "100", "--tol", "1e-11", "--out", out])
         assert rc == 0
         cap = capsys.readouterr()
         assert cap.err.startswith("warning: tol not met: ")
@@ -177,14 +180,26 @@ class TestCoeffs:
         man = json.loads((tmp_path / "q.csv.json").read_text())
         assert man["diagnostics"]["tol_met"] is False
 
-    def test_default_cutoff_recorded(self, tmp_path):
+    def test_default_cutoff_recorded(self, tmp_path, capsys):
         out = str(tmp_path / "q.csv")
         rc = main(["coeffs", "--hbar", "1", "--t-max", "0.5", "--n-points", "1",
                    "--out", out])
         assert rc == 0
+        assert capsys.readouterr().err == ""
         man = json.loads((tmp_path / "q.csv.json").read_text())
         assert man["n_max"] == man["config"]["n_max"] == 20000
         assert man["diagnostics"]["n_modes_max"] == 20000
+        assert man["diagnostics"]["tol_met"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+    @pytest.mark.parametrize("mode", ["--hbar=1", "--classical"])
+    def test_bad_tol_exit_1(self, tmp_path, capsys, mode, tol):
+        out = tmp_path / "q.csv"
+        rc = main(["coeffs", mode, "--t-max", "1", "--n-points", "2",
+                   f"--tol={tol}", "--out", str(out)])
+        assert rc == 1
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "q.csv.json").exists()
 
     def test_met_tol_is_silent(self, tmp_path, capsys):
         out = str(tmp_path / "q.csv")

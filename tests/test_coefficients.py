@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from qbm import (
     CoefficientTable,
     HbarZero,
+    InvalidInput,
     TailNotBounded,
     build_table,
     chi_q,
@@ -23,7 +24,7 @@ from qbm import (
     xi_q0_sum,
 )
 import qbm.coefficients
-from qbm.coefficients import _mode_r, _mode_sums
+from qbm.coefficients import _mode_r, _mode_sums, _sigma1_corr_modes
 
 
 class TestClassicalClosedForms:
@@ -107,7 +108,7 @@ def _mp_mode_term(p, k, t):
         else:
             cv = (mp.e ** (-l2 * t) - mp.e ** (-l1 * t)) / (l1 - l2)
             g_dd = (g(l1) - g(l2)) / (l1 - l2)
-        return float(mp.re(-cv / 2 * g_dd))
+        return mp.re(-cv / 2 * g_dd)
 
 
 class TestQuantumModeTerms:
@@ -134,7 +135,8 @@ class TestQuantumModeTerms:
             r = _mode_r(p, np.array([1.0, 3.0, 1000.0, 20000.0]) * nu, t)
             assert r.dtype == np.float64
             for k, got in zip((1, 3, 1000, 20000), r.tolist()):
-                assert got == pytest.approx(_mp_mode_term(p, k, t), rel=1e-9, abs=0.0), (k, t)
+                want = float(_mp_mode_term(p, k, t))
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0), (k, t)
 
     def test_mode_term_large_n_asymptote(self, pq_over):
         # R_n -> chi_v_dot*chi_v/(2*nu_n) for large n
@@ -164,7 +166,7 @@ class TestClosedFormModeSum:
             parts = [_quad_mode_term(p, k * nu, t) for k in range(1, n + 1)]
             want = math.fsum(v for v, _ in parts)
             err = sum(e for _, e in parts)
-            got = float(_mode_sums(p, n, t)[0])
+            got = float(_mode_sums(p, n, t)[0][0])
             assert got == pytest.approx(want, rel=1e-10, abs=max(1e-13, 4 * err)), t
 
     @pytest.mark.parametrize("regime", ["over", "under", "crit", "resonant"])
@@ -173,7 +175,7 @@ class TestClosedFormModeSum:
         p = request.getfixturevalue(f"pq_{regime}")
         nu_n = np.arange(1, n + 1, dtype=np.float64) * p.matsubara_nu()
         t = np.array([1e-4, 0.05, 0.7, 8.0])
-        got = _mode_sums(p, n, t)
+        got, _ = _mode_sums(p, n, t)
         want = [math.fsum(_mode_r(p, nu_n, ti).tolist()) for ti in t.tolist()]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
@@ -181,16 +183,30 @@ class TestClosedFormModeSum:
         # 40-digit mpmath sums of the 20000 elementary mode terms.  The
         # explicit fsum of _mode_r misses the t = 8 value by 1.5e-12 relative:
         # its high modes are small differences of large cancelling terms
-        got = _mode_sums(pq_over, 20000, np.array([8.0, 0.05]))
+        got, _ = _mode_sums(pq_over, 20000, np.array([8.0, 0.05]))
         assert got[0] == pytest.approx(-0.018197298261650919, rel=1e-14, abs=0.0)
         assert got[1] == pytest.approx(0.034017619693985446, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("regime", ["over", "under", "crit", "near_crit", "resonant"])
+    def test_tail_bound_covers_the_value_at_the_cutoff(self, regime, request):
+        # against 50-digit sums of the 64 mode terms; near critical damping
+        # the bound carries root_dd's cancellation, and it stays below the
+        # default tol everywhere
+        p = request.getfixturevalue(f"pq_{regime}")
+        pref = 8.0 * p.gamma * p.kT / p.M
+        for t in (1e-4, 0.05, 0.7, 8.0):
+            with mp.workdps(50):
+                want = float(mp.fsum(_mp_mode_term(p, k, t) for k in range(1, 65)))
+            got = float(_mode_sums(p, 64, t)[0][0])
+            bound = d1_quantum_detail(p, t, n_max=64).tail_bound
+            assert pref * abs(got - want) <= bound <= 1e-8, t
 
     def test_continuous_through_critical_damping(self):
         # the closed form lies midway between its neighbours at
         # omega0_sq = 1 -+ 1e-6, an overdamped and an underdamped one
         # (N = 2000, t = 8)
         lo, crit, hi = (
-            float(_mode_sums(derive(1.0, 2.0, w0, 1.0, hbar=1.0), 2000, 8.0)[0])
+            float(_mode_sums(derive(1.0, 2.0, w0, 1.0, hbar=1.0), 2000, 8.0)[0][0])
             for w0 in (1.0 - 1e-6, 1.0, 1.0 + 1e-6)
         )
         assert crit == pytest.approx((lo + hi) / 2.0, rel=1e-8)
@@ -220,12 +236,6 @@ class TestD1Quantum:
         assert det.value == pytest.approx(det.white + det.modes + det.correlation, rel=1e-14)
         assert det.white == pytest.approx(d1_classical(pq_over, 0.8), rel=1e-14)
         assert det.n_modes == 500
-
-    def test_doubling_bound_is_honest(self, pq_over):
-        for t in (0.3, 1.0):
-            a = d1_quantum_detail(pq_over, t, n_max=1000)
-            b = d1_quantum_detail(pq_over, t, n_max=2000)
-            assert abs(b.value - a.value) <= a.doubling_bound
 
     def test_doubling_matches_log_coefficient(self, pq_over):
         # the n_max -> 2*n_max shift is dominated by log_coefficient * ln(2)
@@ -296,6 +306,16 @@ class TestSigma1Quantum:
             )
             got = sigma1_quantum(p, t2, n_max=n) - sigma1_quantum(p, t1, n_max=n)
             assert got == pytest.approx(want, abs=max(5e-9, 10 * err)), regime
+
+    @pytest.mark.parametrize(
+        "t, want",
+        [(0.05, -0.1215608314442851442), (0.7, -0.2650009861163533475),
+         (8.0, -0.2664663839625845865)],
+    )
+    def test_correlation_part_at_critical_damping(self, pq_crit, t, want):
+        # 25-digit values of 2*int_0^t chi_q*xi_q0; the mode form takes the
+        # true (double) root, with no split
+        assert _sigma1_corr_modes(pq_crit, t, 1e-12) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_exceeds_classical_variance(self, pq_over):
         # quantum bath adds fluctuation on top of the white-noise part
@@ -396,13 +416,24 @@ class TestCoefficientTable:
             build_table(pq_over, grid, mode="quantum", n_max=50, threads=2)
         assert isinstance(exc.value.__cause__, TailNotBounded)
 
-    def test_tol_met_false_at_capped_mode_count(self, pq_over):
-        # the default tol is out of reach at the default 20000-mode cutoff
-        table = build_table(pq_over, np.array([0.5]), mode="quantum")
+    def test_tol_met_at_default_settings(self, pq_over):
+        # the value at the default 20000-mode cutoff meets the default tol
+        table = build_table(pq_over, np.array([0.05, 0.5, 8.0]), mode="quantum")
         assert table.diagnostics["n_modes_max"] == 20000
-        assert table.diagnostics["d1_tail_bound_max"] > 1e-8
-        assert table.diagnostics["tol_met"] is False
-        assert table.manifest()["diagnostics"]["tol_met"] is False
+        assert table.diagnostics["d1_tail_bound_max"] <= 1e-8
+        assert table.diagnostics["tol_met"] is True
+        assert table.manifest()["diagnostics"]["tol_met"] is True
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_rejects_tol_before_any_row(self, pq_over, monkeypatch, mode, tol):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        for name in ("d1_quantum_detail", "sigma1_quantum", "d1_classical"):
+            monkeypatch.setattr(qbm.coefficients, name, no_rows)
+        with pytest.raises(InvalidInput, match="tol"):
+            build_table(pq_over, np.array([0.5, 1.0]), mode=mode, tol=tol)
 
     def test_tol_met_true_when_bound_reaches_tol(self, pq_over):
         table = build_table(pq_over, np.array([0.5]), mode="quantum", tol=1e-2)

@@ -10,7 +10,6 @@ from qbm import (
     NonPositiveMass,
     NonPositiveTemperature,
     derive,
-    split_lambdas,
 )
 
 
@@ -107,27 +106,3 @@ class TestMatsubara:
         assert p.k_B == pytest.approx(1.380649e-23)
         assert p.kT == pytest.approx(300.0 * 1.380649e-23)
 
-
-class TestSplitLambdas:
-    def test_no_split_when_separated(self, p_over):
-        l1, l2 = split_lambdas(p_over)
-        assert l1 == p_over.lambda1
-        assert l2 == p_over.lambda2
-
-    def test_split_at_critical(self, p_crit):
-        l1, l2 = split_lambdas(p_crit)
-        delta = 1e-4 * p_crit.gamma
-        assert l1 == pytest.approx(p_crit.gamma / 2.0 + delta, rel=1e-13)
-        assert l2 == pytest.approx(p_crit.gamma / 2.0 - delta, rel=1e-13)
-        assert l1 != l2
-
-    def test_split_triggers_near_critical(self):
-        # discriminant small but nonzero: roots closer than 1e-4*gamma
-        p = derive(1.0, 2.0, 1.0 - 1e-10, 1.0)
-        assert abs(p.lambda1 - p.lambda2) < 1e-4 * p.gamma
-        l1, l2 = split_lambdas(p)
-        assert abs(l1 - l2) == pytest.approx(2e-4 * p.gamma, rel=1e-10)
-
-    def test_split_width_override(self, p_crit):
-        l1, l2 = split_lambdas(p_crit, delta_frac=1e-3)
-        assert abs(l1 - l2) == pytest.approx(2e-3 * p_crit.gamma, rel=1e-12)

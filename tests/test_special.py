@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from qbm import (
     Hyp2F1Args,
@@ -17,7 +18,7 @@ from qbm import (
     xi_q0_closed,
     xi_q0_sum,
 )
-from qbm.special import ModeExpansion, phi1, phi1_dd, phi1_deriv, xi_q0_sum_ex
+from qbm.special import ModeExpansion, phi1, phi1_dd, phi1_deriv, root_dd, xi_q0_sum_ex
 
 mp.mp.dps = 40
 
@@ -263,6 +264,48 @@ class TestXiQ0:
         vals = [xi_q0_closed(p, nut / nu, 1e-12) for nut in (0.2, 1.0, 5.0)]
         assert all(v < 0 for v in vals)
         assert abs(vals[0]) > abs(vals[1]) > abs(vals[2])
+
+
+class TestRootDD:
+    """root_dd, the one rule for divided differences over the roots."""
+
+    def test_real_roots_give_a_float(self, p_over):
+        # lambda**3 over 0.8, 0.2: l1**2 + l1*l2 + l2**2
+        got = root_dd(p_over, lambda lam: lam**3)
+        assert type(got) is float
+        assert got == pytest.approx(0.84, rel=1e-15)
+
+    def test_conjugate_roots_give_a_real_value(self, p_under):
+        t = 0.7
+        got = root_dd(p_under, lambda lam: np.exp(-lam * t))
+        assert abs(got.imag) <= 1e-15 * abs(got.real)
+        # -t*exp(-gamma*t/2)*sin(w t)/(w t) with w = Im(lambda1 - lambda2)/2
+        w = (p_under.lambda1 - p_under.lambda2).imag / 2.0
+        want = -t * math.exp(-p_under.gamma * t / 2.0) * math.sin(w * t) / (w * t)
+        assert got.real == pytest.approx(want, rel=1e-14)
+
+    def test_double_root_gives_the_derivative(self, pq_crit):
+        # F'(gamma/2) for F = exp(-lam*t), and for the digamma of the sigma1 tail
+        t = 0.7
+        got = root_dd(pq_crit, lambda lam: np.exp(-lam * t))
+        assert got == pytest.approx(-t * math.exp(-pq_crit.gamma * t / 2.0), rel=1e-15)
+        nu = pq_crit.matsubara_nu()
+        got = root_dd(pq_crit, lambda lam: digamma(65 + lam / nu))
+        with mp.workdps(30):
+            want = float(mp.psi(1, 65 + mp.mpf(pq_crit.gamma / 2.0) / nu) / nu)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_continuous_across_the_degenerate_threshold(self):
+        # lambda1 - lambda2 = 0.99e-5*gamma (confluent limit) and 1.01e-5*gamma
+        # (difference quotient) at gamma = 2, omega0_sq = 1 - frac**2.  The
+        # confluent limit's bias grows like (t*(lambda1 - lambda2))**2/24
+        t = 2.0
+        vals = []
+        for frac in (0.99e-5, 1.01e-5):
+            p = derive(1.0, 2.0, 1.0 - frac**2, 1.0, hbar=1.0)
+            assert abs(p.lambda1 - p.lambda2) == pytest.approx(2.0 * frac, rel=1e-5)
+            vals.append(root_dd(p, lambda lam: np.exp(-lam * t) * digamma(65 + lam)))
+        assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
 
 class TestNoiseKernel:
