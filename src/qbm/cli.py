@@ -277,8 +277,9 @@ def _cmd_coeffs(args) -> int:
     diag = table.diagnostics
     if not diag.get("tol_met", True):
         print(
-            f"warning: tol not met: certified d1 tail bound {diag['d1_tail_bound_max']:.3e}"
-            f" > tol {args.tol:.3e} at {int(diag['n_modes_max'])} modes",
+            f"warning: tol not met: certified tail bounds d1 {diag['d1_tail_bound_max']:.3e},"
+            f" sigma1 {diag['sigma1_tail_bound_max']:.3e}; tol {args.tol:.3e}"
+            f" at {int(diag['n_modes_max'])} modes",
             file=sys.stderr,
         )
     if table.pole_windows:

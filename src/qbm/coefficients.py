@@ -14,17 +14,21 @@ part plus Matsubara modes ``(4*gamma*M/beta)*[delta(tau) -
 coefficient.  Each mode's contribution R_n is elementary in the two
 exponentials of chi_v, and so is its sum over n <= N: digamma values at the
 roots plus a fast-decaying exponential series (``_mode_sums``), exact at the
-cutoff up to round-off and independent of N in cost.  Every closed form is a
-divided difference over the two roots, taken by ``special.root_dd``, the one
-rule for the critical-damping limit.  The explicit sum of the per-mode kernel
+cutoff up to round-off and independent of N in cost.  The time integral of
+that sum, the mode part of sigma1, is elementary too (``_sigma1_modes``): a
+t-independent constant, the same digamma values and an exponential series,
+evaluated at t alone, with no quadrature.  Every closed form is a divided
+difference over the two roots, taken by ``special.root_dd``, the one rule
+for the critical-damping limit.  The explicit sum of the per-mode kernel
 ``_mode_r`` is kept as the second route, checked by ``qbm validate``.  R_n
 behaves like ``chi_v_dot*chi_v/(2*nu_n)`` at large n — a logarithmically
 divergent series, the strictly-Ohmic ultraviolet pathology of this model.
 The mode count N is therefore a physical ultraviolet cutoff, ``n_max``
-(``N_MODES`` by default), not a tolerance: results carry a certified bound
-on what the value at N drops (the exponential terms cut below round-off,
-and round-off) and the coefficient of the residual log(N) sensitivity.  The
-initial system/bath correlation enters as ``2*chi_q(t)*xi_q0(t)``.
+(``N_MODES`` by default), not a tolerance: D1 and sigma1 each carry a
+certified bound on what the value at N drops (the exponential terms cut
+below round-off, and round-off), and D1 the coefficient of the residual
+log(N) sensitivity.  The initial system/bath correlation enters as
+``2*chi_q(t)*xi_q0(t)``.
 
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, zeta
 
 from .errors import (
     GridMismatch,
@@ -52,9 +56,9 @@ from .errors import (
 )
 from .model import PhysicalParams
 from .response import (
+    _chi_all,
     chi_q,
     chi_v,
-    chi_v_dot,
     coshm1c,
     omega_drift,
     pole_times,
@@ -234,18 +238,32 @@ def _psi_sum(a, n_modes: int, excluded) -> complex:
     return s
 
 
-def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarray]:
+def _excluded_modes(p: PhysicalParams, nu: float, n_modes: int) -> list:
+    """The modes nearest the points at which ``root_dd`` evaluates F
+    (Re lambda1, Re lambda2 and gamma/2), which leave the digamma sums."""
+    points = (p.lambda1.real, p.lambda2.real, p.gamma / 2.0)
+    return sorted({k for k in (round(x / nu) for x in points) if 1 <= k <= n_modes})
+
+
+def _exp_dd(lam, mu: float, t: float):
+    """(exp(-lam*t) - exp(-mu*t))/(mu - lam), with phi1 at a decaying
+    argument so that neither factor overflows."""
+    if lam.real <= mu:
+        return t * np.exp(-lam * t) * phi1(-(mu - lam) * t)
+    return t * np.exp(-mu * t) * phi1(-(lam - mu) * t)
+
+
+def _mode_sums(p: PhysicalParams, n_modes: int, t, cv=None) -> tuple[np.ndarray, np.ndarray]:
     """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form,
     and a bound on what each value drops.
 
-    The digamma values are taken once per call, so a whole quadrature rule
-    costs little more than one time.  The bound covers the exponential terms
-    cut at nu_n*t > _EXP_CUT (n <= N) and round-off, in O(1) per time.
+    ``cv`` is chi_v at those times, if the caller has it.  The digamma values
+    are taken once per call.  The bound covers the exponential terms cut at
+    nu_n*t > _EXP_CUT (n <= N) and round-off, in O(1) per time.
     """
     nu = p.matsubara_nu()
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    points = (p.lambda1.real, p.lambda2.real, p.gamma / 2.0)  # where root_dd evaluates F
-    excluded = sorted({k for k in (round(x / nu) for x in points) if 1 <= k <= n_modes})
+    excluded = _excluded_modes(p, nu, n_modes)
 
     n_top = min(n_modes, math.ceil(_EXP_CUT / (nu * float(t.min()))) + 1)
     nu_n = np.arange(1, n_top + 1, dtype=np.float64) * nu
@@ -262,10 +280,10 @@ def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarr
         el = np.exp(-lam * t)
         out = lam * el * (_psi_sum(lam / nu, n_modes, excluded) / nu)
         for k in excluded:
-            out -= el * (1.0 - k * nu * t * phi1(-(k * nu - lam) * t))
+            out -= el - k * nu * _exp_dd(lam, k * nu, t)
         return out
 
-    half_cv = np.atleast_1d(chi_v(p, t)) / 2.0
+    half_cv = np.atleast_1d(chi_v(p, t) if cv is None else cv) / 2.0
     # |w_n| <= 4n/nu once the mode nearest each root is out, so the terms cut
     # past m sum to at most (4/nu)*x**(m+1)*((m+1) - m*x)/(1 - x)**2
     x = np.exp(-nu * t)
@@ -281,6 +299,12 @@ def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarr
 
 #: Default Matsubara mode cutoff N of the quantum coefficients.
 N_MODES = 20_000
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tol that is not a positive finite number (InvalidInput)."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidInput(f"tol must be a positive finite number, got {tol}")
 
 
 def _n_modes(n_max: Optional[int]) -> int:
@@ -334,21 +358,22 @@ def d1_quantum_detail(
     correlation-term series and the target that ``tail_bound`` is held to.
     """
     nu = p.matsubara_nu()
+    _check_tol(tol)
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
     n_modes = _n_modes(n_max)
-    white = float(d1_classical(p, t))
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+    white = (2.0 * p.gamma * p.kT / p.M) * cv * cv  # d1_classical
     if p.gamma == 0.0:
         return D1Result(white, white, 0.0, 0.0, 0, 0.0, 0.0)
 
     pref = 8.0 * p.gamma * p.kT / p.M
-    sums, bounds = _mode_sums(p, n_modes, t)
+    sums, bounds = _mode_sums(p, n_modes, t, cv)
 
-    cq = float(chi_q(p, t))
     xi = _xi_q0(p, t, tol / (2.0 * abs(cq) + 1.0))
     corr = 2.0 * cq * xi
 
-    a = float(chi_v_dot(p, t)) * float(chi_v(p, t)) / 2.0
+    a = cvd * cv / 2.0
     modes = pref * float(sums[0])
     return D1Result(
         value=white + modes + corr,
@@ -362,22 +387,134 @@ def d1_quantum_detail(
 
 
 # ---------------------------------------------------------------------------
-# quantum variance
+# quantum variance: the mode sum integrated in closed form at the cutoff N
+#
+# With J(mu) = int_0^t chi_v(u)*exp(-mu*u) du, the integral of R_n over [0, t]
+# is (1/2)*sum_j c_j*(nu_n*J(nu_n) - lambda_j*J(lambda_j))/(nu_n - lambda_j),
+# so the integral of the mode sum splits as in ``_mode_sums``:
+#   * an exponential part sum_n w_n*J(nu_n).  With L(mu) = 1/((mu + lambda1)
+#     (mu + lambda2)) and Pt(mu) = (mu + gamma)*chi_v(t) + chi_v_dot(t),
+#     J(mu) = L(mu)*(1 - exp(-mu*t)*Pt(mu)): the w_n*L(nu_n) terms sum to a
+#     constant (``_static_sum``), the rest falls like exp(-nu_n*t) and is cut
+#     at nu_n*t > _EXP_CUT;
+#   * a rational part (1/2)*G[lambda1, lambda2], G(lam) = lam*J(lam)*H(lam),
+#     less the modes nearest the roots, which enter through the divided
+#     difference K[k*nu, lam] of K(mu) = mu*J(mu) (Leibniz rule on L*(1 -
+#     exp(-mu*t)*Pt)).
+# J(lam) is taken from gamma, omega0_sq/M, chi_v(t) and chi_v_dot(t) alone
+# (``_chi_v_transform``), so near critical damping the only cancellation is
+# the one root_dd carries.
+
+#: powers 3, 5, ..., 21 of 1/nu_n in the expansion of ``_static_sum``
+_H_POWERS = 2.0 * np.arange(10) + 3.0
+_J_SERIES_TERMS = 22
 
 
-#: 24-point Gauss-Legendre rule on [-1, 1], the base rule of every panel
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+def _static_sum(p: PhysicalParams, nu: float, n_modes: int, excluded: list) -> float:
+    """sum over n <= N outside ``excluded`` of w_n*L(nu_n) = -nu_n/((nu_n**2
+    - lambda1**2)(nu_n**2 - lambda2**2)).
+
+    Summed directly up to n0 >= 8*|lambda1|/nu, and past n0 by the expansion
+    in (lambda_j/nu_n)**2, whose coefficients h_j(lambda1**2, lambda2**2) are
+    real (no difference over the roots) and whose terms shrink like 64**-j.
+    """
+    g, w2 = p.gamma, p.omega0_sq / p.M
+    n0 = min(n_modes, max(excluded + [math.ceil(8.0 * abs(p.lambda1) / nu)]))
+    nu_n = np.arange(1, n0 + 1, dtype=np.float64) * nu
+    f = -nu_n / ((nu_n * (nu_n - g) + w2) * (nu_n * (nu_n + g) + w2))
+    f[[k - 1 for k in excluded]] = 0.0
+    total = math.fsum(f.tolist())
+    if n0 < n_modes:
+        # 1/((1 - a)(1 - b)) = sum_j h_j(a, b), h_j = (a + b)*h_{j-1} - a*b*h_{j-2}
+        h = [1.0, g * g - 2.0 * w2]
+        for _ in range(len(_H_POWERS) - 2):
+            h.append(h[1] * h[-1] - w2 * w2 * h[-2])
+        z = zeta(_H_POWERS, n0 + 1.0) - zeta(_H_POWERS, n_modes + 1.0)
+        total -= math.fsum((np.array(h) * nu**-_H_POWERS * z).tolist())
+    return total
 
 
-def _panel_nodes(t: float):
-    """Gauss-Legendre nodes/weights on [0, t], on 7 panels graded
-    geometrically toward 0: [0, t/64], [t/64, t/32], ..., [t/2, t]."""
-    edges = [0.0] + [t * 2.0 ** (k - 6) for k in range(7)]
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append((a + b) / 2.0 + (b - a) / 2.0 * _GL_X)
-        weights.append((b - a) / 2.0 * _GL_W)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _j_by_series(p: PhysicalParams, t):
+    """Whether ``_chi_v_transform`` sums its Taylor series at t: there
+    |lam + lambda_j|*t <= 1, and past it the closed form cancels little."""
+    return 2.0 * abs(p.lambda1) * t <= 1.0
+
+
+def _chi_v_transform(p: PhysicalParams, lam, t: float, cv: float, cvd: float):
+    """J(lam) = int_0^t chi_v(u)*exp(-lam*u) du, for lam at a root or at gamma/2.
+
+    Closed form L(lam)*(1 - exp(-lam*t)*Pt(lam)), or at small t, where that
+    cancels, the Taylor series of y = chi_v*exp(-lam*u), which solves y'' +
+    (gamma + 2*lam)*y' + y/L(lam) = 0 with y(0) = 0, y'(0) = 1.
+    """
+    c = lam * (lam + p.gamma) + p.omega0_sq / p.M  # 1/L(lam)
+    if not _j_by_series(p, t):
+        return (1.0 - np.exp(-lam * t) * ((lam + p.gamma) * cv + cvd)) / c
+    bt, ct2 = (p.gamma + 2.0 * lam) * t, c * t * t
+    prev, cur, acc = 0.0, t, t / 2.0  # coefficients y^(k)(0)*t**k/k!, k = 0, 1
+    for k in range(1, _J_SERIES_TERMS):
+        prev, cur = cur, -(bt * k * cur + ct2 * prev) / (k * (k + 1))
+        acc += cur / (k + 2)
+    return t * acc
+
+
+def _sigma1_modes(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float) -> float:
+    """int_0^t sum_{n <= N} R_n(u) du in closed form at one time t > 0.
+
+    ``cv`` and ``cvd`` are chi_v(t) and chi_v_dot(t).  The exponential series
+    takes min(N, ceil(_EXP_CUT/(nu*t)) + 1) terms at t alone;
+    :func:`_sigma1_mode_bound` bounds what the value drops.
+    """
+    nu = p.matsubara_nu()
+    g, w2 = p.gamma, p.omega0_sq / p.M
+    excluded = _excluded_modes(p, nu, n_modes)
+
+    m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)
+    nu_n = np.arange(1, m + 1, dtype=np.float64) * nu
+    e = -nu_n * np.exp(nu_n * -t) * ((nu_n + g) * cv + cvd)
+    e /= (nu_n * (nu_n - g) + w2) * (nu_n * (nu_n + g) + w2)
+    e[[k - 1 for k in excluded if k <= m]] = 0.0
+
+    def G(lam):
+        j = _chi_v_transform(p, lam, t, cv, cvd)
+        out = lam * j * (_psi_sum(lam / nu, n_modes, excluded) / nu)
+        for k in excluded:
+            kn = k * nu
+            q_dd = _exp_dd(lam, kn, t) * ((lam + g) * cv + cvd) - math.exp(-kn * t) * cv
+            out -= ((w2 - kn * lam) * j + kn * q_dd) / (kn * (kn + g) + w2)
+        return out
+
+    static = _static_sum(p, nu, n_modes, excluded)
+    return 0.5 * (static - float(e.sum()) + float(np.real(root_dd(p, G))))
+
+
+def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cv, cvd) -> np.ndarray:
+    """Bound on what :func:`_sigma1_modes` drops at each time of the array t
+    (gamma > 0): the exponential terms cut at nu_n*t > _EXP_CUT, and
+    round-off, by majorants in O(1) per time."""
+    nu = p.matsubara_nu()
+    t, cv, cvd = (np.abs(np.atleast_1d(np.asarray(a, dtype=np.float64))) for a in (t, cv, cvd))
+    g, w2 = p.gamma, p.omega0_sq / p.M
+    l1, re2 = abs(p.lambda1), p.lambda2.real
+    excluded = _excluded_modes(p, nu, n_modes)
+    # once the mode nearest each root is out, |w_n| <= 4c/(n*nu) with
+    # c = max(1, 2|lambda1|/nu)**2, and |L(nu_n)| <= 1/nu_n**2, so term n of
+    # the exponential part is at most (4c/nu**3)*(nu*cv/n**2 + (g*cv + cvd)/n**3)
+    c4 = 4.0 * max(1.0, 2.0 * l1 / nu) ** 2 / nu**3
+    m = np.minimum(n_modes, np.ceil(_EXP_CUT / (nu * t)) + 1.0)
+    cut = np.where(m < n_modes, c4 * (nu * cv + g * cv + cvd) * np.exp(-nu * t * (m + 1.0))
+                   / (-np.expm1(-nu * t) * (m + 1.0) ** 2), 0.0)
+    exp_mag = c4 * (1.21 + 1.65 * nu * cv + 1.21 * (g * cv + cvd))  # zeta(3), zeta(2)
+    # |J(lam)| <= int_0^t u*exp(-2*Re(lambda2)*u) du; its closed form adds
+    # 2*|L(lam)| <= 1/(gamma*Re(lambda2)), its series terms at most e*t**2
+    j_max = np.minimum(t * t / 2.0, 1.0 / (2.0 * re2) ** 2) + np.where(
+        _j_by_series(p, t), math.e * t * t, 1.0 / (g * re2))
+    psi_max = 2.0 + math.log(n_modes + l1 / nu)
+    g_max = l1 * j_max * (4.0 * psi_max + 2.0 * len(excluded)) / nu
+    for k in excluded:
+        kn = k * nu
+        g_max = g_max + ((w2 + kn * l1) * j_max + kn * (cv + t * ((l1 + g) * cv + cvd))) / kn**2
+    return 0.5 * (cut + _ROUNDOFF * (exp_mag + 2.0 * g_max / root_dd_sep(p)))
 
 
 def _sigma1_corr_modes(p: PhysicalParams, t: float, tol: float) -> float:
@@ -429,14 +566,16 @@ def sigma1_quantum(
 ) -> float:
     """Quantum conditional variance sigma1(t), the integral of D1 from 0 to t.
 
-    Assembled as sigma1_classical (closed form) + quadrature of the mode sum
-    + the analytic mode form of the correlation part.  The quadrature sees a
-    smooth integrand: the closed-form mode sum at the same cutoff N as
-    :func:`d1_quantum_detail`, evaluated at all nodes in one call, so the
-    exact derivative identity sigma1' = D1 holds at the truncated level;
-    ``tol`` bounds the correlation-part tail.
+    Assembled as sigma1_classical + the integral of the mode sum + the
+    analytic mode form of the correlation part, each in closed form.  The
+    mode part is the integral of the same cutoff-N sum as
+    :func:`d1_quantum_detail`, evaluated at t alone (:func:`_sigma1_modes`),
+    so sigma1' = D1 holds at the truncated level; ``build_table`` reports its
+    bound as ``sigma1_tail_bound_max``.  ``tol`` bounds the correlation-part
+    tail.
     """
     p.matsubara_nu()  # HbarZero for classical parameters
+    _check_tol(tol)
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
     n_modes = _n_modes(n_max)
@@ -444,9 +583,8 @@ def sigma1_quantum(
     if t == 0.0 or p.gamma == 0.0:
         return base
 
-    pref = 8.0 * p.gamma * p.kT / p.M
-    u, wts = _panel_nodes(t)
-    modes = pref * math.fsum((wts * _mode_sums(p, n_modes, u)[0]).tolist())
+    _, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+    modes = 8.0 * p.gamma * p.kT / p.M * _sigma1_modes(p, n_modes, t, cv, cvd)
     return base + modes + _sigma1_corr_modes(p, t, tol)
 
 
@@ -628,8 +766,7 @@ def build_table(
         raise ValueError("t_grid must be nonnegative")
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidInput(f"tol must be a positive finite number, got {tol}")
+    _check_tol(tol)
     if mode == "quantum":
         p.matsubara_nu()
         if t_arr[0] <= 0.0:
@@ -648,7 +785,7 @@ def build_table(
         omega[ok] = np.atleast_1d(omega_drift(p, t_arr[ok]))
 
     diagnostics: dict = {}
-    cv = np.atleast_1d(chi_v(p, t_arr))
+    _, cv, cvd = _chi_all(p, t_arr)
     if mode == "classical":
         d1 = np.atleast_1d(d1_classical(p, t_arr))
         s1 = np.atleast_1d(sigma1_classical(p, t_arr))
@@ -666,14 +803,17 @@ def build_table(
         s1 = np.array(s1)
         sq = s1 + (p.kT / p.M) * cv * cv
         tails = np.array([det.tail_bound for det in dets])
+        s1_tails = (8.0 * p.gamma * p.kT / p.M * _sigma1_mode_bound(p, n_max, t_arr, cv, cvd)
+                    if p.gamma > 0.0 else np.zeros(len(t_arr)))
         diagnostics = {
             "d1_tail_bound_max": float(np.max(tails)),
+            "sigma1_tail_bound_max": float(np.max(s1_tails)),
             "d1_log_coefficient_max": float(np.max(np.abs([det.log_coefficient for det in dets]))),
             "n_modes_max": float(np.max([det.n_modes for det in dets])),
             # whether every value at the cutoff met tol; reported, not hidden
-            "tol_met": bool(np.max(tails) <= tol),
+            "tol_met": bool(max(np.max(tails), np.max(s1_tails)) <= tol),
         }
-    sdot = d1 + (2.0 * p.kT / p.M) * cv * np.atleast_1d(chi_v_dot(p, t_arr))
+    sdot = d1 + (2.0 * p.kT / p.M) * cv * cvd
     dq[ok] = sdot[ok] - 2.0 * omega[ok] * sq[ok]
 
     if not np.all(np.isfinite(d1)) or not np.all(np.isfinite(s1)):

@@ -24,7 +24,14 @@ from qbm import (
     xi_q0_sum,
 )
 import qbm.coefficients
-from qbm.coefficients import _mode_r, _mode_sums, _sigma1_corr_modes
+from qbm.coefficients import (
+    _mode_r,
+    _mode_sums,
+    _sigma1_corr_modes,
+    _sigma1_mode_bound,
+    _sigma1_modes,
+)
+from qbm.response import _chi_all
 
 
 class TestClassicalClosedForms:
@@ -212,6 +219,16 @@ class TestClosedFormModeSum:
         assert crit == pytest.approx((lo + hi) / 2.0, rel=1e-8)
         assert crit == pytest.approx(-4.2262e-6, rel=1e-4)
 
+    def test_finite_at_long_times_with_a_mode_below_a_root(self):
+        # strong overdamping: mode k = 2, taken out as the one nearest gamma/2,
+        # lies 7.4 below lambda1, so a growing exponential of its term
+        # overflowed once t > ~96 and D1 and sigma1 came out NaN
+        p = derive(1.0, 20.0, 1.0, 1.0, hbar=1.0)
+        for t in (200.0, 700.0):
+            assert math.isfinite(d1_quantum_detail(p, t, n_max=64).value), t
+        assert sigma1_quantum(p, 700.0, n_max=64) == pytest.approx(
+            sigma1_quantum(p, 600.0, n_max=64), rel=1e-14)
+
     def test_production_routes_do_not_call_the_explicit_kernel(self, pq_over, monkeypatch):
         def explicit(*args, **kwargs):
             raise AssertionError("_mode_r called")
@@ -220,6 +237,17 @@ class TestClosedFormModeSum:
         assert math.isfinite(d1_quantum_detail(pq_over, 0.5).value)
         assert math.isfinite(sigma1_quantum(pq_over, 0.5))
         build_table(pq_over, np.array([0.5]), mode="quantum")
+
+
+def _fine_mode_integral(p, n, t, panels=100, ratio=0.75):
+    """int_0^t of the closed-form mode sum by 24-point Gauss-Legendre on
+    ``panels`` panels graded geometrically toward 0 (the last ends at
+    ratio**panels * t, 3e-13*t), plus [0, ratio**panels * t]."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    edges = np.concatenate([[0.0], t * ratio ** np.arange(panels, -1, -1.0)])
+    half = (edges[1:] - edges[:-1])[:, None] / 2.0
+    u = (edges[1:] + edges[:-1])[:, None] / 2.0 + half * x
+    return math.fsum((half * w * _mode_sums(p, n, u.ravel())[0].reshape(u.shape)).ravel().tolist())
 
 
 class TestD1Quantum:
@@ -267,6 +295,29 @@ class TestD1Quantum:
             dq = d1_quantum_detail(p, t).value
             dc = d1_classical(p, t)
             assert dq == pytest.approx(dc, rel=1e-3)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    @pytest.mark.parametrize("fn", [d1_quantum_detail, sigma1_quantum])
+    def test_direct_calls_refuse_bad_tol(self, pq_over, fn, tol):
+        # a nan tol would run the 2F1 series to its term cap, an inf one
+        # would loosen the correlation series silently
+        with pytest.raises(InvalidInput, match="tol"):
+            fn(pq_over, 0.5, tol=tol)
+
+    @pytest.mark.parametrize("fn", [d1_quantum_detail, sigma1_quantum])
+    def test_one_response_evaluation_per_point(self, pq_over, monkeypatch, fn):
+        real, calls = qbm.response._chi_all, []
+
+        def counting(p, t):
+            calls.append(t)
+            return real(p, t)
+
+        monkeypatch.setattr(qbm.response, "_chi_all", counting)
+        monkeypatch.setattr(qbm.coefficients, "_chi_all", counting)
+        for t in (0.05, 8.0):
+            calls.clear()
+            fn(pq_over, t)
+            assert len(calls) <= 1, t
 
     def test_rejects_bad_n_max(self, pq_over):
         with pytest.raises(ValueError):
@@ -316,6 +367,31 @@ class TestSigma1Quantum:
         # 25-digit values of 2*int_0^t chi_q*xi_q0; the mode form takes the
         # true (double) root, with no split
         assert _sigma1_corr_modes(pq_crit, t, 1e-12) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("regime", ["over", "under", "crit", "near_crit", "resonant", "strong"])
+    @pytest.mark.parametrize("n", [64, 20000])
+    def test_mode_part_against_fine_quadrature(self, regime, n, request):
+        # the closed form at t alone against a 100-panel quadrature of the
+        # closed-form mode sum; near critical damping and at t = 1e-4, where
+        # the value is O(t**2) against round-off of the t-independent parts,
+        # the reported bound must cover the difference
+        p = (derive(1.0, 20.0, 1.0, 1.0, hbar=1.0) if regime == "strong"
+             else request.getfixturevalue(f"pq_{regime}"))
+        for t in (1e-4, 0.05, 8.0, 50.0):
+            _, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+            got = _sigma1_modes(p, n, t, cv, cvd)
+            want = _fine_mode_integral(p, n, t)
+            if regime == "near_crit" or t < 0.05:
+                assert abs(got - want) <= float(_sigma1_mode_bound(p, n, t, cv, cvd)[0]), t
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+    def test_no_mode_sum_on_nodes(self, pq_over, monkeypatch):
+        def no_mode_sums(*args, **kwargs):
+            raise AssertionError("_mode_sums called")
+
+        monkeypatch.setattr(qbm.coefficients, "_mode_sums", no_mode_sums)
+        assert math.isfinite(sigma1_quantum(pq_over, 0.5))
 
     def test_exceeds_classical_variance(self, pq_over):
         # quantum bath adds fluctuation on top of the white-noise part
@@ -421,8 +497,16 @@ class TestCoefficientTable:
         table = build_table(pq_over, np.array([0.05, 0.5, 8.0]), mode="quantum")
         assert table.diagnostics["n_modes_max"] == 20000
         assert table.diagnostics["d1_tail_bound_max"] <= 1e-8
+        assert 0.0 < table.diagnostics["sigma1_tail_bound_max"] <= 1e-8
         assert table.diagnostics["tol_met"] is True
         assert table.manifest()["diagnostics"]["tol_met"] is True
+
+    def test_tol_met_needs_the_sigma1_bound(self, pq_over, monkeypatch):
+        monkeypatch.setattr(qbm.coefficients, "_sigma1_mode_bound", lambda *args: np.array([1.0]))
+        table = build_table(pq_over, np.array([0.5]), mode="quantum")
+        assert table.diagnostics["d1_tail_bound_max"] <= 1e-8
+        assert table.diagnostics["sigma1_tail_bound_max"] > 1e-8
+        assert table.diagnostics["tol_met"] is False
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
