@@ -27,8 +27,8 @@ The mode count N is therefore a physical ultraviolet cutoff, ``n_max``
 (``N_MODES`` by default), not a tolerance: D1 and sigma1 each carry a
 certified bound on what the value at N drops (the exponential terms cut
 below round-off, and round-off), and D1 the coefficient of the residual
-log(N) sensitivity.  The initial system/bath correlation enters as
-``2*chi_q(t)*xi_q0(t)``.
+log(N) sensitivity.  The initial system/bath correlation enters D1 as
+``2*chi_q(t)*xi_q0(t)`` and sigma1 as its integral, a root-free sum at t alone.
 
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
@@ -93,6 +93,7 @@ __all__ = [
 ]
 
 _FOLD_CUT = 350.0
+_CL_SERIES_TERMS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -116,32 +117,40 @@ def sigma1_classical(p: PhysicalParams, t):
     (k_B*T/omega0_sq) * (1 - exp(-gamma*t)*[1 + gamma*t*sinhc(w*t)
     + (gamma*t)**2 * coshm1c(w*t)/2]).  For |Re(w)*t| >= 350 the bracketed
     product is folded into the decaying exponentials exp(-2*lambda_i*t) so
-    no intermediate overflows.
+    no intermediate overflows.  For |lambda1|*t < 1, where 1 - exp(-gamma*t)*B
+    cancels, it is the Taylor series of (2*gamma*k_B*T/M)*int_0^t chi_v**2
+    instead: chi_v's coefficients from its equation of motion, squared by
+    convolution and integrated term by term.
     """
     ta = _time_array(t)
     w = p.omega
     z = w * ta
-    bracket = np.empty(ta.shape, dtype=np.complex128)  # exp(-gamma*t)*B(t)
-    direct = np.abs(z.real) < _FOLD_CUT
+    bracket = np.zeros(ta.shape, dtype=np.complex128)  # exp(-gamma*t)*B(t)
+    series = abs(p.lambda1) * ta < 1.0  # there |Re(w)|*t < 2: never folded
+    folded = np.abs(z.real) >= _FOLD_CUT
+    direct = ~(series | folded)
     if direct.any():
-        td = ta[direct]
-        zd = z[direct]
-        gt = p.gamma * td
-        bracket[direct] = np.exp(-gt) * (
-            1.0 + gt * sinhc(zd) + gt * gt * coshm1c(zd) / 2.0
-        )
-    folded = ~direct
+        gt, zd = p.gamma * ta[direct], z[direct]
+        bracket[direct] = np.exp(-gt) * (1.0 + gt * sinhc(zd) + gt * gt * coshm1c(zd) / 2.0)
     if folded.any():
-        tf = ta[folded]
-        zf = z[folded]
-        gt = p.gamma * tf
-        eg = np.exp(-gt)
-        E1 = np.exp(-2.0 * p.lambda1 * tf)
-        E2 = np.exp(-2.0 * p.lambda2 * tf)
+        tf, zf = ta[folded], z[folded]
+        gt, eg = p.gamma * tf, np.exp(-p.gamma * tf)
+        E1, E2 = np.exp(-2.0 * p.lambda1 * tf), np.exp(-2.0 * p.lambda2 * tf)
         bracket[folded] = (
             eg + gt * (E2 - E1) / (2.0 * zf) + gt * gt * ((E1 + E2) / 2.0 - eg) / (zf * zf)
         )
     out = (p.kT / p.omega0_sq) * (1.0 - _real_cast(bracket, "sigma1_classical"))
+    if series.any():
+        # chi_v = sum_k a_k*t**k from a_0 = 0, a_1 = 1 and its equation of motion
+        g, w2, a = p.gamma, p.omega0_sq / p.M, [0.0, 1.0]
+        for k in range(_CL_SERIES_TERMS - 2):
+            a.append(-(g * (k + 1) * a[k + 1] + w2 * a[k]) / ((k + 1) * (k + 2)))
+        # chi_v**2 = t**2*sum_k b_k*t**k, and its integral takes b_k/(k + 3)
+        b = np.convolve(a[1:], a[1:])[: _CL_SERIES_TERMS - 2] / np.arange(3, _CL_SERIES_TERMS + 1)
+        ts, acc = ta[series], 0.0
+        for bk in b[::-1].tolist():
+            acc = acc * ts + bk
+        out[series] = (2.0 * g * p.kT / p.M) * ts**3 * acc
     return _shaped(out, t)
 
 
@@ -387,51 +396,55 @@ def d1_quantum_detail(
 
 
 # ---------------------------------------------------------------------------
-# quantum variance: the mode sum integrated in closed form at the cutoff N
+# quantum variance: both Matsubara sums integrated in closed form at t alone
 #
 # With J(mu) = int_0^t chi_v(u)*exp(-mu*u) du, the integral of R_n over [0, t]
 # is (1/2)*sum_j c_j*(nu_n*J(nu_n) - lambda_j*J(lambda_j))/(nu_n - lambda_j),
 # so the integral of the mode sum splits as in ``_mode_sums``:
-#   * an exponential part sum_n w_n*J(nu_n).  With L(mu) = 1/((mu + lambda1)
-#     (mu + lambda2)) and Pt(mu) = (mu + gamma)*chi_v(t) + chi_v_dot(t),
-#     J(mu) = L(mu)*(1 - exp(-mu*t)*Pt(mu)): the w_n*L(nu_n) terms sum to a
-#     constant (``_static_sum``), the rest falls like exp(-nu_n*t) and is cut
-#     at nu_n*t > _EXP_CUT;
+#   * an exponential part sum_n w_n*J(nu_n), J(mu) = L(mu)*(1 -
+#     exp(-mu*t)*Pt(mu)) with L(mu) = 1/((mu + lambda1)(mu + lambda2)) and
+#     Pt(mu) = (mu + gamma)*chi_v(t) + chi_v_dot(t): the w_n*L(nu_n) terms sum
+#     to a constant (``_static_sum``), the rest is cut at nu_n*t > _EXP_CUT;
 #   * a rational part (1/2)*G[lambda1, lambda2], G(lam) = lam*J(lam)*H(lam),
 #     less the modes nearest the roots, which enter through the divided
-#     difference K[k*nu, lam] of K(mu) = mu*J(mu) (Leibniz rule on L*(1 -
-#     exp(-mu*t)*Pt)).
-# J(lam) is taken from gamma, omega0_sq/M, chi_v(t) and chi_v_dot(t) alone
-# (``_chi_v_transform``), so near critical damping the only cancellation is
-# the one root_dd carries.
+#     difference of K(mu) = mu*J(mu) (Leibniz rule on L*(1 - exp(-mu*t)*Pt)).
+# J(lam) comes from chi_v(t), chi_v_dot(t) alone (``_chi_v_transform``), so
+# near critical damping the only cancellation is the one root_dd carries.
+# The correlation part (``_sigma1_corr``) takes no root at all.
 
-#: powers 3, 5, ..., 21 of 1/nu_n in the expansion of ``_static_sum``
-_H_POWERS = 2.0 * np.arange(10) + 3.0
+_ZETA_POWERS = np.arange(2.0, 26.0)
 _J_SERIES_TERMS = 22
+_CORR_HEAD_CAP = 1 << 17  # most terms that ``_sigma1_corr`` sums directly
+
+
+def _zeta_tail(num, den, nu: float, n0: int, n_top: float = math.inf) -> float:
+    """sum over n0 < n <= n_top of r(1/nu_n), r = num/den = O(x**2) given by
+    polynomial coefficients in x = 1/nu_n from x**0 up (den[0] = 1): r's
+    power series, by series division, summed with Hurwitz zeta values at the
+    powers 2..25.  Its radius is 1/|lambda1|, so past n0 >= 8*|lambda1|/nu its
+    terms shrink like 8**-k."""
+    d, c = np.asarray(den, dtype=np.float64).tolist(), [0.0, 0.0]
+    for k in range(2, 26):
+        ck = num[k] if k < len(num) else 0.0
+        for j in range(1, min(k + 1, len(d))):
+            ck -= d[j] * c[k - j]
+        c.append(ck)
+    z = zeta(_ZETA_POWERS, n0 + 1.0) - zeta(_ZETA_POWERS, n_top + 1.0)
+    return math.fsum((np.array(c[2:]) * nu**-_ZETA_POWERS * z).tolist())
 
 
 def _static_sum(p: PhysicalParams, nu: float, n_modes: int, excluded: list) -> float:
     """sum over n <= N outside ``excluded`` of w_n*L(nu_n) = -nu_n/((nu_n**2
-    - lambda1**2)(nu_n**2 - lambda2**2)).
-
-    Summed directly up to n0 >= 8*|lambda1|/nu, and past n0 by the expansion
-    in (lambda_j/nu_n)**2, whose coefficients h_j(lambda1**2, lambda2**2) are
-    real (no difference over the roots) and whose terms shrink like 64**-j.
-    """
+    - lambda1**2)(nu_n**2 - lambda2**2)): directly up to n0 >= 8*|lambda1|/nu,
+    past n0 by :func:`_zeta_tail` (real coefficients, no difference over the
+    roots)."""
     g, w2 = p.gamma, p.omega0_sq / p.M
     n0 = min(n_modes, max(excluded + [math.ceil(8.0 * abs(p.lambda1) / nu)]))
     nu_n = np.arange(1, n0 + 1, dtype=np.float64) * nu
     f = -nu_n / ((nu_n * (nu_n - g) + w2) * (nu_n * (nu_n + g) + w2))
     f[[k - 1 for k in excluded]] = 0.0
-    total = math.fsum(f.tolist())
-    if n0 < n_modes:
-        # 1/((1 - a)(1 - b)) = sum_j h_j(a, b), h_j = (a + b)*h_{j-1} - a*b*h_{j-2}
-        h = [1.0, g * g - 2.0 * w2]
-        for _ in range(len(_H_POWERS) - 2):
-            h.append(h[1] * h[-1] - w2 * w2 * h[-2])
-        z = zeta(_H_POWERS, n0 + 1.0) - zeta(_H_POWERS, n_modes + 1.0)
-        total -= math.fsum((np.array(h) * nu**-_H_POWERS * z).tolist())
-    return total
+    return math.fsum(f.tolist()) + _zeta_tail(
+        (0.0, 0.0, 0.0, -1.0), (1.0, 0.0, 2.0 * w2 - g * g, 0.0, w2 * w2), nu, n0, n_modes)
 
 
 def _j_by_series(p: PhysicalParams, t):
@@ -488,23 +501,52 @@ def _sigma1_modes(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: flo
     return 0.5 * (static - float(e.sum()) + float(np.real(root_dd(p, G))))
 
 
-def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cv, cvd) -> np.ndarray:
-    """Bound on what :func:`_sigma1_modes` drops at each time of the array t
-    (gamma > 0): the exponential terms cut at nu_n*t > _EXP_CUT, and
-    round-off, by majorants in O(1) per time."""
+def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float) -> float:
+    """2*int_0^t chi_q*xi_q0 du at one time t > 0, from chi_q(t), chi_v(t).
+
+    xi_q0 = -2*gamma*k_B*T*sum_n nu_n*L(nu_n)*exp(-nu_n*u) with L(mu) =
+    1/(mu**2 + gamma*mu + omega0_sq/M), and chi_q's equation of motion gives
+    K(mu) = int_0^t chi_q*exp(-mu*u) du = L(mu)*((mu + gamma)*(1 -
+    exp(-mu*t)*chi_q(t)) + exp(-mu*t)*(omega0_sq/M)*chi_v(t)).  So the part is
+    -4*gamma*k_B*T*sum_n nu_n*L(nu_n)*K(nu_n): no root, and no pole at nu_n.
+    Terms n <= n_h are summed directly: past them nu_n*t > _EXP_CUT unless
+    _CORR_HEAD_CAP cuts, and nu_n >= 8*|lambda1|, where only the t-independent
+    nu_n*(nu_n + gamma)*L(nu_n)**2 is left (:func:`_zeta_tail`).
+    """
     nu = p.matsubara_nu()
-    t, cv, cvd = (np.abs(np.atleast_1d(np.asarray(a, dtype=np.float64))) for a in (t, cv, cvd))
+    g, w2 = p.gamma, p.omega0_sq / p.M
+    n_alg = math.ceil(8.0 * abs(p.lambda1) / nu)
+    if n_alg > _CORR_HEAD_CAP:
+        raise TailNotBounded(f"correlation-part tail needs {n_alg} > {_CORR_HEAD_CAP} terms")
+    n_h = max(min(math.ceil(_EXP_CUT / (nu * t)) + 1, _CORR_HEAD_CAP), n_alg)
+    nu_n = np.arange(1, n_h + 1, dtype=np.float64) * nu
+    e = np.exp(nu_n * -t)
+    L = 1.0 / (nu_n * (nu_n + g) + w2)
+    terms = nu_n * L * L * ((nu_n + g) * (e * (1.0 - cq) - np.expm1(nu_n * -t)) + e * w2 * cv)
+    tail = _zeta_tail((0.0, 0.0, 1.0, g), np.convolve((1.0, g, w2), (1.0, g, w2)), nu, n_h)
+    return -4.0 * g * p.kT * (math.fsum(terms.tolist()) + tail)
+
+
+def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cq, cv, cvd) -> np.ndarray:
+    """Bound on what :func:`sigma1_quantum` drops of its two Matsubara sums
+    at each time of the array t (gamma > 0), given chi_q, chi_v, chi_v_dot.
+
+    Mode part: the exponential terms cut at nu_n*t > _EXP_CUT, and round-off
+    of the terms summed and of the rational part.  Correlation part: the
+    exponential terms past its head, and round-off of terms at most
+    3/nu_n**2 + (omega0_sq/M)*|chi_v|/nu_n**3 in magnitude.
+    """
+    nu = p.matsubara_nu()
+    t, cq, cv, cvd = (np.abs(np.atleast_1d(a).astype(np.float64)) for a in (t, cq, cv, cvd))
     g, w2 = p.gamma, p.omega0_sq / p.M
     l1, re2 = abs(p.lambda1), p.lambda2.real
     excluded = _excluded_modes(p, nu, n_modes)
-    # once the mode nearest each root is out, |w_n| <= 4c/(n*nu) with
-    # c = max(1, 2|lambda1|/nu)**2, and |L(nu_n)| <= 1/nu_n**2, so term n of
-    # the exponential part is at most (4c/nu**3)*(nu*cv/n**2 + (g*cv + cvd)/n**3)
-    c4 = 4.0 * max(1.0, 2.0 * l1 / nu) ** 2 / nu**3
     m = np.minimum(n_modes, np.ceil(_EXP_CUT / (nu * t)) + 1.0)
-    cut = np.where(m < n_modes, c4 * (nu * cv + g * cv + cvd) * np.exp(-nu * t * (m + 1.0))
-                   / (-np.expm1(-nu * t) * (m + 1.0) ** 2), 0.0)
-    exp_mag = c4 * (1.21 + 1.65 * nu * cv + 1.21 * (g * cv + cvd))  # zeta(3), zeta(2)
+    # term n of the exponential part is at most (cv + cvd/nu)*exp(-nu_n*t)/
+    # |(nu_n - lambda1)(nu_n - lambda2)|; once the modes nearest Re(lambda_j)
+    # are out, |nu_n - lambda_j| >= nu/2, and those n sum to at most pi**2/nu**2
+    e_max = math.pi**2 / nu**2 * (cv + cvd / nu)
+    cut = np.where(m < n_modes, e_max * np.exp(-nu * t * (m + 1.0)), 0.0)
     # |J(lam)| <= int_0^t u*exp(-2*Re(lambda2)*u) du; its closed form adds
     # 2*|L(lam)| <= 1/(gamma*Re(lambda2)), its series terms at most e*t**2
     j_max = np.minimum(t * t / 2.0, 1.0 / (2.0 * re2) ** 2) + np.where(
@@ -514,68 +556,27 @@ def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cv, cvd) -> np.ndarra
     for k in excluded:
         kn = k * nu
         g_max = g_max + ((w2 + kn * l1) * j_max + kn * (cv + t * ((l1 + g) * cv + cvd))) / kn**2
-    return 0.5 * (cut + _ROUNDOFF * (exp_mag + 2.0 * g_max / root_dd_sep(p)))
+    modes = 0.5 * (cut + _ROUNDOFF * (e_max + 2.0 * g_max / root_dd_sep(p)))
+    # a correlation term n is at most exp(-nu_n*t)*(cq + w2*cv/nu_n)/nu_n**2; the
+    # terms past the head, which has at least nu_h/nu - 1 terms, sum geometrically
+    nu_h = nu * (np.minimum(np.ceil(_EXP_CUT / (nu * t)) + 1.0, _CORR_HEAD_CAP) + 1.0)
+    corr_cut = (cq + w2 * cv / nu_h) / nu_h**2 * np.exp(-nu_h * t) / -np.expm1(-nu * t)
+    corr = corr_cut + _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * cv / nu**3)  # zeta(2), zeta(3)
+    return 8.0 * g * p.kT / p.M * modes + 4.0 * g * p.kT * corr
 
 
-def _sigma1_corr_modes(p: PhysicalParams, t: float, tol: float) -> float:
-    """Analytic mode form of 2*int_0^t chi_q(u)*xi_q0(u) du, to within tol.
-
-    Term n: weight w_n = nu_n/((nu_n+l1)(nu_n+l2)) times the exact integral
-    I_n = int_0^t chi_q(u) exp(-nu_n u) du = t*phi1(b2) + l2*t**2*phi1_dd(b1,
-    b2), b_j = -(l_j + nu_n)*t, over the true roots (no branch at critical
-    damping).  Since I_n = 1/nu_n + O(1/nu_n**2), the slowly-decaying part of
-    the tail is the digamma-exact sum of w_n/nu_n = 1/((nu_n+l1)(nu_n+l2))
-    beyond n; what remains falls like 1/n**3 and is bounded with |chi_q| <= 1
-    and |chi_v| <= min(t, sqrt(M/omega0_sq)) (the energy never grows).
-    """
-    nu = p.matsubara_nu()
-    l1, l2 = p.lambda1, p.lambda2
-    if l1.imag == 0.0:
-        l1, l2 = l1.real, l2.real
-    scale = 4.0 * p.gamma * p.kT
-    cv_max = min(t, math.sqrt(p.M / p.omega0_sq))
-
-    x = math.exp(-nu * t)
-
-    def residual_bound(n: int) -> float:
-        exp_part = x ** (n + 1) / ((nu * (n + 1)) ** 2 * max(1.0 - x, 1e-300))
-        alg_part = (p.omega0_sq / p.M) * cv_max / (nu**3) / (2.0 * n * n)
-        return scale * (exp_part + alg_part)
-
-    n = 256
-    while residual_bound(n) > tol:
-        n *= 2
-        if n > 1 << 17:
-            raise TailNotBounded(
-                f"correlation-part tail bound cannot reach {tol}"
-            )
-    nu_n = np.arange(1, n + 1, dtype=np.float64) * nu
-    wn = nu_n / (nu_n * nu_n + p.gamma * nu_n + p.omega0_sq / p.M)
-    b1, b2 = -(l1 + nu_n) * t, -(l2 + nu_n) * t
-    In = t * phi1(b2) + l2 * t * t * phi1_dd(b1, b2)
-    partial = math.fsum((wn * In).real.tolist())
-    lead_tail = np.real(root_dd(p, lambda lam: digamma(n + 1 + lam / nu))) / nu
-    return -scale * (partial + lead_tail)
-
-
-def sigma1_quantum(
-    p: PhysicalParams,
-    t: float,
-    n_max: Optional[int] = None,
-    tol: float = 1e-8,
-) -> float:
+def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> float:
     """Quantum conditional variance sigma1(t), the integral of D1 from 0 to t.
 
     Assembled as sigma1_classical + the integral of the mode sum + the
-    analytic mode form of the correlation part, each in closed form.  The
-    mode part is the integral of the same cutoff-N sum as
-    :func:`d1_quantum_detail`, evaluated at t alone (:func:`_sigma1_modes`),
-    so sigma1' = D1 holds at the truncated level; ``build_table`` reports its
-    bound as ``sigma1_tail_bound_max``.  ``tol`` bounds the correlation-part
-    tail.
+    correlation part 2*int_0^t chi_q*xi_q0, each in closed form at t alone.
+    The mode part integrates the same cutoff-N sum as
+    :func:`d1_quantum_detail` (:func:`_sigma1_modes`), so sigma1' = D1 holds
+    at the truncated level; the correlation part takes the whole series of
+    xi_q0 (:func:`_sigma1_corr`).  ``build_table`` reports the bound on both
+    as ``sigma1_tail_bound_max``.
     """
     p.matsubara_nu()  # HbarZero for classical parameters
-    _check_tol(tol)
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
     n_modes = _n_modes(n_max)
@@ -583,9 +584,9 @@ def sigma1_quantum(
     if t == 0.0 or p.gamma == 0.0:
         return base
 
-    _, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
     modes = 8.0 * p.gamma * p.kT / p.M * _sigma1_modes(p, n_modes, t, cv, cvd)
-    return base + modes + _sigma1_corr_modes(p, t, tol)
+    return base + modes + _sigma1_corr(p, t, cq, cv)
 
 
 # ---------------------------------------------------------------------------
@@ -680,15 +681,10 @@ class CoefficientTable:
         return om, dc
 
     def to_csv(self, path) -> None:
+        cols = [self.column(c) for c in _CSV_COLUMNS]
         with open(path, "w", newline="") as f:
             f.write(",".join(_CSV_COLUMNS) + "\n")
-            for i in range(len(self.t)):
-                f.write(
-                    ",".join(
-                        "%.17g" % self.column(c)[i] for c in _CSV_COLUMNS
-                    )
-                    + "\n"
-                )
+            f.writelines(",".join("%.17g" % c[i] for c in cols) + "\n" for i in range(len(self.t)))
 
     def manifest(self) -> dict:
         pp = self.params
@@ -785,7 +781,7 @@ def build_table(
         omega[ok] = np.atleast_1d(omega_drift(p, t_arr[ok]))
 
     diagnostics: dict = {}
-    _, cv, cvd = _chi_all(p, t_arr)
+    cq, cv, cvd = _chi_all(p, t_arr)
     if mode == "classical":
         d1 = np.atleast_1d(d1_classical(p, t_arr))
         s1 = np.atleast_1d(sigma1_classical(p, t_arr))
@@ -794,7 +790,7 @@ def build_table(
         def one(i: int):
             try:
                 return (d1_quantum_detail(p, float(t_arr[i]), n_max, tol),
-                        sigma1_quantum(p, float(t_arr[i]), n_max, tol))
+                        sigma1_quantum(p, float(t_arr[i]), n_max))
             except QbmError as exc:
                 raise type(exc)(f"t_grid[{i}] = {t_arr[i]}: {exc}") from exc
 
@@ -803,8 +799,8 @@ def build_table(
         s1 = np.array(s1)
         sq = s1 + (p.kT / p.M) * cv * cv
         tails = np.array([det.tail_bound for det in dets])
-        s1_tails = (8.0 * p.gamma * p.kT / p.M * _sigma1_mode_bound(p, n_max, t_arr, cv, cvd)
-                    if p.gamma > 0.0 else np.zeros(len(t_arr)))
+        s1_tails = (_sigma1_mode_bound(p, n_max, t_arr, cq, cv, cvd) if p.gamma > 0.0
+                    else np.zeros(len(t_arr)))
         diagnostics = {
             "d1_tail_bound_max": float(np.max(tails)),
             "sigma1_tail_bound_max": float(np.max(s1_tails)),

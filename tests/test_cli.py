@@ -191,6 +191,17 @@ class TestCoeffs:
         assert man["diagnostics"]["n_modes_max"] == 20000
         assert man["diagnostics"]["tol_met"] is True
 
+    def test_low_temperature_meets_tol(self, tmp_path, capsys):
+        # at kT = 0.003 the correlation part of sigma1 once refused its tail
+        # (exit 2) and the sigma1 bound read 1e-7 (a false warning)
+        out = str(tmp_path / "q.csv")
+        rc = main(["coeffs", "--hbar", "1", "--temp", "0.003", "--t-max", "8", "--n", "5",
+                   "--out", out])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        man = json.loads((tmp_path / "q.csv.json").read_text())
+        assert man["diagnostics"]["tol_met"] is True
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
     @pytest.mark.parametrize("mode", ["--hbar=1", "--classical"])
     def test_bad_tol_exit_1(self, tmp_path, capsys, mode, tol):

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qbm import (
@@ -27,7 +29,7 @@ import qbm.coefficients
 from qbm.coefficients import (
     _mode_r,
     _mode_sums,
-    _sigma1_corr_modes,
+    _sigma1_corr,
     _sigma1_mode_bound,
     _sigma1_modes,
 )
@@ -76,6 +78,22 @@ class TestClassicalClosedForms:
             p_over.kT / p_over.omega0_sq * (1.0 - math.exp(-2.0 * 0.2 * 2000.0) * (0.8 / 0.6) ** 2),
             rel=1e-10,
         )
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [((1.0, 1.0, 0.16, 1.0),
+          (6.666166687866011127404e-13, 6.661668786011274010217e-10, 6.616878012737027370252e-7)),
+         ((1.0, 2.0, 1.0, 1.0),
+          (1.333133349332444482538e-12, 1.331334932444825263532e-9, 1.313492448240674325451e-6)),
+         ((1.0, 20.0, 1.0, 1.0),
+          (1.331335196005227034395e-11, 1.313518412234798442781e-8, 1.150718944695169899382e-5))],
+    )
+    def test_sigma1_at_small_time(self, args, want):
+        # 40-digit quadratures of (2*gamma*k_B*T/M)*int_0^t chi_v**2 at t = 1e-4,
+        # 1e-3, 0.01; the closed form 1 - exp(-gamma*t)*B cancels there and
+        # missed them by up to 1.4e-3 relative
+        got = sigma1_classical(derive(*args), np.array([1e-4, 1e-3, 0.01]))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_d1_zero_at_origin(self, p_over):
         assert d1_classical(p_over, 0.0) == 0.0
@@ -297,7 +315,7 @@ class TestD1Quantum:
             assert dq == pytest.approx(dc, rel=1e-3)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
-    @pytest.mark.parametrize("fn", [d1_quantum_detail, sigma1_quantum])
+    @pytest.mark.parametrize("fn", [d1_quantum_detail])
     def test_direct_calls_refuse_bad_tol(self, pq_over, fn, tol):
         # a nan tol would run the 2F1 series to its term cap, an inf one
         # would loosen the correlation series silently
@@ -364,9 +382,52 @@ class TestSigma1Quantum:
          (8.0, -0.2664663839625845865)],
     )
     def test_correlation_part_at_critical_damping(self, pq_crit, t, want):
-        # 25-digit values of 2*int_0^t chi_q*xi_q0; the mode form takes the
-        # true (double) root, with no split
-        assert _sigma1_corr_modes(pq_crit, t, 1e-12) == pytest.approx(want, rel=1e-13, abs=0.0)
+        # 25-digit values of 2*int_0^t chi_q*xi_q0
+        cq, cv, _ = (float(a[0]) for a in _chi_all(pq_crit, t))
+        assert _sigma1_corr(pq_crit, t, cq, cv) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "regime, t, want",
+        [("near_crit", 1e-3, -0.0018931852310414867), ("near_crit", 0.05, -0.034098201331025149),
+         ("near_crit", 8.0, -0.078660342149957806), ("over", 1e-4, -0.0005178384219566134)],
+    )
+    def test_correlation_part_against_30_digits(self, regime, t, want, request):
+        # a direct head plus an Euler-Maclaurin tail in 30-digit arithmetic;
+        # the closed form needs no root, so near critical damping is no edge
+        p = request.getfixturevalue(f"pq_{regime}")
+        cq, cv, _ = (float(a[0]) for a in _chi_all(p, t))
+        assert _sigma1_corr(p, t, cq, cv) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        gamma=st.floats(0.05, 20.0),
+        omega0_sq=st.floats(0.01, 4.0),
+        temp=st.floats(0.003, 10.0),
+        t=st.floats(0.01, 20.0),
+    )
+    def test_correlation_part_derivative(self, gamma, omega0_sq, temp, t):
+        # d/dt of 2*int_0^t chi_q*xi_q0 is 2*chi_q*xi_q0, over and under and
+        # near critical damping; h resolves the fastest of t, 1/|lambda1|, 1/nu
+        p = derive(1.0, gamma, omega0_sq, temp, hbar=1.0)
+        h = 1e-4 * min(t, 1.0 / abs(p.lambda1), 1.0 / p.matsubara_nu())
+
+        def corr(u):
+            cq, cv, _ = (float(a[0]) for a in _chi_all(p, u))
+            return _sigma1_corr(p, u, cq, cv)
+
+        xi = xi_q0_sum(p, t, tol=1e-14)
+        diff = (corr(t + h) - corr(t - h)) / (2.0 * h)
+        # rel 1e-6 of 2*|xi| (chi_q passes through 0 when underdamped), and
+        # the difference's round-off where xi is exponentially small
+        slack = 1e-6 * 2.0 * abs(xi) + 1e-14 * abs(corr(t)) / h
+        assert abs(diff - 2.0 * chi_q(p, t) * xi) <= slack
+
+    def test_correlation_tail_refused_past_the_head_cap(self):
+        # 8*|lambda1|/nu > 2**17 direct terms: TailNotBounded, not a value
+        p = derive(1.0, 20.0, 1.0, 1e-4, hbar=1.0)
+        assert math.ceil(8.0 * abs(p.lambda1) / p.matsubara_nu()) > 1 << 17
+        with pytest.raises(TailNotBounded):
+            sigma1_quantum(p, 1.0)
 
     @pytest.mark.parametrize("regime", ["over", "under", "crit", "near_crit", "resonant", "strong"])
     @pytest.mark.parametrize("n", [64, 20000])
@@ -377,14 +438,24 @@ class TestSigma1Quantum:
         # the reported bound must cover the difference
         p = (derive(1.0, 20.0, 1.0, 1.0, hbar=1.0) if regime == "strong"
              else request.getfixturevalue(f"pq_{regime}"))
+        pref = 8.0 * p.gamma * p.kT / p.M
         for t in (1e-4, 0.05, 8.0, 50.0):
-            _, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+            cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
             got = _sigma1_modes(p, n, t, cv, cvd)
             want = _fine_mode_integral(p, n, t)
             if regime == "near_crit" or t < 0.05:
-                assert abs(got - want) <= float(_sigma1_mode_bound(p, n, t, cv, cvd)[0]), t
+                bound = float(_sigma1_mode_bound(p, n, t, cq, cv, cvd)[0])
+                assert pref * abs(got - want) <= bound, t
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+    def test_bound_at_low_temperature(self):
+        # at kT = 0.003 (nu/|lambda1| = 0.024) the bound once grew like
+        # (|lambda1|/nu)**2/nu**3 and read 1e-7, a false "tol not met"
+        p = derive(1.0, 1.0, 0.16, 0.003, hbar=1.0)
+        t = np.array([0.05, 1.2, 8.0])
+        bound = _sigma1_mode_bound(p, 20000, t, *_chi_all(p, t))
+        assert np.all(bound <= 1e-10)
 
     def test_no_mode_sum_on_nodes(self, pq_over, monkeypatch):
         def no_mode_sums(*args, **kwargs):
