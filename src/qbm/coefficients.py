@@ -11,16 +11,13 @@ Classical closed forms (exact in every damping regime, overflow-free):
 Quantum coefficients decompose the bath noise correlation into a white-noise
 part plus Matsubara modes ``(4*gamma*M/beta)*[delta(tau) -
 (nu_n/2)*exp(-nu_n|tau|)]``.  The white part reproduces the classical
-coefficient.  Each mode's contribution R_n is elementary in the two
-exponentials of chi_v, and so is its sum over n <= N: digamma values at the
-roots plus a fast-decaying exponential series (``_mode_sums``), exact at the
-cutoff up to round-off and independent of N in cost.  The time integral of
-that sum, the mode part of sigma1, is elementary too (``_sigma1_modes``): a
-t-independent constant, the same digamma values and an exponential series,
-evaluated at t alone, with no quadrature.  Every closed form is a divided
-difference over the two roots, taken by ``special.root_dd``, the one rule
-for the critical-damping limit.  The explicit sum of the per-mode kernel
-``_mode_r`` is kept as the second route, checked by ``qbm validate``.  R_n
+coefficient.  Each mode's contribution R_n is elementary in chi_v(t) and
+chi_v_dot(t), and so are its sum over n <= N (``_mode_sums``) and that sum's
+time integral, the mode part of sigma1 (``_sigma1_modes``): t-independent
+real sums plus a fast-decaying exponential series, at t alone, exact at the
+cutoff up to round-off and independent of N in cost.  No value is taken at a
+root, so critical damping is no edge.  The explicit sum of the per-mode
+kernel ``_mode_r`` is the second route, checked by ``qbm validate``.  R_n
 behaves like ``chi_v_dot*chi_v/(2*nu_n)`` at large n — a logarithmically
 divergent series, the strictly-Ohmic ultraviolet pathology of this model.
 The mode count N is therefore a physical ultraviolet cutoff, ``n_max``
@@ -28,7 +25,8 @@ The mode count N is therefore a physical ultraviolet cutoff, ``n_max``
 certified bound on what the value at N drops (the exponential terms cut
 below round-off, and round-off), and D1 the coefficient of the residual
 log(N) sensitivity.  The initial system/bath correlation enters D1 as
-``2*chi_q(t)*xi_q0(t)`` and sigma1 as its integral, a root-free sum at t alone.
+``2*chi_q(t)*xi_q0(t)``, from the Matsubara series of xi_q0, and sigma1 as its
+integral, a root-free sum at t alone.
 
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
@@ -43,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, zeta
+from scipy.special import bernoulli, digamma, factorial, zeta
 
 from .errors import (
     GridMismatch,
@@ -69,13 +67,10 @@ from .response import (
     _time_array,
 )
 from .special import (
-    NoConvergence,
     phi1,
     phi1_dd,
     phi1_deriv,  # unused here: perfbench/workloads.py TARGETS traces coefficients.phi1_deriv
-    root_dd,
-    root_dd_sep,
-    xi_q0_closed,
+    xi_q0_closed,  # unused here: perfbench/workloads.py TARGETS traces coefficients.xi_q0_closed
     xi_q0_sum,
 )
 
@@ -93,7 +88,6 @@ __all__ = [
 ]
 
 _FOLD_CUT = 350.0
-_CL_SERIES_TERMS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -115,39 +109,55 @@ def sigma1_classical(p: PhysicalParams, t):
     """Closed form of the integral of d1_classical from 0 to t.
 
     (k_B*T/omega0_sq) * (1 - exp(-gamma*t)*[1 + gamma*t*sinhc(w*t)
-    + (gamma*t)**2 * coshm1c(w*t)/2]).  For |Re(w)*t| >= 350 the bracketed
-    product is folded into the decaying exponentials exp(-2*lambda_i*t) so
-    no intermediate overflows.  For |lambda1|*t < 1, where 1 - exp(-gamma*t)*B
-    cancels, it is the Taylor series of (2*gamma*k_B*T/M)*int_0^t chi_v**2
-    instead: chi_v's coefficients from its equation of motion, squared by
-    convolution and integrated term by term.
+    + (gamma*t)**2 * coshm1c(w*t)/2]), folded into the decaying exponentials
+    exp(-2*lambda_i*t) for |Re(w)*t| >= 350.  For well-separated real roots
+    (w >= gamma/2), chi_v**2 = (exp(-2*lambda2*t) - 2*exp(-gamma*t) +
+    exp(-2*lambda1*t))/w**2 integrated term by term, which cancels at most
+    threefold.  For |lambda1|*t < 1, where both cancel, the Taylor series of
+    (2*gamma*k_B*T/M)*int_0^t chi_v**2 from chi_v's equation of motion, to as
+    many terms as the largest |lambda1|*t needs.
     """
     ta = _time_array(t)
-    w = p.omega
-    z = w * ta
-    bracket = np.zeros(ta.shape, dtype=np.complex128)  # exp(-gamma*t)*B(t)
+    w, g = p.omega, p.gamma
+    out = np.empty(ta.shape)
     series = abs(p.lambda1) * ta < 1.0  # there |Re(w)|*t < 2: never folded
-    folded = np.abs(z.real) >= _FOLD_CUT
-    direct = ~(series | folded)
-    if direct.any():
-        gt, zd = p.gamma * ta[direct], z[direct]
-        bracket[direct] = np.exp(-gt) * (1.0 + gt * sinhc(zd) + gt * gt * coshm1c(zd) / 2.0)
-    if folded.any():
-        tf, zf = ta[folded], z[folded]
-        gt, eg = p.gamma * tf, np.exp(-p.gamma * tf)
-        E1, E2 = np.exp(-2.0 * p.lambda1 * tf), np.exp(-2.0 * p.lambda2 * tf)
-        bracket[folded] = (
-            eg + gt * (E2 - E1) / (2.0 * zf) + gt * gt * ((E1 + E2) / 2.0 - eg) / (zf * zf)
-        )
-    out = (p.kT / p.omega0_sq) * (1.0 - _real_cast(bracket, "sigma1_classical"))
+    if (~series).any() and w.imag == 0.0 and w.real >= g / 2.0:
+        l1, l2, tc = p.lambda1.real, p.lambda2.real, ta[~series]
+        out[~series] = (2.0 * g * p.kT / p.M) / w.real**2 * (
+            -np.expm1(-2.0 * l2 * tc) / (2.0 * l2) + 2.0 * np.expm1(-g * tc) / g
+            - np.expm1(-2.0 * l1 * tc) / (2.0 * l1))
+    elif (~series).any():
+        z = w * ta
+        bracket = np.zeros(ta.shape, dtype=np.complex128)  # exp(-gamma*t)*B(t)
+        folded = np.abs(z.real) >= _FOLD_CUT
+        direct = ~(series | folded)
+        if direct.any():
+            gt, zd = g * ta[direct], z[direct]
+            bracket[direct] = np.exp(-gt) * (1.0 + gt * sinhc(zd) + gt * gt * coshm1c(zd) / 2.0)
+        if folded.any():
+            tf, zf = ta[folded], z[folded]
+            gt, eg = g * tf, np.exp(-g * tf)
+            E1, E2 = np.exp(-2.0 * p.lambda1 * tf), np.exp(-2.0 * p.lambda2 * tf)
+            bracket[folded] = (
+                eg + gt * (E2 - E1) / (2.0 * zf) + gt * gt * ((E1 + E2) / 2.0 - eg) / (zf * zf)
+            )
+        out = (p.kT / p.omega0_sq) * (1.0 - _real_cast(bracket, "sigma1_classical"))
     if series.any():
-        # chi_v = sum_k a_k*t**k from a_0 = 0, a_1 = 1 and its equation of motion
-        g, w2, a = p.gamma, p.omega0_sq / p.M, [0.0, 1.0]
-        for k in range(_CL_SERIES_TERMS - 2):
+        # chi_v**2 = t**2*sum_k b_k*t**k with |b_k| <= (2*|lambda1|)**k/k!, and
+        # int_0^t chi_v**2 >= 0.7*exp(-2*rho)*t**3/3 at rho = |lambda1|*t < 1:
+        # n terms with (2*rho)**n*exp(4*rho)/n! <= 2**-56 leave < 1e-17 of it
+        ts = ta[series]
+        rho = abs(p.lambda1) * float(ts.max())
+        n, term = 0, math.exp(4.0 * rho)
+        while term > 2.0**-56:
+            n += 1
+            term *= 2.0 * rho / n
+        w2, a = p.omega0_sq / p.M, [0.0, 1.0]
+        for k in range(n - 1):
             a.append(-(g * (k + 1) * a[k + 1] + w2 * a[k]) / ((k + 1) * (k + 2)))
-        # chi_v**2 = t**2*sum_k b_k*t**k, and its integral takes b_k/(k + 3)
-        b = np.convolve(a[1:], a[1:])[: _CL_SERIES_TERMS - 2] / np.arange(3, _CL_SERIES_TERMS + 1)
-        ts, acc = ta[series], 0.0
+        # the integral of t**2*b_k*t**k takes b_k/(k + 3)
+        b = np.convolve(a[1:], a[1:])[:n] / np.arange(3, n + 3)
+        acc = 0.0
         for bk in b[::-1].tolist():
             acc = acc * ts + bk
         out[series] = (2.0 * g * p.kT / p.M) * ts**3 * acc
@@ -179,11 +189,21 @@ def d_cl_closed(p: PhysicalParams, t):
 # quantum per-mode kernel, summed explicitly by the second route
 # (``qbm validate``, tests)
 #
-# R_n = -(chi_v/2)*g[lambda1, lambda2], the divided difference over the roots
-# of g(lam) = exp(-lam*t)*(1 - X*phi1((lam - nu_n)*t)), X = nu_n*t, taken by
-# the Leibniz rule with chi_v = t*exp(-lambda2*t)*phi1(-(lambda1 - lambda2)*t)
-# and a_j = lambda_j*t - X.  phi1_dd is stable as a1 -> a2, so critical
-# damping needs no branch.
+# R_n = -(chi_v/2)*g[lambda1, lambda2] with g(lam) = (mu*E)[lam, nu_n],
+# E(mu) = exp(-mu*t).  By the Leibniz rule, g[lambda1, lambda2] =
+# lambda2*E[nu_n, lambda1, lambda2] + E[lambda1, nu_n]: two terms of size
+# 1/nu_n that cancel only as chi_v_dot does.  Each divided difference of E is
+# based at its point of smallest real part, so no phi1 argument is positive,
+# and phi1_dd is stable as its arguments meet, so critical damping needs no
+# branch.
+
+
+def _roots(p: PhysicalParams):
+    """(lambda1, lambda2), as floats when they are real."""
+    l1, l2 = p.lambda1, p.lambda2
+    if l1.imag == 0.0 and l2.imag == 0.0:
+        return l1.real, l2.real
+    return l1, l2
 
 
 def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
@@ -191,119 +211,247 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
 
     R_n -> chi_v_dot*chi_v/(2*nu_n) as nu_n grows.  Real roots are used as
     floats, so the kernel runs in real arithmetic unless they are complex.
-    A mode below lambda1 overflows to NaN once (lambda1 - nu_n)*t > ~700.
     """
-    l1, l2 = p.lambda1, p.lambda2
-    if l1.imag == 0.0 and l2.imag == 0.0:
-        l1, l2 = l1.real, l2.real
-    X = np.asarray(nu_n, dtype=np.float64) * t
-    a1, a2 = l1 * t - X, l2 * t - X
+    l1, l2 = _roots(p)
+    nu_n = np.asarray(nu_n, dtype=np.float64)
+    below = nu_n < l2.real  # E[nu_n, lambda1, lambda2] is based at nu_n there, else at lambda2
+    b, u, v = np.where(below, nu_n, l2), np.where(below, l1, nu_n), np.where(below, l2, l1)
+    e3 = t * t * np.exp(-b * t) * phi1_dd(-(u - b) * t, -(v - b) * t)
+    below = nu_n < l1.real  # E[lambda1, nu_n] likewise
+    b, u = np.where(below, nu_n, l1), np.where(below, l1, nu_n)
+    e2 = -t * np.exp(-b * t) * phi1(-(u - b) * t)
     cv = t * np.exp(-l2 * t) * phi1(-(l1 - l2) * t)
-    g_dd = -cv * (1.0 - X * phi1(a2)) - X * t * np.exp(-l1 * t) * phi1_dd(a1, a2)
-    return (-cv / 2.0 * g_dd).real
+    return (-cv / 2.0 * (l2 * e3 + e2)).real
 
 
 # ---------------------------------------------------------------------------
-# quantum mode sum at the cutoff N, in closed form
+# quantum mode sums at the cutoff N, with no value taken at a root
 #
-# With chi_v = sum_j c_j exp(-lambda_j t) and c = (-1, +1)/(lambda1 - lambda2),
-# the convolution in R_n is elementary:
-#   R_n(t) = (chi_v(t)/2) * sum_j c_j g(nu_n, lambda_j),
-#   g(nu, lam) = (nu*exp(-nu*t) - lam*exp(-lam*t))/(nu - lam)
-#              = exp(-lam*t) * (1 - nu*t*phi1(-(nu - lam)*t)).
-# Summed over n <= N it splits into
-#   * an exponential part sum_n w_n exp(-nu_n t), where the root weights
-#     combine exactly, w_n = -nu_n/((nu_n - lambda1)(nu_n - lambda2)) (real,
-#     no cancellation); terms with nu_n*t > _EXP_CUT are below round-off;
-#   * a rational part -sum_j c_j lambda_j exp(-lambda_j t) H(lambda_j), with
-#     H(lam) = sum_n 1/(nu_n - lam) = [psi(N+1-lam/nu) - psi(1-lam/nu)]/nu,
-#     which does not depend on t.
-# The mode nearest each root, a pole of H when lambda_j = k*nu, leaves both
-# parts and enters through the stable form of g.  With F(lam) = lam*exp(-lam
-# t)*H(lam) minus those modes' g, the rest is -sum_j c_j F(lambda_j), the
-# divided difference F[lambda1, lambda2] (``root_dd``, with its confluent
-# limit at critical damping).
+# The divided differences of exp(-lam*t) and lam*exp(-lam*t) over the roots
+# are -chi_v and chi_v_dot.  With w2 = omega0_sq/M, L_(mu) = 1/(mu**2 -
+# gamma*mu + w2), L(mu) = 1/(mu**2 + gamma*mu + w2), A = int_0^t chi_v**2,
+# J(mu) = int_0^t chi_v*exp(-mu*u) du = L(mu)*(1 - exp(-mu*t)*Pt(mu)) and
+# Pt(mu) = (mu + gamma)*chi_v + chi_v_dot, that gives
+#   R_n = (chi_v/2)*L_(nu_n)*(w2*chi_v + nu_n*chi_v_dot - nu_n*exp(-nu_n*t)),
+#   int_0^t R_n = (L_(nu_n)/2)*(w2*A + nu_n*chi_v**2/2 - nu_n*J(nu_n)).
+# Summed over n they take the t-independent S0 = sum L_(nu_n), S1 = sum
+# nu_n*L_(nu_n) and sum -nu_n*L_(nu_n)*L(nu_n) (``_static_sum``), each a
+# direct head and a Hurwitz zeta tail, and exponential series cut where
+# nu_n*t > _EXP_CUT.  The modes with (nu_n + |lambda1|)*t < 1, where J(nu_n)
+# cancels, take their Taylor series in t (``_series_modes``); past them, a
+# mode within nu/2 of a root, a pole of L_, takes its exact second divided
+# difference over [nu_k, lambda1, lambda2] (``_excluded_int`` for the integral).
 
 _EXP_CUT = 40.0
 _ROUNDOFF = 4.0 * np.finfo(np.float64).eps
+_ZETA_POWERS = np.arange(2.0, 26.0)
+_SIGNS = (-1.0) ** np.arange(25)
+_SERIES_TERMS = 21
+_SERIES_CUT = math.e / math.factorial(_SERIES_TERMS - 1)
+_SERIES_K = np.arange(float(_SERIES_TERMS))
+_SERIES_IDX = np.add.outer(np.arange(_SERIES_TERMS), np.arange(_SERIES_TERMS))
+# _SERIES_H[m, i] = i!/(i + m)!: what a term a_i*u**i of chi_v leaves at
+# (-nu_n*u)**m in y'_n (see _series_modes), kept while i + m < _SERIES_TERMS
+_SERIES_H = np.where(_SERIES_IDX < _SERIES_TERMS,
+                     factorial(_SERIES_K) / factorial(_SERIES_IDX), 0.0)
+# sum_{n <= M} n**m = M**(m + 1)*sum_j _FAULHABER[m, j]*M**-j, with the
+# Bernoulli numbers B_j (B_1 = +1/2)
+_BERNOULLI = np.append([1.0, 0.5], bernoulli(_SERIES_TERMS - 1)[2:])
+_FAULHABER = np.array([[math.comb(m + 1, j) * _BERNOULLI[j] / (m + 1) if j <= m else 0.0
+                        for j in range(_SERIES_TERMS)] for m in range(_SERIES_TERMS)])
 
 
-def _psi_sum(a, n_modes: int, excluded) -> complex:
-    """sum of 1/(n - a) over n = 1..N outside ``excluded``, via digamma.
-
-    The nearest mode k = round(Re a) splits the range so that every digamma
-    argument has real part >= 1/2, away from the poles.
-    """
-    k = round(a.real)
-    if k < 1:
-        s = digamma(n_modes + 1 - a) - digamma(1 - a)
-    elif k > n_modes:
-        s = digamma(a - n_modes) - digamma(a)
-    else:  # k is in ``excluded``: the sums below and above it
-        s = digamma(a + 1 - k) - digamma(a) + digamma(n_modes + 1 - a) - digamma(k + 1 - a)
-    for m in excluded:
-        if m != k:
-            s -= 1.0 / (m - a)
-    return s
+def _series_count(p: PhysicalParams, nu: float, n_modes: int, t: float) -> int:
+    """n_s: the modes n <= n_s, and only they, have (nu_n + |lambda1|)*t < 1."""
+    return min(n_modes, max(0, math.ceil((1.0 / t - abs(p.lambda1)) / nu) - 1))
 
 
-def _excluded_modes(p: PhysicalParams, nu: float, n_modes: int) -> list:
-    """The modes nearest the points at which ``root_dd`` evaluates F
-    (Re lambda1, Re lambda2 and gamma/2), which leave the digamma sums."""
-    points = (p.lambda1.real, p.lambda2.real, p.gamma / 2.0)
-    return sorted({k for k in (round(x / nu) for x in points) if 1 <= k <= n_modes})
+def _excluded_modes(p: PhysicalParams, nu: float, n_s: int, n_modes: int) -> list:
+    """The modes n_s < k <= N within nu/2 of a root, at most one per root."""
+    roots = (p.lambda1, p.lambda2)
+    return sorted(k for k in {round(lam.real / nu) for lam in roots}
+                  if n_s < k <= n_modes and min(abs(k * nu - lam) for lam in roots) < nu / 2.0)
 
 
-def _exp_dd(lam, mu: float, t: float):
-    """(exp(-lam*t) - exp(-mu*t))/(mu - lam), with phi1 at a decaying
-    argument so that neither factor overflows."""
-    if lam.real <= mu:
-        return t * np.exp(-lam * t) * phi1(-(mu - lam) * t)
-    return t * np.exp(-mu * t) * phi1(-(lam - mu) * t)
+def _series_modes(p: PhysicalParams, nu: float, n_s: int, t: float):
+    """Sums over the modes n <= n_s of y'_n(t), with the absolute size of its
+    terms, and of int_0^t chi_v*y'_n du: R_n = chi_v*y'_n/2, where y'_n =
+    chi_v - nu_n*y_n, y_n = chi_v convolved with exp(-nu_n*u).  With chi_v =
+    sum_i a_i*u**i from its equation of motion, y'_n's Taylor coefficients
+    c_k = sum_{i <= k} a_i*(-nu_n)**(k - i)*i!/k! times t**k are polynomials
+    in nu_n*t, summed over n by power sums.  While (nu_n + |lambda1|)*t < 1,
+    |c_k|*t**k <= t/(k - 1)!: the terms past _SERIES_TERMS drop at most
+    _SERIES_CUT*t per mode, _SERIES_CUT*e*t**3 from the integral."""
+    if n_s == 0:
+        return 0.0, 0.0, 0.0
+    g, w2, K = p.gamma, p.omega0_sq / p.M, _SERIES_TERMS
+    a = [0.0, t]  # a_i*t**i
+    for k in range(K - 2):
+        a.append(-(g * t * (k + 1) * a[k + 1] + w2 * t * t * a[k]) / ((k + 1) * (k + 2)))
+    a = np.array(a)
+    # int_0^t chi_v*u**j du = t**(j + 1)*beta_j, beta_j = sum_i a_i*t**i/(i + j + 1)
+    beta = np.append(a @ (1.0 / (_SERIES_IDX + 1.0)), np.zeros(K))
+    hb = _SERIES_H * beta[_SERIES_IDX]
+    # sum_n (nu_n*t)**m, by Faulhaber's formula
+    power = (n_s * nu * t) ** _SERIES_K * n_s * (_FAULHABER @ float(n_s) ** -_SERIES_K)
+    signed, ab = power * _SIGNS[:K], np.abs(a)
+    return (_SERIES_H @ a) @ signed, t * ((hb @ a) @ signed), (_SERIES_H @ ab) @ power
 
 
-def _mode_sums(p: PhysicalParams, n_modes: int, t, cv=None) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form,
-    and a bound on what each value drops.
+def _rates(nu: float, n_lo: int, n_hi: int, excluded: list) -> np.ndarray:
+    """nu_n over n_lo < n <= n_hi outside ``excluded``."""
+    n = np.arange(n_lo + 1.0, n_hi + 1.0)
+    return np.delete(n, [k - n_lo - 1 for k in excluded if k <= n_hi]) * nu if excluded else n * nu
 
-    ``cv`` is chi_v at those times, if the caller has it.  The digamma values
-    are taken once per call.  The bound covers the exponential terms cut at
-    nu_n*t > _EXP_CUT (n <= N) and round-off, in O(1) per time.
-    """
+
+def _l_minus(p: PhysicalParams, nu_n: np.ndarray):
+    """L_(nu_n), and |L_(nu_n)| times (nu_n**2 + gamma*nu_n + w2)*|L_(nu_n)|,
+    the factor by which its denominator magnifies one rounding."""
+    lm = 1.0 / (nu_n * (nu_n - p.gamma) + p.omega0_sq / p.M)
+    return lm, lm * lm * (nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M)
+
+
+def _zeta_tail(c, zs) -> float:
+    """sum over a tail of sum_s c_s*nu_n**-s, s = 2..25, from the sums ``zs``
+    of nu_n**-s over it (:func:`_tail_zetas`)."""
+    return math.fsum((c * zs).tolist())
+
+
+def _tail_zetas(nu: float, n0: int, n_top: float = math.inf) -> np.ndarray:
+    """sum_{n0 < n <= n_top} nu_n**-s at s = 2..25, by Hurwitz zeta values."""
+    z = zeta(_ZETA_POWERS[:, None], np.array([n0 + 1.0, n_top + 1.0]))
+    return nu**-_ZETA_POWERS * (z[:, 0] - z[:, 1])
+
+
+def _l_series(p: PhysicalParams) -> np.ndarray:
+    """u_k, k < 25, with 1/(1 - gamma*x + w2*x**2) = sum_k u_k*x**k: L_(nu) =
+    sum_k u_k*x**(k + 2) at x = 1/nu, and L(nu) takes u_k*_SIGNS.  The radius
+    is 1/|lambda1|, so past n0 >= 8*|lambda1|/nu the terms shrink like 8**-k."""
+    g, w2 = p.gamma, p.omega0_sq / p.M
+    u = [1.0, g]
+    for _ in range(23):
+        u.append(g * u[-1] - w2 * u[-2])
+    return np.array(u)
+
+
+def _head(p: PhysicalParams, nu: float, n_s: int, n_modes: int, excluded: list):
+    """The t-independent sums over n_s < n <= N outside ``excluded``, split at
+    n0 = min(N, max(n_s, ceil(8*|lambda1|/nu))): the head's rates, L_ and
+    sizes (:func:`_l_minus`), n0, and the tail's zeta sums and u_k."""
+    n0 = min(n_modes, max(n_s, math.ceil(8.0 * abs(p.lambda1) / nu)))
+    nu_n = _rates(nu, n_s, n0, excluded)
+    return nu_n, *_l_minus(p, nu_n), n0, _tail_zetas(nu, n0, n_modes), _l_series(p)
+
+
+def _s_sums(nu: float, head, n_modes: int):
+    """S0 = sum L_(nu_n) and S1 = sum nu_n*L_(nu_n) over the modes of ``head``,
+    and the absolute sizes of their terms.  The tails share one set of zeta
+    sums; S1's harmonic part is a digamma difference."""
+    nu_n, lm, lm_size, n0, zs, u = head
+    tail0 = _zeta_tail(u[:24], zs)
+    tail1 = (digamma(n_modes + 1.0) - digamma(n0 + 1.0)) / nu + _zeta_tail(u[1:], zs)
+    return (math.fsum(lm.tolist()) + tail0, math.fsum((nu_n * lm).tolist()) + tail1,
+            float(lm_size.sum()) + tail0, float(nu_n @ lm_size) + tail1)
+
+
+def _static_sum(p: PhysicalParams, head):
+    """sum -nu_n*L_(nu_n)*L(nu_n) = -nu_n/((nu_n**2 - lambda1**2)(nu_n**2 -
+    lambda2**2)) over the modes of ``head`` (real coefficients, no difference
+    over the roots), and the absolute size of its terms."""
+    nu_n, lm, lm_size, _, zs, u = head
+    f = nu_n / (nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M)  # nu_n*L(nu_n)
+    tail = -_zeta_tail(np.append(0.0, np.convolve(u, u * _SIGNS)[:23]), zs)
+    return math.fsum((-f * lm).tolist()) + tail, float(f @ lm_size) - tail
+
+
+def _exp_dd(t: float, *points):
+    """Divided difference of exp(-mu*t) over two or three points, based at the
+    one of smallest real part, so that no phi1 argument is positive."""
+    b, *rest = sorted(points, key=lambda z: z.real)
+    if len(rest) == 1:
+        return -t * np.exp(-b * t) * phi1(-(rest[0] - b) * t)
+    return t * t * np.exp(-b * t) * phi1_dd(-(rest[0] - b) * t, -(rest[1] - b) * t)
+
+
+def _envelopes(p: PhysicalParams, t: float):
+    """The sizes of the terms of which chi_v and chi_v_dot are evaluated at t,
+    which the bounds take for |chi_v| and |chi_v_dot|, and the relative error
+    against them of the values and the sums they enter: it grows with t as
+    the rounding of lambda*t does."""
+    env, w = math.exp(-p.lambda2.real * t), abs(p.omega)
+    inv_w = 1.0 / w if w > 0.0 else math.inf
+    return (env * min(t, 2.0 * inv_w), env * (1.0 + min(p.gamma * t / 2.0, p.gamma * inv_w)),
+            _ROUNDOFF * (2.0 + (p.gamma + w) * t / 2.0))
+
+
+def _excluded_int(p: PhysicalParams, nu_k: float, t: float, cv: float, cvd: float,
+                  vt: float, vd: float):
+    """int_0^t R_k = -K[nu_k, lambda1, lambda2]/2 of an excluded mode, and the
+    size of its terms: K(mu) = mu*J(mu) = r(mu)*s(mu), r = mu/(mu**2 + gamma*mu
+    + w2), s = 1 - E(mu)*Pt(mu), by the Leibniz rule over x = nu_k, y =
+    lambda1, z = lambda2; Pt is linear in mu, and E[y, z] = -chi_v."""
+    g, w2 = p.gamma, p.omega0_sq / p.M
+    x, (y, z) = nu_k, _roots(p)
+    qx, qy, qz = (mu * (mu + g) + w2 for mu in (x, y, z))
+    pz, ey, ez = (z + g) * cv + cvd, np.exp(-y * t), np.exp(-z * t)
+    exy, exyz = _exp_dd(t, x, y), _exp_dd(t, x, y, z)
+    r = (x / qx, (w2 - x * y) / (qx * qy), (x * y * z - w2 * (x + y + z + g)) / (qx * qy * qz))
+    s = (-(exy * cv + exyz * pz), cv * (pz - ey), 1.0 - ez * pz)
+    pz_size = abs(z + g) * vt + vd
+    s_size = (abs(exy) * vt + abs(exyz) * pz_size, vt * (pz_size + abs(ey)),
+              1.0 + abs(ez) * pz_size)
+    return (-float(np.real(sum(ri * si for ri, si in zip(r, s)))) / 2.0,
+            sum(abs(ri) * si for ri, si in zip(r, s_size)) / 2.0)
+
+
+def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float,
+                cv2_int: Optional[float] = None):
+    """sum_{n <= N} R_n(t) at one time t > 0, given chi_v and chi_v_dot, a
+    bound on what it drops, and, given A = int_0^t chi_v**2, int_0^t sum_{n
+    <= N} R_n (else None).  The bound is the exponential terms cut at nu_n*t >
+    _EXP_CUT and the series terms past _SERIES_TERMS, plus the relative error
+    of :func:`_envelopes` times the absolute sizes of the terms summed."""
     nu = p.matsubara_nu()
+    g, w2 = p.gamma, p.omega0_sq / p.M
+    vt, vd, eps_t = _envelopes(p, t)
+    n_s = _series_count(p, nu, n_modes, t)
+    ys, yi, size = _series_modes(p, nu, n_s, t)
+    d, s, cut, r_k = [ys], [yi / 2.0], 0.0, 0.0  # d: parts of sum R_n/(chi_v/2)
+    if n_s < n_modes:
+        excluded = _excluded_modes(p, nu, n_s, n_modes)
+        head = _head(p, nu, n_s, n_modes, excluded)
+        s0, s1, size0, size1 = _s_sums(nu, head, n_modes)
+        m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)
+        nu_n = _rates(nu, n_s, m, excluded)
+        lm, lm_size = _l_minus(p, nu_n)
+        e = nu_n * np.exp(nu_n * -t)
+        d += [w2 * cv * s0, cvd * s1, -math.fsum((lm * e).tolist())]
+        size += w2 * vt * size0 + vd * size1 + float(e @ lm_size)
+        if cv2_int is not None:
+            pe = lm * e * ((nu_n + g) * cv + cvd) / (nu_n * (nu_n + g) + w2)
+            s += [math.fsum([w2 * s0 * cv2_int, s1 * cv * cv / 2.0, _static_sum(p, head)[0],
+                             math.fsum(pe.tolist())]) / 2.0]
+            s += [_excluded_int(p, k * nu, t, cv, cvd, vt, vd)[0] for k in excluded]
+        if m < n_modes:
+            # |nu_n*L_(nu_n)| <= 4n/nu once the mode nearest each root is out
+            x = math.exp(-nu * t)
+            cut = 4.0 / nu * x ** (m + 1) * (m + 1 - m * x) / math.expm1(-nu * t) ** 2
+        for k in excluded:  # R_k = -(chi_v/2)*(nu_k*E[nu_k, lambda1, lambda2] - chi_v)
+            e3 = k * nu * _exp_dd(t, k * nu, *_roots(p))
+            r_k, size = r_k + float(np.real(-cv / 2.0 * (e3 - cv))), size + abs(e3) + vt
+    return (cv / 2.0 * math.fsum(d) + r_k,
+            abs(cv) / 2.0 * (cut + n_s * _SERIES_CUT * t) + eps_t * vt / 2.0 * size,
+            None if cv2_int is None else math.fsum(s))
+
+
+def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form,
+    and a bound on what each value drops (:func:`_mode_parts`)."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    excluded = _excluded_modes(p, nu, n_modes)
-
-    n_top = min(n_modes, math.ceil(_EXP_CUT / (nu * float(t.min()))) + 1)
-    nu_n = np.arange(1, n_top + 1, dtype=np.float64) * nu
-    w = -nu_n / (nu_n * (nu_n - p.gamma) + p.omega0_sq / p.M)
-    w[[k - 1 for k in excluded if k <= n_top]] = 0.0
-    m = np.minimum(n_top, np.ceil(_EXP_CUT / (nu * t)) + 1.0)
-    exp_part = np.empty(t.shape)
-    for i, (ti, mi) in enumerate(zip(t.tolist(), m.astype(int).tolist())):
-        e = np.exp(nu_n[:mi] * -ti)
-        e *= w[:mi]
-        exp_part[i] = e.sum()
-
-    def F(lam):
-        el = np.exp(-lam * t)
-        out = lam * el * (_psi_sum(lam / nu, n_modes, excluded) / nu)
-        for k in excluded:
-            out -= el - k * nu * _exp_dd(lam, k * nu, t)
-        return out
-
-    half_cv = np.atleast_1d(chi_v(p, t) if cv is None else cv) / 2.0
-    # |w_n| <= 4n/nu once the mode nearest each root is out, so the terms cut
-    # past m sum to at most (4/nu)*x**(m+1)*((m+1) - m*x)/(1 - x)**2
-    x = np.exp(-nu * t)
-    cut = np.where(m < n_modes, 4.0 / nu * x ** (m + 1.0) * (m + 1.0 - m * x)
-                   / np.expm1(-nu * t) ** 2, 0.0)
-    # round-off: |F| and its intermediates stay below 4*psi_max*|lambda1|/nu *
-    # exp(-Re(lambda2)*t) + 2 per excluded mode, and root_dd magnifies them
-    psi_max = 2.0 + math.log(n_modes + abs(p.lambda1) / nu)
-    f_max = 4.0 * psi_max * abs(p.lambda1) / nu * np.exp(-p.lambda2.real * t) + 2 * len(excluded)
-    roundoff = _ROUNDOFF * (np.abs(exp_part) + 2.0 * f_max / root_dd_sep(p))
-    return half_cv * (exp_part + np.real(root_dd(p, F))), np.abs(half_cv) * (cut + roundoff)
+    cv, cvd = _chi_all(p, t)[1:]
+    parts = [_mode_parts(p, n_modes, ti, c, cd)[:2]
+             for ti, c, cd in zip(t.tolist(), cv.tolist(), cvd.tolist())]
+    return np.array([v for v, _ in parts]), np.array([b for _, b in parts])
 
 
 #: Default Matsubara mode cutoff N of the quantum coefficients.
@@ -345,13 +493,6 @@ class D1Result:
     log_coefficient: float
 
 
-def _xi_q0(p: PhysicalParams, t: float, tol: float) -> float:
-    try:
-        return xi_q0_closed(p, t, tol)
-    except NoConvergence:
-        return xi_q0_sum(p, t, tol=tol)
-
-
 def d1_quantum_detail(
     p: PhysicalParams,
     t: float,
@@ -362,7 +503,7 @@ def d1_quantum_detail(
 
     D1 = d1_classical + (8*gamma/(M*beta)) * sum_{n <= N} R_n + 2*chi_q*xi_q0,
     with the cutoff N = ``n_max`` (``N_MODES`` if None).  The mode sum is
-    taken in closed form at N (:func:`_mode_sums`), so its cost does not grow
+    taken in closed form at N (:func:`_mode_parts`), so its cost does not grow
     with N.  ``tol`` does not change N: it is the tolerance of the
     correlation-term series and the target that ``tail_bound`` is held to.
     """
@@ -377,128 +518,34 @@ def d1_quantum_detail(
         return D1Result(white, white, 0.0, 0.0, 0, 0.0, 0.0)
 
     pref = 8.0 * p.gamma * p.kT / p.M
-    sums, bounds = _mode_sums(p, n_modes, t, cv)
-
-    xi = _xi_q0(p, t, tol / (2.0 * abs(cq) + 1.0))
-    corr = 2.0 * cq * xi
-
-    a = cvd * cv / 2.0
-    modes = pref * float(sums[0])
+    sums, bound, _ = _mode_parts(p, n_modes, t, cv, cvd)
+    corr = 2.0 * cq * xi_q0_sum(p, t, tol=tol / (2.0 * abs(cq) + 1.0))
+    modes = pref * sums
     return D1Result(
         value=white + modes + corr,
         white=white,
         modes=modes,
         correlation=corr,
         n_modes=n_modes,
-        tail_bound=pref * float(bounds[0]),
-        log_coefficient=pref * a / nu,
+        tail_bound=pref * bound,
+        log_coefficient=pref * (cvd * cv / 2.0) / nu,
     )
 
 
 # ---------------------------------------------------------------------------
-# quantum variance: both Matsubara sums integrated in closed form at t alone
-#
-# With J(mu) = int_0^t chi_v(u)*exp(-mu*u) du, the integral of R_n over [0, t]
-# is (1/2)*sum_j c_j*(nu_n*J(nu_n) - lambda_j*J(lambda_j))/(nu_n - lambda_j),
-# so the integral of the mode sum splits as in ``_mode_sums``:
-#   * an exponential part sum_n w_n*J(nu_n), J(mu) = L(mu)*(1 -
-#     exp(-mu*t)*Pt(mu)) with L(mu) = 1/((mu + lambda1)(mu + lambda2)) and
-#     Pt(mu) = (mu + gamma)*chi_v(t) + chi_v_dot(t): the w_n*L(nu_n) terms sum
-#     to a constant (``_static_sum``), the rest is cut at nu_n*t > _EXP_CUT;
-#   * a rational part (1/2)*G[lambda1, lambda2], G(lam) = lam*J(lam)*H(lam),
-#     less the modes nearest the roots, which enter through the divided
-#     difference of K(mu) = mu*J(mu) (Leibniz rule on L*(1 - exp(-mu*t)*Pt)).
-# J(lam) comes from chi_v(t), chi_v_dot(t) alone (``_chi_v_transform``), so
-# near critical damping the only cancellation is the one root_dd carries.
-# The correlation part (``_sigma1_corr``) takes no root at all.
+# quantum variance: both Matsubara sums integrated in closed form at t alone,
+# the mode part by ``_mode_parts`` with A from sigma1_classical, the
+# correlation part (``_sigma1_corr``) with no root either
 
-_ZETA_POWERS = np.arange(2.0, 26.0)
-_J_SERIES_TERMS = 22
 _CORR_HEAD_CAP = 1 << 17  # most terms that ``_sigma1_corr`` sums directly
 
 
-def _zeta_tail(num, den, nu: float, n0: int, n_top: float = math.inf) -> float:
-    """sum over n0 < n <= n_top of r(1/nu_n), r = num/den = O(x**2) given by
-    polynomial coefficients in x = 1/nu_n from x**0 up (den[0] = 1): r's
-    power series, by series division, summed with Hurwitz zeta values at the
-    powers 2..25.  Its radius is 1/|lambda1|, so past n0 >= 8*|lambda1|/nu its
-    terms shrink like 8**-k."""
-    d, c = np.asarray(den, dtype=np.float64).tolist(), [0.0, 0.0]
-    for k in range(2, 26):
-        ck = num[k] if k < len(num) else 0.0
-        for j in range(1, min(k + 1, len(d))):
-            ck -= d[j] * c[k - j]
-        c.append(ck)
-    z = zeta(_ZETA_POWERS, n0 + 1.0) - zeta(_ZETA_POWERS, n_top + 1.0)
-    return math.fsum((np.array(c[2:]) * nu**-_ZETA_POWERS * z).tolist())
-
-
-def _static_sum(p: PhysicalParams, nu: float, n_modes: int, excluded: list) -> float:
-    """sum over n <= N outside ``excluded`` of w_n*L(nu_n) = -nu_n/((nu_n**2
-    - lambda1**2)(nu_n**2 - lambda2**2)): directly up to n0 >= 8*|lambda1|/nu,
-    past n0 by :func:`_zeta_tail` (real coefficients, no difference over the
-    roots)."""
-    g, w2 = p.gamma, p.omega0_sq / p.M
-    n0 = min(n_modes, max(excluded + [math.ceil(8.0 * abs(p.lambda1) / nu)]))
-    nu_n = np.arange(1, n0 + 1, dtype=np.float64) * nu
-    f = -nu_n / ((nu_n * (nu_n - g) + w2) * (nu_n * (nu_n + g) + w2))
-    f[[k - 1 for k in excluded]] = 0.0
-    return math.fsum(f.tolist()) + _zeta_tail(
-        (0.0, 0.0, 0.0, -1.0), (1.0, 0.0, 2.0 * w2 - g * g, 0.0, w2 * w2), nu, n0, n_modes)
-
-
-def _j_by_series(p: PhysicalParams, t):
-    """Whether ``_chi_v_transform`` sums its Taylor series at t: there
-    |lam + lambda_j|*t <= 1, and past it the closed form cancels little."""
-    return 2.0 * abs(p.lambda1) * t <= 1.0
-
-
-def _chi_v_transform(p: PhysicalParams, lam, t: float, cv: float, cvd: float):
-    """J(lam) = int_0^t chi_v(u)*exp(-lam*u) du, for lam at a root or at gamma/2.
-
-    Closed form L(lam)*(1 - exp(-lam*t)*Pt(lam)), or at small t, where that
-    cancels, the Taylor series of y = chi_v*exp(-lam*u), which solves y'' +
-    (gamma + 2*lam)*y' + y/L(lam) = 0 with y(0) = 0, y'(0) = 1.
-    """
-    c = lam * (lam + p.gamma) + p.omega0_sq / p.M  # 1/L(lam)
-    if not _j_by_series(p, t):
-        return (1.0 - np.exp(-lam * t) * ((lam + p.gamma) * cv + cvd)) / c
-    bt, ct2 = (p.gamma + 2.0 * lam) * t, c * t * t
-    prev, cur, acc = 0.0, t, t / 2.0  # coefficients y^(k)(0)*t**k/k!, k = 0, 1
-    for k in range(1, _J_SERIES_TERMS):
-        prev, cur = cur, -(bt * k * cur + ct2 * prev) / (k * (k + 1))
-        acc += cur / (k + 2)
-    return t * acc
-
-
-def _sigma1_modes(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float) -> float:
-    """int_0^t sum_{n <= N} R_n(u) du in closed form at one time t > 0.
-
-    ``cv`` and ``cvd`` are chi_v(t) and chi_v_dot(t).  The exponential series
-    takes min(N, ceil(_EXP_CUT/(nu*t)) + 1) terms at t alone;
-    :func:`_sigma1_mode_bound` bounds what the value drops.
-    """
-    nu = p.matsubara_nu()
-    g, w2 = p.gamma, p.omega0_sq / p.M
-    excluded = _excluded_modes(p, nu, n_modes)
-
-    m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)
-    nu_n = np.arange(1, m + 1, dtype=np.float64) * nu
-    e = -nu_n * np.exp(nu_n * -t) * ((nu_n + g) * cv + cvd)
-    e /= (nu_n * (nu_n - g) + w2) * (nu_n * (nu_n + g) + w2)
-    e[[k - 1 for k in excluded if k <= m]] = 0.0
-
-    def G(lam):
-        j = _chi_v_transform(p, lam, t, cv, cvd)
-        out = lam * j * (_psi_sum(lam / nu, n_modes, excluded) / nu)
-        for k in excluded:
-            kn = k * nu
-            q_dd = _exp_dd(lam, kn, t) * ((lam + g) * cv + cvd) - math.exp(-kn * t) * cv
-            out -= ((w2 - kn * lam) * j + kn * q_dd) / (kn * (kn + g) + w2)
-        return out
-
-    static = _static_sum(p, nu, n_modes, excluded)
-    return 0.5 * (static - float(e.sum()) + float(np.real(root_dd(p, G))))
+def _sigma1_modes(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float,
+                  base: float) -> float:
+    """int_0^t sum_{n <= N} R_n(u) du at one time t > 0 (:func:`_mode_parts`),
+    given chi_v(t), chi_v_dot(t) and ``base`` = sigma1_classical(t) =
+    (2*gamma*k_B*T/M)*int_0^t chi_v**2; :func:`_sigma1_mode_bound` bounds it."""
+    return _mode_parts(p, n_modes, t, cv, cvd, base * p.M / (2.0 * p.gamma * p.kT))[2]
 
 
 def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float) -> float:
@@ -523,7 +570,9 @@ def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float) -> float:
     e = np.exp(nu_n * -t)
     L = 1.0 / (nu_n * (nu_n + g) + w2)
     terms = nu_n * L * L * ((nu_n + g) * (e * (1.0 - cq) - np.expm1(nu_n * -t)) + e * w2 * cv)
-    tail = _zeta_tail((0.0, 0.0, 1.0, g), np.convolve((1.0, g, w2), (1.0, g, w2)), nu, n_h)
+    v = _l_series(p) * _SIGNS
+    vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
+    tail = _zeta_tail(vv + g * np.append(0.0, vv[:23]), _tail_zetas(nu, n_h))
     return -4.0 * g * p.kT * (math.fsum(terms.tolist()) + tail)
 
 
@@ -531,38 +580,38 @@ def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cq, cv, cvd) -> np.nd
     """Bound on what :func:`sigma1_quantum` drops of its two Matsubara sums
     at each time of the array t (gamma > 0), given chi_q, chi_v, chi_v_dot.
 
-    Mode part: the exponential terms cut at nu_n*t > _EXP_CUT, and round-off
-    of the terms summed and of the rational part.  Correlation part: the
-    exponential terms past its head, and round-off of terms at most
+    Mode part: as for D1 (:func:`_mode_parts`), with each sum over the modes
+    past the series majorised by the same sum over every mode.  Correlation
+    part: the exponential terms past its head, and round-off of terms at most
     3/nu_n**2 + (omega0_sq/M)*|chi_v|/nu_n**3 in magnitude.
     """
     nu = p.matsubara_nu()
     t, cq, cv, cvd = (np.abs(np.atleast_1d(a).astype(np.float64)) for a in (t, cq, cv, cvd))
     g, w2 = p.gamma, p.omega0_sq / p.M
-    l1, re2 = abs(p.lambda1), p.lambda2.real
-    excluded = _excluded_modes(p, nu, n_modes)
-    m = np.minimum(n_modes, np.ceil(_EXP_CUT / (nu * t)) + 1.0)
-    # term n of the exponential part is at most (cv + cvd/nu)*exp(-nu_n*t)/
-    # |(nu_n - lambda1)(nu_n - lambda2)|; once the modes nearest Re(lambda_j)
-    # are out, |nu_n - lambda_j| >= nu/2, and those n sum to at most pi**2/nu**2
-    e_max = math.pi**2 / nu**2 * (cv + cvd / nu)
-    cut = np.where(m < n_modes, e_max * np.exp(-nu * t * (m + 1.0)), 0.0)
-    # |J(lam)| <= int_0^t u*exp(-2*Re(lambda2)*u) du; its closed form adds
-    # 2*|L(lam)| <= 1/(gamma*Re(lambda2)), its series terms at most e*t**2
-    j_max = np.minimum(t * t / 2.0, 1.0 / (2.0 * re2) ** 2) + np.where(
-        _j_by_series(p, t), math.e * t * t, 1.0 / (g * re2))
-    psi_max = 2.0 + math.log(n_modes + l1 / nu)
-    g_max = l1 * j_max * (4.0 * psi_max + 2.0 * len(excluded)) / nu
-    for k in excluded:
-        kn = k * nu
-        g_max = g_max + ((w2 + kn * l1) * j_max + kn * (cv + t * ((l1 + g) * cv + cvd))) / kn**2
-    modes = 0.5 * (cut + _ROUNDOFF * (e_max + 2.0 * g_max / root_dd_sep(p)))
+    head = _head(p, nu, 0, n_modes, _excluded_modes(p, nu, 0, n_modes))
+    (_, _, size0, size1), static_size = _s_sums(nu, head, n_modes), _static_sum(p, head)[1]
+    modes = []
+    for ti, c, cd in zip(t.tolist(), cv.tolist(), cvd.tolist()):
+        vt, vd, eps_t = _envelopes(p, ti)
+        n_s = _series_count(p, nu, n_modes, ti)
+        m = min(n_modes, math.ceil(_EXP_CUT / (nu * ti)) + 1)
+        # an exponential term is at most (|L_|*|chi_v| + |nu_n*L_*L|*|chi_v_dot|)*
+        # exp(-nu_n*t), as nu_n*(nu_n + gamma)*L(nu_n) <= 1, and past the series
+        # |L_| <= 4/nu**2; A <= min(t**3/3, A(inf) = 1/(2*gamma*w2)); a series
+        # mode's terms are at most e**2*t**3/2 and drop at most _SERIES_CUT*e*t**3
+        cut = 0.0 if m >= n_modes else (4.0 / nu**2 * (c + cd / nu) * math.exp(-nu * ti * (m + 1))
+                                        / -math.expm1(-nu * ti))
+        size = ((w2 * min(ti**3 / 3.0, 0.5 / (g * w2)) + vt) * size0 + vt * vt / 2.0 * size1
+                + (1.0 + vd) * static_size + n_s * math.e**2 * ti**3 / 2.0) / 2.0
+        size += sum(_excluded_int(p, k * nu, ti, c, cd, vt, vd)[1]
+                    for k in _excluded_modes(p, nu, n_s, n_modes))
+        modes.append((cut + n_s * _SERIES_CUT * math.e * ti**3) / 2.0 + eps_t * size)
     # a correlation term n is at most exp(-nu_n*t)*(cq + w2*cv/nu_n)/nu_n**2; the
     # terms past the head, which has at least nu_h/nu - 1 terms, sum geometrically
     nu_h = nu * (np.minimum(np.ceil(_EXP_CUT / (nu * t)) + 1.0, _CORR_HEAD_CAP) + 1.0)
     corr_cut = (cq + w2 * cv / nu_h) / nu_h**2 * np.exp(-nu_h * t) / -np.expm1(-nu * t)
     corr = corr_cut + _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * cv / nu**3)  # zeta(2), zeta(3)
-    return 8.0 * g * p.kT / p.M * modes + 4.0 * g * p.kT * corr
+    return g * p.kT * (8.0 / p.M * np.array(modes) + 4.0 * corr)
 
 
 def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> float:
@@ -585,7 +634,7 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
         return base
 
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    modes = 8.0 * p.gamma * p.kT / p.M * _sigma1_modes(p, n_modes, t, cv, cvd)
+    modes = 8.0 * p.gamma * p.kT / p.M * _sigma1_modes(p, n_modes, t, cv, cvd, base)
     return base + modes + _sigma1_corr(p, t, cq, cv)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "xi_q0_sum_ex",
     "xi_q0_closed",
     "root_dd",
-    "root_dd_sep",
     "ModeExpansion",
     "noise_kernel_modes",
     "noise_kernel_closed",
@@ -293,13 +292,6 @@ def root_dd(p: PhysicalParams, F):
     if l1.imag == 0.0:
         l1, l2 = l1.real, l2.real
     return (F(l1) - F(l2)) / (l1 - l2)
-
-
-def root_dd_sep(p: PhysicalParams) -> float:
-    """|lambda1 - lambda2|, or _DEGENERATE_FRAC*gamma if larger: an error e in
-    F moves :func:`root_dd` by at most 2*e/root_dd_sep(p) (an overestimate
-    within the confluent band, where the complex step does not cancel)."""
-    return max(abs(p.lambda1 - p.lambda2), _DEGENERATE_FRAC * p.gamma)
 
 
 def xi_q0_closed(p: PhysicalParams, t: float, tol: float = 1e-12) -> float:

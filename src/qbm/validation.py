@@ -17,6 +17,7 @@ import numpy as np
 from .coefficients import (
     _mode_r,
     _mode_sums,
+    _sigma1_modes,
     d1_classical,
     d1_quantum_detail,
     d_cl_closed,
@@ -96,31 +97,21 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
     rep = ValidationReport()
     t = _safe_grid(p, _grid(p))
 
+    def check(name: str, value, limit: float, detail: str) -> None:
+        rep.checks.append(CheckResult(name, float(value), limit, detail))
+
     # response-function identity: d/dt chi_q = Omega * chi_q
     cq = np.atleast_1d(chi_q(p, t))
     cqd = np.atleast_1d(chi_q_dot(p, t))
     om = np.atleast_1d(omega_drift(p, t))
-    scale = np.max(np.abs(cqd)) + 1e-300
-    rep.checks.append(
-        CheckResult(
-            "drift-ratio-identity",
-            float(np.max(np.abs(cqd - om * cq)) / scale),
-            1e-12,
-            "chi_q_dot vs omega_drift*chi_q",
-        )
-    )
+    check("drift-ratio-identity", np.max(np.abs(cqd - om * cq)) / (np.max(np.abs(cqd)) + 1e-300),
+          1e-12, "chi_q_dot vs omega_drift*chi_q")
 
     # variance routes: sigma1 + (kT/M) chi_v^2 vs closed form
     s_route = np.atleast_1d(sigma1_classical(p, t)) + (p.kT / p.M) * np.atleast_1d(chi_v(p, t)) ** 2
     s_closed = np.atleast_1d(sigma_cl_closed(p, t))
-    rep.checks.append(
-        CheckResult(
-            "classical-variance-routes",
-            float(np.max(np.abs(s_route - s_closed)) / (p.kT / p.omega0_sq)),
-            1e-12,
-            "sigma1+thermal-drift vs 1-chi_q^2 closed form",
-        )
-    )
+    check("classical-variance-routes", np.max(np.abs(s_route - s_closed)) / (p.kT / p.omega0_sq),
+          1e-12, "sigma1+thermal-drift vs 1-chi_q^2 closed form")
 
     # assembled D vs algebraic closed form
     sdot = np.atleast_1d(d1_classical(p, t)) + (2.0 * p.kT / p.M) * np.atleast_1d(
@@ -128,27 +119,16 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
     ) * np.atleast_1d(chi_v_dot(p, t))
     d_assembled = sdot - 2.0 * om * s_closed
     d_closed = np.atleast_1d(d_cl_closed(p, t))
-    rep.checks.append(
-        CheckResult(
-            "classical-diffusion-routes",
-            float(np.max(np.abs(d_assembled - d_closed)) / (np.max(np.abs(d_closed)) + 1e-300)),
-            1e-10,
-            "sigma_dot - 2*Omega*sigma vs tanhc closed form",
-        )
-    )
+    check("classical-diffusion-routes",
+          np.max(np.abs(d_assembled - d_closed)) / (np.max(np.abs(d_closed)) + 1e-300),
+          1e-10, "sigma_dot - 2*Omega*sigma vs tanhc closed form")
 
     # Maxwell average of conditional density vs averaged closed form
     tq = float(t[len(t) // 2])
     qgrid = np.linspace(-4.0, 4.0, 41) * np.sqrt(p.kT / p.omega0_sq)
     avg, closed = maxwell_average_check(p, tq, qgrid, q0=0.7, n_quad=80)
-    rep.checks.append(
-        CheckResult(
-            "maxwell-average",
-            float(np.max(np.abs(avg - closed)) / np.max(closed)),
-            1e-10,
-            f"Gauss-Hermite v0 average at t={tq:.3g}",
-        )
-    )
+    check("maxwell-average", np.max(np.abs(avg - closed)) / np.max(closed), 1e-10,
+          f"Gauss-Hermite v0 average at t={tq:.3g}")
 
     # grid solver conserves mass and tracks the exact Gaussian
     n_q, n_steps = (401, 400) if quick else (1201, 2000)
@@ -166,26 +146,12 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
     )
     try:
         res = solve(p, "adelman", "classical", t_final, cfg)
-        rep.checks.append(
-            CheckResult(
-                "fpe-mass-conservation",
-                abs(res.mass_drift),
-                1e-10,
-                f"{res.n_steps} steps, zero-flux",
-            )
-        )
-        rep.checks.append(
-            CheckResult(
-                "fpe-vs-analytic",
-                float(res.linf_error / res.peak_density),
-                5e-3,
-                "relative sup-norm deviation from exact Gaussian",
-            )
-        )
+        check("fpe-mass-conservation", abs(res.mass_drift), 1e-10,
+              f"{res.n_steps} steps, zero-flux")
+        check("fpe-vs-analytic", res.linf_error / res.peak_density, 5e-3,
+              "relative sup-norm deviation from exact Gaussian")
     except QbmError as exc:  # pole windows in strongly underdamped runs
-        rep.checks.append(
-            CheckResult("fpe-run", 1.0, 0.0, f"solver aborted: {exc}")
-        )
+        check("fpe-run", 1.0, 0.0, f"solver aborted: {exc}")
 
     if mode == "quantum":
         nu = p.matsubara_nu()
@@ -193,27 +159,16 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
             closed_v = xi_q0_closed(p, tt, 1e-12)
             summed_v = xi_q0_sum(p, tt, tol=1e-12)
             scale_x = abs(2.0 * p.gamma * p.kT / max(nu * tt, 1e-6)) + abs(closed_v)
-            rep.checks.append(
-                CheckResult(
-                    f"xi-q0-routes-nut={nu * tt:.2g}",
-                    abs(closed_v - summed_v) / scale_x,
-                    1e-10,
-                    "hypergeometric closed form vs spectral sum",
-                )
-            )
+            check(f"xi-q0-routes-nut={nu * tt:.2g}", abs(closed_v - summed_v) / scale_x, 1e-10,
+                  "hypergeometric closed form vs spectral sum")
         # noise kernel: truncated mode sum vs closed form
         tau = 1.5 / nu
         exp_ = noise_kernel_modes(p, n_max=400, t_min=tau / 2.0)
-        val_modes = exp_.evaluate(tau)
         val_closed = noise_kernel_closed(p, tau)
-        rep.checks.append(
-            CheckResult(
-                "noise-kernel-routes",
-                abs(val_modes - val_closed) / (abs(val_closed) + 1e-300),
-                max(1e-10, 2.0 * exp_.tail_bound / (abs(val_closed) + 1e-300)),
-                "mode expansion vs closed hyperbolic form",
-            )
-        )
+        check("noise-kernel-routes",
+              abs(exp_.evaluate(tau) - val_closed) / (abs(val_closed) + 1e-300),
+              max(1e-10, 2.0 * exp_.tail_bound / (abs(val_closed) + 1e-300)),
+              "mode expansion vs closed hyperbolic form")
         # the mode sum at the cutoff: closed form vs the explicit sum of the
         # per-mode kernel, which holds to round-off in every regime,
         # critical damping included
@@ -222,30 +177,29 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
         terms = _mode_r(p, np.arange(1, nmx + 1, dtype=np.float64) * nu, tc)
         explicit = math.fsum(terms.tolist())
         closed = float(_mode_sums(p, nmx, tc)[0][0])
-        rep.checks.append(
-            CheckResult(
-                "quantum-mode-sum-routes",
-                abs(closed - explicit) / (math.fsum(np.abs(terms).tolist()) + 1e-300),
-                1e-9,
-                f"digamma closed form vs explicit {nmx}-mode sum at t={tc:.3g}, relative "
-                "to sum |R_n|",
-            )
-        )
+        check("quantum-mode-sum-routes",
+              abs(closed - explicit) / (math.fsum(np.abs(terms).tolist()) + 1e-300), 1e-9,
+              f"root-free closed form vs explicit {nmx}-mode sum at t={tc:.3g}, relative "
+              "to sum |R_n|")
+        # the stationary limit: sigma1's base plus its mode part once chi_v has
+        # decayed, against <q^2>_N = (k_B*T/M)*(1/w2 + 2*sum_{n <= N} 1/(w2 +
+        # nu_n**2 + gamma*nu_n)) summed directly
+        if p.gamma > 0:
+            ti, w2 = 40.0 / p.lambda2.real, p.omega0_sq / p.M
+            base = float(sigma1_classical(p, ti))
+            s_inf = base + 8.0 * p.gamma * p.kT / p.M * _sigma1_modes(
+                p, nmx, ti, float(chi_v(p, ti)), float(chi_v_dot(p, ti)), base)
+            nu_n = np.arange(1.0, nmx + 1) * nu
+            q2 = p.kT / p.M * (1.0 / w2 + 2.0 * math.fsum((1.0 / (w2 + nu_n * (nu_n + p.gamma))).tolist()))
+            check("quantum-stationary-variance", abs(s_inf - q2) / q2, 1e-12,
+                  f"sigma1 base + mode part at t={ti:.3g} vs <q^2>_N, N={nmx}")
         # d/dt sigma1 = D1 at the truncated-mode level.  The 5e-4 limit
         # covers the O(h**2) error of the central difference at this step
         # (measured values stay below 3e-5).
         h = 2e-3 * tc
-        der = (
-            sigma1_quantum(p, tc + h, n_max=nmx)
-            - sigma1_quantum(p, tc - h, n_max=nmx)
-        ) / (2.0 * h)
+        der = (sigma1_quantum(p, tc + h, n_max=nmx)
+               - sigma1_quantum(p, tc - h, n_max=nmx)) / (2.0 * h)
         d1v = d1_quantum_detail(p, tc, n_max=nmx).value
-        rep.checks.append(
-            CheckResult(
-                "quantum-variance-rate",
-                abs(der - d1v) / (abs(d1v) + 1e-300),
-                5e-4,
-                "finite-difference sigma1' vs D1 at matched mode count",
-            )
-        )
+        check("quantum-variance-rate", abs(der - d1v) / (abs(d1v) + 1e-300), 5e-4,
+              "finite-difference sigma1' vs D1 at matched mode count")
     return rep

@@ -166,12 +166,11 @@ class TestCoeffs:
 
 
     def test_unmet_tol_warns_on_stderr(self, tmp_path, capsys):
-        # just off critical damping (lambda1 - lambda2 = 1e-5) the divided
-        # difference over the roots leaves ~1e-10 of round-off, above tol
+        # no bound on a value at the cutoff reaches a tol below round-off
         out = str(tmp_path / "q.csv")
         rc = main(["coeffs", "--hbar", "1", "--t-max", "1", "--n-points", "2",
                    "--gamma", "0.5", "--omega0-sq", "0.062499999975",
-                   "--n-max", "100", "--tol", "1e-11", "--out", out])
+                   "--n-max", "100", "--tol", "1e-18", "--out", out])
         assert rc == 0
         cap = capsys.readouterr()
         assert cap.err.startswith("warning: tol not met: ")

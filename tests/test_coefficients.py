@@ -1,4 +1,6 @@
+import inspect
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +28,7 @@ from qbm import (
     xi_q0_sum,
 )
 import qbm.coefficients
+import qbm.special
 from qbm.coefficients import (
     _mode_r,
     _mode_sums,
@@ -34,6 +37,8 @@ from qbm.coefficients import (
     _sigma1_modes,
 )
 from qbm.response import _chi_all
+
+from mode_sum_reference import FIXTURES as REFERENCE_FIXTURES
 
 
 class TestClassicalClosedForms:
@@ -94,6 +99,17 @@ class TestClassicalClosedForms:
         # missed them by up to 1.4e-3 relative
         got = sigma1_classical(derive(*args), np.array([1e-4, 1e-3, 0.01]))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "t, want",
+        [(0.0506, 8.641950311706145574996e-4), (0.5, 0.04169118494637259444457),
+         (3.0, 0.2541366445372147921266)],
+    )
+    def test_sigma1_under_strong_overdamping(self, t, want):
+        # 50-digit (2*gamma*k_B*T/M)*int_0^t chi_v**2 on lambda1 = 19.95,
+        # lambda2 = 0.05, just past the series threshold |lambda1|*t = 1 and
+        # beyond; 1 - exp(-gamma*t)*B missed them by 2.3e-13, 2.9e-15, 1.2e-14
+        assert sigma1_classical(derive(1.0, 20.0, 1.0, 1.0), t) == pytest.approx(want, rel=1e-14)
 
     def test_d1_zero_at_origin(self, p_over):
         assert d1_classical(p_over, 0.0) == 0.0
@@ -162,6 +178,17 @@ class TestQuantumModeTerms:
             for k, got in zip((1, 3, 1000, 20000), r.tolist()):
                 want = float(_mp_mode_term(p, k, t))
                 assert got == pytest.approx(want, rel=1e-9, abs=0.0), (k, t)
+
+    def test_mode_below_a_root_at_long_times(self):
+        # strong overdamping: modes 1-3 lie below lambda1 = 19.95, and phi1 at
+        # (lambda1 - nu_n)*t > ~700 once overflowed to NaN with a RuntimeWarning
+        p = derive(1.0, 20.0, 1.0, 1.0, hbar=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (60.0, 200.0):
+                r = _mode_r(p, np.array([1.0, 2.0, 3.0, 4.0]) * p.matsubara_nu(), t)
+                for k, got in zip((1, 2, 3, 4), r.tolist()):
+                    assert got == pytest.approx(float(_mp_mode_term(p, k, t)), rel=1e-9), (k, t)
 
     def test_mode_term_large_n_asymptote(self, pq_over):
         # R_n -> chi_v_dot*chi_v/(2*nu_n) for large n
@@ -255,6 +282,133 @@ class TestClosedFormModeSum:
         assert math.isfinite(d1_quantum_detail(pq_over, 0.5).value)
         assert math.isfinite(sigma1_quantum(pq_over, 0.5))
         build_table(pq_over, np.array([0.5]), mode="quantum")
+
+
+#: Sums at the cutoff N of R_n(t) and of int_0^t R_n, to 20 digits, from the
+#: mpmath evaluation in tests/mode_sum_reference.py (110-digit working
+#: precision): {(fixture, N, t): (D1 mode sum, sigma1 mode part)}
+MODE_SUM_REFERENCE = {
+    ('over', 64, 0.0001): (3.1673021785021036827e-7, 1.0584775486210818316e-11),
+    ('over', 2000, 0.0001): (7.5624158041971782959e-6, 2.6935881208412124240e-10),
+    ('over', 64, 0.001): (0.000028976536320372189597, 9.8976858738859330919e-9),
+    ('over', 2000, 0.001): (0.00024681854530441808545, 1.0387009527511181260e-7),
+    ('over', 64, 0.05): (0.012835158570683151048, 0.00028457681293929816537),
+    ('over', 2000, 0.05): (0.025519890650898601939, 0.00060955870847177396418),
+    ('over', 64, 0.7): (0.094233371344404583593, 0.047342102013325917073),
+    ('over', 2000, 0.7): (0.15836438237182897650, 0.081110581753254888952),
+    ('over', 64, 8.0): (-0.0082808717893352827509, 0.030483833742972698912),
+    ('over', 2000, 8.0): (-0.014217831320770287621, 0.045800176718403606419),
+    ('over', 64, 50.0): (-4.3711802663777958685e-10, 0.0092369404151049908100),
+    ('over', 2000, 50.0): (-7.5012141040084651235e-10, 0.0093318323476322607372),
+    ('under', 64, 0.0001): (3.1674608053122230846e-7, 1.0585172736140814918e-11),
+    ('under', 2000, 0.0001): (7.5628116462470379523e-6, 2.6936915189409627049e-10),
+    ('under', 64, 0.001): (0.000028991256575224361411, 9.9014266094368034836e-9),
+    ('under', 2000, 0.001): (0.00024696707947923154793, 1.0391353954610709349e-7),
+    ('under', 64, 0.05): (0.013225855185080010508, 0.00029054220244752528161),
+    ('under', 2000, 0.05): (0.026371545329435389576, 0.00062336206983576242003),
+    ('under', 64, 0.7): (0.11442801925030403268, 0.056506960786975819362),
+    ('under', 2000, 0.7): (0.19147746320945137062, 0.096925087624066831276),
+    ('under', 64, 8.0): (-0.00066401316893168630433, 0.022468492311528147854),
+    ('under', 2000, 8.0): (-0.0014258717237687232400, 0.025293904537555098209),
+    ('under', 64, 50.0): (4.5742885498674618373e-13, 0.019212811041714950718),
+    ('under', 2000, 50.0): (5.7558865043018559427e-13, 0.019402713707810335295),
+    ('crit', 64, 0.0001): (3.1669849260018983071e-7, 1.0583980988590901624e-11),
+    ('crit', 2000, 0.0001): (7.5616241235444207281e-6, 2.6933813253364789136e-10),
+    ('crit', 64, 0.001): (0.000028947096924008894305, 9.8902046258441653353e-9),
+    ('crit', 2000, 0.001): (0.00024652149382192133017, 1.0378321053337549803e-7),
+    ('crit', 64, 0.05): (0.012054963025819437845, 0.00027266258654352250064),
+    ('crit', 2000, 0.05): (0.023818434131816424150, 0.00058198164591876376430),
+    ('crit', 64, 0.7): (0.024904926368353690261, 0.024505411711206749496),
+    ('crit', 2000, 0.7): (0.039100967316203511138, 0.041048291224995116550),
+    ('crit', 64, 8.0): (-2.5028265177814863321e-6, 0.0041654471450000204165),
+    ('crit', 2000, 8.0): (-4.2262265879944441321e-6, 0.0042138172431997582524),
+    ('crit', 64, 50.0): (-3.6495926704826750163e-41, 0.0041640159894826368388),
+    ('crit', 2000, 50.0): (-6.1422623358941618277e-41, 0.0042114012807511523420),
+    ('near_crit', 64, 0.0001): (3.1674608152357435373e-7, 1.0585172756013207662e-11),
+    ('near_crit', 2000, 0.0001): (7.5628116715877335677e-6, 2.6936915241763629134e-10),
+    ('near_crit', 64, 0.001): (0.000028991265860589187340, 9.9014284890621371170e-9),
+    ('near_crit', 2000, 0.001): (0.00024696718369278863655, 1.0391356293592511126e-7),
+    ('near_crit', 64, 0.05): (0.013240691258942482376, 0.00029071259377363017526),
+    ('near_crit', 2000, 0.05): (0.026406650287472477230, 0.00062378577133242417087),
+    ('near_crit', 64, 0.7): (0.15786802624881409233, 0.064847869320844389173),
+    ('near_crit', 2000, 0.7): (0.26913511724361101300, 0.11205115435256782306),
+    ('near_crit', 64, 8.0): (-0.055290359109532786599, 0.24185324826480529925),
+    ('near_crit', 2000, 8.0): (-0.095336697140787920332, 0.40223895139549849155),
+    ('near_crit', 64, 50.0): (-3.0532554946317088246e-9, 0.019487549769765796599),
+    ('near_crit', 2000, 50.0): (-5.2361136607657137127e-9, 0.019677457552207030428),
+    ('resonant', 64, 0.0001): (3.1955251287752598784e-7, 1.0655476925877781137e-11),
+    ('resonant', 2000, 0.0001): (9.6126488583919616377e-6, 3.2358167683184790915e-10),
+    ('resonant', 64, 0.001): (0.000031557084282958937482, 1.0555685162741015242e-8),
+    ('resonant', 2000, 0.001): (0.00070758056310552983237, 2.5573751179819784720e-7),
+    ('resonant', 64, 0.05): (0.045213319162175020376, 0.00085922163773848940540),
+    ('resonant', 2000, 0.05): (0.14462759581221920864, 0.0033226635746754628980),
+    ('resonant', 64, 0.7): (0.68885844595370000226, 0.29443717064388544255),
+    ('resonant', 2000, 0.7): (1.1953722406598929914, 0.56092781827771436772),
+    ('resonant', 64, 8.0): (-0.068380083510728357580, 0.51208984806672932005),
+    ('resonant', 2000, 8.0): (-0.11504880119317734458, 0.63755125624079304841),
+    ('resonant', 64, 50.0): (-3.7563470550649584907e-9, 0.33266753683077858202),
+    ('resonant', 2000, 50.0): (-6.2170178380731834127e-9, 0.33847036934309618861),
+    ('strong', 64, 0.0001): (3.1612808725711344841e-7, 1.0569693032386976661e-11),
+    ('strong', 2000, 0.0001): (7.5473905820061374495e-6, 2.6896624551590767479e-10),
+    ('strong', 64, 0.001): (0.000028423229330183088085, 9.7567664156194655409e-9),
+    ('strong', 2000, 0.001): (0.00024124330337734815252, 1.0223474334936672355e-7),
+    ('strong', 64, 0.05): (0.0042428896163956729190, 0.00013607011471042165857),
+    ('strong', 2000, 0.05): (0.0074591265264740235231, 0.00027417534737805841453),
+    ('strong', 64, 0.7): (-0.000022128205209317877604, 0.00062409394531856671239),
+    ('strong', 2000, 0.7): (-0.000054368334861977279100, 0.00095043618428857563221),
+    ('strong', 64, 8.0): (-0.000021487030019113947244, 0.00039636978440530501577),
+    ('strong', 2000, 8.0): (-0.000037000966683308841423, 0.00055575376395080274621),
+    ('strong', 64, 50.0): (-3.1882805557195863691e-7, 0.00018521829948829525563),
+    ('strong', 2000, 50.0): (-5.4902637783947433043e-7, 0.00019214794911294357639),
+    ('cold', 64, 0.001): (0.000031958225994703172072, 1.0656221777572263590e-8),
+    ('cold', 2000, 0.001): (0.00098965729570709113558, 3.3074333846507290485e-7),
+    ('cold', 64, 0.05): (0.074944518617752807140, 0.0012697218248505164732),
+    ('cold', 2000, 0.05): (1.5948375325023041674, 0.029556197451719331106),
+    ('cold', 64, 50.0): (-6.7244892591281573346e-6, 22.067883969821283341),
+    ('cold', 2000, 50.0): (-6.8341066191545668970e-6, 29.530809857968984169),
+}
+
+
+def _reference_params(name):
+    return derive(*REFERENCE_FIXTURES[name], hbar=1.0)
+
+
+class TestRootFreeModeSums:
+    """The production mode sums against 60-digit sums, and their bounds."""
+
+    @pytest.mark.parametrize("key", sorted(MODE_SUM_REFERENCE, key=repr), ids=repr)
+    def test_against_60_digit_sums(self, key):
+        name, n, t = key
+        want_d1, want_s1 = MODE_SUM_REFERENCE[key]
+        p = _reference_params(name)
+        rel = 1e-11 if name == "cold" else 1e-12 if t < 0.05 else 1e-13
+        cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+        got_d1, bound_d1 = (float(a[0]) for a in _mode_sums(p, n, t))
+        got_s1 = _sigma1_modes(p, n, t, cv, cvd, float(sigma1_classical(p, t)))
+        assert got_d1 == pytest.approx(want_d1, rel=rel, abs=0.0)
+        assert got_s1 == pytest.approx(want_s1, rel=rel, abs=0.0)
+        # each bound covers the error of its value
+        pref = 8.0 * p.gamma * p.kT / p.M
+        assert abs(got_d1 - want_d1) <= bound_d1
+        assert pref * abs(got_s1 - want_s1) <= _sigma1_mode_bound(p, n, t, cq, cv, cvd)[0]
+
+    def test_production_path_takes_no_root_rule(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("root_dd, hyp2f1 or xi_q0_closed called")
+
+        monkeypatch.setattr(qbm.special, "root_dd", refused)
+        monkeypatch.setattr(qbm.special, "hyp2f1", refused)
+        monkeypatch.setattr(qbm.coefficients, "xi_q0_closed", refused)
+        grid = np.array([1e-4, 0.05, 8.0, 50.0])
+        for name in ("over", "under", "crit", "near_crit", "resonant", "strong"):
+            p = _reference_params(name)
+            table = build_table(p, grid, mode="quantum")
+            assert np.all(np.isfinite(table.d1)) and np.all(np.isfinite(table.sigma1)), name
+            for t in grid.tolist():
+                assert math.isfinite(d1_quantum_detail(p, t).value), (name, t)
+                assert math.isfinite(sigma1_quantum(p, t)), (name, t)
+        source = inspect.getsource(qbm.coefficients)
+        assert "root_dd" not in source and "root_dd_sep" not in source
 
 
 def _fine_mode_integral(p, n, t, panels=100, ratio=0.75):
@@ -352,9 +506,10 @@ class TestD1Quantum:
         assert loose.n_modes == default.n_modes == qbm.coefficients.N_MODES == 20000
         assert loose.modes == default.modes
         assert loose.white == default.white
-        # the mode part, 1.57874419427388, agrees with a 40-digit mpmath sum of
-        # the 20000 mode terms (1.5787441942738792)
-        assert default.value == pytest.approx(1.8604845752035863, rel=1e-12)
+        # the mode part, 1.5787441942738794, agrees with a 40-digit mpmath sum
+        # of the 20000 mode terms (1.5787441942738792), and the correlation
+        # term with a 40-digit sum of xi_q0 (-0.012108867860733258)
+        assert default.value == pytest.approx(1.8604845751780172, rel=1e-14)
         assert loose.value == pytest.approx(default.value, abs=1e-2)
 
 
@@ -441,7 +596,7 @@ class TestSigma1Quantum:
         pref = 8.0 * p.gamma * p.kT / p.M
         for t in (1e-4, 0.05, 8.0, 50.0):
             cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-            got = _sigma1_modes(p, n, t, cv, cvd)
+            got = _sigma1_modes(p, n, t, cv, cvd, float(sigma1_classical(p, t)))
             want = _fine_mode_integral(p, n, t)
             if regime == "near_crit" or t < 0.05:
                 bound = float(_sigma1_mode_bound(p, n, t, cq, cv, cvd)[0])

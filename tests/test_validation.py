@@ -1,7 +1,7 @@
 import pytest
 
 import qbm.validation
-from qbm import CheckResult, PoleWindow, ValidationReport, run_suite
+from qbm import CheckResult, PoleWindow, ValidationReport, derive, run_suite
 
 
 class TestReportStructures:
@@ -36,6 +36,7 @@ class TestSuites:
         assert any(n.startswith("xi-q0-routes") for n in names)
         assert "noise-kernel-routes" in names
         assert "quantum-variance-rate" in names
+        assert "quantum-stationary-variance" in names
         # quantum suites still run every classical cross-check
         assert "classical-variance-routes" in names
         assert "fpe-vs-analytic" in names
@@ -50,6 +51,17 @@ class TestSuites:
         (check,) = [c for c in rep.checks if c.name == "quantum-mode-sum-routes"]
         assert check.limit == 1e-9
         assert check.value < (1e-10 if regime == "near_crit" else 1e-12)
+
+    @pytest.mark.parametrize(
+        "args", [(1.0, 1.0, 0.16, 1.0), (1.0, 2.0, 1.0, 1.0), (1.0, 0.5, 1.0, 1.0),
+                 (1.0, 1.0, 0.16, 0.3)], ids=["over", "crit", "under", "over_cold"])
+    def test_quantum_stationary_variance(self, args):
+        # sigma1's classical base plus its mode part at t = 40/Re(lambda2)
+        # against the equilibrium variance <q^2>_N, summed directly
+        rep = run_suite(derive(*args, hbar=1.0), mode="quantum", quick=True)
+        (check,) = [c for c in rep.checks if c.name == "quantum-stationary-variance"]
+        assert check.limit == 1e-12
+        assert check.value < 1e-13
 
     def test_typed_fpe_failure_is_a_failed_check(self, p_over, monkeypatch):
         def aborting(*args, **kwargs):
