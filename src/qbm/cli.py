@@ -149,7 +149,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     ap.add_argument("--config", default=None, help="flat key-value settings file")
-    ap.add_argument("--threads", type=int, default=None, help="worker threads (or QBM_THREADS)")
+    ap.add_argument("--threads", type=int, default=None, help="sde ensemble threads (or QBM_THREADS)")
     ap.add_argument(
         "--validate",
         action="store_true",
@@ -263,8 +263,7 @@ def _cmd_coeffs(args) -> int:
     if t_min is None:
         t_min = 0.0 if mode == "classical" else args.t_max / (10.0 * args.n_points)
     grid = np.linspace(t_min, args.t_max, args.n_points)
-    table = build_table(p, grid, mode=mode, n_max=args.n_max, tol=args.tol,
-                        threads=_threads(args))
+    table = build_table(p, grid, mode=mode, n_max=args.n_max, tol=args.tol)
     table.to_csv(args.out)
     manifest_path = args.out + ".json"
     cfg = _effective(args, ("t_max", "n_points", "n_max", "tol", "out"))

@@ -12,8 +12,8 @@ Quantum coefficients decompose the bath noise correlation into a white-noise
 part plus Matsubara modes ``(4*gamma*M/beta)*[delta(tau) -
 (nu_n/2)*exp(-nu_n|tau|)]``.  The white part reproduces the classical
 coefficient.  Each mode's contribution R_n is elementary in chi_v(t) and
-chi_v_dot(t), and so are its sum over n <= N (``_mode_sums``) and that sum's
-time integral, the mode part of sigma1 (``_sigma1_modes``): t-independent
+chi_v_dot(t), and so are its sum over n <= N and that sum's time integral,
+the mode part of sigma1 (both from ``_mode_parts``): t-independent
 real sums plus a fast-decaying exponential series, at t alone, exact at the
 cutoff up to round-off and independent of N in cost.  No value is taken at a
 root, so critical damping is no edge.  The explicit sum of the per-mode
@@ -31,7 +31,9 @@ integral, a root-free sum at t alone.
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
 derivative sigma_dot = D1 + (2*k_B*T/M)*chi_v*chi_v_dot (no numerical
-differentiation).
+differentiation).  Its quantum columns come from one pass over the grid
+(``_quantum_columns``), of which ``d1_quantum_detail`` and ``sigma1_quantum``
+are one-point calls.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ from .errors import (
 from .model import PhysicalParams
 from .response import (
     _chi_all,
+    _omega_from_chi,
     chi_q,
     chi_v,
     coshm1c,
-    omega_drift,
     pole_times,
     sinhc,
     tanhc,
@@ -235,7 +237,7 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
 #   R_n = (chi_v/2)*L_(nu_n)*(w2*chi_v + nu_n*chi_v_dot - nu_n*exp(-nu_n*t)),
 #   int_0^t R_n = (L_(nu_n)/2)*(w2*A + nu_n*chi_v**2/2 - nu_n*J(nu_n)).
 # Summed over n they take the t-independent S0 = sum L_(nu_n), S1 = sum
-# nu_n*L_(nu_n) and sum -nu_n*L_(nu_n)*L(nu_n) (``_static_sum``), each a
+# nu_n*L_(nu_n) and sum -nu_n*L_(nu_n)*L(nu_n) (``_head_sums``), each a
 # direct head and a Hurwitz zeta tail, and exponential series cut where
 # nu_n*t > _EXP_CUT.  The modes with (nu_n + |lambda1|)*t < 1, where J(nu_n)
 # cancels, take their Taylor series in t (``_series_modes``); past them, a
@@ -334,34 +336,30 @@ def _l_series(p: PhysicalParams) -> np.ndarray:
     return np.array(u)
 
 
-def _head(p: PhysicalParams, nu: float, n_s: int, n_modes: int, excluded: list):
-    """The t-independent sums over n_s < n <= N outside ``excluded``, split at
-    n0 = min(N, max(n_s, ceil(8*|lambda1|/nu))): the head's rates, L_ and
-    sizes (:func:`_l_minus`), n0, and the tail's zeta sums and u_k."""
-    n0 = min(n_modes, max(n_s, math.ceil(8.0 * abs(p.lambda1) / nu)))
-    nu_n = _rates(nu, n_s, n0, excluded)
-    return nu_n, *_l_minus(p, nu_n), n0, _tail_zetas(nu, n0, n_modes), _l_series(p)
-
-
-def _s_sums(nu: float, head, n_modes: int):
-    """S0 = sum L_(nu_n) and S1 = sum nu_n*L_(nu_n) over the modes of ``head``,
-    and the absolute sizes of their terms.  The tails share one set of zeta
-    sums; S1's harmonic part is a digamma difference."""
-    nu_n, lm, lm_size, n0, zs, u = head
-    tail0 = _zeta_tail(u[:24], zs)
-    tail1 = (digamma(n_modes + 1.0) - digamma(n0 + 1.0)) / nu + _zeta_tail(u[1:], zs)
-    return (math.fsum(lm.tolist()) + tail0, math.fsum((nu_n * lm).tolist()) + tail1,
-            float(lm_size.sum()) + tail0, float(nu_n @ lm_size) + tail1)
-
-
-def _static_sum(p: PhysicalParams, head):
-    """sum -nu_n*L_(nu_n)*L(nu_n) = -nu_n/((nu_n**2 - lambda1**2)(nu_n**2 -
-    lambda2**2)) over the modes of ``head`` (real coefficients, no difference
-    over the roots), and the absolute size of its terms."""
-    nu_n, lm, lm_size, _, zs, u = head
-    f = nu_n / (nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M)  # nu_n*L(nu_n)
-    tail = -_zeta_tail(np.append(0.0, np.convolve(u, u * _SIGNS)[:23]), zs)
-    return math.fsum((-f * lm).tolist()) + tail, float(f @ lm_size) - tail
+def _head_sums(p: PhysicalParams, nu: float, n_s: int, n_modes: int, heads: dict):
+    """The t-independent sums over the modes n_s < n <= N, built once per n_s
+    in ``heads``: the modes E excluded near a root (:func:`_excluded_modes`),
+    and over the others S0 = sum L_(nu_n), S1 = sum nu_n*L_(nu_n) and the
+    static sum, sum -nu_n*L_(nu_n)*L(nu_n) = -nu_n/((nu_n**2 -
+    lambda1**2)(nu_n**2 - lambda2**2)) (real coefficients, no difference over
+    the roots), each with the absolute size of its terms (:func:`_l_minus`).
+    Each is a direct head up to n0 = min(N, max(n_s, ceil(8*|lambda1|/nu)))
+    plus a tail from one shared set of zeta sums; S1's harmonic part is a
+    digamma difference."""
+    if n_s not in heads:
+        excluded = _excluded_modes(p, nu, n_s, n_modes)
+        n0 = min(n_modes, max(n_s, math.ceil(8.0 * abs(p.lambda1) / nu)))
+        nu_n = _rates(nu, n_s, n0, excluded)
+        (lm, lm_size), zs, u = _l_minus(p, nu_n), _tail_zetas(nu, n0, n_modes), _l_series(p)
+        tail0 = _zeta_tail(u[:24], zs)
+        tail1 = (digamma(n_modes + 1.0) - digamma(n0 + 1.0)) / nu + _zeta_tail(u[1:], zs)
+        f = nu_n / (nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M)  # nu_n*L(nu_n)
+        tail_st = -_zeta_tail(np.append(0.0, np.convolve(u, u * _SIGNS)[:23]), zs)
+        heads[n_s] = (excluded, math.fsum(lm.tolist()) + tail0,
+                      math.fsum((nu_n * lm).tolist()) + tail1, float(lm_size.sum()) + tail0,
+                      float(nu_n @ lm_size) + tail1, math.fsum((-f * lm).tolist()) + tail_st,
+                      float(f @ lm_size) - tail_st)
+    return heads[n_s]
 
 
 def _exp_dd(t: float, *points):
@@ -405,12 +403,13 @@ def _excluded_int(p: PhysicalParams, nu_k: float, t: float, cv: float, cvd: floa
 
 
 def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float,
-                cv2_int: Optional[float] = None):
+                cv2_int: Optional[float], heads: dict):
     """sum_{n <= N} R_n(t) at one time t > 0, given chi_v and chi_v_dot, a
     bound on what it drops, and, given A = int_0^t chi_v**2, int_0^t sum_{n
     <= N} R_n (else None).  The bound is the exponential terms cut at nu_n*t >
     _EXP_CUT and the series terms past _SERIES_TERMS, plus the relative error
-    of :func:`_envelopes` times the absolute sizes of the terms summed."""
+    of :func:`_envelopes` times the absolute sizes of the terms summed.
+    ``heads`` holds the t-independent sums (:func:`_head_sums`)."""
     nu = p.matsubara_nu()
     g, w2 = p.gamma, p.omega0_sq / p.M
     vt, vd, eps_t = _envelopes(p, t)
@@ -418,9 +417,7 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
     ys, yi, size = _series_modes(p, nu, n_s, t)
     d, s, cut, r_k = [ys], [yi / 2.0], 0.0, 0.0  # d: parts of sum R_n/(chi_v/2)
     if n_s < n_modes:
-        excluded = _excluded_modes(p, nu, n_s, n_modes)
-        head = _head(p, nu, n_s, n_modes, excluded)
-        s0, s1, size0, size1 = _s_sums(nu, head, n_modes)
+        excluded, s0, s1, size0, size1, static, _ = _head_sums(p, nu, n_s, n_modes, heads)
         m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)
         nu_n = _rates(nu, n_s, m, excluded)
         lm, lm_size = _l_minus(p, nu_n)
@@ -429,7 +426,7 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
         size += w2 * vt * size0 + vd * size1 + float(e @ lm_size)
         if cv2_int is not None:
             pe = lm * e * ((nu_n + g) * cv + cvd) / (nu_n * (nu_n + g) + w2)
-            s += [math.fsum([w2 * s0 * cv2_int, s1 * cv * cv / 2.0, _static_sum(p, head)[0],
+            s += [math.fsum([w2 * s0 * cv2_int, s1 * cv * cv / 2.0, static,
                              math.fsum(pe.tolist())]) / 2.0]
             s += [_excluded_int(p, k * nu, t, cv, cvd, vt, vd)[0] for k in excluded]
         if m < n_modes:
@@ -445,11 +442,11 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
 
 
 def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form,
-    and a bound on what each value drops (:func:`_mode_parts`)."""
+    """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form, and
+    a bound on what each value drops (:func:`_mode_parts`; the times share heads)."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    cv, cvd = _chi_all(p, t)[1:]
-    parts = [_mode_parts(p, n_modes, ti, c, cd)[:2]
+    (cv, cvd), heads = _chi_all(p, t)[1:], {}
+    parts = [_mode_parts(p, n_modes, ti, c, cd, None, heads)[:2]
              for ti, c, cd in zip(t.tolist(), cv.tolist(), cvd.tolist())]
     return np.array([v for v, _ in parts]), np.array([b for _, b in parts])
 
@@ -506,30 +503,18 @@ def d1_quantum_detail(
     taken in closed form at N (:func:`_mode_parts`), so its cost does not grow
     with N.  ``tol`` does not change N: it is the tolerance of the
     correlation-term series and the target that ``tail_bound`` is held to.
+    A one-point call of :func:`_quantum_columns`, the pass of ``build_table``.
     """
-    nu = p.matsubara_nu()
+    p.matsubara_nu()  # HbarZero for classical parameters
     _check_tol(tol)
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
     n_modes = _n_modes(n_max)
-    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    white = (2.0 * p.gamma * p.kT / p.M) * cv * cv  # d1_classical
-    if p.gamma == 0.0:
-        return D1Result(white, white, 0.0, 0.0, 0, 0.0, 0.0)
-
-    pref = 8.0 * p.gamma * p.kT / p.M
-    sums, bound, _ = _mode_parts(p, n_modes, t, cv, cvd)
-    corr = 2.0 * cq * xi_q0_sum(p, t, tol=tol / (2.0 * abs(cq) + 1.0))
-    modes = pref * sums
-    return D1Result(
-        value=white + modes + corr,
-        white=white,
-        modes=modes,
-        correlation=corr,
-        n_modes=n_modes,
-        tail_bound=pref * bound,
-        log_coefficient=pref * (cvd * cv / 2.0) / nu,
-    )
+    ta = np.array([float(t)])
+    cols = _quantum_columns(p, n_modes, ta, *_chi_all(p, ta), tol)
+    white, modes, corr, bound, _, _, log_coefficient = (float(a[0]) for a in cols)
+    return D1Result(white + modes + corr, white, modes, corr,
+                    n_modes if p.gamma > 0.0 else 0, bound, log_coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +525,7 @@ def d1_quantum_detail(
 _CORR_HEAD_CAP = 1 << 17  # most terms that ``_sigma1_corr`` sums directly
 
 
-def _sigma1_modes(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float,
-                  base: float) -> float:
-    """int_0^t sum_{n <= N} R_n(u) du at one time t > 0 (:func:`_mode_parts`),
-    given chi_v(t), chi_v_dot(t) and ``base`` = sigma1_classical(t) =
-    (2*gamma*k_B*T/M)*int_0^t chi_v**2; :func:`_sigma1_mode_bound` bounds it."""
-    return _mode_parts(p, n_modes, t, cv, cvd, base * p.M / (2.0 * p.gamma * p.kT))[2]
-
-
-def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float) -> float:
+def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float, tails: dict) -> float:
     """2*int_0^t chi_q*xi_q0 du at one time t > 0, from chi_q(t), chi_v(t).
 
     xi_q0 = -2*gamma*k_B*T*sum_n nu_n*L(nu_n)*exp(-nu_n*u) with L(mu) =
@@ -558,7 +535,8 @@ def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float) -> float:
     -4*gamma*k_B*T*sum_n nu_n*L(nu_n)*K(nu_n): no root, and no pole at nu_n.
     Terms n <= n_h are summed directly: past them nu_n*t > _EXP_CUT unless
     _CORR_HEAD_CAP cuts, and nu_n >= 8*|lambda1|, where only the t-independent
-    nu_n*(nu_n + gamma)*L(nu_n)**2 is left (:func:`_zeta_tail`).
+    nu_n*(nu_n + gamma)*L(nu_n)**2 is left (:func:`_zeta_tail`), summed
+    once per n_h in ``tails``.
     """
     nu = p.matsubara_nu()
     g, w2 = p.gamma, p.omega0_sq / p.M
@@ -570,15 +548,17 @@ def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float) -> float:
     e = np.exp(nu_n * -t)
     L = 1.0 / (nu_n * (nu_n + g) + w2)
     terms = nu_n * L * L * ((nu_n + g) * (e * (1.0 - cq) - np.expm1(nu_n * -t)) + e * w2 * cv)
-    v = _l_series(p) * _SIGNS
-    vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
-    tail = _zeta_tail(vv + g * np.append(0.0, vv[:23]), _tail_zetas(nu, n_h))
-    return -4.0 * g * p.kT * (math.fsum(terms.tolist()) + tail)
+    if n_h not in tails:
+        v = _l_series(p) * _SIGNS
+        vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
+        tails[n_h] = _zeta_tail(vv + g * np.append(0.0, vv[:23]), _tail_zetas(nu, n_h))
+    return -4.0 * g * p.kT * (math.fsum(terms.tolist()) + tails[n_h])
 
 
-def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cq, cv, cvd) -> np.ndarray:
+def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cq, cv, cvd, heads: dict) -> np.ndarray:
     """Bound on what :func:`sigma1_quantum` drops of its two Matsubara sums
-    at each time of the array t (gamma > 0), given chi_q, chi_v, chi_v_dot.
+    at each time of the array t (gamma > 0), given chi_q, chi_v, chi_v_dot,
+    with the sums over every mode from ``heads`` (:func:`_head_sums`).
 
     Mode part: as for D1 (:func:`_mode_parts`), with each sum over the modes
     past the series majorised by the same sum over every mode.  Correlation
@@ -588,8 +568,7 @@ def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cq, cv, cvd) -> np.nd
     nu = p.matsubara_nu()
     t, cq, cv, cvd = (np.abs(np.atleast_1d(a).astype(np.float64)) for a in (t, cq, cv, cvd))
     g, w2 = p.gamma, p.omega0_sq / p.M
-    head = _head(p, nu, 0, n_modes, _excluded_modes(p, nu, 0, n_modes))
-    (_, _, size0, size1), static_size = _s_sums(nu, head, n_modes), _static_sum(p, head)[1]
+    _, _, _, size0, size1, _, static_size = _head_sums(p, nu, 0, n_modes, heads)
     modes = []
     for ti, c, cd in zip(t.tolist(), cv.tolist(), cvd.tolist()):
         vt, vd, eps_t = _envelopes(p, ti)
@@ -620,22 +599,50 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     Assembled as sigma1_classical + the integral of the mode sum + the
     correlation part 2*int_0^t chi_q*xi_q0, each in closed form at t alone.
     The mode part integrates the same cutoff-N sum as
-    :func:`d1_quantum_detail` (:func:`_sigma1_modes`), so sigma1' = D1 holds
-    at the truncated level; the correlation part takes the whole series of
-    xi_q0 (:func:`_sigma1_corr`).  ``build_table`` reports the bound on both
-    as ``sigma1_tail_bound_max``.
+    :func:`d1_quantum_detail`, so sigma1' = D1 holds at the truncated level;
+    the correlation part takes the whole series of xi_q0
+    (:func:`_sigma1_corr`).  A one-point call of :func:`_quantum_columns`,
+    the pass of ``build_table``, which reports the bound on both as
+    ``sigma1_tail_bound_max``.
     """
     p.matsubara_nu()  # HbarZero for classical parameters
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
     n_modes = _n_modes(n_max)
-    base = float(sigma1_classical(p, t))
-    if t == 0.0 or p.gamma == 0.0:
-        return base
+    if t == 0.0:
+        return 0.0
+    ta = np.array([float(t)])
+    return float(_quantum_columns(p, n_modes, ta, *_chi_all(p, ta), None)[4][0])
 
-    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    modes = 8.0 * p.gamma * p.kT / p.M * _sigma1_modes(p, n_modes, t, cv, cvd, base)
-    return base + modes + _sigma1_corr(p, t, cq, cv)
+
+def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndarray,
+                     cv: np.ndarray, cvd: np.ndarray, tol: Optional[float]) -> tuple:
+    """D1's white, mode and correlation parts and its bound, sigma1 and its
+    bound, and D1's log(N) coefficient at every time of the array t > 0,
+    given chi_q, chi_v and chi_v_dot there.  One :func:`_mode_parts` call a
+    time serves D1's mode sum, its bound and sigma1's mode part; each
+    t-independent sum is built once per call (``heads``, ``tails``).  ``tol``
+    is D1's correlation tolerance, or None to leave that part at 0 (for
+    sigma1 alone); a failing time raises naming its index."""
+    g = p.gamma
+    white = (2.0 * g * p.kT / p.M) * cv * cv  # d1_classical
+    base = np.atleast_1d(sigma1_classical(p, t))
+    if g == 0.0:
+        zero = np.zeros(len(t))
+        return white, zero, zero, zero, base, zero, zero
+    pref, heads, tails, rows = 8.0 * g * p.kT / p.M, {}, {}, []
+    for i, (ti, q, c, cd, b) in enumerate(zip(*(a.tolist() for a in (t, cq, cv, cvd, base)))):
+        try:
+            sums, bound, integral = _mode_parts(p, n_modes, ti, c, cd, b * p.M / (2.0 * g * p.kT),
+                                                heads)
+            corr = 0.0 if tol is None else 2.0 * q * xi_q0_sum(p, ti, tol=tol / (2.0 * abs(q) + 1.0))
+            rows.append((pref * sums, corr, pref * bound,
+                         b + pref * integral + _sigma1_corr(p, ti, q, c, tails)))
+        except QbmError as exc:
+            raise type(exc)(f"t_grid[{i}] = {ti}: {exc}") from exc
+    modes, corr, bound, s1 = (np.array(col) for col in zip(*rows))
+    return (white, modes, corr, bound, s1, _sigma1_mode_bound(p, n_modes, t, cq, cv, cvd, heads),
+            pref * (cvd * cv / 2.0) / p.matsubara_nu())
 
 
 # ---------------------------------------------------------------------------
@@ -765,17 +772,6 @@ class CoefficientTable:
         }
 
 
-def _ordered_map(threads: int, fn, *iterables) -> list:
-    """list(map(fn, *iterables)), over a thread pool when threads > 1; the
-    first failing call in order raises, whatever the thread count."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not loaded by a single-thread run
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, *iterables))
-    return list(map(fn, *iterables))
-
-
 def _pole_windows_for(p: PhysicalParams, t_max: float) -> list:
     """Intervals around underdamped chi_q zeros where |Omega| exceeds ~1/delta."""
     if p.regime != "underdamped":
@@ -794,13 +790,14 @@ def build_table(
 ) -> CoefficientTable:
     """Evaluate all coefficient columns on a time grid.
 
-    Classical columns are vectorized closed forms.  Quantum columns evaluate
-    pointwise (optionally across a thread pool — the computations are pure)
-    at the mode cutoff N = ``n_max`` (``N_MODES`` if None), which the table
-    records.  sigma_q and d_fpe are assembled here, in both modes, from d1,
-    sigma1 and the response functions.  Points inside pole windows get NaN
+    Classical columns are vectorized closed forms.  Quantum columns come from
+    one pass over the grid (:func:`_quantum_columns`) at the mode cutoff N =
+    ``n_max`` (``N_MODES`` if None), which the table records.  The response
+    functions are evaluated once on the grid; sigma_q and d_fpe are assembled
+    here from them, d1 and sigma1.  Points inside pole windows get NaN
     omega/d_fpe and the window is annotated; any other per-point failure
-    aborts with the grid index named.
+    aborts with the grid index named.  ``threads`` is ignored: the table is
+    built on the calling thread.
     """
     t_arr = np.asarray(t_grid, dtype=np.float64)
     if t_arr.ndim != 1 or len(t_arr) == 0:
@@ -825,36 +822,26 @@ def build_table(
 
     omega = np.full(len(t_arr), np.nan)
     dq = np.full(len(t_arr), np.nan)
+    cq, cv, cvd = _chi_all(p, t_arr)
     ok = ~in_window
     if ok.any():
-        omega[ok] = np.atleast_1d(omega_drift(p, t_arr[ok]))
+        omega[ok] = _omega_from_chi(p, t_arr[ok], cq[ok], cv[ok])
 
     diagnostics: dict = {}
-    cq, cv, cvd = _chi_all(p, t_arr)
     if mode == "classical":
         d1 = np.atleast_1d(d1_classical(p, t_arr))
         s1 = np.atleast_1d(sigma1_classical(p, t_arr))
         sq = np.atleast_1d(sigma_cl_closed(p, t_arr))
     else:
-        def one(i: int):
-            try:
-                return (d1_quantum_detail(p, float(t_arr[i]), n_max, tol),
-                        sigma1_quantum(p, float(t_arr[i]), n_max))
-            except QbmError as exc:
-                raise type(exc)(f"t_grid[{i}] = {t_arr[i]}: {exc}") from exc
-
-        dets, s1 = zip(*_ordered_map(threads, one, range(len(t_arr))))
-        d1 = np.array([det.value for det in dets])
-        s1 = np.array(s1)
+        white, modes, corr, tails, s1, s1_tails, log_coefficient = _quantum_columns(
+            p, n_max, t_arr, cq, cv, cvd, tol)
+        d1 = white + modes + corr
         sq = s1 + (p.kT / p.M) * cv * cv
-        tails = np.array([det.tail_bound for det in dets])
-        s1_tails = (_sigma1_mode_bound(p, n_max, t_arr, cq, cv, cvd) if p.gamma > 0.0
-                    else np.zeros(len(t_arr)))
         diagnostics = {
             "d1_tail_bound_max": float(np.max(tails)),
             "sigma1_tail_bound_max": float(np.max(s1_tails)),
-            "d1_log_coefficient_max": float(np.max(np.abs([det.log_coefficient for det in dets]))),
-            "n_modes_max": float(np.max([det.n_modes for det in dets])),
+            "d1_log_coefficient_max": float(np.max(np.abs(log_coefficient))),
+            "n_modes_max": float(n_max if p.gamma > 0.0 else 0),
             # whether every value at the cutoff met tol; reported, not hidden
             "tol_met": bool(max(np.max(tails), np.max(s1_tails)) <= tol),
         }

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv as _gtsv
+from numpy.linalg import LinAlgError
 
 from .coefficients import CoefficientTable, build_table
 from .errors import CFLViolation, GridMismatch, NonFiniteState, UnresolvedGrid
@@ -49,6 +48,7 @@ __all__ = [
 
 _SCHEMES = ("cn-central", "split-upwind")
 _BOUNDARIES = ("zero-flux", "absorbing")
+_gtsv = None  # LAPACK dgtsv, bound by the first solve_banded: only FPE runs load scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,9 @@ def _flux_tridiag(grid: StepGrid, om: float, dc: float):
 
 def solve_banded(lower, diag, upper, rhs):
     """Tridiagonal solve by LAPACK gtsv; overwrites all four arrays."""
+    global _gtsv
+    if _gtsv is None:
+        from scipy.linalg.lapack import dgtsv as _gtsv
     x, info = _gtsv(lower, diag, upper, rhs, True, True, True, True)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")

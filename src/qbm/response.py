@@ -191,6 +191,11 @@ def omega_drift(p: PhysicalParams, t):
     """
     ta = _time_array(t)
     cq, cv, _ = _chi_all(p, ta)
+    return _shaped(_omega_from_chi(p, ta, cq, cv), t)
+
+
+def _omega_from_chi(p: PhysicalParams, ta: np.ndarray, cq: np.ndarray, cv: np.ndarray):
+    """:func:`omega_drift` on the times ta, from chi_q and chi_v there."""
     env = np.exp(-p.gamma * ta / 2.0) * (1.0 + p.gamma * ta / 2.0)
     bad = np.abs(cq) < _CHI_Q_FLOOR * env
     if bad.any():
@@ -201,8 +206,7 @@ def omega_drift(p: PhysicalParams, t):
             f"chi_q vanishes near t = {t_bad:.6g}; Omega undefined there",
             pole_time=nearest,
         )
-    out = -(p.omega0_sq / p.M) * cv / cq
-    return _shaped(out, t)
+    return -(p.omega0_sq / p.M) * cv / cq
 
 
 def omega_drift_closed(p: PhysicalParams, t):

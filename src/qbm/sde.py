@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .coefficients import CoefficientTable, _ordered_map
+from .coefficients import CoefficientTable
 from .errors import CFLViolation, GridMismatch, NonFiniteState
 from .model import PhysicalParams
 
@@ -217,7 +217,13 @@ def _ensemble(label, times, t0, n_paths, seed, threads, sample_times, keep_paths
         return mom, s, snaps, traj
 
     sizes = _block_sizes(n_paths)
-    results = _ordered_map(threads, one_block, range(_N_BLOCKS), sizes)
+    if threads > 1:  # as with map, the first failing block in order raises
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by a single-thread run
+
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(one_block, range(_N_BLOCKS), sizes))
+    else:
+        results = list(map(one_block, range(_N_BLOCKS), sizes))
     n_var = len(results[0][1])
     moments = [_combine([r[0][i] for r in results], sizes) for i in range(n_var)]
     final = [np.concatenate([r[1][i] for r in results]) for i in range(n_var)]

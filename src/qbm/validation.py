@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import (
+    _mode_parts,
     _mode_r,
     _mode_sums,
-    _sigma1_modes,
     d1_classical,
     d1_quantum_detail,
     d_cl_closed,
@@ -187,8 +187,9 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
         if p.gamma > 0:
             ti, w2 = 40.0 / p.lambda2.real, p.omega0_sq / p.M
             base = float(sigma1_classical(p, ti))
-            s_inf = base + 8.0 * p.gamma * p.kT / p.M * _sigma1_modes(
-                p, nmx, ti, float(chi_v(p, ti)), float(chi_v_dot(p, ti)), base)
+            s_inf = base + 8.0 * p.gamma * p.kT / p.M * _mode_parts(
+                p, nmx, ti, float(chi_v(p, ti)), float(chi_v_dot(p, ti)),
+                base * p.M / (2.0 * p.gamma * p.kT), {})[2]
             nu_n = np.arange(1.0, nmx + 1) * nu
             q2 = p.kT / p.M * (1.0 / w2 + 2.0 * math.fsum((1.0 / (w2 + nu_n * (nu_n + p.gamma))).tolist()))
             check("quantum-stationary-variance", abs(s_inf - q2) / q2, 1e-12,

@@ -30,11 +30,11 @@ from qbm import (
 import qbm.coefficients
 import qbm.special
 from qbm.coefficients import (
+    _mode_parts,
     _mode_r,
     _mode_sums,
     _sigma1_corr,
     _sigma1_mode_bound,
-    _sigma1_modes,
 )
 from qbm.response import _chi_all
 
@@ -369,6 +369,11 @@ MODE_SUM_REFERENCE = {
 }
 
 
+def _sigma1_modes(p, n, t, cv, cvd, base):
+    """The mode part of sigma1 at one time, given sigma1_classical(t) = base."""
+    return _mode_parts(p, n, t, cv, cvd, base * p.M / (2.0 * p.gamma * p.kT), {})[2]
+
+
 def _reference_params(name):
     return derive(*REFERENCE_FIXTURES[name], hbar=1.0)
 
@@ -390,7 +395,7 @@ class TestRootFreeModeSums:
         # each bound covers the error of its value
         pref = 8.0 * p.gamma * p.kT / p.M
         assert abs(got_d1 - want_d1) <= bound_d1
-        assert pref * abs(got_s1 - want_s1) <= _sigma1_mode_bound(p, n, t, cq, cv, cvd)[0]
+        assert pref * abs(got_s1 - want_s1) <= _sigma1_mode_bound(p, n, t, cq, cv, cvd, {})[0]
 
     def test_production_path_takes_no_root_rule(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -476,8 +481,12 @@ class TestD1Quantum:
         with pytest.raises(InvalidInput, match="tol"):
             fn(pq_over, 0.5, tol=tol)
 
-    @pytest.mark.parametrize("fn", [d1_quantum_detail, sigma1_quantum])
+    @pytest.mark.parametrize("fn", [
+        d1_quantum_detail, sigma1_quantum,
+        pytest.param(lambda p, t: build_table(p, np.array([t / 2.0, t]), mode="quantum"),
+                     id="build_table")])
     def test_one_response_evaluation_per_point(self, pq_over, monkeypatch, fn):
+        # one chi evaluation per point, and one per table with Omega included
         real, calls = qbm.response._chi_all, []
 
         def counting(p, t):
@@ -489,7 +498,7 @@ class TestD1Quantum:
         for t in (0.05, 8.0):
             calls.clear()
             fn(pq_over, t)
-            assert len(calls) <= 1, t
+            assert len(calls) == 1, t
 
     def test_rejects_bad_n_max(self, pq_over):
         with pytest.raises(ValueError):
@@ -539,7 +548,7 @@ class TestSigma1Quantum:
     def test_correlation_part_at_critical_damping(self, pq_crit, t, want):
         # 25-digit values of 2*int_0^t chi_q*xi_q0
         cq, cv, _ = (float(a[0]) for a in _chi_all(pq_crit, t))
-        assert _sigma1_corr(pq_crit, t, cq, cv) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert _sigma1_corr(pq_crit, t, cq, cv, {}) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "regime, t, want",
@@ -551,7 +560,7 @@ class TestSigma1Quantum:
         # the closed form needs no root, so near critical damping is no edge
         p = request.getfixturevalue(f"pq_{regime}")
         cq, cv, _ = (float(a[0]) for a in _chi_all(p, t))
-        assert _sigma1_corr(p, t, cq, cv) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert _sigma1_corr(p, t, cq, cv, {}) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
@@ -568,7 +577,7 @@ class TestSigma1Quantum:
 
         def corr(u):
             cq, cv, _ = (float(a[0]) for a in _chi_all(p, u))
-            return _sigma1_corr(p, u, cq, cv)
+            return _sigma1_corr(p, u, cq, cv, {})
 
         xi = xi_q0_sum(p, t, tol=1e-14)
         diff = (corr(t + h) - corr(t - h)) / (2.0 * h)
@@ -599,7 +608,7 @@ class TestSigma1Quantum:
             got = _sigma1_modes(p, n, t, cv, cvd, float(sigma1_classical(p, t)))
             want = _fine_mode_integral(p, n, t)
             if regime == "near_crit" or t < 0.05:
-                bound = float(_sigma1_mode_bound(p, n, t, cq, cv, cvd)[0])
+                bound = float(_sigma1_mode_bound(p, n, t, cq, cv, cvd, {})[0])
                 assert pref * abs(got - want) <= bound, t
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
@@ -609,7 +618,7 @@ class TestSigma1Quantum:
         # (|lambda1|/nu)**2/nu**3 and read 1e-7, a false "tol not met"
         p = derive(1.0, 1.0, 0.16, 0.003, hbar=1.0)
         t = np.array([0.05, 1.2, 8.0])
-        bound = _sigma1_mode_bound(p, 20000, t, *_chi_all(p, t))
+        bound = _sigma1_mode_bound(p, 20000, t, *_chi_all(p, t), {})
         assert np.all(bound <= 1e-10)
 
     def test_no_mode_sum_on_nodes(self, pq_over, monkeypatch):
@@ -618,6 +627,16 @@ class TestSigma1Quantum:
 
         monkeypatch.setattr(qbm.coefficients, "_mode_sums", no_mode_sums)
         assert math.isfinite(sigma1_quantum(pq_over, 0.5))
+
+    def test_takes_no_correlation_series_of_d1(self, pq_over, monkeypatch):
+        # sigma1 has its own correlation part; D1's xi_q0 series, whose tail
+        # bound divides by 1 - exp(-nu*t), is not summed, so t = 1e-18 works
+        def no_xi(*args, **kwargs):
+            raise AssertionError("xi_q0_sum called")
+
+        monkeypatch.setattr(qbm.coefficients, "xi_q0_sum", no_xi)
+        for t in (1e-18, 0.5):
+            assert math.isfinite(sigma1_quantum(pq_over, t))
 
     def test_exceeds_classical_variance(self, pq_over):
         # quantum bath adds fluctuation on top of the white-noise part
@@ -696,6 +715,26 @@ class TestCoefficientTable:
         np.testing.assert_array_equal(a.sigma_q, b.sigma_q)
         assert "d1_tail_bound_max" in a.diagnostics
 
+    @pytest.mark.parametrize("name", ["over", "under", "crit", "near_crit", "strong", "cold"])
+    def test_columns_equal_the_one_point_functions(self, name, request):
+        # the table's one pass over the grid and the one-point entry points
+        # agree byte for byte at every row, and the diagnostics are the
+        # maxima of the one-point bounds
+        p = (derive(1.0, 20.0, 1.0, 1.0, hbar=1.0) if name == "strong"
+             else derive(1.0, 1.0, 0.16, 0.003, hbar=1.0) if name == "cold"
+             else request.getfixturevalue(f"pq_{name}"))
+        grid = [1e-3, 0.05, 0.3, 1.2, 8.0, 50.0]
+        table = build_table(p, np.array(grid), mode="quantum")
+        dets = [d1_quantum_detail(p, t) for t in grid]
+        assert table.d1.tobytes() == np.array([d.value for d in dets]).tobytes()
+        assert table.sigma1.tobytes() == np.array([sigma1_quantum(p, t) for t in grid]).tobytes()
+        n = qbm.coefficients.N_MODES
+        s1_bounds = [_sigma1_mode_bound(p, n, np.array([t]), *_chi_all(p, t), {})[0] for t in grid]
+        assert table.diagnostics["d1_tail_bound_max"] == max(d.tail_bound for d in dets)
+        assert table.diagnostics["sigma1_tail_bound_max"] == max(s1_bounds)
+        assert table.diagnostics["d1_log_coefficient_max"] == max(
+            abs(d.log_coefficient) for d in dets)
+
     def test_quantum_csv_roundtrip(self, pq_over, tmp_path):
         grid = np.linspace(0.2, 1.0, 4)
         table = build_table(pq_over, grid, mode="quantum", n_max=200)
@@ -705,17 +744,18 @@ class TestCoefficientTable:
         np.testing.assert_allclose(data["sigma_q"], table.sigma_q, rtol=1e-15)
 
     def test_threaded_failure_names_grid_point(self, pq_over, monkeypatch):
-        real = qbm.coefficients.d1_quantum_detail
+        # a row of the table's one pass fails inside the correlation series
+        real = qbm.coefficients.xi_q0_sum
 
-        def failing_at_06(p, t, n_max=None, tol=1e-8):
+        def failing_at_06(p, t, n_max=None, tol=1e-12):
             if t == 0.6:
                 raise TailNotBounded("cannot certify")
             return real(p, t, n_max, tol)
 
-        monkeypatch.setattr(qbm.coefficients, "d1_quantum_detail", failing_at_06)
+        monkeypatch.setattr(qbm.coefficients, "xi_q0_sum", failing_at_06)
         grid = np.array([0.2, 0.6, 1.0])
         with pytest.raises(TailNotBounded, match=r"^t_grid\[1\] = 0\.6: cannot certify$") as exc:
-            build_table(pq_over, grid, mode="quantum", n_max=50, threads=2)
+            build_table(pq_over, grid, mode="quantum", n_max=50)
         assert isinstance(exc.value.__cause__, TailNotBounded)
 
     def test_tol_met_at_default_settings(self, pq_over):
@@ -740,7 +780,8 @@ class TestCoefficientTable:
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was computed")
 
-        for name in ("d1_quantum_detail", "sigma1_quantum", "d1_classical"):
+        for name in ("d1_quantum_detail", "sigma1_quantum", "d1_classical", "_quantum_columns",
+                     "_mode_parts"):
             monkeypatch.setattr(qbm.coefficients, name, no_rows)
         with pytest.raises(InvalidInput, match="tol"):
             build_table(pq_over, np.array([0.5, 1.0]), mode=mode, tol=tol)

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +240,20 @@ def test_lean_kernel_matches_reference_assembly(scheme, boundary, om, n):
     want = _reference_step(rho, q, np.float64(om), 0.9, 2e-3, scheme, boundary)
     got = step(rho, StepGrid(q, scheme, boundary), om, 0.9, 2e-3)
     assert got.tobytes() == want.tobytes()
+
+
+def test_lapack_loads_with_the_first_solve():
+    # runs that solve no FPE (coeffs, sde, validate) never load scipy.linalg;
+    # a step taken without solve binds gtsv itself
+    code = (
+        "import sys, numpy as np, qbm\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "grid = qbm.StepGrid(np.linspace(-1.0, 1.0, 9), 'cn-central', 'zero-flux')\n"
+        "rho = qbm.step(np.full(9, 0.5), grid, -0.5, 1.0, 1e-3)\n"
+        "assert np.all(np.isfinite(rho)) and 'scipy.linalg' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_singular_solve_raises():
