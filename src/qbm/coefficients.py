@@ -32,8 +32,8 @@ integral, a root-free sum at t alone.
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
 derivative sigma_dot = D1 + (2*k_B*T/M)*chi_v*chi_v_dot (no numerical
 differentiation).  Its quantum columns come from one pass over the grid
-(``_quantum_columns``), of which ``d1_quantum_detail`` and ``sigma1_quantum``
-are one-point calls.
+(``_quantum_columns``), whose rows ``d1_quantum_detail`` and ``sigma1_quantum``
+take at one time.
 """
 
 from __future__ import annotations
@@ -404,18 +404,20 @@ def _excluded_int(p: PhysicalParams, nu_k: float, t: float, cv: float, cvd: floa
 
 def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float,
                 cv2_int: Optional[float], heads: dict):
-    """sum_{n <= N} R_n(t) at one time t > 0, given chi_v and chi_v_dot, a
-    bound on what it drops, and, given A = int_0^t chi_v**2, int_0^t sum_{n
-    <= N} R_n (else None).  The bound is the exponential terms cut at nu_n*t >
-    _EXP_CUT and the series terms past _SERIES_TERMS, plus the relative error
-    of :func:`_envelopes` times the absolute sizes of the terms summed.
-    ``heads`` holds the t-independent sums (:func:`_head_sums`)."""
+    """sum_{n <= N} R_n(t) at one time t > 0, given chi_v and chi_v_dot, a bound
+    on what it drops, and, given A = int_0^t chi_v**2, int_0^t sum_{n <= N} R_n
+    and a bound on that (else None, None).  The bounds are the exponential
+    terms cut at nu_n*t > _EXP_CUT and the series terms past _SERIES_TERMS,
+    plus the relative error of :func:`_envelopes` times the absolute sizes of
+    the terms summed, for the integral with each sum over the modes past the
+    series majorised by the sum over every mode (``heads``, :func:`_head_sums`)."""
     nu = p.matsubara_nu()
     g, w2 = p.gamma, p.omega0_sq / p.M
     vt, vd, eps_t = _envelopes(p, t)
     n_s = _series_count(p, nu, n_modes, t)
     ys, yi, size = _series_modes(p, nu, n_s, t)
     d, s, cut, r_k = [ys], [yi / 2.0], 0.0, 0.0  # d: parts of sum R_n/(chi_v/2)
+    m, excluded, excluded_size = n_modes, [], 0.0
     if n_s < n_modes:
         excluded, s0, s1, size0, size1, static, _ = _head_sums(p, nu, n_s, n_modes, heads)
         m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)
@@ -428,7 +430,9 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
             pe = lm * e * ((nu_n + g) * cv + cvd) / (nu_n * (nu_n + g) + w2)
             s += [math.fsum([w2 * s0 * cv2_int, s1 * cv * cv / 2.0, static,
                              math.fsum(pe.tolist())]) / 2.0]
-            s += [_excluded_int(p, k * nu, t, cv, cvd, vt, vd)[0] for k in excluded]
+            parts = [_excluded_int(p, k * nu, t, cv, cvd, vt, vd) for k in excluded]
+            s += [v for v, _ in parts]
+            excluded_size = sum(v for _, v in parts)
         if m < n_modes:
             # |nu_n*L_(nu_n)| <= 4n/nu once the mode nearest each root is out
             x = math.exp(-nu * t)
@@ -436,9 +440,21 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
         for k in excluded:  # R_k = -(chi_v/2)*(nu_k*E[nu_k, lambda1, lambda2] - chi_v)
             e3 = k * nu * _exp_dd(t, k * nu, *_roots(p))
             r_k, size = r_k + float(np.real(-cv / 2.0 * (e3 - cv))), size + abs(e3) + vt
-    return (cv / 2.0 * math.fsum(d) + r_k,
-            abs(cv) / 2.0 * (cut + n_s * _SERIES_CUT * t) + eps_t * vt / 2.0 * size,
-            None if cv2_int is None else math.fsum(s))
+    value = cv / 2.0 * math.fsum(d) + r_k
+    bound = abs(cv) / 2.0 * (cut + n_s * _SERIES_CUT * t) + eps_t * vt / 2.0 * size
+    if cv2_int is None:
+        return value, bound, None, None
+    # an exponential term is at most (|L_|*|chi_v| + |nu_n*L_*L|*|chi_v_dot|)*
+    # exp(-nu_n*t), as nu_n*(nu_n + gamma)*L(nu_n) <= 1, and past the series
+    # |L_| <= 4/nu**2; A <= min(t**3/3, A(inf) = 1/(2*gamma*w2)); a series
+    # mode's terms are at most e**2*t**3/2 and drop at most _SERIES_CUT*e*t**3
+    _, _, _, size0, size1, _, static_size = _head_sums(p, nu, 0, n_modes, heads)
+    cut = 0.0 if m >= n_modes else (4.0 / nu**2 * (abs(cv) + abs(cvd) / nu)
+                                    * math.exp(-nu * t * (m + 1)) / -math.expm1(-nu * t))
+    size = ((w2 * min(t**3 / 3.0, 0.5 / (g * w2)) + vt) * size0 + vt * vt / 2.0 * size1
+            + (1.0 + vd) * static_size + n_s * math.e**2 * t**3 / 2.0) / 2.0 + excluded_size
+    return (value, bound, math.fsum(s),
+            (cut + n_s * _SERIES_CUT * math.e * t**3) / 2.0 + eps_t * size)
 
 
 def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarray]:
@@ -490,6 +506,9 @@ class D1Result:
     log_coefficient: float
 
 
+_NO_BATH = D1Result(0.0, 0.0, 0.0, 0.0, 0, 0.0, 0.0)  # D1 at gamma = 0
+
+
 def d1_quantum_detail(
     p: PhysicalParams,
     t: float,
@@ -503,18 +522,28 @@ def d1_quantum_detail(
     taken in closed form at N (:func:`_mode_parts`), so its cost does not grow
     with N.  ``tol`` does not change N: it is the tolerance of the
     correlation-term series and the target that ``tail_bound`` is held to.
-    A one-point call of :func:`_quantum_columns`, the pass of ``build_table``.
-    """
+    The row of :func:`_quantum_columns`, ``build_table``'s pass, at one time."""
     p.matsubara_nu()  # HbarZero for classical parameters
     _check_tol(tol)
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
     n_modes = _n_modes(n_max)
-    ta = np.array([float(t)])
-    cols = _quantum_columns(p, n_modes, ta, *_chi_all(p, ta), tol)
-    white, modes, corr, bound, _, _, log_coefficient = (float(a[0]) for a in cols)
-    return D1Result(white + modes + corr, white, modes, corr,
-                    n_modes if p.gamma > 0.0 else 0, bound, log_coefficient)
+    if p.gamma == 0.0:
+        return _NO_BATH
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+    sums, bound, _, _ = _mode_parts(p, n_modes, t, cv, cvd, None, {})
+    return _d1_row(p, n_modes, t, cq, cv, cvd, tol, sums, bound)
+
+
+def _d1_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float, cvd: float,
+            tol: float, sums: float, bound: float) -> D1Result:
+    """D1 at one time t > 0 (gamma > 0), given chi_q, chi_v and chi_v_dot
+    there and the mode sum at the cutoff with its bound (:func:`_mode_parts`)."""
+    pref, white = 8.0 * p.gamma * p.kT / p.M, (2.0 * p.gamma * p.kT / p.M) * cv * cv
+    corr = 2.0 * cq * xi_q0_sum(p, t, tol=tol / (2.0 * abs(cq) + 1.0))
+    modes = pref * sums
+    return D1Result(white + modes + corr, white, modes, corr, n_modes, float(pref * bound),
+                    pref * (cvd * cv / 2.0) / p.matsubara_nu())
 
 
 # ---------------------------------------------------------------------------
@@ -555,42 +584,19 @@ def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float, tails: dict)
     return -4.0 * g * p.kT * (math.fsum(terms.tolist()) + tails[n_h])
 
 
-def _sigma1_mode_bound(p: PhysicalParams, n_modes: int, t, cq, cv, cvd, heads: dict) -> np.ndarray:
-    """Bound on what :func:`sigma1_quantum` drops of its two Matsubara sums
-    at each time of the array t (gamma > 0), given chi_q, chi_v, chi_v_dot,
-    with the sums over every mode from ``heads`` (:func:`_head_sums`).
-
-    Mode part: as for D1 (:func:`_mode_parts`), with each sum over the modes
-    past the series majorised by the same sum over every mode.  Correlation
-    part: the exponential terms past its head, and round-off of terms at most
-    3/nu_n**2 + (omega0_sq/M)*|chi_v|/nu_n**3 in magnitude.
-    """
-    nu = p.matsubara_nu()
-    t, cq, cv, cvd = (np.abs(np.atleast_1d(a).astype(np.float64)) for a in (t, cq, cv, cvd))
-    g, w2 = p.gamma, p.omega0_sq / p.M
-    _, _, _, size0, size1, _, static_size = _head_sums(p, nu, 0, n_modes, heads)
-    modes = []
-    for ti, c, cd in zip(t.tolist(), cv.tolist(), cvd.tolist()):
-        vt, vd, eps_t = _envelopes(p, ti)
-        n_s = _series_count(p, nu, n_modes, ti)
-        m = min(n_modes, math.ceil(_EXP_CUT / (nu * ti)) + 1)
-        # an exponential term is at most (|L_|*|chi_v| + |nu_n*L_*L|*|chi_v_dot|)*
-        # exp(-nu_n*t), as nu_n*(nu_n + gamma)*L(nu_n) <= 1, and past the series
-        # |L_| <= 4/nu**2; A <= min(t**3/3, A(inf) = 1/(2*gamma*w2)); a series
-        # mode's terms are at most e**2*t**3/2 and drop at most _SERIES_CUT*e*t**3
-        cut = 0.0 if m >= n_modes else (4.0 / nu**2 * (c + cd / nu) * math.exp(-nu * ti * (m + 1))
-                                        / -math.expm1(-nu * ti))
-        size = ((w2 * min(ti**3 / 3.0, 0.5 / (g * w2)) + vt) * size0 + vt * vt / 2.0 * size1
-                + (1.0 + vd) * static_size + n_s * math.e**2 * ti**3 / 2.0) / 2.0
-        size += sum(_excluded_int(p, k * nu, ti, c, cd, vt, vd)[1]
-                    for k in _excluded_modes(p, nu, n_s, n_modes))
-        modes.append((cut + n_s * _SERIES_CUT * math.e * ti**3) / 2.0 + eps_t * size)
-    # a correlation term n is at most exp(-nu_n*t)*(cq + w2*cv/nu_n)/nu_n**2; the
-    # terms past the head, which has at least nu_h/nu - 1 terms, sum geometrically
+def _sigma1_bound(p: PhysicalParams, t, cq, cv, modes):
+    """Bound on what sigma1 drops of its two Matsubara sums at times t > 0
+    (floats or arrays, gamma > 0), given chi_q, chi_v and the mode part's
+    bound (:func:`_mode_parts`).  A correlation term n is at most
+    exp(-nu_n*t)*(|chi_q| + w2*|chi_v|/nu_n)/nu_n**2: the terms past the head,
+    which has at least nu_h/nu - 1 terms, sum geometrically; round-off is of
+    terms at most 3/nu_n**2 + w2*|chi_v|/nu_n**3 in magnitude."""
+    nu, w2 = p.matsubara_nu(), p.omega0_sq / p.M
+    cq, cv = np.abs(cq), np.abs(cv)
     nu_h = nu * (np.minimum(np.ceil(_EXP_CUT / (nu * t)) + 1.0, _CORR_HEAD_CAP) + 1.0)
     corr_cut = (cq + w2 * cv / nu_h) / nu_h**2 * np.exp(-nu_h * t) / -np.expm1(-nu * t)
     corr = corr_cut + _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * cv / nu**3)  # zeta(2), zeta(3)
-    return g * p.kT * (8.0 / p.M * np.array(modes) + 4.0 * corr)
+    return p.gamma * p.kT * (8.0 / p.M * modes + 4.0 * corr)
 
 
 def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> float:
@@ -601,48 +607,42 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     The mode part integrates the same cutoff-N sum as
     :func:`d1_quantum_detail`, so sigma1' = D1 holds at the truncated level;
     the correlation part takes the whole series of xi_q0
-    (:func:`_sigma1_corr`).  A one-point call of :func:`_quantum_columns`,
-    the pass of ``build_table``, which reports the bound on both as
-    ``sigma1_tail_bound_max``.
-    """
+    (:func:`_sigma1_corr`).  The row of :func:`_quantum_columns`,
+    ``build_table``'s pass, at one time; the table reports the bound on both
+    sums as ``sigma1_tail_bound_max``."""
     p.matsubara_nu()  # HbarZero for classical parameters
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
     n_modes = _n_modes(n_max)
-    if t == 0.0:
-        return 0.0
-    ta = np.array([float(t)])
-    return float(_quantum_columns(p, n_modes, ta, *_chi_all(p, ta), None)[4][0])
+    base = float(sigma1_classical(p, t))
+    if t == 0.0 or p.gamma == 0.0:
+        return base
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+    integral = _mode_parts(p, n_modes, t, cv, cvd, base * p.M / (2.0 * p.gamma * p.kT), {})[2]
+    return base + 8.0 * p.gamma * p.kT / p.M * integral + _sigma1_corr(p, t, cq, cv, {})
 
 
 def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndarray,
-                     cv: np.ndarray, cvd: np.ndarray, tol: Optional[float]) -> tuple:
-    """D1's white, mode and correlation parts and its bound, sigma1 and its
-    bound, and D1's log(N) coefficient at every time of the array t > 0,
-    given chi_q, chi_v and chi_v_dot there.  One :func:`_mode_parts` call a
-    time serves D1's mode sum, its bound and sigma1's mode part; each
-    t-independent sum is built once per call (``heads``, ``tails``).  ``tol``
-    is D1's correlation tolerance, or None to leave that part at 0 (for
-    sigma1 alone); a failing time raises naming its index."""
-    g = p.gamma
-    white = (2.0 * g * p.kT / p.M) * cv * cv  # d1_classical
+                     cv: np.ndarray, cvd: np.ndarray, tol: float) -> tuple:
+    """D1 (a :class:`D1Result` a time), sigma1 and sigma1's bound at every
+    time of the array t > 0, given chi_q, chi_v and chi_v_dot there.  One
+    :func:`_mode_parts` call a time serves D1 (:func:`_d1_row`) and sigma1;
+    each t-independent sum is built once per call (``heads``, ``tails``)."""
     base = np.atleast_1d(sigma1_classical(p, t))
-    if g == 0.0:
-        zero = np.zeros(len(t))
-        return white, zero, zero, zero, base, zero, zero
-    pref, heads, tails, rows = 8.0 * g * p.kT / p.M, {}, {}, []
+    if p.gamma == 0.0:
+        return [_NO_BATH] * len(t), base, np.zeros(len(t))
+    heads, tails, rows = {}, {}, []
     for i, (ti, q, c, cd, b) in enumerate(zip(*(a.tolist() for a in (t, cq, cv, cvd, base)))):
         try:
-            sums, bound, integral = _mode_parts(p, n_modes, ti, c, cd, b * p.M / (2.0 * g * p.kT),
-                                                heads)
-            corr = 0.0 if tol is None else 2.0 * q * xi_q0_sum(p, ti, tol=tol / (2.0 * abs(q) + 1.0))
-            rows.append((pref * sums, corr, pref * bound,
-                         b + pref * integral + _sigma1_corr(p, ti, q, c, tails)))
+            sums, bound, integral, mode_bound = _mode_parts(
+                p, n_modes, ti, c, cd, b * p.M / (2.0 * p.gamma * p.kT), heads)
+            rows.append((_d1_row(p, n_modes, ti, q, c, cd, tol, sums, bound),
+                         b + 8.0 * p.gamma * p.kT / p.M * integral
+                         + _sigma1_corr(p, ti, q, c, tails), mode_bound))
         except QbmError as exc:
             raise type(exc)(f"t_grid[{i}] = {ti}: {exc}") from exc
-    modes, corr, bound, s1 = (np.array(col) for col in zip(*rows))
-    return (white, modes, corr, bound, s1, _sigma1_mode_bound(p, n_modes, t, cq, cv, cvd, heads),
-            pref * (cvd * cv / 2.0) / p.matsubara_nu())
+    dets, s1, mode_bounds = zip(*rows)
+    return dets, np.array(s1), _sigma1_bound(p, t, cq, cv, np.array(mode_bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -833,14 +833,14 @@ def build_table(
         s1 = np.atleast_1d(sigma1_classical(p, t_arr))
         sq = np.atleast_1d(sigma_cl_closed(p, t_arr))
     else:
-        white, modes, corr, tails, s1, s1_tails, log_coefficient = _quantum_columns(
-            p, n_max, t_arr, cq, cv, cvd, tol)
-        d1 = white + modes + corr
+        dets, s1, s1_tails = _quantum_columns(p, n_max, t_arr, cq, cv, cvd, tol)
+        d1 = np.array([det.value for det in dets])
+        tails = np.array([det.tail_bound for det in dets])
         sq = s1 + (p.kT / p.M) * cv * cv
         diagnostics = {
             "d1_tail_bound_max": float(np.max(tails)),
             "sigma1_tail_bound_max": float(np.max(s1_tails)),
-            "d1_log_coefficient_max": float(np.max(np.abs(log_coefficient))),
+            "d1_log_coefficient_max": float(np.max(np.abs([det.log_coefficient for det in dets]))),
             "n_modes_max": float(n_max if p.gamma > 0.0 else 0),
             # whether every value at the cutoff met tol; reported, not hidden
             "tol_met": bool(max(np.max(tails), np.max(s1_tails)) <= tol),

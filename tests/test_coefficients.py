@@ -33,8 +33,8 @@ from qbm.coefficients import (
     _mode_parts,
     _mode_r,
     _mode_sums,
+    _sigma1_bound,
     _sigma1_corr,
-    _sigma1_mode_bound,
 )
 from qbm.response import _chi_all
 
@@ -369,9 +369,13 @@ MODE_SUM_REFERENCE = {
 }
 
 
-def _sigma1_modes(p, n, t, cv, cvd, base):
-    """The mode part of sigma1 at one time, given sigma1_classical(t) = base."""
-    return _mode_parts(p, n, t, cv, cvd, base * p.M / (2.0 * p.gamma * p.kT), {})[2]
+def _sigma1_modes(p, n, t):
+    """The mode part of sigma1 at one time, and the bound on what sigma1
+    drops of its two Matsubara sums there."""
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
+    base = float(sigma1_classical(p, t))
+    _, _, integral, modes = _mode_parts(p, n, t, cv, cvd, base * p.M / (2.0 * p.gamma * p.kT), {})
+    return integral, float(_sigma1_bound(p, t, cq, cv, modes))
 
 
 def _reference_params(name):
@@ -387,15 +391,14 @@ class TestRootFreeModeSums:
         want_d1, want_s1 = MODE_SUM_REFERENCE[key]
         p = _reference_params(name)
         rel = 1e-11 if name == "cold" else 1e-12 if t < 0.05 else 1e-13
-        cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
         got_d1, bound_d1 = (float(a[0]) for a in _mode_sums(p, n, t))
-        got_s1 = _sigma1_modes(p, n, t, cv, cvd, float(sigma1_classical(p, t)))
+        got_s1, bound_s1 = _sigma1_modes(p, n, t)
         assert got_d1 == pytest.approx(want_d1, rel=rel, abs=0.0)
         assert got_s1 == pytest.approx(want_s1, rel=rel, abs=0.0)
         # each bound covers the error of its value
         pref = 8.0 * p.gamma * p.kT / p.M
         assert abs(got_d1 - want_d1) <= bound_d1
-        assert pref * abs(got_s1 - want_s1) <= _sigma1_mode_bound(p, n, t, cq, cv, cvd, {})[0]
+        assert pref * abs(got_s1 - want_s1) <= bound_s1
 
     def test_production_path_takes_no_root_rule(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -499,6 +502,18 @@ class TestD1Quantum:
             calls.clear()
             fn(pq_over, t)
             assert len(calls) == 1, t
+
+    def test_takes_no_sigma1_work(self, monkeypatch):
+        # at kT = 1e-4 under strong overdamping 8*|lambda1|/nu is about 2.5e5,
+        # past the head that sigma1's correlation part sums; D1 needs none of
+        # sigma1's parts, and its xi_q0 series certifies there
+        def refused(*args, **kwargs):
+            raise AssertionError("sigma1 work done")
+
+        for name in ("_sigma1_corr", "_sigma1_bound", "sigma1_classical"):
+            monkeypatch.setattr(qbm.coefficients, name, refused)
+        det = d1_quantum_detail(derive(1.0, 20.0, 1.0, 1e-4, hbar=1.0), 1.0)
+        assert det.value == -0.4752080199932469
 
     def test_rejects_bad_n_max(self, pq_over):
         with pytest.raises(ValueError):
@@ -604,11 +619,9 @@ class TestSigma1Quantum:
              else request.getfixturevalue(f"pq_{regime}"))
         pref = 8.0 * p.gamma * p.kT / p.M
         for t in (1e-4, 0.05, 8.0, 50.0):
-            cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-            got = _sigma1_modes(p, n, t, cv, cvd, float(sigma1_classical(p, t)))
+            got, bound = _sigma1_modes(p, n, t)
             want = _fine_mode_integral(p, n, t)
             if regime == "near_crit" or t < 0.05:
-                bound = float(_sigma1_mode_bound(p, n, t, cq, cv, cvd, {})[0])
                 assert pref * abs(got - want) <= bound, t
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
@@ -617,9 +630,8 @@ class TestSigma1Quantum:
         # at kT = 0.003 (nu/|lambda1| = 0.024) the bound once grew like
         # (|lambda1|/nu)**2/nu**3 and read 1e-7, a false "tol not met"
         p = derive(1.0, 1.0, 0.16, 0.003, hbar=1.0)
-        t = np.array([0.05, 1.2, 8.0])
-        bound = _sigma1_mode_bound(p, 20000, t, *_chi_all(p, t), {})
-        assert np.all(bound <= 1e-10)
+        for t in (0.05, 1.2, 8.0):
+            assert _sigma1_modes(p, 20000, t)[1] <= 1e-10, t
 
     def test_no_mode_sum_on_nodes(self, pq_over, monkeypatch):
         def no_mode_sums(*args, **kwargs):
@@ -728,8 +740,7 @@ class TestCoefficientTable:
         dets = [d1_quantum_detail(p, t) for t in grid]
         assert table.d1.tobytes() == np.array([d.value for d in dets]).tobytes()
         assert table.sigma1.tobytes() == np.array([sigma1_quantum(p, t) for t in grid]).tobytes()
-        n = qbm.coefficients.N_MODES
-        s1_bounds = [_sigma1_mode_bound(p, n, np.array([t]), *_chi_all(p, t), {})[0] for t in grid]
+        s1_bounds = [_sigma1_modes(p, qbm.coefficients.N_MODES, t)[1] for t in grid]
         assert table.diagnostics["d1_tail_bound_max"] == max(d.tail_bound for d in dets)
         assert table.diagnostics["sigma1_tail_bound_max"] == max(s1_bounds)
         assert table.diagnostics["d1_log_coefficient_max"] == max(
@@ -768,7 +779,7 @@ class TestCoefficientTable:
         assert table.manifest()["diagnostics"]["tol_met"] is True
 
     def test_tol_met_needs_the_sigma1_bound(self, pq_over, monkeypatch):
-        monkeypatch.setattr(qbm.coefficients, "_sigma1_mode_bound", lambda *args: np.array([1.0]))
+        monkeypatch.setattr(qbm.coefficients, "_sigma1_bound", lambda *args: np.array([1.0]))
         table = build_table(pq_over, np.array([0.5]), mode="quantum")
         assert table.diagnostics["d1_tail_bound_max"] <= 1e-8
         assert table.diagnostics["sigma1_tail_bound_max"] > 1e-8
