@@ -602,11 +602,14 @@ class TestSigma1Quantum:
         assert abs(diff - 2.0 * chi_q(p, t) * xi) <= slack
 
     def test_correlation_tail_refused_past_the_head_cap(self):
-        # 8*|lambda1|/nu > 2**17 direct terms: TailNotBounded, not a value
+        # 8*|lambda1|/nu > 2**17 direct terms: TailNotBounded, not a value; a
+        # one-point call names no grid index, a table row does
         p = derive(1.0, 20.0, 1.0, 1e-4, hbar=1.0)
         assert math.ceil(8.0 * abs(p.lambda1) / p.matsubara_nu()) > 1 << 17
-        with pytest.raises(TailNotBounded):
+        with pytest.raises(TailNotBounded, match=r"^correlation-part tail needs"):
             sigma1_quantum(p, 1.0)
+        with pytest.raises(TailNotBounded, match=r"^t_grid\[0\] = 1\.0: correlation-part tail"):
+            build_table(p, np.array([1.0]), mode="quantum")
 
     @pytest.mark.parametrize("regime", ["over", "under", "crit", "near_crit", "resonant", "strong"])
     @pytest.mark.parametrize("n", [64, 20000])
