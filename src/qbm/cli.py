@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import build_table
+from .coefficients import N_MODES, build_table
 from .errors import InvalidInput, QbmError
 from .fpe import SolverConfig, solve
 from .model import derive
@@ -165,7 +165,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     c.add_argument("--n-points", "--n", type=int, default=201, dest="n_points")
     c.add_argument(
         "--n-max", type=int, default=None,
-        help="Matsubara mode cutoff N of quantum coefficients (default 20000; "
+        help=f"Matsubara mode cutoff N of quantum coefficients (default {N_MODES}; "
         "recorded in the manifest)",
     )
     c.add_argument(

@@ -154,16 +154,23 @@ def sigma1_classical(p: PhysicalParams, t):
         while term > 2.0**-56:
             n += 1
             term *= 2.0 * rho / n
-        w2, a = p.omega0_sq / p.M, [0.0, 1.0]
-        for k in range(n - 1):
-            a.append(-(g * (k + 1) * a[k + 1] + w2 * a[k]) / ((k + 1) * (k + 2)))
+        a = _chi_v_taylor(p, n + 1, 1.0)[1:]
         # the integral of t**2*b_k*t**k takes b_k/(k + 3)
-        b = np.convolve(a[1:], a[1:])[:n] / np.arange(3, n + 3)
+        b = np.convolve(a, a)[:n] / np.arange(3, n + 3)
         acc = 0.0
         for bk in b[::-1].tolist():
             acc = acc * ts + bk
         out[series] = (2.0 * g * p.kT / p.M) * ts**3 * acc
     return _shaped(out, t)
+
+
+def _chi_v_taylor(p: PhysicalParams, n: int, t: float) -> list:
+    """a_i*t**i for i < n, where chi_v = sum_i a_i*u**i, from chi_v's equation of
+    motion chi_v'' = -gamma*chi_v' - (omega0_sq/M)*chi_v, chi_v(0) = 0, chi_v'(0) = 1."""
+    g, w2, a = p.gamma, p.omega0_sq / p.M, [0.0, t]
+    for k in range(n - 2):
+        a.append(-(g * t * (k + 1) * a[k + 1] + w2 * t * t * a[k]) / ((k + 1) * (k + 2)))
+    return a
 
 
 def sigma_cl_closed(p: PhysicalParams, t):
@@ -279,18 +286,15 @@ def _series_modes(p: PhysicalParams, nu: float, n_s: int, t: float):
     """Sums over the modes n <= n_s of y'_n(t), with the absolute size of its
     terms, and of int_0^t chi_v*y'_n du: R_n = chi_v*y'_n/2, where y'_n =
     chi_v - nu_n*y_n, y_n = chi_v convolved with exp(-nu_n*u).  With chi_v =
-    sum_i a_i*u**i from its equation of motion, y'_n's Taylor coefficients
+    sum_i a_i*u**i (:func:`_chi_v_taylor`), y'_n's Taylor coefficients
     c_k = sum_{i <= k} a_i*(-nu_n)**(k - i)*i!/k! times t**k are polynomials
     in nu_n*t, summed over n by power sums.  While (nu_n + |lambda1|)*t < 1,
     |c_k|*t**k <= t/(k - 1)!: the terms past _SERIES_TERMS drop at most
     _SERIES_CUT*t per mode, _SERIES_CUT*e*t**3 from the integral."""
     if n_s == 0:
         return 0.0, 0.0, 0.0
-    g, w2, K = p.gamma, p.omega0_sq / p.M, _SERIES_TERMS
-    a = [0.0, t]  # a_i*t**i
-    for k in range(K - 2):
-        a.append(-(g * t * (k + 1) * a[k + 1] + w2 * t * t * a[k]) / ((k + 1) * (k + 2)))
-    a = np.array(a)
+    K = _SERIES_TERMS
+    a = np.array(_chi_v_taylor(p, K, t))
     # int_0^t chi_v*u**j du = t**(j + 1)*beta_j, beta_j = sum_i a_i*t**i/(i + j + 1)
     beta = np.append(a @ (1.0 / (_SERIES_IDX + 1.0)), np.zeros(K))
     hb = _SERIES_H * beta[_SERIES_IDX]
@@ -403,14 +407,15 @@ def _excluded_int(p: PhysicalParams, nu_k: float, t: float, cv: float, cvd: floa
 
 
 def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float,
-                cv2_int: Optional[float], heads: dict):
-    """sum_{n <= N} R_n(t) at one time t > 0, given chi_v and chi_v_dot, a bound
-    on what it drops, and, given A = int_0^t chi_v**2, int_0^t sum_{n <= N} R_n
-    and a bound on that (else None, None).  The bounds are the exponential
-    terms cut at nu_n*t > _EXP_CUT and the series terms past _SERIES_TERMS,
-    plus the relative error of :func:`_envelopes` times the absolute sizes of
-    the terms summed, for the integral with each sum over the modes past the
-    series majorised by the sum over every mode (``heads``, :func:`_head_sums`)."""
+                sigma1_cl: Optional[float], heads: dict):
+    """sum_{n <= N} R_n(t) at one time t > 0 (gamma > 0), given chi_v and
+    chi_v_dot, a bound on what it drops, and, given sigma1_classical(t), whose
+    A = int_0^t chi_v**2 = sigma1_cl*M/(2*gamma*k_B*T) it takes,
+    int_0^t sum_{n <= N} R_n and a bound on that (else None, None).  The
+    bounds are the exponential terms cut at nu_n*t > _EXP_CUT and the series
+    terms past _SERIES_TERMS, plus the relative error of :func:`_envelopes`
+    times the absolute sizes of the terms summed, those over the modes past
+    the series from the row's head (``heads``, :func:`_head_sums`)."""
     nu = p.matsubara_nu()
     g, w2 = p.gamma, p.omega0_sq / p.M
     vt, vd, eps_t = _envelopes(p, t)
@@ -418,15 +423,18 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
     ys, yi, size = _series_modes(p, nu, n_s, t)
     d, s, cut, r_k = [ys], [yi / 2.0], 0.0, 0.0  # d: parts of sum R_n/(chi_v/2)
     m, excluded, excluded_size = n_modes, [], 0.0
+    size0 = size1 = static_size = 0.0  # no modes past the series
     if n_s < n_modes:
-        excluded, s0, s1, size0, size1, static, _ = _head_sums(p, nu, n_s, n_modes, heads)
+        excluded, s0, s1, size0, size1, static, static_size = _head_sums(
+            p, nu, n_s, n_modes, heads)
         m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)
         nu_n = _rates(nu, n_s, m, excluded)
         lm, lm_size = _l_minus(p, nu_n)
         e = nu_n * np.exp(nu_n * -t)
         d += [w2 * cv * s0, cvd * s1, -math.fsum((lm * e).tolist())]
         size += w2 * vt * size0 + vd * size1 + float(e @ lm_size)
-        if cv2_int is not None:
+        if sigma1_cl is not None:
+            cv2_int = sigma1_cl * p.M / (2.0 * g * p.kT)
             pe = lm * e * ((nu_n + g) * cv + cvd) / (nu_n * (nu_n + g) + w2)
             s += [math.fsum([w2 * s0 * cv2_int, s1 * cv * cv / 2.0, static,
                              math.fsum(pe.tolist())]) / 2.0]
@@ -442,13 +450,12 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
             r_k, size = r_k + float(np.real(-cv / 2.0 * (e3 - cv))), size + abs(e3) + vt
     value = cv / 2.0 * math.fsum(d) + r_k
     bound = abs(cv) / 2.0 * (cut + n_s * _SERIES_CUT * t) + eps_t * vt / 2.0 * size
-    if cv2_int is None:
+    if sigma1_cl is None:
         return value, bound, None, None
     # an exponential term is at most (|L_|*|chi_v| + |nu_n*L_*L|*|chi_v_dot|)*
     # exp(-nu_n*t), as nu_n*(nu_n + gamma)*L(nu_n) <= 1, and past the series
     # |L_| <= 4/nu**2; A <= min(t**3/3, A(inf) = 1/(2*gamma*w2)); a series
     # mode's terms are at most e**2*t**3/2 and drop at most _SERIES_CUT*e*t**3
-    _, _, _, size0, size1, _, static_size = _head_sums(p, nu, 0, n_modes, heads)
     cut = 0.0 if m >= n_modes else (4.0 / nu**2 * (abs(cv) + abs(cvd) / nu)
                                     * math.exp(-nu * t * (m + 1)) / -math.expm1(-nu * t))
     size = ((w2 * min(t**3 / 3.0, 0.5 / (g * w2)) + vt) * size0 + vt * vt / 2.0 * size1
@@ -554,8 +561,9 @@ def _d1_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float, cvd
 _CORR_HEAD_CAP = 1 << 17  # most terms that ``_sigma1_corr`` sums directly
 
 
-def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float, tails: dict) -> float:
-    """2*int_0^t chi_q*xi_q0 du at one time t > 0, from chi_q(t), chi_v(t).
+def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float, tails: dict) -> tuple:
+    """2*int_0^t chi_q*xi_q0 du at one time t > 0, from chi_q(t), chi_v(t), and
+    a bound on what it drops.
 
     xi_q0 = -2*gamma*k_B*T*sum_n nu_n*L(nu_n)*exp(-nu_n*u) with L(mu) =
     1/(mu**2 + gamma*mu + omega0_sq/M), and chi_q's equation of motion gives
@@ -565,7 +573,10 @@ def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float, tails: dict)
     Terms n <= n_h are summed directly: past them nu_n*t > _EXP_CUT unless
     _CORR_HEAD_CAP cuts, and nu_n >= 8*|lambda1|, where only the t-independent
     nu_n*(nu_n + gamma)*L(nu_n)**2 is left (:func:`_zeta_tail`), summed
-    once per n_h in ``tails``.
+    once per n_h in ``tails``.  What a term drops then is at most
+    exp(-nu_n*t)*(|chi_q| + w2*|chi_v|/nu_n)/nu_n**2, summed geometrically
+    from nu_(n_h + 1); round-off is of terms at most 3/nu_n**2 +
+    w2*|chi_v|/nu_n**3 in magnitude.
     """
     nu = p.matsubara_nu()
     g, w2 = p.gamma, p.omega0_sq / p.M
@@ -581,22 +592,11 @@ def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float, tails: dict)
         v = _l_series(p) * _SIGNS
         vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
         tails[n_h] = _zeta_tail(vv + g * np.append(0.0, vv[:23]), _tail_zetas(nu, n_h))
-    return -4.0 * g * p.kT * (math.fsum(terms.tolist()) + tails[n_h])
-
-
-def _sigma1_bound(p: PhysicalParams, t, cq, cv, modes):
-    """Bound on what sigma1 drops of its two Matsubara sums at times t > 0
-    (floats or arrays, gamma > 0), given chi_q, chi_v and the mode part's
-    bound (:func:`_mode_parts`).  A correlation term n is at most
-    exp(-nu_n*t)*(|chi_q| + w2*|chi_v|/nu_n)/nu_n**2: the terms past the head,
-    which has at least nu_h/nu - 1 terms, sum geometrically; round-off is of
-    terms at most 3/nu_n**2 + w2*|chi_v|/nu_n**3 in magnitude."""
-    nu, w2 = p.matsubara_nu(), p.omega0_sq / p.M
-    cq, cv = np.abs(cq), np.abs(cv)
-    nu_h = nu * (np.minimum(np.ceil(_EXP_CUT / (nu * t)) + 1.0, _CORR_HEAD_CAP) + 1.0)
-    corr_cut = (cq + w2 * cv / nu_h) / nu_h**2 * np.exp(-nu_h * t) / -np.expm1(-nu * t)
-    corr = corr_cut + _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * cv / nu**3)  # zeta(2), zeta(3)
-    return p.gamma * p.kT * (8.0 / p.M * modes + 4.0 * corr)
+    nu_h = nu * (n_h + 1)
+    cut = (abs(cq) + w2 * abs(cv) / nu_h) / nu_h**2 * math.exp(-nu_h * t) / -math.expm1(-nu * t)
+    roundoff = _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * abs(cv) / nu**3)  # zeta(2), zeta(3)
+    return (-4.0 * g * p.kT * (math.fsum(terms.tolist()) + tails[n_h]),
+            4.0 * g * p.kT * (cut + roundoff))
 
 
 def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> float:
@@ -618,31 +618,31 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     if t == 0.0 or p.gamma == 0.0:
         return base
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    integral = _mode_parts(p, n_modes, t, cv, cvd, base * p.M / (2.0 * p.gamma * p.kT), {})[2]
-    return base + 8.0 * p.gamma * p.kT / p.M * integral + _sigma1_corr(p, t, cq, cv, {})
+    integral = _mode_parts(p, n_modes, t, cv, cvd, base, {})[2]
+    return base + 8.0 * p.gamma * p.kT / p.M * integral + _sigma1_corr(p, t, cq, cv, {})[0]
 
 
 def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndarray,
                      cv: np.ndarray, cvd: np.ndarray, tol: float) -> tuple:
     """D1 (a :class:`D1Result` a time), sigma1 and sigma1's bound at every
     time of the array t > 0, given chi_q, chi_v and chi_v_dot there.  One
-    :func:`_mode_parts` call a time serves D1 (:func:`_d1_row`) and sigma1;
-    each t-independent sum is built once per call (``heads``, ``tails``)."""
+    :func:`_mode_parts` call a time serves D1 (:func:`_d1_row`) and sigma1,
+    whose bound adds that of :func:`_sigma1_corr`; each t-independent sum is
+    built once per call (``heads``, ``tails``)."""
     base = np.atleast_1d(sigma1_classical(p, t))
     if p.gamma == 0.0:
         return [_NO_BATH] * len(t), base, np.zeros(len(t))
-    heads, tails, rows = {}, {}, []
+    pref, heads, tails, rows = 8.0 * p.gamma * p.kT / p.M, {}, {}, []
     for i, (ti, q, c, cd, b) in enumerate(zip(*(a.tolist() for a in (t, cq, cv, cvd, base)))):
         try:
-            sums, bound, integral, mode_bound = _mode_parts(
-                p, n_modes, ti, c, cd, b * p.M / (2.0 * p.gamma * p.kT), heads)
-            rows.append((_d1_row(p, n_modes, ti, q, c, cd, tol, sums, bound),
-                         b + 8.0 * p.gamma * p.kT / p.M * integral
-                         + _sigma1_corr(p, ti, q, c, tails), mode_bound))
+            sums, bound, integral, mode_bound = _mode_parts(p, n_modes, ti, c, cd, b, heads)
+            det = _d1_row(p, n_modes, ti, q, c, cd, tol, sums, bound)
+            corr, corr_bound = _sigma1_corr(p, ti, q, c, tails)
         except QbmError as exc:
             raise type(exc)(f"t_grid[{i}] = {ti}: {exc}") from exc
-    dets, s1, mode_bounds = zip(*rows)
-    return dets, np.array(s1), _sigma1_bound(p, t, cq, cv, np.array(mode_bounds))
+        rows.append((det, b + pref * integral + corr, pref * mode_bound + corr_bound))
+    dets, s1, s1_bounds = zip(*rows)
+    return dets, np.array(s1), np.array(s1_bounds)
 
 
 # ---------------------------------------------------------------------------

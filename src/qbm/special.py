@@ -208,7 +208,7 @@ _CHUNK = 1 << 20
 def _xi_tail_bound(pref: float, nu: float, t: float, n: int) -> float:
     # terms beyond n are below exp(-nu_k t)/nu_k; geometric sum from k = n+1
     x = math.exp(-nu * t)
-    return pref * x ** (n + 1) / (nu * (n + 1) * (1.0 - x))
+    return pref * x ** (n + 1) / (nu * (n + 1) * -math.expm1(-nu * t))
 
 
 def xi_q0_sum_ex(
@@ -390,7 +390,7 @@ def noise_kernel_modes(p: PhysicalParams, n_max: int, t_min: float) -> ModeExpan
     scale = 2.0 * p.gamma * p.M * nu / p.beta
     n = np.arange(1, n_max + 1, dtype=np.float64)
     y = math.exp(-nu * t_min)
-    tail = scale * y ** (n_max + 1) * ((n_max + 1) - n_max * y) / (1.0 - y) ** 2
+    tail = scale * y ** (n_max + 1) * ((n_max + 1) - n_max * y) / math.expm1(-nu * t_min) ** 2
     return ModeExpansion(
         prefactors=-scale * n,
         rates=n * nu,

@@ -201,6 +201,15 @@ class TestCoeffs:
         man = json.loads((tmp_path / "q.csv.json").read_text())
         assert man["diagnostics"]["tol_met"] is True
 
+    def test_uncertifiable_tail_exit_2(self, tmp_path, capsys):
+        # at t = 1e-18 D1's xi_q0 tail cannot be certified: a typed refusal
+        # naming the grid point, not a traceback
+        out = str(tmp_path / "q.csv")
+        rc = main(["coeffs", "--hbar", "1", "--t-min", "1e-18", "--t-max", "1e-17", "--n", "2",
+                   "--out", out])
+        assert rc == 2
+        assert "t_grid[0] = 1e-18: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
     @pytest.mark.parametrize("mode", ["--hbar=1", "--classical"])
     def test_bad_tol_exit_1(self, tmp_path, capsys, mode, tol):

@@ -5,7 +5,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -33,7 +33,7 @@ from qbm.coefficients import (
     _mode_parts,
     _mode_r,
     _mode_sums,
-    _sigma1_bound,
+    _series_count,
     _sigma1_corr,
 )
 from qbm.response import _chi_all
@@ -373,9 +373,8 @@ def _sigma1_modes(p, n, t):
     """The mode part of sigma1 at one time, and the bound on what sigma1
     drops of its two Matsubara sums there."""
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    base = float(sigma1_classical(p, t))
-    _, _, integral, modes = _mode_parts(p, n, t, cv, cvd, base * p.M / (2.0 * p.gamma * p.kT), {})
-    return integral, float(_sigma1_bound(p, t, cq, cv, modes))
+    _, _, integral, modes = _mode_parts(p, n, t, cv, cvd, float(sigma1_classical(p, t)), {})
+    return integral, 8.0 * p.gamma * p.kT / p.M * modes + _sigma1_corr(p, t, cq, cv, {})[1]
 
 
 def _reference_params(name):
@@ -510,7 +509,7 @@ class TestD1Quantum:
         def refused(*args, **kwargs):
             raise AssertionError("sigma1 work done")
 
-        for name in ("_sigma1_corr", "_sigma1_bound", "sigma1_classical"):
+        for name in ("_sigma1_corr", "sigma1_classical"):
             monkeypatch.setattr(qbm.coefficients, name, refused)
         det = d1_quantum_detail(derive(1.0, 20.0, 1.0, 1e-4, hbar=1.0), 1.0)
         assert det.value == -0.4752080199932469
@@ -561,9 +560,11 @@ class TestSigma1Quantum:
          (8.0, -0.2664663839625845865)],
     )
     def test_correlation_part_at_critical_damping(self, pq_crit, t, want):
-        # 25-digit values of 2*int_0^t chi_q*xi_q0
+        # 25-digit values of 2*int_0^t chi_q*xi_q0; the bound covers the error
         cq, cv, _ = (float(a[0]) for a in _chi_all(pq_crit, t))
-        assert _sigma1_corr(pq_crit, t, cq, cv, {}) == pytest.approx(want, rel=1e-13, abs=0.0)
+        got, bound = _sigma1_corr(pq_crit, t, cq, cv, {})
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert abs(got - want) <= bound
 
     @pytest.mark.parametrize(
         "regime, t, want",
@@ -575,7 +576,9 @@ class TestSigma1Quantum:
         # the closed form needs no root, so near critical damping is no edge
         p = request.getfixturevalue(f"pq_{regime}")
         cq, cv, _ = (float(a[0]) for a in _chi_all(p, t))
-        assert _sigma1_corr(p, t, cq, cv, {}) == pytest.approx(want, rel=1e-13, abs=0.0)
+        got, bound = _sigma1_corr(p, t, cq, cv, {})
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert abs(got - want) <= bound
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
@@ -592,7 +595,7 @@ class TestSigma1Quantum:
 
         def corr(u):
             cq, cv, _ = (float(a[0]) for a in _chi_all(p, u))
-            return _sigma1_corr(p, u, cq, cv, {})
+            return _sigma1_corr(p, u, cq, cv, {})[0]
 
         xi = xi_q0_sum(p, t, tol=1e-14)
         diff = (corr(t + h) - corr(t - h)) / (2.0 * h)
@@ -730,24 +733,56 @@ class TestCoefficientTable:
         np.testing.assert_array_equal(a.sigma_q, b.sigma_q)
         assert "d1_tail_bound_max" in a.diagnostics
 
-    @pytest.mark.parametrize("name", ["over", "under", "crit", "near_crit", "strong", "cold"])
-    def test_columns_equal_the_one_point_functions(self, name, request):
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        gamma=st.floats(0.2, 20.0),
+        ratio=st.one_of(st.floats(0.01, 0.9), st.just(1.0), st.floats(1.0 - 1e-5, 1.0 + 1e-5),
+                        st.floats(1.1, 25.0)),
+        temp=st.floats(0.01, 10.0),
+    )
+    @example(gamma=20.0, ratio=0.01, temp=1.0)
+    @example(gamma=1.0, ratio=0.64, temp=0.003)
+    def test_columns_equal_the_one_point_functions(self, gamma, ratio, temp):
         # the table's one pass over the grid and the one-point entry points
         # agree byte for byte at every row, and the diagnostics are the
-        # maxima of the one-point bounds
-        p = (derive(1.0, 20.0, 1.0, 1.0, hbar=1.0) if name == "strong"
-             else derive(1.0, 1.0, 0.16, 0.003, hbar=1.0) if name == "cold"
-             else request.getfixturevalue(f"pq_{name}"))
-        grid = [1e-3, 0.05, 0.3, 1.2, 8.0, 50.0]
+        # maxima of the one-point bounds; omega0_sq = ratio*gamma**2/4 spans
+        # over, under and (near) critical damping, and t_s has series modes
+        p = derive(1.0, gamma, ratio * gamma**2 / 4.0, temp, hbar=1.0)
+        nu, n = p.matsubara_nu(), qbm.coefficients.N_MODES
+        t_s = 0.5 / (nu + abs(p.lambda1))
+        assert _series_count(p, nu, n, t_s) > 0
+        grid = sorted({t_s, 1e-3, 0.05, 0.3, 1.2, 8.0, 50.0})
         table = build_table(p, np.array(grid), mode="quantum")
         dets = [d1_quantum_detail(p, t) for t in grid]
         assert table.d1.tobytes() == np.array([d.value for d in dets]).tobytes()
         assert table.sigma1.tobytes() == np.array([sigma1_quantum(p, t) for t in grid]).tobytes()
-        s1_bounds = [_sigma1_modes(p, qbm.coefficients.N_MODES, t)[1] for t in grid]
+        s1_bounds = [_sigma1_modes(p, n, t)[1] for t in grid]
         assert table.diagnostics["d1_tail_bound_max"] == max(d.tail_bound for d in dets)
         assert table.diagnostics["sigma1_tail_bound_max"] == max(s1_bounds)
         assert table.diagnostics["d1_log_coefficient_max"] == max(
             abs(d.log_coefficient) for d in dets)
+
+    @pytest.mark.parametrize("grid", [None, [0.05], np.geomspace(1e-3, 8.0, 201).tolist()],
+                             ids=["sigma1_quantum", "1-row", "201-row"])
+    def test_one_head_per_series_count(self, pq_over, monkeypatch, grid):
+        # D1 and sigma1 take their sums over the modes past the series from
+        # the row's head: one build per distinct series count n_s, and none
+        # over every mode besides (n_s = 3 at t = 0.05)
+        real, built = qbm.coefficients._head_sums, []
+
+        def counting(p, nu, n_s, n_modes, heads):
+            if n_s not in heads:
+                built.append(n_s)
+            return real(p, nu, n_s, n_modes, heads)
+
+        monkeypatch.setattr(qbm.coefficients, "_head_sums", counting)
+        if grid is None:
+            grid = [0.05]
+            sigma1_quantum(pq_over, 0.05)
+        else:
+            build_table(pq_over, np.array(grid), mode="quantum")
+        nu, n = pq_over.matsubara_nu(), qbm.coefficients.N_MODES
+        assert sorted(built) == sorted({_series_count(pq_over, nu, n, t) for t in grid})
 
     def test_quantum_csv_roundtrip(self, pq_over, tmp_path):
         grid = np.linspace(0.2, 1.0, 4)
@@ -782,7 +817,8 @@ class TestCoefficientTable:
         assert table.manifest()["diagnostics"]["tol_met"] is True
 
     def test_tol_met_needs_the_sigma1_bound(self, pq_over, monkeypatch):
-        monkeypatch.setattr(qbm.coefficients, "_sigma1_bound", lambda *args: np.array([1.0]))
+        real = qbm.coefficients._sigma1_corr
+        monkeypatch.setattr(qbm.coefficients, "_sigma1_corr", lambda *args: (real(*args)[0], 1.0))
         table = build_table(pq_over, np.array([0.5]), mode="quantum")
         assert table.diagnostics["d1_tail_bound_max"] <= 1e-8
         assert table.diagnostics["sigma1_tail_bound_max"] > 1e-8

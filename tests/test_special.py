@@ -10,6 +10,7 @@ from qbm import (
     InvalidC,
     NoConvergence,
     TailNotBounded,
+    d1_quantum_detail,
     derive,
     hyp2f1,
     hyp2f1_ex,
@@ -251,6 +252,13 @@ class TestXiQ0:
         with pytest.raises(TailNotBounded):
             xi_q0_sum(p, 1e-9 / p.matsubara_nu(), tol=1e-12)
 
+    def test_tail_refusal_where_one_minus_exp_rounds_to_zero(self):
+        # at nu*t < 1.1e-16, 1 - exp(-nu*t) is 0.0 but -expm1(-nu*t) is not:
+        # the tail is refused by type, not by a ZeroDivisionError
+        p = derive(1.0, 1.0, 0.16, 1.0, hbar=1.0)
+        with pytest.raises(TailNotBounded):
+            d1_quantum_detail(p, 1e-18)
+
     def test_rejects_nonpositive_time(self):
         p = derive(1.0, 1.0, 0.16, 1.0, hbar=1.0)
         with pytest.raises(ValueError):
@@ -337,6 +345,11 @@ class TestNoiseKernel:
         a = noise_kernel_modes(pq_over, n_max=10, t_min=0.5 / nu)
         b = noise_kernel_modes(pq_over, n_max=10, t_min=2.0 / nu)
         assert abs(b.tail_bound) < abs(a.tail_bound)
+
+    def test_tail_bound_finite_where_one_minus_y_rounds_to_zero(self, pq_over):
+        # y = exp(-nu*t_min) is 1.0 at t_min = 1e-18; the bound stays finite
+        tail = noise_kernel_modes(pq_over, 5, 1e-18).tail_bound
+        assert math.isfinite(tail) and tail > 0.0
 
     def test_mode_prefactors_and_rates(self, pq_over):
         p = pq_over
