@@ -733,6 +733,28 @@ class TestCoefficientTable:
         np.testing.assert_array_equal(a.sigma_q, b.sigma_q)
         assert "d1_tail_bound_max" in a.diagnostics
 
+    @staticmethod
+    def _assert_columns_equal_one_point(p, grid):
+        # the table's one pass over the grid and the one-point entry points
+        # agree byte for byte at every row, and the diagnostics are the
+        # maxima of the one-point bounds
+        table = build_table(p, np.array(grid), mode="quantum")
+        dets = [d1_quantum_detail(p, t) for t in grid]
+        assert table.d1.tobytes() == np.array([d.value for d in dets]).tobytes()
+        assert table.sigma1.tobytes() == np.array([sigma1_quantum(p, t) for t in grid]).tobytes()
+        s1_bounds = [_sigma1_modes(p, qbm.coefficients.N_MODES, t)[1] for t in grid]
+        assert table.diagnostics["d1_tail_bound_max"] == max(d.tail_bound for d in dets)
+        assert table.diagnostics["sigma1_tail_bound_max"] == max(s1_bounds)
+        assert table.diagnostics["d1_log_coefficient_max"] == max(
+            abs(d.log_coefficient) for d in dets)
+
+    @pytest.mark.parametrize("name", ["over", "under", "crit", "near_crit", "strong", "cold"])
+    def test_columns_equal_the_one_point_functions(self, name, request):
+        p = (derive(1.0, 20.0, 1.0, 1.0, hbar=1.0) if name == "strong"
+             else derive(1.0, 1.0, 0.16, 0.003, hbar=1.0) if name == "cold"
+             else request.getfixturevalue(f"pq_{name}"))
+        self._assert_columns_equal_one_point(p, [1e-3, 0.05, 0.3, 1.2, 8.0, 50.0])
+
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(
         gamma=st.floats(0.2, 20.0),
@@ -742,25 +764,14 @@ class TestCoefficientTable:
     )
     @example(gamma=20.0, ratio=0.01, temp=1.0)
     @example(gamma=1.0, ratio=0.64, temp=0.003)
-    def test_columns_equal_the_one_point_functions(self, gamma, ratio, temp):
-        # the table's one pass over the grid and the one-point entry points
-        # agree byte for byte at every row, and the diagnostics are the
-        # maxima of the one-point bounds; omega0_sq = ratio*gamma**2/4 spans
-        # over, under and (near) critical damping, and t_s has series modes
+    def test_columns_equal_the_one_point_functions_at_drawn_parameters(self, gamma, ratio, temp):
+        # omega0_sq = ratio*gamma**2/4 spans over, under and (near) critical
+        # damping, and t_s has series modes
         p = derive(1.0, gamma, ratio * gamma**2 / 4.0, temp, hbar=1.0)
         nu, n = p.matsubara_nu(), qbm.coefficients.N_MODES
         t_s = 0.5 / (nu + abs(p.lambda1))
         assert _series_count(p, nu, n, t_s) > 0
-        grid = sorted({t_s, 1e-3, 0.05, 0.3, 1.2, 8.0, 50.0})
-        table = build_table(p, np.array(grid), mode="quantum")
-        dets = [d1_quantum_detail(p, t) for t in grid]
-        assert table.d1.tobytes() == np.array([d.value for d in dets]).tobytes()
-        assert table.sigma1.tobytes() == np.array([sigma1_quantum(p, t) for t in grid]).tobytes()
-        s1_bounds = [_sigma1_modes(p, n, t)[1] for t in grid]
-        assert table.diagnostics["d1_tail_bound_max"] == max(d.tail_bound for d in dets)
-        assert table.diagnostics["sigma1_tail_bound_max"] == max(s1_bounds)
-        assert table.diagnostics["d1_log_coefficient_max"] == max(
-            abs(d.log_coefficient) for d in dets)
+        self._assert_columns_equal_one_point(p, sorted({t_s, 1e-3, 0.05, 0.3, 1.2, 8.0, 50.0}))
 
     @pytest.mark.parametrize("grid", [None, [0.05], np.geomspace(1e-3, 8.0, 201).tolist()],
                              ids=["sigma1_quantum", "1-row", "201-row"])
