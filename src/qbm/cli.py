@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import N_MODES, build_table
+from .coefficients import N_MODES, build_table, write_csv
 from .errors import InvalidInput, QbmError
 from .fpe import SolverConfig, solve
 from .model import derive
@@ -303,10 +303,7 @@ def _cmd_fpe(args) -> int:
         compare_analytic=args.compare_analytic,
     )
     res = solve(p, "adelman", mode, args.t_final, cfg)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("q,rho\n")
-        for qi, ri in zip(res.field.q, res.field.rho):
-            fh.write("%.17g,%.17g\n" % (qi, ri))
+    write_csv(args.out, ("q", "rho"), (res.field.q, res.field.rho))
     effective = _effective(
         args,
         ("t_final", "n_q", "dt", "scheme", "boundary", "q0",

@@ -46,6 +46,7 @@ import numpy as np
 from scipy.special import bernoulli, digamma, factorial, zeta
 
 from .errors import (
+    CFLViolation,
     GridMismatch,
     InvalidInput,
     NegativeDiffusion,
@@ -87,6 +88,8 @@ __all__ = [
     "sigma1_quantum",
     "CoefficientTable",
     "build_table",
+    "step_plan",
+    "write_csv",
 ]
 
 _FOLD_CUT = 350.0
@@ -649,6 +652,49 @@ def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndar
 # coefficient table
 
 
+def step_plan(t0: float, t_final: float, dt: float, stops=()) -> tuple:
+    """The steps of a run from t0 to t_final: (t_lo, t_hi, at).
+
+    The one time grid of the FPE solver and both path simulators.  Step ends
+    are t0 + k*dt and t_final, with every stop inserted; a stop or t_final
+    within 1e-12*max(1, |t|) of a grid end replaces it, and of a later stop
+    joins it, so no step is degenerate.  ``at[i]`` indexes the step that
+    reaches stops[i].  A stop outside (t0, t_final] raises ValueError.
+    """
+    if not (dt > 0.0):
+        raise ValueError("dt must be positive")
+    if not (t_final > t0):
+        raise ValueError(f"t_final must exceed the start time {t0}")
+    want = np.asarray(stops, dtype=np.float64).ravel()
+    out = ~((want > t0) & (want <= t_final))
+    if out.any():
+        raise ValueError(f"stop time {want[out][0]} outside ({t0}, {t_final}]")
+    fixed = np.unique(np.append(want, t_final))
+    near = 1e-12 * np.maximum(1.0, np.abs(fixed))
+    fixed, near = (x[np.append(np.diff(fixed) > near[:-1], True)] for x in (fixed, near))
+    grid = t0 + dt * np.arange(1, math.ceil((t_final - t0) / dt) + 1)
+    free = grid < t_final
+    for ts, tol in zip(fixed.tolist(), near.tolist()):
+        free &= np.abs(grid - ts) > tol
+    t_hi = np.sort(np.concatenate((grid[free], fixed)))
+    return np.concatenate(([t0], t_hi[:-1])), t_hi, np.searchsorted(t_hi, want)
+
+
+def _refuse_unstable(unstable: np.ndarray, t_lo: np.ndarray, limit: str) -> None:
+    """Raise CFLViolation naming the first step flagged ``unstable``, if any."""
+    if unstable.any():
+        raise CFLViolation(f"step from t={t_lo[np.argmax(unstable)]} breaks {limit}")
+
+
+def write_csv(path, names, columns) -> None:
+    """Equal-length columns as CSV: a header row of ``names``, then one row
+    per index, every value round-trip exact (%.17g), LF line endings."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    with open(path, "w", newline="") as f:
+        f.write(",".join(names) + "\n")
+        f.writelines(",".join("%.17g" % x for x in row) + "\n" for row in rows)
+
+
 _CSV_COLUMNS = ("t", "omega", "d1", "sigma1", "sigma_q", "d_fpe")
 
 
@@ -737,10 +783,7 @@ class CoefficientTable:
         return om, dc
 
     def to_csv(self, path) -> None:
-        cols = [self.column(c) for c in _CSV_COLUMNS]
-        with open(path, "w", newline="") as f:
-            f.write(",".join(_CSV_COLUMNS) + "\n")
-            f.writelines(",".join("%.17g" % c[i] for c in cols) + "\n" for i in range(len(self.t)))
+        write_csv(path, _CSV_COLUMNS, [self.column(c) for c in _CSV_COLUMNS])
 
     def manifest(self) -> dict:
         pp = self.params

@@ -13,7 +13,9 @@ Two schemes:
   CFL-limited) and diffusion (Crank-Nicolson): more robust at large cell
   Peclet number but only first order in dq.
 
-``solve`` reads every step's Omega and D, at its midpoint t0 + h/2, by one
+``solve`` takes its steps from ``step_plan``, the one time grid of the FPE and
+both path simulators: ends at t_start + k*dt, each snapshot time a step end of
+its own.  It reads every step's Omega and D, at the step midpoint, by one
 ``CoefficientTable.step_coeffs`` call (the guard policy shared with the reduced
 SDE) and checks the upwind CFL limit once, so a refused step raises its typed
 error before the first step is taken.  ``step`` is a pure one-step kernel on a
@@ -31,8 +33,8 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .coefficients import CoefficientTable, build_table
-from .errors import CFLViolation, GridMismatch, NonFiniteState, UnresolvedGrid
+from .coefficients import CoefficientTable, _refuse_unstable, build_table, step_plan
+from .errors import GridMismatch, NonFiniteState, UnresolvedGrid
 from .model import PhysicalParams
 from .propagator import GaussianDensity, density
 from .response import chi_q
@@ -248,24 +250,11 @@ def solve(
         raise ValueError(f"unknown FPE form {form!r}; only 'adelman' is implemented")
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
-    if not (t_final > cfg.t_start):
-        raise ValueError("t_final must exceed cfg.t_start")
     if mode == "quantum" and cfg.t_start <= 0.0:
         raise ValueError("quantum-mode solves require cfg.t_start > 0")
 
-    want = sorted(set(float(ts) for ts in cfg.snapshot_times))
-    if any(ts <= cfg.t_start or ts > t_final for ts in want):
-        raise ValueError("snapshot_times must lie in (t_start, t_final]")
-    stops = sorted(set(want + [t_final]))
-    t_lo, h, ends = [], [], []  # the steps, and how many of them reach each stop
-    t = cfg.t_start
-    for t_stop in stops:
-        while t < t_stop - 1e-12 * max(1.0, t_stop):
-            t_lo.append(t)
-            h.append(min(cfg.dt, t_stop - t))
-            t += h[-1]
-        t = t_stop
-        ends.append(len(h))
+    t_lo, t_hi, at = step_plan(cfg.t_start, t_final, cfg.dt, cfg.snapshot_times)
+    snap_steps = set(at.tolist())
 
     n_table = cfg.n_table if mode == "classical" else min(cfg.n_table, 257)
     t_nodes = np.linspace(cfg.t_start, t_final, n_table)
@@ -282,27 +271,25 @@ def solve(
             " raise n_q or narrow [q_min, q_max]"
         )
 
-    t0, dt = np.array(t_lo), np.array(h)
-    om, dc = table.step_coeffs(t0, t0 + dt, t0 + dt / 2.0)
+    h = t_hi - t_lo
+    om, dc = table.step_coeffs(t_lo, t_hi, (t_lo + t_hi) / 2.0)
     # max|Omega*q| = |Omega|*max|q| exactly, for the CFL and Peclet numbers
     if grid.upwind:
-        cfl = np.abs(om) * np.max(np.abs(grid.qf)) * dt / grid.dq
-        if np.any(cfl > 1.0):
-            raise CFLViolation(f"advective CFL {cfl[cfl > 1.0][0]:.3f} > 1 for upwind substep")
+        _refuse_unstable(np.abs(om) * np.max(np.abs(grid.qf)) * h / grid.dq > 1.0, t_lo,
+                         "the upwind CFL limit |Omega|*max|q|*h/dq <= 1")
     pos = dc > 0.0
     pe = np.abs(om[pos]) * np.max(np.abs(q)) * grid.dq / dc[pos]
     peclet_max = float(np.max(pe, initial=0.0))
 
-    rho, snapshots, done, oms, dcs = field.rho, {}, 0, om.tolist(), dc.tolist()
-    for t_stop, end in zip(stops, ends):
-        for i in range(done, end):
-            rho = step(rho, grid, oms[i], dcs[i], h[i])
-            if not np.all(np.isfinite(rho)):
-                raise NonFiniteState(f"non-finite density after step to t={t_lo[i] + h[i]}")
-        done = end
-        if t_stop in want:
-            snapshots[t_stop] = rho.copy()
-    field = DensityField(q, rho, t)
+    rho, taken = field.rho, {}
+    for k, (o, d, hk) in enumerate(zip(om.tolist(), dc.tolist(), h.tolist())):
+        rho = step(rho, grid, o, d, hk)
+        if not np.all(np.isfinite(rho)):
+            raise NonFiniteState(f"non-finite density after step to t={t_hi[k]}")
+        if k in snap_steps:
+            taken[k] = rho.copy()
+    snapshots = {float(ts): taken[k] for ts, k in zip(cfg.snapshot_times, at.tolist())}
+    field = DensityField(q, rho, t_final)
 
     linf = peak = None
     if cfg.compare_analytic:

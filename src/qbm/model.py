@@ -28,8 +28,9 @@ from .errors import (
 K_B_SI = 1.380649e-23  # J/K, exact (2019 SI)
 K_B_REDUCED = 1.0
 
-#: |omega_sq| <= CRITICAL_TOL * gamma**2 classifies the critical regime, so the
-#: series-limit formulas are used instead of 0/0 evaluation of the generic ones.
+#: |omega_sq| <= CRITICAL_TOL * gamma**2 tags the regime "critical".  The tag is
+#: descriptive: every formula is branch-free at critical damping, and only the
+#: "underdamped" tag (drift pole windows) changes what is computed.
 CRITICAL_TOL = 1e-12
 
 OVERDAMPED = "overdamped"

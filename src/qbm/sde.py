@@ -11,8 +11,11 @@ Two simulators over ensembles of paths:
   integrated by BAOAB splitting with the exact Ornstein-Uhlenbeck kick, so the
   friction/noise substep introduces no stepsize bias.
 
-Both keep only their start state and step; one driver, ``_ensemble``, owns
-the blocks, records and merge.  Paths are split over 16 fixed RNG blocks, each
+Both step on ``step_plan``, the one time grid they share with the FPE solver:
+ends at t0 + k*dt, each requested sample time a step end of its own, so a
+sample lands exactly where it is asked for, as an FPE snapshot does.  Both
+keep only their start state and step; one driver, ``_ensemble``, owns the
+blocks, records and merge.  Paths are split over 16 fixed RNG blocks, each
 seeded by SeedSequence((seed, block)) driving Philox counters, and all
 reductions run in fixed block order — results are bit-identical for a given
 seed regardless of thread count.  Each block keeps its exact sum and its M2
@@ -32,8 +35,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .coefficients import CoefficientTable
-from .errors import CFLViolation, GridMismatch, NonFiniteState
+from .coefficients import CoefficientTable, _refuse_unstable, step_plan, write_csv
+from .errors import GridMismatch, NonFiniteState
 from .model import PhysicalParams
 
 __all__ = [
@@ -56,24 +59,6 @@ def _block_sizes(n_paths: int) -> list:
 
 def _rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-
-
-def _step_times(t0: float, t_final: float, dt: float) -> np.ndarray:
-    """End times of the steps of length dt from t0; the last one is t_final."""
-    if not (dt > 0.0):
-        raise ValueError("dt must be positive")
-    if not (t_final > t0):
-        raise ValueError(f"t_final must exceed the start time {t0}")
-    n = max(1, int(math.ceil((t_final - t0) / dt - 1e-12)))
-    t = t0 + dt * np.arange(1, n + 1)
-    t[-1] = t_final
-    return t
-
-
-def _refuse_unstable(unstable: np.ndarray, t_lo: np.ndarray, limit: str) -> None:
-    """Raise CFLViolation naming the first step flagged ``unstable``, if any."""
-    if unstable.any():
-        raise CFLViolation(f"step from t={t_lo[np.argmax(unstable)]} breaks {limit}")
 
 
 def _record_mask(n_steps: int) -> np.ndarray:
@@ -107,13 +92,8 @@ class EnsembleStats:
     paths: Optional[np.ndarray] = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("t,mean,var,se_mean,se_var\n")
-            for i in range(len(self.t)):
-                f.write(
-                    "%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                    % (self.t[i], self.mean[i], self.var[i], self.se_mean[i], self.se_var[i])
-                )
+        names = ("t", "mean", "var", "se_mean", "se_var")
+        write_csv(path, names, [getattr(self, name) for name in names])
 
     def dump_paths(self, path) -> None:
         """Raw-path binary dump.
@@ -159,36 +139,24 @@ def _combine(block_sums: list, sizes: list) -> tuple:
     return s1 / n_paths, var, np.sqrt(var / n_paths), var * math.sqrt(2.0 / (n_paths - 1))
 
 
-def _sample_indices(times: np.ndarray, sample_times, t0: float) -> list:
-    idx = []
-    for ts in sample_times:
-        ts = float(ts)
-        if not (t0 < ts <= float(times[-1]) + 1e-12):
-            raise ValueError(f"sample time {ts} outside ({t0}, {times[-1]}]")
-        k = int(np.argmin(np.abs(times - ts)))
-        if abs(float(times[k]) - ts) > 1e-9 * max(1.0, abs(ts)):
-            raise ValueError(
-                f"sample time {ts} does not land on the step grid (dt mismatch)"
-            )
-        idx.append(k)
-    return idx
-
-
-def _ensemble(label, times, t0, n_paths, seed, threads, sample_times, keep_paths,
+def _ensemble(label, plan, sample_times, n_paths, seed, threads, keep_paths,
               start, advance) -> EnsembleStats:
     """Run one integrator over the 16 seeded blocks of paths and merge them.
 
-    ``start(rng, n_b)`` returns a block's state, ``[q]`` or ``[q, v]``;
-    ``advance(k, h, rng, s)`` takes step k, of length h, in place.  Each
-    record keeps every state variable's (sum, M2) for ``_combine``; the first
-    record at which a block's moments are not finite raises NonFiniteState
-    (blocks in order decide, so the message does not depend on threads).
+    ``plan`` is the (t_lo, t_hi, at) of ``step_plan`` with ``sample_times``
+    for its stops.  ``start(rng, n_b)`` returns a block's state, ``[q]`` or
+    ``[q, v]``; ``advance(k, h, rng, s)`` takes step k, of length h, in place.
+    Each record keeps every state variable's (sum, M2) for ``_combine``; the
+    first record at which a block's moments are not finite raises
+    NonFiniteState (blocks in order decide, so the message does not depend on
+    threads).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
+    t_lo, times, at = plan
     rec = _record_mask(len(times))
-    samp_idx = _sample_indices(times, sample_times, t0)
-    dts = np.diff(np.concatenate(([t0], times)))
+    samp_idx = set(at.tolist())
+    dts = times - t_lo
     n_rec = int(rec.sum())
 
     def one_block(b: int, n_b: int):
@@ -241,7 +209,8 @@ def _ensemble(label, times, t0, n_paths, seed, threads, sample_times, keep_paths
         var_v=moments[1][1] if n_var > 1 else None,
         samples_v=final[1] if n_var > 1 else None,
         samples_at={
-            float(times[k]): np.concatenate([r[2][k] for r in results]) for k in samp_idx
+            float(ts): np.concatenate([r[2][k] for r in results])
+            for ts, k in zip(sample_times, at.tolist())
         } or None,
         paths=np.concatenate([r[3] for r in results]) if keep_paths else None,
     )
@@ -260,11 +229,9 @@ def simulate_reduced(
     keep_paths: bool = False,
 ) -> EnsembleStats:
     """Euler-Maruyama ensemble for the reduced position SDE."""
-    t0 = float(table.t[0])
-    times = _step_times(t0, t_final, dt)
+    t_lo, times, _ = plan = step_plan(float(table.t[0]), t_final, dt, sample_times)
     table._check_range(t_final)
     # per-step coefficients once, identical for every block
-    t_lo = np.concatenate(([t0], times[:-1]))
     oms, dcs = table.step_coeffs(t_lo, times, (t_lo + times) / 2.0)
     _refuse_unstable(oms * (times - t_lo) < -2.0, t_lo, "the Euler-Maruyama limit Omega*h >= -2")
 
@@ -273,7 +240,7 @@ def simulate_reduced(
         q += oms[k] * q * h + math.sqrt(dcs[k] * h) * rng.standard_normal(len(q))
 
     return _ensemble(
-        "reduced-em", times, t0, n_paths, seed, threads, sample_times, keep_paths,
+        "reduced-em", plan, sample_times, n_paths, seed, threads, keep_paths,
         lambda rng, n_b: [np.full(n_b, float(q0))], advance,
     )
 
@@ -297,9 +264,8 @@ def simulate_langevin(
     """
     if v0_mode not in ("zero", "thermal"):
         raise ValueError(f"v0_mode must be 'zero' or 'thermal', got {v0_mode!r}")
-    times = _step_times(0.0, t_final, dt)
+    t_lo, times, _ = plan = step_plan(0.0, t_final, dt, sample_times)
     k_spring = p.omega0_sq / p.M
-    t_lo = np.concatenate(([0.0], times[:-1]))
     _refuse_unstable((times - t_lo) * math.sqrt(k_spring) >= 2.0, t_lo,
                      "the BAOAB limit h*sqrt(omega0_sq/M) < 2")
     v_std = math.sqrt(p.kT / p.M)
@@ -321,8 +287,8 @@ def simulate_langevin(
         s[1] = v
 
     return _ensemble(
-        f"langevin-baoab-{v0_mode}", times, 0.0, n_paths, seed, threads, sample_times,
-        keep_paths, start, advance,
+        f"langevin-baoab-{v0_mode}", plan, sample_times, n_paths, seed, threads, keep_paths,
+        start, advance,
     )
 
 

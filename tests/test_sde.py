@@ -22,6 +22,7 @@ from qbm import (
     simulate_langevin,
     simulate_reduced,
 )
+from qbm.coefficients import step_plan
 
 
 @pytest.fixture(scope="module")
@@ -79,17 +80,14 @@ class TestReducedMoments:
         p, table = table_over
         dt, t_final, n = 2e-3, 1.5, 40000
         stats = simulate_reduced(p, table, 1.0, n, dt, t_final, seed=11)
-        n_steps = int(math.ceil(t_final / dt - 1e-12))
-        m, s, t = 1.0, 0.0, 0.0
-        for k in range(n_steps):
-            t_next = min((k + 1) * dt, t_final)
+        m, s = 1.0, 0.0
+        for t, t_next in zip(*step_plan(0.0, t_final, dt)[:2]):
             tm = (t + t_next) / 2.0
             om = np.interp(tm, table.t, table.omega)
             dc = np.interp(tm, table.t, table.d_fpe)
             h = t_next - t
             m *= 1.0 + om * h
             s = (1.0 + om * h) ** 2 * s + dc * h
-            t = t_next
         assert abs(stats.mean[-1] - m) < 3.0 * stats.se_mean[-1]
         assert abs(stats.var[-1] - s) < 3.0 * stats.se_var[-1]
 
@@ -224,10 +222,15 @@ class TestSampling:
         se = math.sqrt(sigma_cl_closed(p, 0.5) / 2000.0)
         assert abs(np.mean(stats.samples_at[0.5]) - chi_q(p, 0.5)) < 4.0 * se
 
-    def test_off_grid_sample_time_rejected(self, table_over):
-        p, table = table_over
-        with pytest.raises(ValueError):
-            simulate_reduced(p, table, 1.0, 100, 2e-3, 1.0, seed=1, sample_times=(0.3001,))
+    @pytest.mark.parametrize("sim", SIMS)
+    def test_off_grid_sample_time_lands_exactly(self, table_over, sim):
+        # 0.3001 splits the step [0.3, 0.302]: the sample is the state of a
+        # run that ends at 0.3001, drawn from the same streams
+        _, table = table_over
+        stats = _run(sim, table, 1.0, 100, 2e-3, 1.0, 1, sample_times=(0.3001,))
+        short = _run(sim, table, 1.0, 100, 2e-3, 0.3001, 1)
+        assert set(stats.samples_at) == {0.3001}
+        assert stats.samples_at[0.3001].tobytes() == short.samples_q.tobytes()
 
     def test_out_of_range_sample_time_rejected(self, table_over):
         p, table = table_over
