@@ -19,7 +19,10 @@ its own.  It reads every step's Omega and D, at the step midpoint, by one
 ``CoefficientTable.step_coeffs`` call (the guard policy shared with the reduced
 SDE) and checks the upwind CFL limit once, so a refused step raises its typed
 error before the first step is taken.  ``step`` is a pure one-step kernel on a
-``StepGrid`` built once per run; it solves by LAPACK gtsv, called directly.
+``StepGrid`` built once per run, calling LAPACK directly: ``cn-central`` solves
+its general band by gtsv; the ``split-upwind`` diffusion substep, whose band
+(Omega = 0, uniform grid) is symmetric positive definite with scalar entries,
+by ptsv, and its upwind cells are gathered by two slices split at q = 0.
 A grid whose cell width exceeds the initial standard deviation is refused
 (``UnresolvedGrid``) before the first step.
 """
@@ -50,7 +53,7 @@ __all__ = [
 
 _SCHEMES = ("cn-central", "split-upwind")
 _BOUNDARIES = ("zero-flux", "absorbing")
-_gtsv = None  # LAPACK dgtsv, bound by the first solve_banded: only FPE runs load scipy.linalg
+_gtsv = _ptsv = None  # LAPACK dgtsv/dptsv, bound by the first solve_banded: only FPE runs load scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -134,13 +137,17 @@ class DensityField:
 
 class StepGrid:
     """What ``step`` reads of a uniform grid q, built once per solve: the
-    spacing, the interior face centres and the two wall faces."""
+    spacing, the interior face centres, the two wall faces, and the first
+    face with q_f > 0 and the first with q_f >= 0 (where the upwind cell
+    changes side)."""
 
     def __init__(self, q: np.ndarray, scheme: str, boundary: str):
         self.dq = float(q[1] - q[0])
         self.qf = (q[:-1] + q[1:]) / 2.0
         self.walls = (float(q[0]) - self.dq / 2.0, float(q[-1]) + self.dq / 2.0)
         self.upwind, self.absorbing = scheme == "split-upwind", boundary == "absorbing"
+        self.pos = int(np.searchsorted(self.qf, 0.0, side="right"))
+        self.nonneg = int(np.searchsorted(self.qf, 0.0, side="left"))
 
 
 def _net(out, inn):
@@ -166,41 +173,84 @@ def _flux_tridiag(grid: StepGrid, om: float, dc: float):
 
 
 def solve_banded(lower, diag, upper, rhs):
-    """Tridiagonal solve by LAPACK gtsv; overwrites all four arrays."""
-    global _gtsv
+    """Tridiagonal solve; overwrites every array passed.
+
+    LAPACK gtsv (LU with partial pivoting) solves the general band;
+    ``upper=None`` means the band is symmetric positive definite with
+    off-diagonal ``lower``, solved by LAPACK ptsv (LDL^T, no pivoting).
+    """
+    global _gtsv, _ptsv
     if _gtsv is None:
-        from scipy.linalg.lapack import dgtsv as _gtsv
+        from scipy.linalg.lapack import dgtsv as _gtsv, dptsv as _ptsv
+    if upper is None:
+        x, info = _ptsv(diag, lower, rhs, True, True, True)[2:]
+        if info > 0:
+            raise LinAlgError(f"{info}th leading minor not positive definite")
+        return x
     x, info = _gtsv(lower, diag, upper, rhs, True, True, True, True)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")
     return x
 
 
+def _upwind_cells(rho: np.ndarray, grid: StepGrid, om: float) -> np.ndarray:
+    """Per face, rho of its upwind cell: the left one where om*q_f > 0, else
+    the right one.  The side flips only at q_f = 0, so two slices do it."""
+    src = np.empty(len(rho) - 1)
+    if om > 0.0:
+        i = grid.pos
+        src[:i] = rho[1 : i + 1]
+        src[i:] = rho[i:-1]
+    else:
+        i = grid.nonneg if om < 0.0 else 0
+        src[:i] = rho[:i]
+        src[i:] = rho[i + 1 :]
+    return src
+
+
 def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.ndarray:
     """Density after one step of length h with drift om and diffusion dc.
 
-    ``cn-central`` makes one Crank-Nicolson solve of the full flux;
-    ``split-upwind`` advects by the explicit upwind flux, then makes the same
-    solve with om = 0.  The caller owns the time and every guard, and starts
-    each step from a finite rho, so no input is scanned for finiteness.
+    ``cn-central`` makes one Crank-Nicolson solve of the full flux by gtsv;
+    ``split-upwind`` advects by the explicit upwind flux, then makes the
+    Crank-Nicolson diffusion solve (om = 0), whose band is symmetric positive
+    definite with scalar entries, by ptsv.  The caller owns the time and every
+    guard, and starts each step from a finite rho, so no input is scanned for
+    finiteness.
     """
-    if grid.upwind:
-        uf = om * grid.qf
-        f = uf * np.where(uf > 0.0, rho[:-1], rho[1:]) / grid.dq  # upwind cell's rho
-        adv = _net(f, f)
-        if grid.absorbing:
-            uL, uR = om * grid.walls[0], om * grid.walls[1]
-            if uL < 0.0:
-                adv[0] += uL * rho[0] / grid.dq
-            if uR > 0.0:
-                adv[-1] -= uR * rho[-1] / grid.dq
-        rho, om = rho + h * adv, 0.0
-    lower, diag, upper = _flux_tridiag(grid, om, dc)
-    y = diag * rho
-    y[:-1] += upper * rho[1:]
-    y[1:] += lower * rho[:-1]
     c = h / 2.0
-    return solve_banded(-c * lower, 1.0 - c * diag, -c * upper, rho + c * y)
+    if not grid.upwind:
+        lower, diag, upper = _flux_tridiag(grid, om, dc)
+        y = diag * rho
+        y[:-1] += upper * rho[1:]
+        y[1:] += lower * rho[:-1]
+        return solve_banded(-c * lower, 1.0 - c * diag, -c * upper, rho + c * y)
+
+    dq = grid.dq
+    f = om * grid.qf * _upwind_cells(rho, grid, om) / dq
+    adv = _net(f, f)
+    if grid.absorbing:
+        uL, uR = om * grid.walls[0], om * grid.walls[1]
+        if uL < 0.0:
+            adv[0] += uL * rho[0] / dq
+        if uR > 0.0:
+            adv[-1] -= uR * rho[-1] / dq
+    rho = rho + h * adv
+
+    # _flux_tridiag(grid, 0.0, dc) from scalars: on every face a = k/dq and
+    # b = -k/dq, so both off-diagonals are a and _net(a, b) takes three values
+    k = dc / (2.0 * dq)
+    a, b = k / dq, -k / dq
+    d_mid, d_lo, d_hi = (0.0 - a) + b, 0.0 - a, 0.0 + b
+    if grid.absorbing:
+        d_lo, d_hi = d_lo + b, d_hi - a
+    y = d_mid * rho
+    y[0], y[-1] = d_lo * rho[0], d_hi * rho[-1]
+    y[:-1] += a * rho[1:]
+    y[1:] += a * rho[:-1]
+    diag = np.full(len(rho), 1.0 - c * d_mid)
+    diag[0], diag[-1] = 1.0 - c * d_lo, 1.0 - c * d_hi
+    return solve_banded(np.full(len(rho) - 1, -c * a), diag, None, rho + c * y)
 
 
 @dataclass

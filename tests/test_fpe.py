@@ -180,9 +180,12 @@ class TestStepGuards:
         assert np.sum(g) * f.dq == pytest.approx(f.mass(), abs=1e-14)
 
 
-def _reference_step(rho, q, om, dc, h, scheme, boundary):
-    """The step kernel as first written: zero-filled diagonals, a 3 x n band
-    array and scipy's solve_banded.  ``step`` must match it bit for bit."""
+def _reference_step(rho, q, om, dc, h, scheme, boundary, symmetric=True):
+    """The step kernel as first written: zero-filled diagonals, a banded array
+    and a scipy solver.  The split-upwind diffusion band goes to
+    solveh_banded (LAPACK ptsv) as its 2 x n upper band, unless ``symmetric``
+    is false: then, like cn-central, to solve_banded (gtsv) as a 3 x n band.
+    ``step`` must match the default bit for bit."""
     def flux_tridiag(om):
         n = len(q)
         dq = q[1] - q[0]
@@ -224,6 +227,8 @@ def _reference_step(rho, q, om, dc, h, scheme, boundary):
     ab = np.zeros((3, len(q)))
     ab[0, 1:] = -h / 2.0 * upper
     ab[1, :] = 1.0 - h / 2.0 * diag
+    if scheme == "split-upwind" and symmetric:
+        return scipy.linalg.solveh_banded(ab[:2], rhs)
     ab[2, :-1] = -h / 2.0 * lower
     return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
@@ -242,18 +247,55 @@ def test_lean_kernel_matches_reference_assembly(scheme, boundary, om, n):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("om", [-0.7, 0.0, 0.4])
+def test_upwind_slices_at_a_zero_face(om):
+    # an even symmetric grid puts one face at q_f = 0, where om*q_f = +-0.0
+    # picks the right cell; negative densities beside it give signed zeros
+    n = 10
+    q = (np.arange(n) - (n - 1) / 2.0) * 0.25
+    grid = StepGrid(q, "split-upwind", "zero-flux")
+    z = n // 2 - 1
+    assert grid.qf[z] == 0.0 and grid.nonneg == z and grid.pos == z + 1
+    rho = np.linspace(1.0, 2.0, n)
+    rho[z], rho[z + 1] = -0.25, -0.5
+    uf = om * grid.qf
+    want = np.where(uf > 0.0, rho[:-1], rho[1:])
+    got = qbm.fpe._upwind_cells(rho, grid, om)
+    assert got.tobytes() == want.tobytes()
+    assert (uf * got).tobytes() == (uf * want).tobytes()
+    ref = _reference_step(rho, q, np.float64(om), 0.9, 2e-3, "split-upwind", "zero-flux")
+    assert step(rho, grid, om, 0.9, 2e-3).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("boundary", ["zero-flux", "absorbing"])
+def test_symmetric_solve_tracks_the_general_one(boundary):
+    # the ptsv diffusion solve against the gtsv assembly it replaced, over
+    # 200 split-upwind steps with om changing sign
+    q = np.linspace(-3.0, 4.0, 801)
+    grid = StepGrid(q, "split-upwind", boundary)
+    new = old = DensityField.gaussian(q, 0.5, 0.01).rho
+    mass0 = np.sum(new) * grid.dq
+    for om, dc in zip(np.linspace(-0.7, 0.4, 200), np.linspace(0.9, 0.2, 200)):
+        new = step(new, grid, float(om), float(dc), 2e-3)
+        old = _reference_step(old, q, om, dc, 2e-3, "split-upwind", boundary, symmetric=False)
+    assert np.max(np.abs(new - old)) <= 1e-13 * np.max(old)
+    if boundary == "zero-flux":
+        assert abs(np.sum(new) * grid.dq - mass0) <= 1e-12
+
+
 def test_lapack_loads_with_the_first_solve():
     # runs that solve no FPE (coeffs, sde, validate) never load scipy.linalg;
-    # a step taken without solve binds gtsv itself
-    code = (
-        "import sys, numpy as np, qbm\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
-        "grid = qbm.StepGrid(np.linspace(-1.0, 1.0, 9), 'cn-central', 'zero-flux')\n"
-        "rho = qbm.step(np.full(9, 0.5), grid, -0.5, 1.0, 1e-3)\n"
-        "assert np.all(np.isfinite(rho)) and 'scipy.linalg' in sys.modules\n"
-    )
+    # a step taken without solve binds gtsv and ptsv itself, for either scheme
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    for scheme in ("cn-central", "split-upwind"):
+        code = (
+            "import sys, numpy as np, qbm\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            f"grid = qbm.StepGrid(np.linspace(-1.0, 1.0, 9), {scheme!r}, 'zero-flux')\n"
+            "rho = qbm.step(np.full(9, 0.5), grid, -0.5, 1.0, 1e-3)\n"
+            "assert np.all(np.isfinite(rho)) and 'scipy.linalg' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_singular_solve_raises():
@@ -262,6 +304,9 @@ def test_singular_solve_raises():
         scipy.linalg.solve_banded((1, 1), np.zeros((3, 3)), np.ones(3))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         qbm.fpe.solve_banded(*zeros, np.ones(3))
+    # symmetric but not positive definite: the ptsv path refuses it too
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        qbm.fpe.solve_banded(np.full(2, -0.5), np.zeros(3), None, np.ones(3))
 
 
 class TestFailBeforeStepping:
