@@ -22,7 +22,9 @@ error before the first step is taken.  ``step`` is a pure one-step kernel on a
 ``StepGrid`` built once per run, calling LAPACK directly: ``cn-central`` solves
 its general band by gtsv; the ``split-upwind`` diffusion substep, whose band
 (Omega = 0, uniform grid) is symmetric positive definite with scalar entries,
-by ptsv, and its upwind cells are gathered by two slices split at q = 0.
+by pttrf on a prefix up to the fixed point of its pivots and pttrs, which is
+ptsv's result bit for bit, and its upwind cells are gathered by two slices
+split at q = 0.
 A grid whose cell width exceeds the initial standard deviation is refused
 (``UnresolvedGrid``) before the first step.
 """
@@ -53,7 +55,7 @@ __all__ = [
 
 _SCHEMES = ("cn-central", "split-upwind")
 _BOUNDARIES = ("zero-flux", "absorbing")
-_gtsv = _ptsv = None  # LAPACK dgtsv/dptsv, bound by the first solve_banded: only FPE runs load scipy.linalg
+_gtsv = _pttrf = _pttrs = None  # LAPACK dgtsv/dpttrf/dpttrs, bound by the first solve_banded: only FPE runs load scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -172,23 +174,89 @@ def _flux_tridiag(grid: StepGrid, om: float, dc: float):
     return a, diag, -b
 
 
+def _lapack_ok(info: int, name: str) -> int:
+    """LAPACK's info, once a negative one (an illegal argument) is refused."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {name}")
+    return info
+
+
+def _refuse_minor(info: int) -> None:
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+
+
+def _prefix_len(off: float, mid: float) -> int:
+    """Cells after which the interior pivots of a band with off-diagonal
+    ``off`` and interior diagonal ``mid`` stop changing.  They contract toward
+    their fixed point p* = (mid + sqrt(mid^2 - 4 off^2))/2 by (off/p*)^2 a
+    cell, so 53 bits take ln(2^-53)/ln((off/p*)^2) cells.  On the
+    split-upwind bands (mid = 1 + 2r, off = -r) the first repeat came at most
+    1.1 cells past that for r from 1e-8 to 1e6, so 8 cells are added.  0 if
+    the pivots have no fixed point to contract to."""
+    disc = mid * mid - 4.0 * off * off
+    if not disc > 0.0:
+        return 0
+    rate = (2.0 * off / (mid + math.sqrt(disc))) ** 2
+    if not rate < 1.0:
+        return 0
+    return 8 + (int(math.log(2.0**-53) / math.log(rate)) if rate > 0.0 else 0)
+
+
+def _ldlt(off: float, first: float, mid: float, last: float, n: int):
+    """Pivots and multipliers of the LAPACK pttrf factor of the n-cell band
+    with off-diagonal ``off`` and diagonal (first, mid, ..., mid, last).
+
+    The interior pivot map p -> mid - (off/p)*off is the same operation at
+    every cell, so once two consecutive pivots are equal in bits, every later
+    interior pivot and multiplier repeats theirs.  pttrf factors a prefix up
+    to that fixed point, the rest is filled, and the last pivot comes from
+    pttrf on the two cells [p*, last], which does the last cell's operations.
+    The factor is the one pttrf gives on the whole band, bit for bit; where
+    the pivots do not repeat within the prefix, the whole band is factored.
+    """
+    m = _prefix_len(off, mid)
+    if 0 < m < n - 1:
+        d = np.full(m, mid)
+        d[0] = first
+        d, e, info = _pttrf(d, np.full(m - 1, off), True, True)
+        _refuse_minor(_lapack_ok(info, "pttrf"))
+        same = np.flatnonzero(d[:-1] == d[1:])
+        if len(same):
+            j = int(same[0])
+            end, _, info = _pttrf(np.array([d[j], last]), np.array([off]), True, True)
+            if _lapack_ok(info, "pttrf"):
+                _refuse_minor(n)
+            dd, ee = np.full(n, d[j]), np.full(n - 1, e[j])
+            dd[:j], ee[:j], dd[-1] = d[:j], e[:j], end[1]
+            return dd, ee
+    d = np.full(n, mid)
+    d[0], d[-1] = first, last
+    d, e, info = _pttrf(d, np.full(n - 1, off), True, True)
+    _refuse_minor(_lapack_ok(info, "pttrf"))
+    return d, e
+
+
 def solve_banded(lower, diag, upper, rhs):
     """Tridiagonal solve; overwrites every array passed.
 
-    LAPACK gtsv (LU with partial pivoting) solves the general band;
-    ``upper=None`` means the band is symmetric positive definite with
-    off-diagonal ``lower``, solved by LAPACK ptsv (LDL^T, no pivoting).
+    LAPACK gtsv (LU with partial pivoting) solves the general band given by
+    the arrays ``lower``, ``diag`` and ``upper``.  ``upper=None`` means a
+    symmetric positive definite band given by scalars: off-diagonal
+    ``lower`` and ``diag = (first, interior, last)``.  It is factored by
+    pttrf only up to its pivots' fixed point (``_ldlt``) and solved by pttrs,
+    which gives ptsv's result bit for bit.
     """
-    global _gtsv, _ptsv
+    global _gtsv, _pttrf, _pttrs
     if _gtsv is None:
-        from scipy.linalg.lapack import dgtsv as _gtsv, dptsv as _ptsv
+        from scipy.linalg.lapack import dgtsv as _gtsv, dpttrf as _pttrf, dpttrs as _pttrs
     if upper is None:
-        x, info = _ptsv(diag, lower, rhs, True, True, True)[2:]
-        if info > 0:
-            raise LinAlgError(f"{info}th leading minor not positive definite")
+        d, e = _ldlt(lower, *diag, len(rhs))
+        x, info = _pttrs(d, e, rhs, True)
+        _lapack_ok(info, "pttrs")
         return x
     x, info = _gtsv(lower, diag, upper, rhs, True, True, True, True)[3:]
-    if info > 0:
+    if _lapack_ok(info, "gtsv"):
         raise LinAlgError("singular matrix")
     return x
 
@@ -214,7 +282,8 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
     ``cn-central`` makes one Crank-Nicolson solve of the full flux by gtsv;
     ``split-upwind`` advects by the explicit upwind flux, then makes the
     Crank-Nicolson diffusion solve (om = 0), whose band is symmetric positive
-    definite with scalar entries, by ptsv.  The caller owns the time and every
+    definite and given by four scalars, by pttrf up to the fixed point of its
+    pivots and pttrs (``solve_banded``).  The caller owns the time and every
     guard, and starts each step from a finite rho, so no input is scanned for
     finiteness.
     """
@@ -248,9 +317,8 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
     y[0], y[-1] = d_lo * rho[0], d_hi * rho[-1]
     y[:-1] += a * rho[1:]
     y[1:] += a * rho[:-1]
-    diag = np.full(len(rho), 1.0 - c * d_mid)
-    diag[0], diag[-1] = 1.0 - c * d_lo, 1.0 - c * d_hi
-    return solve_banded(np.full(len(rho) - 1, -c * a), diag, None, rho + c * y)
+    diag = (1.0 - c * d_lo, 1.0 - c * d_mid, 1.0 - c * d_hi)
+    return solve_banded(-c * a, diag, None, rho + c * y)
 
 
 @dataclass

@@ -304,9 +304,96 @@ def test_singular_solve_raises():
         scipy.linalg.solve_banded((1, 1), np.zeros((3, 3)), np.ones(3))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         qbm.fpe.solve_banded(*zeros, np.ones(3))
-    # symmetric but not positive definite: the ptsv path refuses it too
+    # symmetric but not positive definite: the scalar-band path refuses it too
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        qbm.fpe.solve_banded(np.full(2, -0.5), np.zeros(3), None, np.ones(3))
+        qbm.fpe.solve_banded(-0.5, (0.0, 0.0, 0.0), None, np.ones(3))
+
+
+@pytest.fixture
+def pttrf_lengths(monkeypatch):
+    """Lengths of the bands handed to LAPACK pttrf, one list per solve: the
+    fixed-point fill ends on the 2-cell call, the full factor on an n-cell one."""
+    qbm.fpe.solve_banded(-0.5, (2.0, 2.0, 2.0), None, np.ones(5))  # binds LAPACK
+    calls, real = [], qbm.fpe._pttrf
+
+    def counted(d, *args):
+        calls.append(len(d))
+        return real(d, *args)
+
+    monkeypatch.setattr(qbm.fpe, "_pttrf", counted)
+    return calls
+
+
+def _scalar_band(r, n, boundary):
+    """The split-upwind diffusion band at h*D/(4dq^2) = r, as scalars and as
+    solveh_banded's 2 x n upper band."""
+    end = 1.0 + (2.0 * r if boundary == "absorbing" else r)
+    diag = (end, 1.0 + 2.0 * r, end)
+    ab = np.empty((2, n))
+    ab[0, 1:], ab[1, :] = -r, diag[1]
+    ab[1, 0] = ab[1, -1] = end
+    return -r, diag, ab
+
+
+@pytest.mark.parametrize("boundary", ["zero-flux", "absorbing"])
+def test_scalar_band_solve_is_ptsv_bit_for_bit(boundary, pttrf_lengths):
+    # solveh_banded is LAPACK ptsv = pttrf + pttrs on the whole band; the
+    # fixed-point fill must reproduce its factor exactly, and the sweep must
+    # reach both the fill and the full-factor fallback
+    rng = np.random.default_rng(5)
+    paths = {"fill": 0, "full": 0}
+    for r in (1e-8, 1e-4, 1.0, 100.0, 1e4, 1e6):
+        for n in (5, 6, 64, 801, 16801):
+            off, diag, ab = _scalar_band(r, n, boundary)
+            rhs = rng.random(n)
+            want = scipy.linalg.solveh_banded(ab, rhs)
+            pttrf_lengths.clear()
+            got = qbm.fpe.solve_banded(off, diag, None, rhs.copy())
+            assert got.tobytes() == want.tobytes(), (r, n)
+            paths["fill" if pttrf_lengths[-1] == 2 else "full"] += 1
+            assert pttrf_lengths[-1] in (2, n)
+    assert paths["fill"] > 0 and paths["full"] > 0, paths
+
+
+def test_pivots_that_do_not_repeat_in_the_prefix_fall_back(pttrf_lengths, monkeypatch):
+    # a prefix too short for the pivots to settle factors the whole band
+    monkeypatch.setattr(qbm.fpe, "_prefix_len", lambda off, mid: 9)
+    off, diag, ab = _scalar_band(1e4, 801, "zero-flux")
+    rhs = np.random.default_rng(6).random(801)
+    want = scipy.linalg.solveh_banded(ab, rhs)
+    assert qbm.fpe.solve_banded(off, diag, None, rhs).tobytes() == want.tobytes()
+    assert pttrf_lengths == [9, 801]
+
+
+@pytest.mark.parametrize(
+    "diag, where",
+    [((-1.0, 3.0, 2.0), "prefix"), ((0.1, 3.0, 2.0), "prefix"), ((2.0, 3.0, 0.1), "last")],
+)
+def test_indefinite_scalar_band_raises_with_ptsv_info(diag, where, pttrf_lengths):
+    # the bad pivot falls in the factored prefix (cell 1 or 2) or in the
+    # last cell, whose pivot comes from the 2-cell factor; the message names
+    # the same leading minor as ptsv on the whole band
+    n = 801
+    d = np.full(n, diag[1])
+    d[0], d[-1] = diag[0], diag[2]
+    info = scipy.linalg.lapack.dptsv(d, np.full(n - 1, -1.0), np.ones(n))[-1]
+    assert info == (n if where == "last" else 1 + (diag[0] > 0))
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{info}th leading minor not positive definite"):
+        qbm.fpe.solve_banded(-1.0, diag, None, np.ones(n))
+    assert pttrf_lengths[0] < n and pttrf_lengths[-1] == (2 if where == "last" else pttrf_lengths[0])
+
+
+@pytest.mark.parametrize("routine", ["_gtsv", "_pttrf", "_pttrs"])
+def test_illegal_lapack_argument_raises(routine, monkeypatch):
+    # LAPACK reports an illegal argument by info < 0; that is never a solution
+    qbm.fpe.solve_banded(-0.5, (2.0, 2.0, 2.0), None, np.ones(5))  # binds LAPACK
+    real = getattr(qbm.fpe, routine)
+    monkeypatch.setattr(qbm.fpe, routine, lambda *a: (*real(*a)[:-1], -3))
+    with pytest.raises(ValueError, match=f"illegal value in argument 3 of LAPACK {routine[1:]}"):
+        if routine == "_gtsv":
+            qbm.fpe.solve_banded(np.ones(4), np.full(5, 3.0), np.ones(4), np.ones(5))
+        else:
+            qbm.fpe.solve_banded(-0.5, (2.0, 2.0, 2.0), None, np.ones(5))
 
 
 class TestFailBeforeStepping:
