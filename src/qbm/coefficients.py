@@ -871,10 +871,10 @@ def build_table(
         omega[ok] = _omega_from_chi(p, t_arr[ok], cq[ok], cv[ok])
 
     diagnostics: dict = {}
-    if mode == "classical":
-        d1 = np.atleast_1d(d1_classical(p, t_arr))
+    if mode == "classical":  # d1_classical and sigma_cl_closed from this chi
+        d1 = (2.0 * p.gamma * p.kT / p.M) * cv * cv
         s1 = np.atleast_1d(sigma1_classical(p, t_arr))
-        sq = np.atleast_1d(sigma_cl_closed(p, t_arr))
+        sq = (p.kT / p.omega0_sq) * (1.0 - cq * cq)
     else:
         dets, s1, s1_tails = _quantum_columns(p, n_max, t_arr, cq, cv, cvd, tol)
         d1 = np.array([det.value for det in dets])

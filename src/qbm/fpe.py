@@ -7,8 +7,8 @@ Two schemes:
 
 * ``cn-central`` (default) — Crank-Nicolson in time with central flux
   averaging and coefficients sampled at the step midpoint: second order in
-  both dt and dq, unconditionally stable, and exactly mass-conserving with
-  zero-flux boundaries.
+  both dt and dq, unconditionally stable, and mass-conserving to round-off
+  with zero-flux boundaries.
 * ``split-upwind`` — Lie splitting of advection (explicit first-order upwind,
   CFL-limited) and diffusion (Crank-Nicolson): more robust at large cell
   Peclet number but only first order in dq.
@@ -19,12 +19,16 @@ its own.  It reads every step's Omega and D, at the step midpoint, by one
 ``CoefficientTable.step_coeffs`` call (the guard policy shared with the reduced
 SDE) and checks the upwind CFL limit once, so a refused step raises its typed
 error before the first step is taken.  ``step`` is a pure one-step kernel on a
-``StepGrid`` built once per run, calling LAPACK directly: ``cn-central`` solves
-its general band by gtsv; the ``split-upwind`` diffusion substep, whose band
-(Omega = 0, uniform grid) is symmetric positive definite with scalar entries,
-by pttrf on a prefix up to the fixed point of its pivots and pttrs, which is
-ptsv's result bit for bit, and its upwind cells are gathered by two slices
-split at q = 0.
+``StepGrid`` built once per run, calling LAPACK directly.  ``cn-central``'s
+M = I - (h/2)L is affine in two scalars: on the face between cells j-1 and j,
+M[j, j-1] = -s_j - ck and M[j-1, j] = s_j - ck, s = (h*Omega/2)*q_f/(2dq) and
+ck = h*D/(4dq^2); each diagonal entry closes its column to a sum of one, so
+mass is conserved by construction (an absorbing wall adds its outer face).
+The right-hand side is 2*rho - M*rho; the one gtsv solve is the step's floor.
+The ``split-upwind`` diffusion band (Omega = 0, uniform grid) is symmetric
+positive definite with scalar entries, factored by pttrf on a prefix up to
+the fixed point of its pivots and solved by pttrs (ptsv's result bit for
+bit); its upwind cells are gathered by two slices split at q = 0.
 A grid whose cell width exceeds the initial standard deviation is refused
 (``UnresolvedGrid``) before the first step.
 """
@@ -138,15 +142,15 @@ class DensityField:
 
 
 class StepGrid:
-    """What ``step`` reads of a uniform grid q, built once per solve: the
-    spacing, the interior face centres, the two wall faces, and the first
-    face with q_f > 0 and the first with q_f >= 0 (where the upwind cell
-    changes side)."""
+    """What ``step`` reads of a uniform grid q, built once per solve: dq, the
+    interior face centres, the two wall faces, every face over 2*dq, and the
+    first face with q_f > 0 and with q_f >= 0 (where upwind changes side)."""
 
     def __init__(self, q: np.ndarray, scheme: str, boundary: str):
         self.dq = float(q[1] - q[0])
         self.qf = (q[:-1] + q[1:]) / 2.0
         self.walls = (float(q[0]) - self.dq / 2.0, float(q[-1]) + self.dq / 2.0)
+        self.qf_2dq = np.concatenate(([self.walls[0]], self.qf, [self.walls[1]])) / (2.0 * self.dq)
         self.upwind, self.absorbing = scheme == "split-upwind", boundary == "absorbing"
         self.pos = int(np.searchsorted(self.qf, 0.0, side="right"))
         self.nonneg = int(np.searchsorted(self.qf, 0.0, side="left"))
@@ -159,19 +163,6 @@ def _net(out, inn):
     d[-1] = 0.0
     d[1:] += inn
     return d
-
-
-def _flux_tridiag(grid: StepGrid, om: float, dc: float):
-    """Rows of L with (L rho)_i = -(F_{i+1/2} - F_{i-1/2})/dq."""
-    u2 = om * grid.qf / 2.0
-    k = dc / (2.0 * grid.dq)
-    a = (u2 + k) / grid.dq  # multiplies rho_i in F_{i+1/2}, over dq
-    b = (u2 - k) / grid.dq  # multiplies rho_{i+1}
-    diag = _net(a, b)
-    if grid.absorbing:
-        diag[0] += (om * grid.walls[0] / 2.0 - k) / grid.dq
-        diag[-1] -= (om * grid.walls[1] / 2.0 + k) / grid.dq
-    return a, diag, -b
 
 
 def _lapack_ok(info: int, name: str) -> int:
@@ -279,8 +270,9 @@ def _upwind_cells(rho: np.ndarray, grid: StepGrid, om: float) -> np.ndarray:
 def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.ndarray:
     """Density after one step of length h with drift om and diffusion dc.
 
-    ``cn-central`` makes one Crank-Nicolson solve of the full flux by gtsv;
-    ``split-upwind`` advects by the explicit upwind flux, then makes the
+    ``cn-central`` makes one Crank-Nicolson solve by gtsv of the band formed
+    from s = (h*om/2)*q_f/(2dq) and ck = h*dc/(4dq^2), each column summing to
+    one; ``split-upwind`` advects by the explicit upwind flux, then makes the
     Crank-Nicolson diffusion solve (om = 0), whose band is symmetric positive
     definite and given by four scalars, by pttrf up to the fixed point of its
     pivots and pttrs (``solve_banded``).  The caller owns the time and every
@@ -289,11 +281,19 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
     """
     c = h / 2.0
     if not grid.upwind:
-        lower, diag, upper = _flux_tridiag(grid, om, dc)
-        y = diag * rho
-        y[:-1] += upper * rho[1:]
-        y[1:] += lower * rho[:-1]
-        return solve_banded(-c * lower, 1.0 - c * diag, -c * upper, rho + c * y)
+        ck = h * dc / (4.0 * grid.dq * grid.dq)
+        up = (c * om) * grid.qf_2dq
+        lo = np.subtract(-ck, up)
+        np.subtract(up, ck, out=up)
+        if not grid.absorbing:
+            lo[-1] = up[0] = 0.0
+        diag = 1.0 - lo[1:]
+        diag -= up[:-1]
+        lo, up = lo[1:-1], up[1:-1]
+        rhs = (2.0 - diag) * rho  # 2*rho - M*rho
+        rhs[1:] -= lo * rho[:-1]
+        rhs[:-1] -= up * rho[1:]
+        return solve_banded(lo, diag, up, rhs)
 
     dq = grid.dq
     f = om * grid.qf * _upwind_cells(rho, grid, om) / dq
@@ -306,8 +306,8 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
             adv[-1] -= uR * rho[-1] / dq
     rho = rho + h * adv
 
-    # _flux_tridiag(grid, 0.0, dc) from scalars: on every face a = k/dq and
-    # b = -k/dq, so both off-diagonals are a and _net(a, b) takes three values
+    # L at om = 0 from scalars: every face weighs rho_i by a = k/dq and
+    # rho_{i+1} by b = -k/dq, so both off-diagonals are a, _net(a, b) 3 values
     k = dc / (2.0 * dq)
     a, b = k / dq, -k / dq
     d_mid, d_lo, d_hi = (0.0 - a) + b, 0.0 - a, 0.0 + b
@@ -402,7 +402,7 @@ def solve(
     rho, taken = field.rho, {}
     for k, (o, d, hk) in enumerate(zip(om.tolist(), dc.tolist(), h.tolist())):
         rho = step(rho, grid, o, d, hk)
-        if not np.all(np.isfinite(rho)):
+        if not math.isfinite(rho.sum()) and not np.all(np.isfinite(rho)):  # sum can overflow
             raise NonFiniteState(f"non-finite density after step to t={t_hi[k]}")
         if k in snap_steps:
             taken[k] = rho.copy()

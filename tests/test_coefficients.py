@@ -693,6 +693,16 @@ class TestCoefficientTable:
         np.testing.assert_allclose(data["d_fpe"], table.d_fpe, rtol=1e-15)
         np.testing.assert_allclose(data["t"], grid, rtol=1e-15)
 
+    @pytest.mark.parametrize("regime", ["p_over", "p_under", "p_crit"])
+    def test_classical_columns_equal_the_closed_forms_bit_for_bit(self, regime, request):
+        # the table takes d1 and sigma_q from its own chi, not by calling
+        # d1_classical and sigma_cl_closed; the values must be theirs
+        p = request.getfixturevalue(regime)
+        grid = np.linspace(0.0, 6.0, 301)
+        table = build_table(p, grid, mode="classical")
+        assert table.d1.tobytes() == d1_classical(p, grid).tobytes()
+        assert table.sigma_q.tobytes() == sigma_cl_closed(p, grid).tobytes()
+
     def test_manifest_contents(self, p_over):
         table = build_table(p_over, np.linspace(0.0, 2.0, 5))
         m = table.manifest()

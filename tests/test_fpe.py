@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbm.fpe
 from qbm import (
@@ -19,10 +21,12 @@ from qbm import (
     SolverConfig,
     StepGrid,
     UnresolvedGrid,
+    NonFiniteState,
     build_table,
     solve,
     step,
 )
+from qbm.coefficients import step_plan
 
 
 def _cfg(**kw):
@@ -179,13 +183,63 @@ class TestStepGuards:
         g = step(f.rho, StepGrid(f.q, "cn-central", "zero-flux"), om, dc, 1e-3)
         assert np.sum(g) * f.dq == pytest.approx(f.mass(), abs=1e-14)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        om=st.floats(-5.0, 5.0),
+        dc=st.floats(1e-6, 10.0),
+        h=st.floats(1e-6, 1.0),
+        n=st.integers(5, 2001),
+    )
+    def test_cn_step_preserves_mass_to_round_off(self, om, dc, h, n):
+        # every column of the cn band sums to one, so mass moves only by the
+        # round-off of the band's entries: eps times their size, per unit mass
+        f = DensityField.gaussian(np.linspace(-3.0, 4.0, n), 0.5, 0.04)
+        grid = StepGrid(f.q, "cn-central", "zero-flux")
+        g = step(f.rho, grid, om, dc, h)
+        band = 1.0 + abs(h * om / 2.0) * np.max(np.abs(grid.qf_2dq)) + h * dc / (4.0 * f.dq**2)
+        tol = 16.0 * np.finfo(np.float64).eps * band * np.sum(np.abs(g)) * f.dq
+        assert abs(np.sum(g) * f.dq - f.mass()) <= tol
+
+    def _steps_with(self, monkeypatch, p, bad):
+        """solve over 10 steps with each step's density passed through ``bad``
+        (step index, rho) after the real step."""
+        real, k = qbm.fpe.step, []
+
+        def patched(rho, *args):
+            k.append(len(k))
+            return bad(k[-1], real(rho, *args))
+
+        monkeypatch.setattr(qbm.fpe, "step", patched)
+        cfg = SolverConfig(n_q=201, dt=1e-3, q_min=-5.0, q_max=5.0, init_var=0.1, n_table=65)
+        return solve(p, t_final=0.01, cfg=cfg)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cell_raises_at_its_step(self, p_over, monkeypatch, value):
+        def bad(k, rho):
+            if k == 3:
+                rho[57] = value
+            return rho
+
+        t_hi = step_plan(0.0, 0.01, 1e-3)[1]
+        with pytest.raises(NonFiniteState, match=f"after step to t={t_hi[3]}$"):
+            self._steps_with(monkeypatch, p_over, bad)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    def test_finite_cells_whose_sum_overflows_pass(self, p_over, monkeypatch):
+        # 201 cells of 1.5e308 sum to inf, yet every cell is finite
+        res = self._steps_with(monkeypatch, p_over, lambda k, rho: np.full_like(rho, 1.5e308))
+        assert res.n_steps == 10 and np.all(res.field.rho == 1.5e308)
+        assert not np.isfinite(np.sum(res.field.rho))
+
 
 def _reference_step(rho, q, om, dc, h, scheme, boundary, symmetric=True):
-    """The step kernel as first written: zero-filled diagonals, a banded array
-    and a scipy solver.  The split-upwind diffusion band goes to
-    solveh_banded (LAPACK ptsv) as its 2 x n upper band, unless ``symmetric``
-    is false: then, like cn-central, to solve_banded (gtsv) as a 3 x n band.
-    ``step`` must match the default bit for bit."""
+    """The step kernel as first written: the flux operator L in zero-filled
+    diagonals, M = I - (h/2)L in a banded array and a scipy solver.  The
+    split-upwind diffusion band goes to solveh_banded (LAPACK ptsv) as its
+    2 x n upper band, unless ``symmetric`` is false: then, like cn-central, to
+    solve_banded (gtsv) as a 3 x n band.  A split-upwind ``step`` must match
+    the default bit for bit; cn-central is the old assembly that
+    ``_reference_cn_step`` replaced."""
     def flux_tridiag(om):
         n = len(q)
         dq = q[1] - q[0]
@@ -233,6 +287,31 @@ def _reference_step(rho, q, om, dc, h, scheme, boundary, symmetric=True):
     return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 
+def _reference_cn_step(rho, q, om, dc, h, boundary):
+    """The cn-central step assembled from its two scalars, in zero-filled
+    diagonals and a banded array solved by scipy's solve_banded (gtsv).
+
+    On face j (between cells j-1 and j, the walls being faces 0 and n),
+    M = I - (h/2)L has M[j, j-1] = -s_j - ck and M[j-1, j] = s_j - ck, with
+    s = (h*om/2)*q_f/(2dq) and ck = h*dc/(4dq^2).  Each diagonal entry makes
+    its column sum to one; zero-flux walls carry no entries.  The right-hand
+    side is 2*rho - M*rho."""
+    n, dq = len(q), q[1] - q[0]
+    faces = np.concatenate(([q[0] - dq / 2.0], (q[:-1] + q[1:]) / 2.0, [q[-1] + dq / 2.0]))
+    s = (h / 2.0 * om) * (faces / (2.0 * dq))
+    ck = h * dc / (4.0 * dq * dq)
+    sub, sup = -s - ck, s - ck
+    if boundary == "zero-flux":
+        sub[n] = sup[0] = 0.0
+    diag = 1.0 - sub[1:] - sup[:-1]
+    rhs = (2.0 - diag) * rho
+    rhs[1:] -= sub[1:n] * rho[:-1]
+    rhs[:-1] -= sup[1:n] * rho[1:]
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1, :], ab[2, :-1] = sup[1:n], diag, sub[1:n]
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
 @pytest.mark.parametrize("n", [5, 801])
 @pytest.mark.parametrize("om", [-0.7, 0.0, 0.4])
 @pytest.mark.parametrize("boundary", ["zero-flux", "absorbing"])
@@ -242,7 +321,10 @@ def test_lean_kernel_matches_reference_assembly(scheme, boundary, om, n):
     q = np.linspace(-3.0, 4.0, n)
     rho = DensityField.gaussian(q, 0.5, 0.005).rho
     assert rho[0] == rho[-1] == 0.0
-    want = _reference_step(rho, q, np.float64(om), 0.9, 2e-3, scheme, boundary)
+    if scheme == "cn-central":
+        want = _reference_cn_step(rho, q, np.float64(om), 0.9, 2e-3, boundary)
+    else:
+        want = _reference_step(rho, q, np.float64(om), 0.9, 2e-3, scheme, boundary)
     got = step(rho, StepGrid(q, scheme, boundary), om, 0.9, 2e-3)
     assert got.tobytes() == want.tobytes()
 
@@ -278,6 +360,22 @@ def test_symmetric_solve_tracks_the_general_one(boundary):
     for om, dc in zip(np.linspace(-0.7, 0.4, 200), np.linspace(0.9, 0.2, 200)):
         new = step(new, grid, float(om), float(dc), 2e-3)
         old = _reference_step(old, q, om, dc, 2e-3, "split-upwind", boundary, symmetric=False)
+    assert np.max(np.abs(new - old)) <= 1e-13 * np.max(old)
+    if boundary == "zero-flux":
+        assert abs(np.sum(new) * grid.dq - mass0) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["zero-flux", "absorbing"])
+def test_cn_band_from_scalars_tracks_the_flux_assembly(boundary):
+    # the cn-central band formed from s and ck against the flux-operator
+    # assembly it replaced, over 200 steps with om changing sign
+    q = np.linspace(-3.0, 4.0, 801)
+    grid = StepGrid(q, "cn-central", boundary)
+    new = old = DensityField.gaussian(q, 0.5, 0.01).rho
+    mass0 = np.sum(new) * grid.dq
+    for om, dc in zip(np.linspace(-0.7, 0.4, 200), np.linspace(0.9, 0.2, 200)):
+        new = step(new, grid, float(om), float(dc), 2e-3)
+        old = _reference_step(old, q, om, dc, 2e-3, "cn-central", boundary)
     assert np.max(np.abs(new - old)) <= 1e-13 * np.max(old)
     if boundary == "zero-flux":
         assert abs(np.sum(new) * grid.dq - mass0) <= 1e-12
