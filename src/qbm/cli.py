@@ -351,7 +351,12 @@ def _cmd_sde(args) -> int:
         ("paths", "dt", "t_final", "seed", "q0", "v0_mode", "compare",
          "dump_paths", "out"),
     )
-    manifest = {"config": effective, "label": stats_l.label, "n_record": len(stats_l.t)}
+    manifest = {
+        "config": effective,
+        "label": stats_l.label,
+        "n_record": len(stats_l.t),
+        "rng_draws": stats_l.rng_draws,
+    }
     if args.dump_paths:
         stats_l.dump_paths(args.dump_paths)
         manifest["paths_file"] = os.path.basename(args.dump_paths)
@@ -376,6 +381,7 @@ def _cmd_sde(args) -> int:
     rep = equivalence_report(stats_r, stats_l, analytic)
     for k, v in rep.items():
         print(f"  {k}: {v}")
+    manifest["reduced"] = {"label": stats_r.label, "rng_draws": stats_r.rng_draws}
     manifest["equivalence"] = {k: v for k, v in rep.items() if k != "labels"}
     _write_manifest(args.out + ".json", manifest)
     return 0 if rep["passed"] else 1

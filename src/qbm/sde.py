@@ -19,7 +19,13 @@ blocks, records and merge.  Paths are split over 16 fixed RNG blocks, each
 seeded by SeedSequence((seed, block)) driving Philox counters, and all
 reductions run in fixed block order — results are bit-identical for a given
 seed regardless of thread count.  Each block keeps its exact sum and its M2
-about its own mean, so the variance does not cancel at large |mean|.
+about its own mean, so the variance does not cancel at large |mean|.  Each of
+min(threads, 16) workers steps a contiguous run of blocks as one flat array,
+so an update is a few ufunc calls on thousands of paths rather than one per
+block; every block still fills its own slice of the noise from its own stream
+and keeps its own (sum, M2), so the grouping cannot change a byte.  An
+ensemble fails by NonFiniteState at the earliest record at which any block's
+moments are not finite, whatever the thread count.
 
 Each simulator refuses, by CFLViolation and before its first step, a step past
 the linear stability limit of its update: Omega*h < -2 for Euler-Maruyama and
@@ -74,7 +80,9 @@ class EnsembleStats:
     """Moment trajectories and position samples of a path ensemble.
 
     ``samples_q`` holds the final-time positions; ``samples_at`` maps each
-    requested checkpoint time to its full position sample.
+    requested checkpoint time to its full position sample.  ``rng_draws``
+    counts the standard normals drawn: paths x steps, plus paths for a
+    thermal v0.
     """
 
     t: np.ndarray
@@ -90,6 +98,7 @@ class EnsembleStats:
     samples_v: Optional[np.ndarray] = None
     samples_at: Optional[dict] = None
     paths: Optional[np.ndarray] = None
+    rng_draws: int = 0
 
     def to_csv(self, path) -> None:
         names = ("t", "mean", "var", "se_mean", "se_var")
@@ -144,12 +153,15 @@ def _ensemble(label, plan, sample_times, n_paths, seed, threads, keep_paths,
     """Run one integrator over the 16 seeded blocks of paths and merge them.
 
     ``plan`` is the (t_lo, t_hi, at) of ``step_plan`` with ``sample_times``
-    for its stops.  ``start(rng, n_b)`` returns a block's state, ``[q]`` or
-    ``[q, v]``; ``advance(k, h, rng, s)`` takes step k, of length h, in place.
-    Each record keeps every state variable's (sum, M2) for ``_combine``; the
-    first record at which a block's moments are not finite raises
-    NonFiniteState (blocks in order decide, so the message does not depend on
-    threads).
+    for its stops.  Each of min(threads, 16) workers steps a contiguous run
+    of blocks as one flat array; every block still draws its slice of the
+    noise from its own stream and keeps its own (sum, M2) per record, so the
+    grouping cannot change a byte.  ``start(normal, n)`` returns a run's
+    state, ``[q]`` or ``[q, v]``; ``advance(k, h, normal, s)`` takes step k,
+    of length h, in place.  ``normal()`` returns the run's noise buffer, each
+    block's slice refilled from its stream, valid until the next call.  The
+    ensemble fails by NonFiniteState at the earliest record at which any
+    block's moments are not finite, which does not depend on threads.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -158,42 +170,65 @@ def _ensemble(label, plan, sample_times, n_paths, seed, threads, keep_paths,
     samp_idx = set(at.tolist())
     dts = times - t_lo
     n_rec = int(rec.sum())
+    sizes = _block_sizes(n_paths)
+    offsets = np.cumsum([0] + sizes).tolist()
 
-    def one_block(b: int, n_b: int):
-        rng = _rng(seed, b)
-        s = start(rng, n_b)
-        mom = np.empty((len(s), 2, n_rec))  # per variable and record: sum and M2 about the block mean
-        traj = np.empty((n_b, n_rec)) if keep_paths else None
+    def run(lo: int, hi: int):
+        """Step blocks lo..hi-1; stop at the first non-finite record."""
+        base, n = offsets[lo], offsets[hi] - offsets[lo]
+        cuts = [slice(offsets[b] - base, offsets[b + 1] - base) for b in range(lo, hi)]
+        z = np.empty(n)  # the run's noise; block b fills its own slice from its own stream
+        streams = [(_rng(seed, b), z[z_b]) for b, z_b in zip(range(lo, hi), cuts)]
+        drawn = 0
+
+        def normal() -> np.ndarray:
+            nonlocal drawn
+            for rng, z_b in streams:
+                rng.standard_normal(out=z_b)
+            drawn += n
+            return z
+
+        s = start(normal, n)
+        # per block, variable and record: sum and M2 about the block mean
+        mom = np.empty((hi - lo, len(s), 2, n_rec))
+        traj = np.empty((n, n_rec)) if keep_paths else None
         snaps = {}
         j = 0
         with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteState
             for k in range(len(times)):
-                advance(k, dts[k], rng, s)
+                advance(k, dts[k], normal, s)
                 if rec[k]:
-                    for i, x in enumerate(s):
-                        mom[i, :, j] = _sum_m2(x)
-                    if not np.isfinite(mom[:, :, j]).all():
-                        raise NonFiniteState(
-                            f"{label}: ensemble moments not finite at t={times[k]}"
-                            " (time step too large?)"
-                        )
+                    for m, z_b in zip(mom, cuts):
+                        for i, x in enumerate(s):
+                            m[i, :, j] = _sum_m2(x[z_b])
+                    if not np.isfinite(mom[:, :, :, j]).all():
+                        return k, None
                     if traj is not None:
                         traj[:, j] = s[0]
                     j += 1
                 if k in samp_idx:
                     snaps[k] = s[0].copy()
-        return mom, s, snaps, traj
+        return None, (mom, s, snaps, traj, drawn)
 
-    sizes = _block_sizes(n_paths)
-    if threads > 1:  # as with map, the first failing block in order raises
+    n_workers = max(1, min(threads, _N_BLOCKS))
+    cut = [round(i * _N_BLOCKS / n_workers) for i in range(n_workers + 1)]
+    if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # not loaded by a single-thread run
 
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one_block, range(_N_BLOCKS), sizes))
+        with ThreadPoolExecutor(max_workers=n_workers) as ex:
+            runs = list(ex.map(run, cut[:-1], cut[1:]))
     else:
-        results = list(map(one_block, range(_N_BLOCKS), sizes))
+        runs = [run(0, _N_BLOCKS)]
+    failed = [k for k, _ in runs if k is not None]
+    if failed:
+        raise NonFiniteState(
+            f"{label}: ensemble moments not finite at t={times[min(failed)]}"
+            " (time step too large?)"
+        )
+    results = [r for _, r in runs]
     n_var = len(results[0][1])
-    moments = [_combine([r[0][i] for r in results], sizes) for i in range(n_var)]
+    block_moms = [m for r in results for m in r[0]]
+    moments = [_combine([m[i] for m in block_moms], sizes) for i in range(n_var)]
     final = [np.concatenate([r[1][i] for r in results]) for i in range(n_var)]
     mean, var, se_mean, se_var = moments[0]
     return EnsembleStats(
@@ -213,6 +248,7 @@ def _ensemble(label, plan, sample_times, n_paths, seed, threads, keep_paths,
             for ts, k in zip(sample_times, at.tolist())
         } or None,
         paths=np.concatenate([r[3] for r in results]) if keep_paths else None,
+        rng_draws=sum(r[4] for r in results),
     )
 
 
@@ -235,13 +271,13 @@ def simulate_reduced(
     oms, dcs = table.step_coeffs(t_lo, times, (t_lo + times) / 2.0)
     _refuse_unstable(oms * (times - t_lo) < -2.0, t_lo, "the Euler-Maruyama limit Omega*h >= -2")
 
-    def advance(k, h, rng, s):
+    def advance(k, h, normal, s):
         q = s[0]
-        q += oms[k] * q * h + math.sqrt(dcs[k] * h) * rng.standard_normal(len(q))
+        q += oms[k] * q * h + math.sqrt(dcs[k] * h) * normal()
 
     return _ensemble(
         "reduced-em", plan, sample_times, n_paths, seed, threads, keep_paths,
-        lambda rng, n_b: [np.full(n_b, float(q0))], advance,
+        lambda normal, n: [np.full(n, float(q0))], advance,
     )
 
 
@@ -270,18 +306,18 @@ def simulate_langevin(
                      "the BAOAB limit h*sqrt(omega0_sq/M) < 2")
     v_std = math.sqrt(p.kT / p.M)
 
-    def start(rng, n_b):
-        # the thermal v0 comes first in the block stream, before any step draw
-        v = v_std * rng.standard_normal(n_b) if v0_mode == "thermal" else np.zeros(n_b)
-        return [np.full(n_b, float(q0)), v]
+    def start(normal, n):
+        # the thermal v0 comes first in each block's stream, before any step draw
+        v = v_std * normal() if v0_mode == "thermal" else np.zeros(n)
+        return [np.full(n, float(q0)), v]
 
-    def advance(k, h, rng, s):
+    def advance(k, h, normal, s):
         q, v = s
         c = math.exp(-p.gamma * h)
         o_std = v_std * math.sqrt(max(1.0 - c * c, 0.0))
         v += -(h / 2.0) * k_spring * q
         q += (h / 2.0) * v
-        v = c * v + o_std * rng.standard_normal(len(v))
+        v = c * v + o_std * normal()
         q += (h / 2.0) * v
         v += -(h / 2.0) * k_spring * q
         s[1] = v

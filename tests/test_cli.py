@@ -305,6 +305,20 @@ class TestSde:
         assert man["config"]["paths"] == 100
         assert man["label"] == "langevin-baoab-thermal"
 
+    def test_manifest_counts_rng_draws(self, tmp_path):
+        # 50 steps of 100 paths; the thermal Langevin run draws its v0 too
+        out = str(tmp_path / "s.csv")
+        main(["sde", "--paths", "100", "--seed", "3", "--dt", "1e-2", "--t-final", "0.5",
+              "--v0-mode", "zero", "--out", out])
+        man = json.loads((tmp_path / "s.csv.json").read_text())
+        assert man["rng_draws"] == 100 * 50
+        assert "reduced" not in man
+        main(["sde", "--paths", "100", "--seed", "3", "--dt", "1e-2", "--t-final", "0.5",
+              "--compare", "--out", out])
+        man = json.loads((tmp_path / "s.csv.json").read_text())
+        assert man["rng_draws"] == 100 * 50 + 100
+        assert man["reduced"] == {"label": "reduced-em", "rng_draws": 100 * 50}
+
     def test_dump_paths_layout(self, tmp_path):
         out = str(tmp_path / "s.csv")
         dump = tmp_path / "s.paths"

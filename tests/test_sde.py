@@ -22,6 +22,7 @@ from qbm import (
     simulate_langevin,
     simulate_reduced,
 )
+from qbm import sde
 from qbm.coefficients import step_plan
 
 
@@ -323,6 +324,147 @@ class TestSharedDriver:
         table = dataclasses.replace(table, omega=np.full_like(table.omega, 1e3))
         with pytest.raises(NonFiniteState, match=r"not finite at t="):
             simulate_reduced(p, table, 1.0, 100, 1e-2, 3.0, seed=1)
+
+    def test_non_finite_message_thread_invariant(self, table_over):
+        # the earliest record at which any block fails names the time, however
+        # the blocks are grouped into workers
+        p, table = table_over
+        table = dataclasses.replace(table, omega=np.full_like(table.omega, 1e3))
+        messages = set()
+        for threads in (1, 2, 3, 16):
+            with pytest.raises(NonFiniteState) as exc:
+                simulate_reduced(p, table, 1.0, 100, 1e-2, 3.0, seed=1, threads=threads)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        assert re.fullmatch(r"reduced-em: ensemble moments not finite at t=\S+ "
+                            r"\(time step too large\?\)", messages.pop())
+
+
+def _per_block_reference(sim, table, n_paths, dt, t_final, seed, sample_times):
+    """The ensemble as each of the 16 blocks stepped alone from its own stream.
+
+    This is the per-block definition the grouped driver must reproduce bit
+    for bit: every block starts and steps its own arrays with the simulators'
+    update formulas, records its own (sum, M2), and the blocks are merged in
+    order by ``_combine``.
+    """
+    p = table.params
+    if sim == "reduced":
+        t_lo, times, at = step_plan(float(table.t[0]), t_final, dt, sample_times)
+        oms, dcs = table.step_coeffs(t_lo, times, (t_lo + times) / 2.0)
+
+        def start(rng, n_b):
+            return [np.full(n_b, 1.0)]
+
+        def advance(k, h, rng, s):
+            q = s[0]
+            q += oms[k] * q * h + math.sqrt(dcs[k] * h) * rng.standard_normal(len(q))
+    else:
+        v0_mode = sim.split("-")[1]
+        t_lo, times, at = step_plan(0.0, t_final, dt, sample_times)
+        k_spring = p.omega0_sq / p.M
+        v_std = math.sqrt(p.kT / p.M)
+
+        def start(rng, n_b):
+            v = v_std * rng.standard_normal(n_b) if v0_mode == "thermal" else np.zeros(n_b)
+            return [np.full(n_b, 1.0), v]
+
+        def advance(k, h, rng, s):
+            q, v = s
+            c = math.exp(-p.gamma * h)
+            o_std = v_std * math.sqrt(max(1.0 - c * c, 0.0))
+            v += -(h / 2.0) * k_spring * q
+            q += (h / 2.0) * v
+            v = c * v + o_std * rng.standard_normal(len(v))
+            q += (h / 2.0) * v
+            v += -(h / 2.0) * k_spring * q
+            s[1] = v
+
+    rec = sde._record_mask(len(times))
+    dts = times - t_lo
+    n_rec = int(rec.sum())
+
+    def one_block(b, n_b):
+        rng = _CountingRng(sde._rng(seed, b))
+        s = start(rng, n_b)
+        mom = np.empty((len(s), 2, n_rec))
+        traj = np.empty((n_b, n_rec))
+        snaps = {}
+        j = 0
+        for k in range(len(times)):
+            advance(k, dts[k], rng, s)
+            if rec[k]:
+                for i, x in enumerate(s):
+                    mom[i, :, j] = sde._sum_m2(x)
+                traj[:, j] = s[0]
+                j += 1
+            if k in at:
+                snaps[k] = s[0].copy()
+        return mom, s, snaps, traj, rng.drawn
+
+    sizes = sde._block_sizes(n_paths)
+    results = [one_block(b, n_b) for b, n_b in enumerate(sizes)]
+    n_var = len(results[0][1])
+    moments = [sde._combine([r[0][i] for r in results], sizes) for i in range(n_var)]
+    final = [np.concatenate([r[1][i] for r in results]) for i in range(n_var)]
+    return dict(
+        t=times[rec],
+        mean=moments[0][0],
+        var=moments[0][1],
+        se_mean=moments[0][2],
+        se_var=moments[0][3],
+        n_paths=n_paths,
+        samples_q=final[0],
+        mean_v=moments[1][0] if n_var > 1 else None,
+        var_v=moments[1][1] if n_var > 1 else None,
+        samples_v=final[1] if n_var > 1 else None,
+        samples_at={
+            float(ts): np.concatenate([r[2][k] for r in results])
+            for ts, k in zip(sample_times, at.tolist())
+        },
+        paths=np.concatenate([r[3] for r in results]),
+        rng_draws=sum(r[4] for r in results),
+    )
+
+
+class _CountingRng:
+    """A block generator that counts the normals it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, n):
+        self.drawn += n
+        return self.rng.standard_normal(n)
+
+
+class TestGroupedBlocks:
+    @pytest.mark.parametrize("n_paths", [2, 17, 1237])
+    @pytest.mark.parametrize("sim", ["reduced", "langevin-zero", "langevin-thermal"])
+    def test_matches_per_block_reference(self, table_over, sim, n_paths):
+        # fewer than 16 paths leave blocks empty; 3 threads split the 16
+        # blocks unevenly; 0.1234 is off the step grid
+        p, table = table_over
+        kw = dict(sample_times=(0.1234, 0.5), keep_paths=True)
+        want = _per_block_reference(sim, table, n_paths, 1e-2, 1.0, 11, kw["sample_times"])
+        for threads in (1, 2, 3, 16):
+            if sim == "reduced":
+                got = simulate_reduced(p, table, 1.0, n_paths, 1e-2, 1.0, 11, threads, **kw)
+            else:
+                got = simulate_langevin(p, 1.0, sim.split("-")[1], n_paths, 1e-2, 1.0, 11,
+                                        threads, **kw)
+            for name, x in want.items():
+                y = getattr(got, name)
+                if isinstance(x, dict):
+                    assert x.keys() == y.keys()
+                    for key in x:
+                        np.testing.assert_array_equal(y[key], x[key])
+                elif isinstance(x, np.ndarray):
+                    np.testing.assert_array_equal(y, x, err_msg=f"{name} at {threads} threads")
+                else:
+                    assert y == x, name
+        n_steps = len(step_plan(0.0, 1.0, 1e-2, kw["sample_times"])[1])
+        assert want["rng_draws"] == n_paths * (n_steps + (sim == "langevin-thermal"))
 
 
 class TestGuardsAndIO:
