@@ -323,6 +323,8 @@ def _cmd_fpe(args) -> int:
     if res.linf_error is not None:
         summary["linf_error"] = res.linf_error
         summary["peak_density"] = res.peak_density
+    if mode == "quantum":  # the table's mode cutoff, tail bounds and whether they met tol
+        summary["coefficients"] = {k: getattr(res.table, k) for k in ("n_max", "tol", "diagnostics")}
     _write_manifest(args.out + ".json", summary)
     print(f"wrote {args.out}: mass drift {res.mass_drift:.3e}, {res.n_steps} steps")
     if res.linf_error is not None:

@@ -25,19 +25,20 @@ The mode count N is therefore a physical ultraviolet cutoff, ``n_max``
 certified bound on what the value at N drops (the exponential terms cut
 below round-off, and round-off), and D1 the coefficient of the residual
 log(N) sensitivity.  The initial system/bath correlation enters D1 as
-``2*chi_q(t)*xi_q0(t)``, from the Matsubara series of xi_q0, and sigma1 as its
-integral, a root-free sum at t alone.
+``2*chi_q(t)*xi_q0(t)`` and sigma1 as its integral, a root-free sum at t
+alone, from the whole series of xi_q0.  ``tol`` changes no value.
 
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
 derivative sigma_dot = D1 + (2*k_B*T/M)*chi_v*chi_v_dot (no numerical
-differentiation).  Its quantum columns come from one pass over the grid
-(``_quantum_columns``), whose rows ``d1_quantum_detail`` and ``sigma1_quantum``
-take at one time.
+differentiation).  Its quantum rows (``_quantum_row``, which
+``d1_quantum_detail`` and ``sigma1_quantum`` take at one time) form
+exp(-nu_n*t) once for the mode sums and both correlation parts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -74,7 +75,7 @@ from .special import (
     phi1_dd,
     phi1_deriv,  # unused here: perfbench/workloads.py TARGETS traces coefficients.phi1_deriv
     xi_q0_closed,  # unused here: perfbench/workloads.py TARGETS traces coefficients.xi_q0_closed
-    xi_q0_sum,
+    xi_q0_sum,  # unused here: perfbench/workloads.py TARGETS traces coefficients.xi_q0_sum
 )
 
 __all__ = [
@@ -255,6 +256,8 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
 # difference over [nu_k, lambda1, lambda2] (``_excluded_int`` for the integral).
 
 _EXP_CUT = 40.0
+_EXP_CAP = 1 << 22  # most exponential terms a row sums, however small nu*t
+_CHUNK = 1 << 20  # terms formed at a time past a row's first block
 _ROUNDOFF = 4.0 * np.finfo(np.float64).eps
 _ZETA_POWERS = np.arange(2.0, 26.0)
 _SIGNS = (-1.0) ** np.arange(25)
@@ -307,10 +310,10 @@ def _series_modes(p: PhysicalParams, nu: float, n_s: int, t: float):
     return (_SERIES_H @ a) @ signed, t * ((hb @ a) @ signed), (_SERIES_H @ ab) @ power
 
 
-def _rates(nu: float, n_lo: int, n_hi: int, excluded: list) -> np.ndarray:
-    """nu_n over n_lo < n <= n_hi outside ``excluded``."""
-    n = np.arange(n_lo + 1.0, n_hi + 1.0)
-    return np.delete(n, [k - n_lo - 1 for k in excluded if k <= n_hi]) * nu if excluded else n * nu
+def _kept(a: np.ndarray, n_s: int, n_hi: int, excluded: list) -> np.ndarray:
+    """a over the modes n_s < n <= n_hi outside ``excluded``, a[0] being n = 1."""
+    drop = [k - n_s - 1 for k in excluded if k <= n_hi]
+    return np.delete(a[n_s:n_hi], drop) if drop else a[n_s:n_hi]
 
 
 def _l_minus(p: PhysicalParams, nu_n: np.ndarray):
@@ -322,14 +325,8 @@ def _l_minus(p: PhysicalParams, nu_n: np.ndarray):
 
 def _zeta_tail(c, zs) -> float:
     """sum over a tail of sum_s c_s*nu_n**-s, s = 2..25, from the sums ``zs``
-    of nu_n**-s over it (:func:`_tail_zetas`)."""
+    of nu_n**-s over it (Hurwitz zeta values)."""
     return math.fsum((c * zs).tolist())
-
-
-def _tail_zetas(nu: float, n0: int, n_top: float = math.inf) -> np.ndarray:
-    """sum_{n0 < n <= n_top} nu_n**-s at s = 2..25, by Hurwitz zeta values."""
-    z = zeta(_ZETA_POWERS[:, None], np.array([n0 + 1.0, n_top + 1.0]))
-    return nu**-_ZETA_POWERS * (z[:, 0] - z[:, 1])
 
 
 def _l_series(p: PhysicalParams) -> np.ndarray:
@@ -352,20 +349,29 @@ def _head_sums(p: PhysicalParams, nu: float, n_s: int, n_modes: int, heads: dict
     the roots), each with the absolute size of its terms (:func:`_l_minus`).
     Each is a direct head up to n0 = min(N, max(n_s, ceil(8*|lambda1|/nu)))
     plus a tail from one shared set of zeta sums; S1's harmonic part is a
-    digamma difference."""
+    digamma difference.  Last, sigma1's t-independent correlation sum C =
+    sum_{n >= 1} nu_n*(nu_n + gamma)*L(nu_n)**2, direct up to n_c = max(n_s,
+    ceil(8*|lambda1|/nu)) >= n0 and a zeta tail from the same zeta call."""
     if n_s not in heads:
         excluded = _excluded_modes(p, nu, n_s, n_modes)
-        n0 = min(n_modes, max(n_s, math.ceil(8.0 * abs(p.lambda1) / nu)))
-        nu_n = _rates(nu, n_s, n0, excluded)
-        (lm, lm_size), zs, u = _l_minus(p, nu_n), _tail_zetas(nu, n0, n_modes), _l_series(p)
+        n_c = max(n_s, math.ceil(8.0 * abs(p.lambda1) / nu))
+        n0 = min(n_modes, n_c)
+        nu_c = np.arange(1.0, n_c + 1.0) * nu
+        f_c = nu_c / (nu_c * (nu_c + p.gamma) + p.omega0_sq / p.M)  # nu_n*L(nu_n)
+        nu_n, f = (_kept(a, n_s, n0, excluded) for a in (nu_c, f_c))
+        z = zeta(_ZETA_POWERS[:, None], np.array([n0 + 1.0, n_modes + 1.0, n_c + 1.0]))
+        zs, zc = nu**-_ZETA_POWERS * (z[:, 0] - z[:, 1]), nu**-_ZETA_POWERS * z[:, 2]
+        (lm, lm_size), u = _l_minus(p, nu_n), _l_series(p)
         tail0 = _zeta_tail(u[:24], zs)
         tail1 = (digamma(n_modes + 1.0) - digamma(n0 + 1.0)) / nu + _zeta_tail(u[1:], zs)
-        f = nu_n / (nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M)  # nu_n*L(nu_n)
         tail_st = -_zeta_tail(np.append(0.0, np.convolve(u, u * _SIGNS)[:23]), zs)
+        vv = np.convolve(u * _SIGNS, u * _SIGNS)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
+        c_sum = (math.fsum((f_c * f_c * (nu_c + p.gamma) / nu_c).tolist())
+                 + _zeta_tail(vv + p.gamma * np.append(0.0, vv[:23]), zc))
         heads[n_s] = (excluded, math.fsum(lm.tolist()) + tail0,
                       math.fsum((nu_n * lm).tolist()) + tail1, float(lm_size.sum()) + tail0,
                       float(nu_n @ lm_size) + tail1, math.fsum((-f * lm).tolist()) + tail_st,
-                      float(f @ lm_size) - tail_st)
+                      float(f @ lm_size) - tail_st, c_sum)
     return heads[n_s]
 
 
@@ -409,48 +415,49 @@ def _excluded_int(p: PhysicalParams, nu_k: float, t: float, cv: float, cvd: floa
             sum(abs(ri) * si for ri, si in zip(r, s_size)) / 2.0)
 
 
+def _exp_terms(nu: float, t: float, lo: int, hi: int) -> tuple:
+    """nu_n and exp(-nu_n*t) over lo < n <= hi."""
+    nu_n = np.arange(lo + 1.0, hi + 1.0) * nu
+    return nu_n, np.exp(nu_n * -t)
+
+
 def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float,
-                sigma1_cl: Optional[float], heads: dict):
+                sigma1_cl: Optional[float], heads: dict, block=None):
     """sum_{n <= N} R_n(t) at one time t > 0 (gamma > 0), given chi_v and
     chi_v_dot, a bound on what it drops, and, given sigma1_classical(t), whose
     A = int_0^t chi_v**2 = sigma1_cl*M/(2*gamma*k_B*T) it takes,
     int_0^t sum_{n <= N} R_n and a bound on that (else None, None).  The
     bounds are the exponential terms cut at nu_n*t > _EXP_CUT and the series
     terms past _SERIES_TERMS, plus the relative error of :func:`_envelopes`
-    times the absolute sizes of the terms summed, those over the modes past
-    the series from the row's head (``heads``, :func:`_head_sums`)."""
+    times the absolute sizes of the terms summed past the series, from the
+    row's head (``heads``) and exponential terms (``block``, else formed here)."""
     nu = p.matsubara_nu()
     g, w2 = p.gamma, p.omega0_sq / p.M
     vt, vd, eps_t = _envelopes(p, t)
     n_s = _series_count(p, nu, n_modes, t)
     ys, yi, size = _series_modes(p, nu, n_s, t)
-    d, s, cut, r_k = [ys], [yi / 2.0], 0.0, 0.0  # d: parts of sum R_n/(chi_v/2)
-    m, excluded, excluded_size = n_modes, [], 0.0
-    size0 = size1 = static_size = 0.0  # no modes past the series
-    if n_s < n_modes:
-        excluded, s0, s1, size0, size1, static, static_size = _head_sums(
-            p, nu, n_s, n_modes, heads)
-        m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)
-        nu_n = _rates(nu, n_s, m, excluded)
-        lm, lm_size = _l_minus(p, nu_n)
-        e = nu_n * np.exp(nu_n * -t)
-        d += [w2 * cv * s0, cvd * s1, -math.fsum((lm * e).tolist())]
-        size += w2 * vt * size0 + vd * size1 + float(e @ lm_size)
-        if sigma1_cl is not None:
-            cv2_int = sigma1_cl * p.M / (2.0 * g * p.kT)
-            pe = lm * e * ((nu_n + g) * cv + cvd) / (nu_n * (nu_n + g) + w2)
-            s += [math.fsum([w2 * s0 * cv2_int, s1 * cv * cv / 2.0, static,
-                             math.fsum(pe.tolist())]) / 2.0]
-            parts = [_excluded_int(p, k * nu, t, cv, cvd, vt, vd) for k in excluded]
-            s += [v for v, _ in parts]
-            excluded_size = sum(v for _, v in parts)
-        if m < n_modes:
-            # |nu_n*L_(nu_n)| <= 4n/nu once the mode nearest each root is out
-            x = math.exp(-nu * t)
-            cut = 4.0 / nu * x ** (m + 1) * (m + 1 - m * x) / math.expm1(-nu * t) ** 2
-        for k in excluded:  # R_k = -(chi_v/2)*(nu_k*E[nu_k, lambda1, lambda2] - chi_v)
-            e3 = k * nu * _exp_dd(t, k * nu, *_roots(p))
-            r_k, size = r_k + float(np.real(-cv / 2.0 * (e3 - cv))), size + abs(e3) + vt
+    excluded, s0, s1, size0, size1, static, static_size, _ = _head_sums(p, nu, n_s, n_modes, heads)
+    m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)  # n_s <= m: nu_(n_s)*t < 1
+    nu_n, ex = (_kept(a, n_s, m, excluded) for a in block or _exp_terms(nu, t, 0, m))
+    (lm, lm_size), e = _l_minus(p, nu_n), nu_n * ex
+    d = [ys, w2 * cv * s0, cvd * s1, -math.fsum((lm * e).tolist())]  # parts of sum R_n/(chi_v/2)
+    size += w2 * vt * size0 + vd * size1 + float(e @ lm_size)
+    s, cut, r_k, excluded_size = [yi / 2.0], 0.0, 0.0, 0.0
+    if sigma1_cl is not None:
+        cv2_int = sigma1_cl * p.M / (2.0 * g * p.kT)
+        pe = lm * e * ((nu_n + g) * cv + cvd) / (nu_n * (nu_n + g) + w2)
+        s += [math.fsum([w2 * s0 * cv2_int, s1 * cv * cv / 2.0, static,
+                         math.fsum(pe.tolist())]) / 2.0]
+        parts = [_excluded_int(p, k * nu, t, cv, cvd, vt, vd) for k in excluded]
+        s += [v for v, _ in parts]
+        excluded_size = sum(v for _, v in parts)
+    if m < n_modes:
+        # |nu_n*L_(nu_n)| <= 4n/nu once the mode nearest each root is out
+        x = math.exp(-nu * t)
+        cut = 4.0 / nu * x ** (m + 1) * (m + 1 - m * x) / math.expm1(-nu * t) ** 2
+    for k in excluded:  # R_k = -(chi_v/2)*(nu_k*E[nu_k, lambda1, lambda2] - chi_v)
+        e3 = k * nu * _exp_dd(t, k * nu, *_roots(p))
+        r_k, size = r_k + float(np.real(-cv / 2.0 * (e3 - cv))), size + abs(e3) + vt
     value = cv / 2.0 * math.fsum(d) + r_k
     bound = abs(cv) / 2.0 * (cut + n_s * _SERIES_CUT * t) + eps_t * vt / 2.0 * size
     if sigma1_cl is None:
@@ -500,9 +507,9 @@ def _n_modes(n_max: Optional[int]) -> int:
 class D1Result:
     """Quantum diffusion function with its decomposition and error budget.
 
-    ``tail_bound`` bounds what the mode sum at the cutoff N drops: the
-    exponential terms cut below round-off, and round-off itself.
-    ``log_coefficient`` is the prefactor of the residual log(n_max)
+    ``tail_bound`` bounds what the mode sum at the cutoff N and the series of
+    xi_q0 drop: the exponential terms cut below round-off, and round-off
+    itself.  ``log_coefficient`` is the prefactor of the residual log(n_max)
     sensitivity, which is intrinsic to the strictly-Ohmic kernel and cannot
     be summed away.
     """
@@ -519,6 +526,59 @@ class D1Result:
 _NO_BATH = D1Result(0.0, 0.0, 0.0, 0.0, 0, 0.0, 0.0)  # D1 at gamma = 0
 
 
+def _correlation(p: PhysicalParams, t: float, cq: float, cv: float, c_sum: float,
+                 first: tuple, last: int) -> tuple:
+    """xi_q0(t) and sigma1's correlation part 2*int_0^t chi_q*xi_q0 du, each
+    with a bound on what it drops, from chi_q(t), chi_v(t), C
+    (:func:`_head_sums`) and the terms n <= last, the first ``first``.
+
+    xi_q0 = -2*gamma*k_B*T*sum_n nu_n*L(nu_n)*exp(-nu_n*t), and chi_q's
+    equation of motion makes the part -4*gamma*k_B*T*[C - sum_n
+    nu_n*L(nu_n)**2*exp(-nu_n*t)*((nu_n + gamma)*chi_q - w2*chi_v)], no root.
+    Past n = last their terms are at most exp(-nu_n*t)/nu_n and (|chi_q| +
+    w2*|chi_v|/nu_n)*exp(-nu_n*t)/nu_n**2, summed geometrically; round-off is
+    of xi_q0's positive terms, also moved by the rounding of nu_n*t, and of
+    terms at most 3/nu_n**2 + w2*|chi_v|/nu_n**3."""
+    nu, g, w2 = p.matsubara_nu(), p.gamma, p.omega0_sq / p.M
+    xs, cs = [], []
+    for nu_n, ex in itertools.chain([first], (_exp_terms(nu, t, lo, min(lo + _CHUNK, last))
+                                              for lo in range(len(first[0]), last, _CHUNK))):
+        lv = 1.0 / (nu_n * (nu_n + g) + w2)
+        w = nu_n * lv * ex
+        xs.append(math.fsum(w.tolist()))
+        cs.append(math.fsum((w * lv * ((nu_n + g) * cq - w2 * cv)).tolist()))
+    xi, nu_h, pref = math.fsum(xs), nu * (last + 1), 2.0 * g * p.kT
+    decay = math.exp(-nu_h * t) / -math.expm1(-nu * t)
+    xi_round = _ROUNDOFF * (2.0 + (_EXP_CUT + 2.0 * nu * t) / 4.0) * xi
+    corr_round = _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * abs(cv) / nu**3)  # zeta(2), zeta(3)
+    return (-pref * xi, pref * (decay / nu_h + xi_round), -2.0 * pref * (c_sum - math.fsum(cs)),
+            2.0 * pref * ((abs(cq) + w2 * abs(cv) / nu_h) / nu_h**2 * decay + corr_round))
+
+
+def _quantum_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float, cvd: float,
+                 sigma1_cl: Optional[float], heads: dict, refuse: bool = True) -> tuple:
+    """D1 (a :class:`D1Result`) at one time t > 0, gamma > 0, from chi_q, chi_v
+    and chi_v_dot there, and, given sigma1_classical(t), sigma1 and a bound on
+    what it drops (else None, None): exp(-nu_n*t) is formed once, to nu_n*t >
+    _EXP_CUT or max(N, _EXP_CAP) terms, for the mode sums and both correlation
+    parts.  A D1 whose xi_q0 bound exceeds xi_q0 is refused, if ``refuse``."""
+    nu = p.matsubara_nu()
+    n_cut = math.ceil(_EXP_CUT / (nu * t)) + 1
+    m, last = min(n_modes, n_cut), min(n_cut, max(n_modes, _EXP_CAP))
+    first = _exp_terms(nu, t, 0, max(m, min(last, _CHUNK)))
+    sums, bound, integral, int_bound = _mode_parts(p, n_modes, t, cv, cvd, sigma1_cl, heads, first)
+    c_sum = _head_sums(p, nu, _series_count(p, nu, n_modes, t), n_modes, heads)[-1]
+    xi, xi_bound, corr, corr_bound = _correlation(p, t, cq, cv, c_sum, first, last)
+    pref, white = 8.0 * p.gamma * p.kT / p.M, (2.0 * p.gamma * p.kT / p.M) * cv * cv
+    if refuse and xi_bound > -xi:  # the cap cut xi_q0's series short: no digit is left
+        raise TailNotBounded(f"xi_q0 = {xi:.3g} cut at {last} terms drops up to {xi_bound:.3g}")
+    det = D1Result(white + pref * sums + 2.0 * cq * xi, white, pref * sums, 2.0 * cq * xi, n_modes,
+                   float(pref * bound + 2.0 * abs(cq) * xi_bound), pref * (cvd * cv / 2.0) / nu)
+    if sigma1_cl is None:
+        return det, None, None
+    return det, sigma1_cl + pref * integral + corr, pref * int_bound + corr_bound
+
+
 def d1_quantum_detail(
     p: PhysicalParams,
     t: float,
@@ -530,9 +590,9 @@ def d1_quantum_detail(
     D1 = d1_classical + (8*gamma/(M*beta)) * sum_{n <= N} R_n + 2*chi_q*xi_q0,
     with the cutoff N = ``n_max`` (``N_MODES`` if None).  The mode sum is
     taken in closed form at N (:func:`_mode_parts`), so its cost does not grow
-    with N.  ``tol`` does not change N: it is the tolerance of the
-    correlation-term series and the target that ``tail_bound`` is held to.
-    The row of :func:`_quantum_columns`, ``build_table``'s pass, at one time."""
+    with N, and xi_q0 from its whole series (:func:`_correlation`).  ``tol``
+    is checked but changes no value.  The row of ``build_table``'s pass
+    (:func:`_quantum_row`) at one time."""
     p.matsubara_nu()  # HbarZero for classical parameters
     _check_tol(tol)
     if not (t > 0.0):
@@ -541,65 +601,7 @@ def d1_quantum_detail(
     if p.gamma == 0.0:
         return _NO_BATH
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    sums, bound, _, _ = _mode_parts(p, n_modes, t, cv, cvd, None, {})
-    return _d1_row(p, n_modes, t, cq, cv, cvd, tol, sums, bound)
-
-
-def _d1_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float, cvd: float,
-            tol: float, sums: float, bound: float) -> D1Result:
-    """D1 at one time t > 0 (gamma > 0), given chi_q, chi_v and chi_v_dot
-    there and the mode sum at the cutoff with its bound (:func:`_mode_parts`)."""
-    pref, white = 8.0 * p.gamma * p.kT / p.M, (2.0 * p.gamma * p.kT / p.M) * cv * cv
-    corr = 2.0 * cq * xi_q0_sum(p, t, tol=tol / (2.0 * abs(cq) + 1.0))
-    modes = pref * sums
-    return D1Result(white + modes + corr, white, modes, corr, n_modes, float(pref * bound),
-                    pref * (cvd * cv / 2.0) / p.matsubara_nu())
-
-
-# ---------------------------------------------------------------------------
-# quantum variance: both Matsubara sums integrated in closed form at t alone,
-# the mode part by ``_mode_parts`` with A from sigma1_classical, the
-# correlation part (``_sigma1_corr``) with no root either
-
-_CORR_HEAD_CAP = 1 << 17  # most terms that ``_sigma1_corr`` sums directly
-
-
-def _sigma1_corr(p: PhysicalParams, t: float, cq: float, cv: float, tails: dict) -> tuple:
-    """2*int_0^t chi_q*xi_q0 du at one time t > 0, from chi_q(t), chi_v(t), and
-    a bound on what it drops.
-
-    xi_q0 = -2*gamma*k_B*T*sum_n nu_n*L(nu_n)*exp(-nu_n*u) with L(mu) =
-    1/(mu**2 + gamma*mu + omega0_sq/M), and chi_q's equation of motion gives
-    K(mu) = int_0^t chi_q*exp(-mu*u) du = L(mu)*((mu + gamma)*(1 -
-    exp(-mu*t)*chi_q(t)) + exp(-mu*t)*(omega0_sq/M)*chi_v(t)).  So the part is
-    -4*gamma*k_B*T*sum_n nu_n*L(nu_n)*K(nu_n): no root, and no pole at nu_n.
-    Terms n <= n_h are summed directly: past them nu_n*t > _EXP_CUT unless
-    _CORR_HEAD_CAP cuts, and nu_n >= 8*|lambda1|, where only the t-independent
-    nu_n*(nu_n + gamma)*L(nu_n)**2 is left (:func:`_zeta_tail`), summed
-    once per n_h in ``tails``.  What a term drops then is at most
-    exp(-nu_n*t)*(|chi_q| + w2*|chi_v|/nu_n)/nu_n**2, summed geometrically
-    from nu_(n_h + 1); round-off is of terms at most 3/nu_n**2 +
-    w2*|chi_v|/nu_n**3 in magnitude.
-    """
-    nu = p.matsubara_nu()
-    g, w2 = p.gamma, p.omega0_sq / p.M
-    n_alg = math.ceil(8.0 * abs(p.lambda1) / nu)
-    if n_alg > _CORR_HEAD_CAP:
-        raise TailNotBounded(f"correlation-part tail needs {n_alg} > {_CORR_HEAD_CAP} terms")
-    n_h = max(min(math.ceil(_EXP_CUT / (nu * t)) + 1, _CORR_HEAD_CAP), n_alg)
-    nu_n = np.arange(1, n_h + 1, dtype=np.float64) * nu
-    e = np.exp(nu_n * -t)
-    L = 1.0 / (nu_n * (nu_n + g) + w2)
-    terms = nu_n * L * L * ((nu_n + g) * (e * (1.0 - cq) - np.expm1(nu_n * -t)) + e * w2 * cv)
-    if n_h not in tails:
-        v = _l_series(p) * _SIGNS
-        vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
-        tails[n_h] = _zeta_tail(vv + g * np.append(0.0, vv[:23]), _tail_zetas(nu, n_h))
-    nu_h = nu * (n_h + 1)
-    cut = (abs(cq) + w2 * abs(cv) / nu_h) / nu_h**2 * math.exp(-nu_h * t) / -math.expm1(-nu * t)
-    roundoff = _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * abs(cv) / nu**3)  # zeta(2), zeta(3)
-    return (-4.0 * g * p.kT * (math.fsum(terms.tolist()) + tails[n_h]),
-            4.0 * g * p.kT * (cut + roundoff))
+    return _quantum_row(p, n_modes, t, cq, cv, cvd, None, {})[0]
 
 
 def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> float:
@@ -609,10 +611,9 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     correlation part 2*int_0^t chi_q*xi_q0, each in closed form at t alone.
     The mode part integrates the same cutoff-N sum as
     :func:`d1_quantum_detail`, so sigma1' = D1 holds at the truncated level;
-    the correlation part takes the whole series of xi_q0
-    (:func:`_sigma1_corr`).  The row of :func:`_quantum_columns`,
-    ``build_table``'s pass, at one time; the table reports the bound on both
-    sums as ``sigma1_tail_bound_max``."""
+    the correlation part takes the whole series of xi_q0.  The row of
+    ``build_table``'s pass (:func:`_quantum_row`) at one time; the table
+    reports the bound on both sums as ``sigma1_tail_bound_max``."""
     p.matsubara_nu()  # HbarZero for classical parameters
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
@@ -621,29 +622,23 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     if t == 0.0 or p.gamma == 0.0:
         return base
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    integral = _mode_parts(p, n_modes, t, cv, cvd, base, {})[2]
-    return base + 8.0 * p.gamma * p.kT / p.M * integral + _sigma1_corr(p, t, cq, cv, {})[0]
+    return _quantum_row(p, n_modes, t, cq, cv, cvd, base, {}, refuse=False)[1]
 
 
 def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndarray,
-                     cv: np.ndarray, cvd: np.ndarray, tol: float) -> tuple:
+                     cv: np.ndarray, cvd: np.ndarray) -> tuple:
     """D1 (a :class:`D1Result` a time), sigma1 and sigma1's bound at every
-    time of the array t > 0, given chi_q, chi_v and chi_v_dot there.  One
-    :func:`_mode_parts` call a time serves D1 (:func:`_d1_row`) and sigma1,
-    whose bound adds that of :func:`_sigma1_corr`; each t-independent sum is
-    built once per call (``heads``, ``tails``)."""
+    time of the array t > 0, given chi_q, chi_v and chi_v_dot there: one
+    :func:`_quantum_row` a time, with one head per series count (``heads``)."""
     base = np.atleast_1d(sigma1_classical(p, t))
     if p.gamma == 0.0:
         return [_NO_BATH] * len(t), base, np.zeros(len(t))
-    pref, heads, tails, rows = 8.0 * p.gamma * p.kT / p.M, {}, {}, []
+    heads, rows = {}, []
     for i, (ti, q, c, cd, b) in enumerate(zip(*(a.tolist() for a in (t, cq, cv, cvd, base)))):
         try:
-            sums, bound, integral, mode_bound = _mode_parts(p, n_modes, ti, c, cd, b, heads)
-            det = _d1_row(p, n_modes, ti, q, c, cd, tol, sums, bound)
-            corr, corr_bound = _sigma1_corr(p, ti, q, c, tails)
+            rows.append(_quantum_row(p, n_modes, ti, q, c, cd, b, heads))
         except QbmError as exc:
             raise type(exc)(f"t_grid[{i}] = {ti}: {exc}") from exc
-        rows.append((det, b + pref * integral + corr, pref * mode_bound + corr_bound))
     dets, s1, s1_bounds = zip(*rows)
     return dets, np.array(s1), np.array(s1_bounds)
 
@@ -876,7 +871,7 @@ def build_table(
         s1 = np.atleast_1d(sigma1_classical(p, t_arr))
         sq = (p.kT / p.omega0_sq) * (1.0 - cq * cq)
     else:
-        dets, s1, s1_tails = _quantum_columns(p, n_max, t_arr, cq, cv, cvd, tol)
+        dets, s1, s1_tails = _quantum_columns(p, n_max, t_arr, cq, cv, cvd)
         d1 = np.array([det.value for det in dets])
         tails = np.array([det.tail_bound for det in dets])
         sq = s1 + (p.kT / p.M) * cv * cv

@@ -20,10 +20,10 @@ seeded by SeedSequence((seed, block)) driving Philox counters, and all
 reductions run in fixed block order — results are bit-identical for a given
 seed regardless of thread count.  Each block keeps its exact sum and its M2
 about its own mean, so the variance does not cancel at large |mean|.  Each of
-min(threads, 16) workers steps a contiguous run of blocks as one flat array,
-so an update is a few ufunc calls on thousands of paths rather than one per
-block; every block still fills its own slice of the noise from its own stream
-and keeps its own (sum, M2), so the grouping cannot change a byte.  An
+min(threads, 16, usable CPUs) workers steps a contiguous run of blocks as one
+flat array, so an update is a few ufunc calls on thousands of paths, not one
+per block; every block still fills its own slice of the noise from its own
+stream and keeps its own (sum, M2), so the grouping cannot change a byte.  An
 ensemble fails by NonFiniteState at the earliest record at which any block's
 moments are not finite, whatever the thread count.
 
@@ -35,6 +35,7 @@ h*sqrt(omega0_sq/M) >= 2 for BAOAB.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,8 +154,8 @@ def _ensemble(label, plan, sample_times, n_paths, seed, threads, keep_paths,
     """Run one integrator over the 16 seeded blocks of paths and merge them.
 
     ``plan`` is the (t_lo, t_hi, at) of ``step_plan`` with ``sample_times``
-    for its stops.  Each of min(threads, 16) workers steps a contiguous run
-    of blocks as one flat array; every block still draws its slice of the
+    for its stops.  Each of min(threads, 16, CPUs) workers steps a contiguous
+    run of blocks as one flat array; every block still draws its slice of the
     noise from its own stream and keeps its own (sum, M2) per record, so the
     grouping cannot change a byte.  ``start(normal, n)`` returns a run's
     state, ``[q]`` or ``[q, v]``; ``advance(k, h, normal, s)`` takes step k,
@@ -210,7 +211,8 @@ def _ensemble(label, plan, sample_times, n_paths, seed, threads, keep_paths,
                     snaps[k] = s[0].copy()
         return None, (mom, s, snaps, traj, drawn)
 
-    n_workers = max(1, min(threads, _N_BLOCKS))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = max(1, min(threads, _N_BLOCKS, cpus or 1))  # more would contend for the CPUs
     cut = [round(i * _N_BLOCKS / n_workers) for i in range(n_workers + 1)]
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # not loaded by a single-thread run

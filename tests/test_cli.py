@@ -277,6 +277,26 @@ class TestFpe:
         summary = json.loads((tmp_path / "f.csv.json").read_text())
         assert summary["linf_error"] / summary["peak_density"] > 5e-3
 
+    def test_quantum_manifest_records_the_coefficients(self, tmp_path):
+        # from t = 0.5, where D >= 0, the run records its table's mode
+        # cutoff, both tail bounds and whether they met tol
+        out = str(tmp_path / "f.csv")
+        rc = main(["fpe", "--hbar", "1", "--t-start", "0.5", "--t-final", "1", "--n-q", "401",
+                   "--dt", "5e-3", "--out", out])
+        assert rc == 0
+        coeffs = json.loads((tmp_path / "f.csv.json").read_text())["coefficients"]
+        assert coeffs["n_max"] == 20000 and coeffs["tol"] == 1e-8
+        diag = coeffs["diagnostics"]
+        assert diag["tol_met"] is True
+        assert 0.0 < diag["d1_tail_bound_max"] <= 1e-8
+        assert 0.0 < diag["sigma1_tail_bound_max"] <= 1e-8
+
+    def test_classical_manifest_has_no_coefficient_record(self, tmp_path):
+        out = str(tmp_path / "f.csv")
+        assert main(["fpe", "--t-final", "0.5", "--n-q", "201", "--dt", "5e-3",
+                     "--out", out]) == 0
+        assert "coefficients" not in json.loads((tmp_path / "f.csv.json").read_text())
+
     def test_density_file_is_normalized(self, tmp_path):
         out = str(tmp_path / "f.csv")
         main(["fpe", "--t-final", "0.5", "--n-q", "301", "--dt", "2e-3",

@@ -30,11 +30,16 @@ from qbm import (
 import qbm.coefficients
 import qbm.special
 from qbm.coefficients import (
+    _CHUNK,
+    _EXP_CAP,
+    _correlation,
+    _exp_terms,
+    _head_sums,
     _mode_parts,
     _mode_r,
     _mode_sums,
+    _quantum_row,
     _series_count,
-    _sigma1_corr,
 )
 from qbm.response import _chi_all
 
@@ -373,8 +378,19 @@ def _sigma1_modes(p, n, t):
     """The mode part of sigma1 at one time, and the bound on what sigma1
     drops of its two Matsubara sums there."""
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    _, _, integral, modes = _mode_parts(p, n, t, cv, cvd, float(sigma1_classical(p, t)), {})
-    return integral, 8.0 * p.gamma * p.kT / p.M * modes + _sigma1_corr(p, t, cq, cv, {})[1]
+    base = float(sigma1_classical(p, t))
+    integral = _mode_parts(p, n, t, cv, cvd, base, {})[2]
+    return integral, _quantum_row(p, n, t, cq, cv, cvd, base, {})[2]
+
+
+def _correlation_parts(p, t):
+    """(xi_q0, its bound, sigma1's correlation part, its bound) at one time,
+    as a row at the default cutoff forms them."""
+    cq, cv, _ = (float(a[0]) for a in _chi_all(p, t))
+    nu, n = p.matsubara_nu(), qbm.coefficients.N_MODES
+    c_sum = _head_sums(p, nu, _series_count(p, nu, n, t), n, {})[-1]
+    last = min(math.ceil(40.0 / (nu * t)) + 1, _EXP_CAP)
+    return _correlation(p, t, cq, cv, c_sum, _exp_terms(nu, t, 0, min(last, _CHUNK)), last)
 
 
 def _reference_params(name):
@@ -478,8 +494,8 @@ class TestD1Quantum:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
     @pytest.mark.parametrize("fn", [d1_quantum_detail])
     def test_direct_calls_refuse_bad_tol(self, pq_over, fn, tol):
-        # a nan tol would run the 2F1 series to its term cap, an inf one
-        # would loosen the correlation series silently
+        # tol changes no value, but a nan or inf target of the bounds would
+        # make every tol_met comparison meaningless
         with pytest.raises(InvalidInput, match="tol"):
             fn(pq_over, 0.5, tol=tol)
 
@@ -503,16 +519,18 @@ class TestD1Quantum:
             assert len(calls) == 1, t
 
     def test_takes_no_sigma1_work(self, monkeypatch):
-        # at kT = 1e-4 under strong overdamping 8*|lambda1|/nu is about 2.5e5,
-        # past the head that sigma1's correlation part sums; D1 needs none of
-        # sigma1's parts, and its xi_q0 series certifies there
+        # at kT = 1e-4 under strong overdamping 8*|lambda1|/nu is about 2.5e5;
+        # D1 needs neither sigma1_classical nor the integral of the mode sum,
+        # and its xi_q0 series certifies there
         def refused(*args, **kwargs):
             raise AssertionError("sigma1 work done")
 
-        for name in ("_sigma1_corr", "sigma1_classical"):
-            monkeypatch.setattr(qbm.coefficients, name, refused)
+        monkeypatch.setattr(qbm.coefficients, "sigma1_classical", refused)
+        monkeypatch.setattr(qbm.coefficients, "_excluded_int", refused)
         det = d1_quantum_detail(derive(1.0, 20.0, 1.0, 1e-4, hbar=1.0), 1.0)
-        assert det.value == -0.4752080199932469
+        # xi_q0's whole series: xi_q0_sum at tol 1e-12 gives the same value
+        assert det.value == -0.4752080203269001
+        assert det.tail_bound <= 1e-8
 
     def test_rejects_bad_n_max(self, pq_over):
         with pytest.raises(ValueError):
@@ -522,18 +540,15 @@ class TestD1Quantum:
 
     def test_tol_does_not_move_the_cutoff(self, pq_over):
         # the mode count is the cutoff N, whatever tol: a loose tol sums the
-        # same 20000 modes; it only loosens the correlation series, within
-        # its certified bound
+        # same 20000 modes and the same series of xi_q0, so no value moves
         loose = d1_quantum_detail(pq_over, 0.5, tol=1e-2)
         default = d1_quantum_detail(pq_over, 0.5)
         assert loose.n_modes == default.n_modes == qbm.coefficients.N_MODES == 20000
-        assert loose.modes == default.modes
-        assert loose.white == default.white
+        assert loose == default
         # the mode part, 1.5787441942738794, agrees with a 40-digit mpmath sum
         # of the 20000 mode terms (1.5787441942738792), and the correlation
         # term with a 40-digit sum of xi_q0 (-0.012108867860733258)
         assert default.value == pytest.approx(1.8604845751780172, rel=1e-14)
-        assert loose.value == pytest.approx(default.value, abs=1e-2)
 
 
 class TestSigma1Quantum:
@@ -561,8 +576,7 @@ class TestSigma1Quantum:
     )
     def test_correlation_part_at_critical_damping(self, pq_crit, t, want):
         # 25-digit values of 2*int_0^t chi_q*xi_q0; the bound covers the error
-        cq, cv, _ = (float(a[0]) for a in _chi_all(pq_crit, t))
-        got, bound = _sigma1_corr(pq_crit, t, cq, cv, {})
+        got, bound = _correlation_parts(pq_crit, t)[2:]
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert abs(got - want) <= bound
 
@@ -575,8 +589,7 @@ class TestSigma1Quantum:
         # a direct head plus an Euler-Maclaurin tail in 30-digit arithmetic;
         # the closed form needs no root, so near critical damping is no edge
         p = request.getfixturevalue(f"pq_{regime}")
-        cq, cv, _ = (float(a[0]) for a in _chi_all(p, t))
-        got, bound = _sigma1_corr(p, t, cq, cv, {})
+        got, bound = _correlation_parts(p, t)[2:]
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert abs(got - want) <= bound
 
@@ -594,8 +607,7 @@ class TestSigma1Quantum:
         h = 1e-4 * min(t, 1.0 / abs(p.lambda1), 1.0 / p.matsubara_nu())
 
         def corr(u):
-            cq, cv, _ = (float(a[0]) for a in _chi_all(p, u))
-            return _sigma1_corr(p, u, cq, cv, {})[0]
+            return _correlation_parts(p, u)[2]
 
         xi = xi_q0_sum(p, t, tol=1e-14)
         diff = (corr(t + h) - corr(t - h)) / (2.0 * h)
@@ -604,15 +616,34 @@ class TestSigma1Quantum:
         slack = 1e-6 * 2.0 * abs(xi) + 1e-14 * abs(corr(t)) / h
         assert abs(diff - 2.0 * chi_q(p, t) * xi) <= slack
 
-    def test_correlation_tail_refused_past_the_head_cap(self):
-        # 8*|lambda1|/nu > 2**17 direct terms: TailNotBounded, not a value; a
-        # one-point call names no grid index, a table row does
+    def test_correlation_part_past_the_old_head_cap(self):
+        # 8*|lambda1|/nu > 2**17 direct terms before C's zeta tail applies.
+        # C = sum_n nu_n*(nu_n + gamma)*L(nu_n)**2 in
+        # 40 digits from its partial fractions in n, (A_j/(n + b_j) +
+        # B_j/(n + b_j)**2) with b_j = lambda_j/nu, summed by digamma and
+        # trigamma (sum_j A_j = 0), and the exponential terms in float64
         p = derive(1.0, 20.0, 1.0, 1e-4, hbar=1.0)
-        assert math.ceil(8.0 * abs(p.lambda1) / p.matsubara_nu()) > 1 << 17
-        with pytest.raises(TailNotBounded, match=r"^correlation-part tail needs"):
-            sigma1_quantum(p, 1.0)
-        with pytest.raises(TailNotBounded, match=r"^t_grid\[0\] = 1\.0: correlation-part tail"):
-            build_table(p, np.array([1.0]), mode="quantum")
+        nu, g, w2 = p.matsubara_nu(), p.gamma, p.omega0_sq / p.M
+        assert math.ceil(8.0 * abs(p.lambda1) / nu) > 1 << 17
+        table = build_table(p, np.array([1.0]), mode="quantum")
+        assert table.diagnostics["tol_met"] is True
+        assert table.sigma1[0] == sigma1_quantum(p, 1.0)
+        got, bound = _correlation_parts(p, 1.0)[2:]
+        with mp.workdps(40):
+            b = [mp.mpf(p.lambda1.real) / nu, mp.mpf(p.lambda2.real) / nu]
+            c_sum = 0
+            for j in (0, 1):
+                def h(n):  # (n + b_j)**2 times the term
+                    return n * (n + mp.mpf(g) / nu) / (n + b[1 - j]) ** 2 / mp.mpf(nu) ** 2
+
+                c_sum += mp.psi(1, 1 + b[j]) * h(-b[j]) - mp.digamma(1 + b[j]) * mp.diff(h, -b[j])
+            c_sum = float(c_sum)
+        cq, cv, _ = (float(a[0]) for a in _chi_all(p, 1.0))
+        nu_n = np.arange(1.0, 70001.0) * nu  # past it exp(-nu_n) < 1e-19
+        lv = 1.0 / (nu_n * (nu_n + g) + w2)
+        ex = math.fsum((nu_n * lv * lv * np.exp(-nu_n) * ((nu_n + g) * cq - w2 * cv)).tolist())
+        want = -4.0 * g * p.kT * (c_sum - ex)
+        assert abs(got - want) <= bound <= 1e-8
 
     @pytest.mark.parametrize("regime", ["over", "under", "crit", "near_crit", "resonant", "strong"])
     @pytest.mark.parametrize("n", [64, 20000])
@@ -788,15 +819,23 @@ class TestCoefficientTable:
     def test_one_head_per_series_count(self, pq_over, monkeypatch, grid):
         # D1 and sigma1 take their sums over the modes past the series from
         # the row's head: one build per distinct series count n_s, and none
-        # over every mode besides (n_s = 3 at t = 0.05)
-        real, built = qbm.coefficients._head_sums, []
+        # over every mode besides (n_s = 3 at t = 0.05); C, the t-independent
+        # part of sigma1's correlation part, takes its zeta tail from the
+        # head's one zeta call
+        real, built, zeta_calls = qbm.coefficients._head_sums, [], []
+        real_zeta = qbm.coefficients.zeta
 
         def counting(p, nu, n_s, n_modes, heads):
             if n_s not in heads:
                 built.append(n_s)
             return real(p, nu, n_s, n_modes, heads)
 
+        def counting_zeta(*args):
+            zeta_calls.append(args)
+            return real_zeta(*args)
+
         monkeypatch.setattr(qbm.coefficients, "_head_sums", counting)
+        monkeypatch.setattr(qbm.coefficients, "zeta", counting_zeta)
         if grid is None:
             grid = [0.05]
             sigma1_quantum(pq_over, 0.05)
@@ -804,6 +843,7 @@ class TestCoefficientTable:
             build_table(pq_over, np.array(grid), mode="quantum")
         nu, n = pq_over.matsubara_nu(), qbm.coefficients.N_MODES
         assert sorted(built) == sorted({_series_count(pq_over, nu, n, t) for t in grid})
+        assert len(zeta_calls) == len(built)
 
     def test_quantum_csv_roundtrip(self, pq_over, tmp_path):
         grid = np.linspace(0.2, 1.0, 4)
@@ -815,14 +855,14 @@ class TestCoefficientTable:
 
     def test_threaded_failure_names_grid_point(self, pq_over, monkeypatch):
         # a row of the table's one pass fails inside the correlation series
-        real = qbm.coefficients.xi_q0_sum
+        real = qbm.coefficients._correlation
 
-        def failing_at_06(p, t, n_max=None, tol=1e-12):
+        def failing_at_06(p, t, *args):
             if t == 0.6:
                 raise TailNotBounded("cannot certify")
-            return real(p, t, n_max, tol)
+            return real(p, t, *args)
 
-        monkeypatch.setattr(qbm.coefficients, "xi_q0_sum", failing_at_06)
+        monkeypatch.setattr(qbm.coefficients, "_correlation", failing_at_06)
         grid = np.array([0.2, 0.6, 1.0])
         with pytest.raises(TailNotBounded, match=r"^t_grid\[1\] = 0\.6: cannot certify$") as exc:
             build_table(pq_over, grid, mode="quantum", n_max=50)
@@ -838,8 +878,8 @@ class TestCoefficientTable:
         assert table.manifest()["diagnostics"]["tol_met"] is True
 
     def test_tol_met_needs_the_sigma1_bound(self, pq_over, monkeypatch):
-        real = qbm.coefficients._sigma1_corr
-        monkeypatch.setattr(qbm.coefficients, "_sigma1_corr", lambda *args: (real(*args)[0], 1.0))
+        real = qbm.coefficients._correlation
+        monkeypatch.setattr(qbm.coefficients, "_correlation", lambda *args: (*real(*args)[:3], 1.0))
         table = build_table(pq_over, np.array([0.5]), mode="quantum")
         assert table.diagnostics["d1_tail_bound_max"] <= 1e-8
         assert table.diagnostics["sigma1_tail_bound_max"] > 1e-8
@@ -856,6 +896,42 @@ class TestCoefficientTable:
             monkeypatch.setattr(qbm.coefficients, name, no_rows)
         with pytest.raises(InvalidInput, match="tol"):
             build_table(pq_over, np.array([0.5, 1.0]), mode=mode, tol=tol)
+
+    def test_tol_changes_no_column(self, pq_over):
+        # tol is only the target of the bounds: the columns are the same
+        # bytes at any tol, and only tol_met can differ
+        grid = np.geomspace(1e-3, 8.0, 21)
+        loose, tight, tightest = (build_table(pq_over, grid, mode="quantum", tol=tol)
+                                  for tol in (1e-6, 1e-12, 1e-14))
+        for name in ("omega", "d1", "sigma1", "sigma_q", "d_fpe"):
+            want = loose.column(name).tobytes()
+            assert tight.column(name).tobytes() == tightest.column(name).tobytes() == want, name
+        assert loose.diagnostics == tight.diagnostics == {**tightest.diagnostics, "tol_met": True}
+        assert tightest.diagnostics["tol_met"] is False
+
+    def test_rows_sum_no_other_correlation_route(self, pq_over, monkeypatch):
+        # D1, sigma1 and the table take xi_q0 and sigma1's correlation part
+        # from the row's one exponential series; xi_q0's own series and
+        # closed form are routes of qbm validate only
+        def refused(*args, **kwargs):
+            raise AssertionError("another correlation route called")
+
+        for module, name in ((qbm.coefficients, "xi_q0_sum"), (qbm.coefficients, "xi_q0_closed"),
+                             (qbm.special, "xi_q0_sum"), (qbm.special, "xi_q0_sum_ex")):
+            monkeypatch.setattr(module, name, refused)
+        assert not hasattr(qbm.coefficients, "_sigma1_corr")
+        for t in (1e-3, 0.5):
+            assert math.isfinite(d1_quantum_detail(pq_over, t).value)
+            assert math.isfinite(sigma1_quantum(pq_over, t))
+        build_table(pq_over, np.array([1e-3, 0.5]), mode="quantum")
+
+    def test_tol_met_at_low_temperature_and_short_time(self):
+        # kT = 0.003, t = 1e-3: nu*t = 1.9e-5, so the exponential series runs
+        # to n = 2.1e6 in three blocks, all kept: the bound is round-off
+        p = derive(1.0, 1.0, 0.16, 0.003, hbar=1.0)
+        table = build_table(p, np.array([1e-3]), mode="quantum")
+        assert table.diagnostics["sigma1_tail_bound_max"] <= 1e-12
+        assert table.diagnostics["tol_met"] is True
 
     def test_tol_met_true_when_bound_reaches_tol(self, pq_over):
         table = build_table(pq_over, np.array([0.5]), mode="quantum", tol=1e-2)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -441,9 +442,12 @@ class _CountingRng:
 class TestGroupedBlocks:
     @pytest.mark.parametrize("n_paths", [2, 17, 1237])
     @pytest.mark.parametrize("sim", ["reduced", "langevin-zero", "langevin-thermal"])
-    def test_matches_per_block_reference(self, table_over, sim, n_paths):
+    def test_matches_per_block_reference(self, table_over, sim, n_paths, monkeypatch):
         # fewer than 16 paths leave blocks empty; 3 threads split the 16
-        # blocks unevenly; 0.1234 is off the step grid
+        # blocks unevenly; 0.1234 is off the step grid.  The worker count is
+        # capped at the CPUs the process may use, so 16 are reported here
+        # for every grouping to run whatever the host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
         p, table = table_over
         kw = dict(sample_times=(0.1234, 0.5), keep_paths=True)
         want = _per_block_reference(sim, table, n_paths, 1e-2, 1.0, 11, kw["sample_times"])
@@ -465,6 +469,23 @@ class TestGroupedBlocks:
                     assert y == x, name
         n_steps = len(step_plan(0.0, 1.0, 1e-2, kw["sample_times"])[1])
         assert want["rng_draws"] == n_paths * (n_steps + (sim == "langevin-thermal"))
+
+    def test_one_cpu_starts_no_pool(self, table_over, monkeypatch):
+        # more workers than CPUs only contend: with one CPU, threads=4 runs
+        # on the calling thread, and the grouping changes no byte
+        import concurrent.futures
+
+        p, table = table_over
+        want = simulate_reduced(p, table, 1.0, 400, 1e-2, 1.0, 11, threads=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        got = simulate_reduced(p, table, 1.0, 400, 1e-2, 1.0, 11, threads=4)
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.var, want.var)
 
 
 class TestGuardsAndIO:
