@@ -26,7 +26,8 @@ certified bound on what the value at N drops (the exponential terms cut
 below round-off, and round-off), and D1 the coefficient of the residual
 log(N) sensitivity.  The initial system/bath correlation enters D1 as
 ``2*chi_q(t)*xi_q0(t)`` and sigma1 as its integral, a root-free sum at t
-alone, from the whole series of xi_q0.  ``tol`` changes no value.
+alone, from the whole series of xi_q0 and a t-independent sum C that only
+sigma1 builds.  ``tol`` changes no value.
 
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
@@ -71,6 +72,7 @@ from .response import (
     _time_array,
 )
 from .special import (
+    _CHUNK,
     phi1,
     phi1_dd,
     phi1_deriv,  # unused here: perfbench/workloads.py TARGETS traces coefficients.phi1_deriv
@@ -257,7 +259,6 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
 
 _EXP_CUT = 40.0
 _EXP_CAP = 1 << 22  # most exponential terms a row sums, however small nu*t
-_CHUNK = 1 << 20  # terms formed at a time past a row's first block
 _ROUNDOFF = 4.0 * np.finfo(np.float64).eps
 _ZETA_POWERS = np.arange(2.0, 26.0)
 _SIGNS = (-1.0) ** np.arange(25)
@@ -349,30 +350,41 @@ def _head_sums(p: PhysicalParams, nu: float, n_s: int, n_modes: int, heads: dict
     the roots), each with the absolute size of its terms (:func:`_l_minus`).
     Each is a direct head up to n0 = min(N, max(n_s, ceil(8*|lambda1|/nu)))
     plus a tail from one shared set of zeta sums; S1's harmonic part is a
-    digamma difference.  Last, sigma1's t-independent correlation sum C =
-    sum_{n >= 1} nu_n*(nu_n + gamma)*L(nu_n)**2, direct up to n_c = max(n_s,
-    ceil(8*|lambda1|/nu)) >= n0 and a zeta tail from the same zeta call."""
+    digamma difference."""
     if n_s not in heads:
         excluded = _excluded_modes(p, nu, n_s, n_modes)
-        n_c = max(n_s, math.ceil(8.0 * abs(p.lambda1) / nu))
-        n0 = min(n_modes, n_c)
-        nu_c = np.arange(1.0, n_c + 1.0) * nu
-        f_c = nu_c / (nu_c * (nu_c + p.gamma) + p.omega0_sq / p.M)  # nu_n*L(nu_n)
-        nu_n, f = (_kept(a, n_s, n0, excluded) for a in (nu_c, f_c))
-        z = zeta(_ZETA_POWERS[:, None], np.array([n0 + 1.0, n_modes + 1.0, n_c + 1.0]))
-        zs, zc = nu**-_ZETA_POWERS * (z[:, 0] - z[:, 1]), nu**-_ZETA_POWERS * z[:, 2]
+        n0 = min(n_modes, max(n_s, math.ceil(8.0 * abs(p.lambda1) / nu)))
+        nu_n = _kept(np.arange(1.0, n0 + 1.0) * nu, n_s, n0, excluded)
+        z = zeta(_ZETA_POWERS[:, None], np.array([n0 + 1.0, n_modes + 1.0]))
+        zs = nu**-_ZETA_POWERS * (z[:, 0] - z[:, 1])
         (lm, lm_size), u = _l_minus(p, nu_n), _l_series(p)
         tail0 = _zeta_tail(u[:24], zs)
         tail1 = (digamma(n_modes + 1.0) - digamma(n0 + 1.0)) / nu + _zeta_tail(u[1:], zs)
+        f = nu_n / (nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M)  # nu_n*L(nu_n)
         tail_st = -_zeta_tail(np.append(0.0, np.convolve(u, u * _SIGNS)[:23]), zs)
-        vv = np.convolve(u * _SIGNS, u * _SIGNS)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
-        c_sum = (math.fsum((f_c * f_c * (nu_c + p.gamma) / nu_c).tolist())
-                 + _zeta_tail(vv + p.gamma * np.append(0.0, vv[:23]), zc))
         heads[n_s] = (excluded, math.fsum(lm.tolist()) + tail0,
                       math.fsum((nu_n * lm).tolist()) + tail1, float(lm_size.sum()) + tail0,
                       float(nu_n @ lm_size) + tail1, math.fsum((-f * lm).tolist()) + tail_st,
-                      float(f @ lm_size) - tail_st, c_sum)
+                      float(f @ lm_size) - tail_st)
     return heads[n_s]
+
+
+def _corr_sum(p: PhysicalParams, nu: float, heads: dict) -> float:
+    """sigma1's t-independent correlation sum C = sum_{n >= 1} nu_n*(nu_n +
+    gamma)*L(nu_n)**2, built once per table in ``heads`` (key "C"): direct up
+    to n_c = ceil(8*|lambda1|/nu), one block of at most _CHUNK terms (else
+    refused, TailNotBounded), and past it a zeta tail (:func:`_l_series`)."""
+    if "C" not in heads:
+        n_c, g, v = math.ceil(8.0 * abs(p.lambda1) / nu), p.gamma, _l_series(p) * _SIGNS
+        if n_c > _CHUNK:
+            raise TailNotBounded(f"sigma1's correlation sum needs {n_c} > {_CHUNK} direct terms")
+        nu_n = np.arange(1.0, n_c + 1.0) * nu
+        lv = 1.0 / (nu_n * (nu_n + g) + p.omega0_sq / p.M)
+        vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
+        zc = nu**-_ZETA_POWERS * zeta(_ZETA_POWERS, n_c + 1.0)
+        heads["C"] = (math.fsum((nu_n * (nu_n + g) * lv * lv).tolist())
+                      + _zeta_tail(vv + g * np.append(0.0, vv[:23]), zc))
+    return heads["C"]
 
 
 def _exp_dd(t: float, *points):
@@ -415,6 +427,11 @@ def _excluded_int(p: PhysicalParams, nu_k: float, t: float, cv: float, cvd: floa
             sum(abs(ri) * si for ri, si in zip(r, s_size)) / 2.0)
 
 
+def _exp_count(nu: float, t: float) -> int:
+    """The exponential series' cut: past this n, nu_n*t > _EXP_CUT."""
+    return math.ceil(_EXP_CUT / (nu * t)) + 1
+
+
 def _exp_terms(nu: float, t: float, lo: int, hi: int) -> tuple:
     """nu_n and exp(-nu_n*t) over lo < n <= hi."""
     nu_n = np.arange(lo + 1.0, hi + 1.0) * nu
@@ -422,7 +439,7 @@ def _exp_terms(nu: float, t: float, lo: int, hi: int) -> tuple:
 
 
 def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float,
-                sigma1_cl: Optional[float], heads: dict, block=None):
+                sigma1_cl: Optional[float], heads: dict, block: tuple):
     """sum_{n <= N} R_n(t) at one time t > 0 (gamma > 0), given chi_v and
     chi_v_dot, a bound on what it drops, and, given sigma1_classical(t), whose
     A = int_0^t chi_v**2 = sigma1_cl*M/(2*gamma*k_B*T) it takes,
@@ -430,15 +447,16 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
     bounds are the exponential terms cut at nu_n*t > _EXP_CUT and the series
     terms past _SERIES_TERMS, plus the relative error of :func:`_envelopes`
     times the absolute sizes of the terms summed past the series, from the
-    row's head (``heads``) and exponential terms (``block``, else formed here)."""
+    row's head (``heads``) and exponential terms: ``block`` holds nu_n and
+    exp(-nu_n*t) from n = 1 over at least min(N, :func:`_exp_count`) terms."""
     nu = p.matsubara_nu()
     g, w2 = p.gamma, p.omega0_sq / p.M
     vt, vd, eps_t = _envelopes(p, t)
     n_s = _series_count(p, nu, n_modes, t)
     ys, yi, size = _series_modes(p, nu, n_s, t)
-    excluded, s0, s1, size0, size1, static, static_size, _ = _head_sums(p, nu, n_s, n_modes, heads)
-    m = min(n_modes, math.ceil(_EXP_CUT / (nu * t)) + 1)  # n_s <= m: nu_(n_s)*t < 1
-    nu_n, ex = (_kept(a, n_s, m, excluded) for a in block or _exp_terms(nu, t, 0, m))
+    excluded, s0, s1, size0, size1, static, static_size = _head_sums(p, nu, n_s, n_modes, heads)
+    m = min(n_modes, _exp_count(nu, t))  # n_s <= m: nu_(n_s)*t < 1
+    nu_n, ex = (_kept(a, n_s, m, excluded) for a in block)
     (lm, lm_size), e = _l_minus(p, nu_n), nu_n * ex
     d = [ys, w2 * cv * s0, cvd * s1, -math.fsum((lm * e).tolist())]  # parts of sum R_n/(chi_v/2)
     size += w2 * vt * size0 + vd * size1 + float(e @ lm_size)
@@ -477,9 +495,10 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
 def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarray]:
     """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form, and
     a bound on what each value drops (:func:`_mode_parts`; the times share heads)."""
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t, nu = np.atleast_1d(np.asarray(t, dtype=np.float64)), p.matsubara_nu()
     (cv, cvd), heads = _chi_all(p, t)[1:], {}
-    parts = [_mode_parts(p, n_modes, ti, c, cd, None, heads)[:2]
+    parts = [_mode_parts(p, n_modes, ti, c, cd, None, heads,
+                         _exp_terms(nu, ti, 0, min(n_modes, _exp_count(nu, ti))))[:2]
              for ti, c, cd in zip(t.tolist(), cv.tolist(), cvd.tolist())]
     return np.array([v for v, _ in parts]), np.array([b for _, b in parts])
 
@@ -526,11 +545,12 @@ class D1Result:
 _NO_BATH = D1Result(0.0, 0.0, 0.0, 0.0, 0, 0.0, 0.0)  # D1 at gamma = 0
 
 
-def _correlation(p: PhysicalParams, t: float, cq: float, cv: float, c_sum: float,
-                 first: tuple, last: int) -> tuple:
-    """xi_q0(t) and sigma1's correlation part 2*int_0^t chi_q*xi_q0 du, each
-    with a bound on what it drops, from chi_q(t), chi_v(t), C
-    (:func:`_head_sums`) and the terms n <= last, the first ``first``.
+def _correlation(p: PhysicalParams, t: float, cq: float, cv: float,
+                 c_sum: Optional[float], first: tuple, last: int) -> tuple:
+    """xi_q0(t) and a bound on what it drops, and, given C (:func:`_corr_sum`),
+    sigma1's correlation part 2*int_0^t chi_q*xi_q0 du and a bound on that
+    (else None, None), from chi_q(t), chi_v(t) and the terms n <= last, the
+    first ``first``.
 
     xi_q0 = -2*gamma*k_B*T*sum_n nu_n*L(nu_n)*exp(-nu_n*t), and chi_q's
     equation of motion makes the part -4*gamma*k_B*T*[C - sum_n
@@ -546,32 +566,38 @@ def _correlation(p: PhysicalParams, t: float, cq: float, cv: float, c_sum: float
         lv = 1.0 / (nu_n * (nu_n + g) + w2)
         w = nu_n * lv * ex
         xs.append(math.fsum(w.tolist()))
-        cs.append(math.fsum((w * lv * ((nu_n + g) * cq - w2 * cv)).tolist()))
+        if c_sum is not None:
+            cs.append(math.fsum((w * lv * ((nu_n + g) * cq - w2 * cv)).tolist()))
     xi, nu_h, pref = math.fsum(xs), nu * (last + 1), 2.0 * g * p.kT
     decay = math.exp(-nu_h * t) / -math.expm1(-nu * t)
     xi_round = _ROUNDOFF * (2.0 + (_EXP_CUT + 2.0 * nu * t) / 4.0) * xi
+    xi_part = (-pref * xi, pref * (decay / nu_h + xi_round))
+    if c_sum is None:
+        return (*xi_part, None, None)
     corr_round = _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * abs(cv) / nu**3)  # zeta(2), zeta(3)
-    return (-pref * xi, pref * (decay / nu_h + xi_round), -2.0 * pref * (c_sum - math.fsum(cs)),
+    return (*xi_part, -2.0 * pref * (c_sum - math.fsum(cs)),
             2.0 * pref * ((abs(cq) + w2 * abs(cv) / nu_h) / nu_h**2 * decay + corr_round))
 
 
 def _quantum_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float, cvd: float,
-                 sigma1_cl: Optional[float], heads: dict, refuse: bool = True) -> tuple:
+                 sigma1_cl: Optional[float], heads: dict) -> tuple:
     """D1 (a :class:`D1Result`) at one time t > 0, gamma > 0, from chi_q, chi_v
     and chi_v_dot there, and, given sigma1_classical(t), sigma1 and a bound on
     what it drops (else None, None): exp(-nu_n*t) is formed once, to nu_n*t >
     _EXP_CUT or max(N, _EXP_CAP) terms, for the mode sums and both correlation
-    parts.  A D1 whose xi_q0 bound exceeds xi_q0 is refused, if ``refuse``."""
+    parts.  Where that cap leaves xi_q0's bound above xi_q0 itself (nu*t of
+    order 1e-8), the row keeps no digit of either correlation part and is
+    refused (TailNotBounded), whichever value is asked for."""
     nu = p.matsubara_nu()
-    n_cut = math.ceil(_EXP_CUT / (nu * t)) + 1
+    n_cut = _exp_count(nu, t)
     m, last = min(n_modes, n_cut), min(n_cut, max(n_modes, _EXP_CAP))
+    c_sum = None if sigma1_cl is None else _corr_sum(p, nu, heads)
     first = _exp_terms(nu, t, 0, max(m, min(last, _CHUNK)))
     sums, bound, integral, int_bound = _mode_parts(p, n_modes, t, cv, cvd, sigma1_cl, heads, first)
-    c_sum = _head_sums(p, nu, _series_count(p, nu, n_modes, t), n_modes, heads)[-1]
     xi, xi_bound, corr, corr_bound = _correlation(p, t, cq, cv, c_sum, first, last)
-    pref, white = 8.0 * p.gamma * p.kT / p.M, (2.0 * p.gamma * p.kT / p.M) * cv * cv
-    if refuse and xi_bound > -xi:  # the cap cut xi_q0's series short: no digit is left
+    if xi_bound > -xi:
         raise TailNotBounded(f"xi_q0 = {xi:.3g} cut at {last} terms drops up to {xi_bound:.3g}")
+    pref, white = 8.0 * p.gamma * p.kT / p.M, (2.0 * p.gamma * p.kT / p.M) * cv * cv
     det = D1Result(white + pref * sums + 2.0 * cq * xi, white, pref * sums, 2.0 * cq * xi, n_modes,
                    float(pref * bound + 2.0 * abs(cq) * xi_bound), pref * (cvd * cv / 2.0) / nu)
     if sigma1_cl is None:
@@ -590,9 +616,10 @@ def d1_quantum_detail(
     D1 = d1_classical + (8*gamma/(M*beta)) * sum_{n <= N} R_n + 2*chi_q*xi_q0,
     with the cutoff N = ``n_max`` (``N_MODES`` if None).  The mode sum is
     taken in closed form at N (:func:`_mode_parts`), so its cost does not grow
-    with N, and xi_q0 from its whole series (:func:`_correlation`).  ``tol``
-    is checked but changes no value.  The row of ``build_table``'s pass
-    (:func:`_quantum_row`) at one time."""
+    with N, and xi_q0 from its whole series (:func:`_correlation`); sigma1's
+    correlation sum C is not built.  ``tol`` is checked but changes no value.
+    The row of ``build_table``'s pass (:func:`_quantum_row`) at one time, so
+    refused where that row is."""
     p.matsubara_nu()  # HbarZero for classical parameters
     _check_tol(tol)
     if not (t > 0.0):
@@ -611,9 +638,10 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     correlation part 2*int_0^t chi_q*xi_q0, each in closed form at t alone.
     The mode part integrates the same cutoff-N sum as
     :func:`d1_quantum_detail`, so sigma1' = D1 holds at the truncated level;
-    the correlation part takes the whole series of xi_q0.  The row of
-    ``build_table``'s pass (:func:`_quantum_row`) at one time; the table
-    reports the bound on both sums as ``sigma1_tail_bound_max``."""
+    the correlation part takes the whole series of xi_q0 and the sum C
+    (:func:`_corr_sum`).  The row of ``build_table``'s pass
+    (:func:`_quantum_row`) at one time, so refused where that row is; the
+    table reports the bound on both sums as ``sigma1_tail_bound_max``."""
     p.matsubara_nu()  # HbarZero for classical parameters
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
@@ -622,14 +650,15 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     if t == 0.0 or p.gamma == 0.0:
         return base
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    return _quantum_row(p, n_modes, t, cq, cv, cvd, base, {}, refuse=False)[1]
+    return _quantum_row(p, n_modes, t, cq, cv, cvd, base, {})[1]
 
 
 def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndarray,
                      cv: np.ndarray, cvd: np.ndarray) -> tuple:
     """D1 (a :class:`D1Result` a time), sigma1 and sigma1's bound at every
     time of the array t > 0, given chi_q, chi_v and chi_v_dot there: one
-    :func:`_quantum_row` a time, with one head per series count (``heads``)."""
+    :func:`_quantum_row` a time, with one head per series count and one C
+    per table (``heads``)."""
     base = np.atleast_1d(sigma1_classical(p, t))
     if p.gamma == 0.0:
         return [_NO_BATH] * len(t), base, np.zeros(len(t))

@@ -32,9 +32,10 @@ import qbm.special
 from qbm.coefficients import (
     _CHUNK,
     _EXP_CAP,
+    _corr_sum,
     _correlation,
+    _exp_count,
     _exp_terms,
-    _head_sums,
     _mode_parts,
     _mode_r,
     _mode_sums,
@@ -379,7 +380,7 @@ def _sigma1_modes(p, n, t):
     drops of its two Matsubara sums there."""
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
     base = float(sigma1_classical(p, t))
-    integral = _mode_parts(p, n, t, cv, cvd, base, {})[2]
+    integral = _mode_parts(p, n, t, cv, cvd, base, {}, _exp_terms(p.matsubara_nu(), t, 0, n))[2]
     return integral, _quantum_row(p, n, t, cq, cv, cvd, base, {})[2]
 
 
@@ -387,10 +388,10 @@ def _correlation_parts(p, t):
     """(xi_q0, its bound, sigma1's correlation part, its bound) at one time,
     as a row at the default cutoff forms them."""
     cq, cv, _ = (float(a[0]) for a in _chi_all(p, t))
-    nu, n = p.matsubara_nu(), qbm.coefficients.N_MODES
-    c_sum = _head_sums(p, nu, _series_count(p, nu, n, t), n, {})[-1]
-    last = min(math.ceil(40.0 / (nu * t)) + 1, _EXP_CAP)
-    return _correlation(p, t, cq, cv, c_sum, _exp_terms(nu, t, 0, min(last, _CHUNK)), last)
+    nu = p.matsubara_nu()
+    last = min(_exp_count(nu, t), _EXP_CAP)
+    return _correlation(p, t, cq, cv, _corr_sum(p, nu, {}),
+                        _exp_terms(nu, t, 0, min(last, _CHUNK)), last)
 
 
 def _reference_params(name):
@@ -520,17 +521,36 @@ class TestD1Quantum:
 
     def test_takes_no_sigma1_work(self, monkeypatch):
         # at kT = 1e-4 under strong overdamping 8*|lambda1|/nu is about 2.5e5;
-        # D1 needs neither sigma1_classical nor the integral of the mode sum,
-        # and its xi_q0 series certifies there
+        # D1 needs neither sigma1_classical, nor the integral of the mode sum,
+        # nor sigma1's correlation sum C (and so no part summed with C), and
+        # its xi_q0 series certifies there
         def refused(*args, **kwargs):
             raise AssertionError("sigma1 work done")
 
-        monkeypatch.setattr(qbm.coefficients, "sigma1_classical", refused)
-        monkeypatch.setattr(qbm.coefficients, "_excluded_int", refused)
+        for name in ("sigma1_classical", "_excluded_int", "_corr_sum"):
+            monkeypatch.setattr(qbm.coefficients, name, refused)
         det = d1_quantum_detail(derive(1.0, 20.0, 1.0, 1e-4, hbar=1.0), 1.0)
         # xi_q0's whole series: xi_q0_sum at tol 1e-12 gives the same value
         assert det.value == -0.4752080203269001
         assert det.tail_bound <= 1e-8
+
+    def test_builds_no_correlation_sum_at_low_temperature(self, monkeypatch):
+        # at kT = 1e-7 and gamma = 20, C would take 8*|lambda1|/nu = 2.5e8
+        # direct terms: sigma1 refuses it by type, and D1, which does not
+        # build C, still returns its value with its bound
+        p, t = derive(1.0, 20.0, 1.0, 1e-7, hbar=1.0), 50.0
+        assert math.ceil(8.0 * abs(p.lambda1) / p.matsubara_nu()) > _EXP_CAP
+        with pytest.raises(TailNotBounded, match="correlation sum"):
+            sigma1_quantum(p, t)
+        with pytest.raises(TailNotBounded, match=r"^t_grid\[0\] = 50\.0: sigma1's correlation"):
+            build_table(p, np.array([t]), mode="quantum")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("C built")
+
+        monkeypatch.setattr(qbm.coefficients, "_corr_sum", refused)
+        det = d1_quantum_detail(p, t)
+        assert math.isfinite(det.value) and det.tail_bound <= 1e-8
 
     def test_rejects_bad_n_max(self, pq_over):
         with pytest.raises(ValueError):
@@ -678,14 +698,18 @@ class TestSigma1Quantum:
         assert math.isfinite(sigma1_quantum(pq_over, 0.5))
 
     def test_takes_no_correlation_series_of_d1(self, pq_over, monkeypatch):
-        # sigma1 has its own correlation part; D1's xi_q0 series, whose tail
-        # bound divides by 1 - exp(-nu*t), is not summed, so t = 1e-18 works
+        # sigma1 takes its correlation part from the row's one exponential
+        # series, not from xi_q0_sum; at t = 1e-18 the capped series keeps no
+        # digit of xi_q0, and sigma1 is refused there as D1 is, not returned
+        # cut short (a negative variance)
         def no_xi(*args, **kwargs):
             raise AssertionError("xi_q0_sum called")
 
         monkeypatch.setattr(qbm.coefficients, "xi_q0_sum", no_xi)
-        for t in (1e-18, 0.5):
-            assert math.isfinite(sigma1_quantum(pq_over, t))
+        assert math.isfinite(sigma1_quantum(pq_over, 0.5))
+        for fn in (sigma1_quantum, d1_quantum_detail):
+            with pytest.raises(TailNotBounded, match="xi_q0"):
+                fn(pq_over, 1e-18)
 
     def test_exceeds_classical_variance(self, pq_over):
         # quantum bath adds fluctuation on top of the white-noise part
@@ -819,10 +843,11 @@ class TestCoefficientTable:
     def test_one_head_per_series_count(self, pq_over, monkeypatch, grid):
         # D1 and sigma1 take their sums over the modes past the series from
         # the row's head: one build per distinct series count n_s, and none
-        # over every mode besides (n_s = 3 at t = 0.05); C, the t-independent
-        # part of sigma1's correlation part, takes its zeta tail from the
-        # head's one zeta call
+        # over every mode besides (n_s = 3 at t = 0.05); C, the part of
+        # sigma1's correlation part that depends on neither t nor n_s, is
+        # built once per table; each head and C make one zeta call
         real, built, zeta_calls = qbm.coefficients._head_sums, [], []
+        real_c, built_c = qbm.coefficients._corr_sum, []
         real_zeta = qbm.coefficients.zeta
 
         def counting(p, nu, n_s, n_modes, heads):
@@ -830,11 +855,17 @@ class TestCoefficientTable:
                 built.append(n_s)
             return real(p, nu, n_s, n_modes, heads)
 
+        def counting_c(p, nu, heads):
+            if "C" not in heads:
+                built_c.append(nu)
+            return real_c(p, nu, heads)
+
         def counting_zeta(*args):
             zeta_calls.append(args)
             return real_zeta(*args)
 
         monkeypatch.setattr(qbm.coefficients, "_head_sums", counting)
+        monkeypatch.setattr(qbm.coefficients, "_corr_sum", counting_c)
         monkeypatch.setattr(qbm.coefficients, "zeta", counting_zeta)
         if grid is None:
             grid = [0.05]
@@ -843,7 +874,8 @@ class TestCoefficientTable:
             build_table(pq_over, np.array(grid), mode="quantum")
         nu, n = pq_over.matsubara_nu(), qbm.coefficients.N_MODES
         assert sorted(built) == sorted({_series_count(pq_over, nu, n, t) for t in grid})
-        assert len(zeta_calls) == len(built)
+        assert len(built_c) == 1
+        assert len(zeta_calls) == len(built) + 1
 
     def test_quantum_csv_roundtrip(self, pq_over, tmp_path):
         grid = np.linspace(0.2, 1.0, 4)

@@ -27,6 +27,14 @@ from qbm import sde
 from qbm.coefficients import step_plan
 
 
+@pytest.fixture(autouse=True)
+def sixteen_cpus(monkeypatch):
+    # the worker count is capped at the CPUs the process may use: 16 are
+    # reported, so a test that names a thread count runs that many workers
+    # (up to the 16 blocks) on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+
+
 @pytest.fixture(scope="module")
 def table_over():
     from qbm import derive
@@ -442,12 +450,9 @@ class _CountingRng:
 class TestGroupedBlocks:
     @pytest.mark.parametrize("n_paths", [2, 17, 1237])
     @pytest.mark.parametrize("sim", ["reduced", "langevin-zero", "langevin-thermal"])
-    def test_matches_per_block_reference(self, table_over, sim, n_paths, monkeypatch):
+    def test_matches_per_block_reference(self, table_over, sim, n_paths):
         # fewer than 16 paths leave blocks empty; 3 threads split the 16
-        # blocks unevenly; 0.1234 is off the step grid.  The worker count is
-        # capped at the CPUs the process may use, so 16 are reported here
-        # for every grouping to run whatever the host
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        # blocks unevenly; 0.1234 is off the step grid
         p, table = table_over
         kw = dict(sample_times=(0.1234, 0.5), keep_paths=True)
         want = _per_block_reference(sim, table, n_paths, 1e-2, 1.0, 11, kw["sample_times"])
