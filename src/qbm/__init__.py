@@ -10,7 +10,6 @@ from .errors import (
     DegenerateVariance,
     GridMismatch,
     HbarZero,
-    InvalidC,
     InvalidInput,
     NegativeDiffusion,
     NoConvergence,
@@ -26,15 +25,7 @@ from .errors import (
     UnresolvedGrid,
 )
 from .model import PhysicalParams, derive
-from .special import (
-    Hyp2F1Args,
-    hyp2f1,
-    hyp2f1_ex,
-    noise_kernel_closed,
-    noise_kernel_modes,
-    xi_q0_closed,
-    xi_q0_sum,
-)
+from .special import noise_kernel_closed, noise_kernel_modes, xi_q0_closed
 from .response import (
     chi_q,
     chi_q_dot,
@@ -55,6 +46,7 @@ from .coefficients import (
     sigma1_classical,
     sigma1_quantum,
     sigma_cl_closed,
+    xi_q0_sum,
 )
 from .propagator import GaussianDensity, density, fpe_residual, maxwell_average_check
 from .fpe import DensityField, SolveResult, SolverConfig, StepGrid, solve, step
@@ -68,13 +60,13 @@ __all__ = [
     # errors
     "QbmError", "InvalidInput", "NonPositiveMass", "NonPositiveTemperature",
     "NonPositiveCurvature",
-    "HbarZero", "NoConvergence", "InvalidC", "TailNotBounded", "PoleAtChiQZero",
+    "HbarZero", "NoConvergence", "TailNotBounded", "PoleAtChiQZero",
     "NonFiniteCoefficient", "NegativeDiffusion", "PoleWindow", "CFLViolation",
     "GridMismatch", "DegenerateVariance", "NonFiniteState", "UnresolvedGrid",
     # model
     "PhysicalParams", "derive",
     # special functions and bath sums
-    "Hyp2F1Args", "hyp2f1", "hyp2f1_ex", "xi_q0_sum", "xi_q0_closed",
+    "xi_q0_sum", "xi_q0_closed",
     "noise_kernel_modes", "noise_kernel_closed",
     # response
     "chi_q", "chi_v", "chi_q_dot", "chi_v_dot", "omega_drift", "drift_velocity",

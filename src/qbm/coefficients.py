@@ -26,8 +26,10 @@ certified bound on what the value at N drops (the exponential terms cut
 below round-off, and round-off), and D1 the coefficient of the residual
 log(N) sensitivity.  The initial system/bath correlation enters D1 as
 ``2*chi_q(t)*xi_q0(t)`` and sigma1 as its integral, a root-free sum at t
-alone, from the whole series of xi_q0 and a t-independent sum C that only
-sigma1 builds.  ``tol`` changes no value.
+alone, from the whole Matsubara series of xi_q0 and a t-independent sum C
+that only sigma1 builds.  ``xi_q0_sum`` is that series as the rows sum it,
+and ``qbm validate`` checks it against the hypergeometric closed form
+(``qbm.special.xi_q0_closed``).  ``tol`` changes no value.
 
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
@@ -72,12 +74,10 @@ from .response import (
     _time_array,
 )
 from .special import (
-    _CHUNK,
     phi1,
     phi1_dd,
     phi1_deriv,  # unused here: perfbench/workloads.py TARGETS traces coefficients.phi1_deriv
     xi_q0_closed,  # unused here: perfbench/workloads.py TARGETS traces coefficients.xi_q0_closed
-    xi_q0_sum,  # unused here: perfbench/workloads.py TARGETS traces coefficients.xi_q0_sum
 )
 
 __all__ = [
@@ -89,6 +89,7 @@ __all__ = [
     "D1Result",
     "d1_quantum_detail",
     "sigma1_quantum",
+    "xi_q0_sum",
     "CoefficientTable",
     "build_table",
     "step_plan",
@@ -259,6 +260,7 @@ def _mode_r(p: PhysicalParams, nu_n: np.ndarray, t: float) -> np.ndarray:
 
 _EXP_CUT = 40.0
 _EXP_CAP = 1 << 22  # most exponential terms a row sums, however small nu*t
+_CHUNK = 1 << 20  # exponential terms formed at once
 _ROUNDOFF = 4.0 * np.finfo(np.float64).eps
 _ZETA_POWERS = np.arange(2.0, 26.0)
 _SIGNS = (-1.0) ** np.arange(25)
@@ -558,7 +560,9 @@ def _correlation(p: PhysicalParams, t: float, cq: float, cv: float,
     Past n = last their terms are at most exp(-nu_n*t)/nu_n and (|chi_q| +
     w2*|chi_v|/nu_n)*exp(-nu_n*t)/nu_n**2, summed geometrically; round-off is
     of xi_q0's positive terms, also moved by the rounding of nu_n*t, and of
-    terms at most 3/nu_n**2 + w2*|chi_v|/nu_n**3."""
+    terms at most 3/nu_n**2 + w2*|chi_v|/nu_n**3.  Where the bound on xi_q0
+    exceeds |xi_q0| (at nu*t of order 1e-8, past _EXP_CAP terms), no digit of
+    either value is kept, and it is refused (TailNotBounded)."""
     nu, g, w2 = p.matsubara_nu(), p.gamma, p.omega0_sq / p.M
     xs, cs = [], []
     for nu_n, ex in itertools.chain([first], (_exp_terms(nu, t, lo, min(lo + _CHUNK, last))
@@ -570,13 +574,27 @@ def _correlation(p: PhysicalParams, t: float, cq: float, cv: float,
             cs.append(math.fsum((w * lv * ((nu_n + g) * cq - w2 * cv)).tolist()))
     xi, nu_h, pref = math.fsum(xs), nu * (last + 1), 2.0 * g * p.kT
     decay = math.exp(-nu_h * t) / -math.expm1(-nu * t)
-    xi_round = _ROUNDOFF * (2.0 + (_EXP_CUT + 2.0 * nu * t) / 4.0) * xi
-    xi_part = (-pref * xi, pref * (decay / nu_h + xi_round))
+    xi_bound = pref * (decay / nu_h + _ROUNDOFF * (2.0 + (_EXP_CUT + 2.0 * nu * t) / 4.0) * xi)
+    if xi_bound > pref * xi:
+        raise TailNotBounded(f"xi_q0 = {-pref * xi:.3g} cut at {last} terms drops up to "
+                             f"{xi_bound:.3g}")
     if c_sum is None:
-        return (*xi_part, None, None)
+        return -pref * xi, xi_bound, None, None
     corr_round = _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * abs(cv) / nu**3)  # zeta(2), zeta(3)
-    return (*xi_part, -2.0 * pref * (c_sum - math.fsum(cs)),
+    return (-pref * xi, xi_bound, -2.0 * pref * (c_sum - math.fsum(cs)),
             2.0 * pref * ((abs(cq) + w2 * abs(cv) / nu_h) / nu_h**2 * decay + corr_round))
+
+
+def xi_q0_sum(p: PhysicalParams, t: float) -> float:
+    """The initial noise/position correlation xi_q0(t) from its Matsubara
+    series, summed as a quantum row sums it (:func:`_correlation`): to nu_n*t
+    > _EXP_CUT, at most _EXP_CAP terms, and refused (TailNotBounded) where
+    that cut keeps no digit.  ``qbm.special.xi_q0_closed`` is the other route."""
+    nu = p.matsubara_nu()
+    if not (t > 0.0):
+        raise ValueError(f"t must be positive, got {t}")
+    last = min(_exp_count(nu, t), _EXP_CAP)
+    return _correlation(p, t, 0.0, 0.0, None, _exp_terms(nu, t, 0, min(last, _CHUNK)), last)[0]
 
 
 def _quantum_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float, cvd: float,
@@ -585,9 +603,8 @@ def _quantum_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float
     and chi_v_dot there, and, given sigma1_classical(t), sigma1 and a bound on
     what it drops (else None, None): exp(-nu_n*t) is formed once, to nu_n*t >
     _EXP_CUT or max(N, _EXP_CAP) terms, for the mode sums and both correlation
-    parts.  Where that cap leaves xi_q0's bound above xi_q0 itself (nu*t of
-    order 1e-8), the row keeps no digit of either correlation part and is
-    refused (TailNotBounded), whichever value is asked for."""
+    parts.  Where that cap leaves xi_q0 no digit, :func:`_correlation` refuses
+    the row, whichever value is asked for."""
     nu = p.matsubara_nu()
     n_cut = _exp_count(nu, t)
     m, last = min(n_modes, n_cut), min(n_cut, max(n_modes, _EXP_CAP))
@@ -595,8 +612,6 @@ def _quantum_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float
     first = _exp_terms(nu, t, 0, max(m, min(last, _CHUNK)))
     sums, bound, integral, int_bound = _mode_parts(p, n_modes, t, cv, cvd, sigma1_cl, heads, first)
     xi, xi_bound, corr, corr_bound = _correlation(p, t, cq, cv, c_sum, first, last)
-    if xi_bound > -xi:
-        raise TailNotBounded(f"xi_q0 = {xi:.3g} cut at {last} terms drops up to {xi_bound:.3g}")
     pref, white = 8.0 * p.gamma * p.kT / p.M, (2.0 * p.gamma * p.kT / p.M) * cv * cv
     det = D1Result(white + pref * sums + 2.0 * cq * xi, white, pref * sums, 2.0 * cq * xi, n_modes,
                    float(pref * bound + 2.0 * abs(cq) * xi_bound), pref * (cvd * cv / 2.0) / nu)

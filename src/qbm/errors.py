@@ -48,10 +48,6 @@ class NoConvergence(QbmError):
     """Series term budget exhausted (argument too close to the convergence edge)."""
 
 
-class InvalidC(QbmError):
-    """Hypergeometric lower parameter at (or numerically near) a non-positive integer."""
-
-
 class TailNotBounded(QbmError):
     """A certified truncation tail bound below the requested tolerance is unreachable."""
 

@@ -1,15 +1,13 @@
 """Special-function kernel.
 
-Four groups of tools:
+Three groups of tools:
 
-* the Gauss hypergeometric series ``2F1(A, B; C; x)`` for complex parameters
-  and real ``x`` in [0, 1), summed directly with compensated arithmetic and a
-  certified geometric stopping rule;
-* the noise/position initial-correlation function ``xi_q0`` in its two
-  representations — a Matsubara mode sum with a certified geometric tail
-  bound, and a closed form built from two hypergeometric evaluations at
-  ``x = exp(-nu*t)``, a divided difference over the characteristic roots
-  (``root_dd``, the one rule for their critical-damping limit);
+* the closed route of the noise/position initial-correlation function
+  ``xi_q0``: the one hypergeometric case it takes, 2F1(1, b; b + 1; x), at
+  ``x = exp(-nu*t)``, summed to a certified geometric stopping rule, and a
+  divided difference over the characteristic roots (``root_dd``, the one rule
+  for their critical-damping limit).  Its Matsubara series, the other route,
+  is ``qbm.coefficients.xi_q0_sum``, the series the coefficient rows sum;
 * the exponential-mode decomposition of the stationary bath noise kernel
   ``-(gamma*M*nu/(2*beta)) / sinh(nu*tau/2)**2`` with an exact dropped-tail
   formula;
@@ -24,23 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HbarZero, InvalidC, NoConvergence, TailNotBounded
+from .errors import NoConvergence
 from .model import PhysicalParams
 
 __all__ = [
     "phi1",
     "phi1_deriv",
     "phi1_dd",
-    "Hyp2F1Args",
-    "Hyp2F1Sum",
-    "hyp2f1",
-    "hyp2f1_ex",
-    "xi_q0_sum",
-    "xi_q0_sum_ex",
     "xi_q0_closed",
     "root_dd",
     "ModeExpansion",
@@ -110,161 +101,23 @@ def phi1_dd(x, y):
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric series
+# noise/position initial correlation, closed route
 
-
-@dataclass(frozen=True)
-class Hyp2F1Args:
-    """Parameters of 2F1(A, B; C; x) with real x in [0, 1)."""
-
-    A: complex
-    B: complex
-    C: complex
-    x: float
-
-    def validate(self) -> None:
-        if not (0.0 <= self.x < 1.0):
-            raise ValueError(f"x must lie in [0, 1), got {self.x}")
-        C = complex(self.C)
-        if abs(C.imag) < 1e-12:
-            nearest = round(C.real)
-            if nearest <= 0 and abs(C.real - nearest) < 1e-9:
-                raise InvalidC(
-                    f"C = {self.C} is (numerically) a non-positive integer"
-                )
-
-
-class Hyp2F1Sum(NamedTuple):
-    value: complex
-    terms: int
-    tail_bound: float
-
-
-#: Above this argument the direct series is refused; callers fall back to the
-#: mode-sum representation, whose convergence improves exactly where this
-#: one's degrades.
+#: Above this argument the closed route refuses (NoConvergence): its series
+#: slows as x -> 1, where the rows' Matsubara series converges fastest.
 X_MAX = 0.99
 
 
-def hyp2f1_ex(args: Hyp2F1Args, tol: float = 1e-15, max_terms: int = 100_000) -> Hyp2F1Sum:
-    """Direct Pochhammer-series evaluation with term count and tail bound.
-
-    Stops when the geometric bound on the dropped tail falls below ``tol``
-    (absolute).  Kahan-compensated accumulation.
-    """
-    args.validate()
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if args.x > X_MAX:
-        raise NoConvergence(
-            f"x = {args.x} > {X_MAX}: series too slow; use the mode-sum form"
-        )
-    A, B, C, x = complex(args.A), complex(args.B), complex(args.C), float(args.x)
-    if x == 0.0:
-        return Hyp2F1Sum(1.0 + 0.0j, 1, 0.0)
-
-    s = 1.0 + 0.0j
-    comp = 0.0 + 0.0j  # Kahan compensation
-    term = 1.0 + 0.0j
-    for n in range(max_terms):
-        Cn = C + n
-        if abs(Cn) < 1e-12:
-            raise InvalidC(f"C + {n} vanishes for C = {args.C}")
-        ratio = (A + n) * (B + n) / (Cn * (1 + n)) * x
-        term = term * ratio
-        y = term - comp
-        t_new = s + y
-        comp = (t_new - s) - y
-        s = t_new
-        r = max(x, abs(ratio))
-        if r < 1.0:
-            tail = abs(term) * r / (1.0 - r)
-            if tail <= tol:
-                return Hyp2F1Sum(s, n + 2, tail)
-    raise NoConvergence(
-        f"2F1 series did not reach tol={tol} within {max_terms} terms (x={x})"
-    )
-
-
-def hyp2f1(args: Hyp2F1Args, tol: float = 1e-15) -> complex:
-    """Value of 2F1(A, B; C; x); see :func:`hyp2f1_ex` for diagnostics."""
-    return hyp2f1_ex(args, tol).value
-
-
-# ---------------------------------------------------------------------------
-# noise/position initial correlation
-
-
-class XiQ0Sum(NamedTuple):
-    value: float
-    n_used: int
-    tail_bound: float
-
-
-_N_CAP = 5_000_000
-_CHUNK = 1 << 20
-
-
-def _xi_tail_bound(pref: float, nu: float, t: float, n: int) -> float:
-    # terms beyond n are below exp(-nu_k t)/nu_k; geometric sum from k = n+1
-    x = math.exp(-nu * t)
-    return pref * x ** (n + 1) / (nu * (n + 1) * -math.expm1(-nu * t))
-
-
-def xi_q0_sum_ex(
-    p: PhysicalParams,
-    t: float,
-    n_max: int | None = None,
-    tol: float = 1e-12,
-) -> XiQ0Sum:
-    """Matsubara-sum representation of the initial noise/position correlation.
-
-    Returns -(2*gamma/beta) * sum_{n>=1} nu_n exp(-nu_n t) / (nu_n**2 +
-    gamma*nu_n + omega0_sq/M) with a certified geometric bound on the dropped
-    tail.  The denominator is the expanded real quadratic
-    (nu_n + lambda1)(nu_n + lambda2), so the result is exactly real for
-    complex-conjugate roots.
-    """
-    nu = p.matsubara_nu()
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
-    pref = 2.0 * p.gamma * p.kT
-    if pref == 0.0:
-        return XiQ0Sum(0.0, 0, 0.0)
-
-    if n_max is None:
-        n = 64
-        while _xi_tail_bound(pref, nu, t, n) > tol:
-            n *= 2
-            if n > _N_CAP:
-                raise TailNotBounded(
-                    f"cannot certify tail <= {tol} within {_N_CAP} modes "
-                    f"(nu*t = {nu * t:.3e} too small)"
-                )
-        n_max = n
-    bound = _xi_tail_bound(pref, nu, t, n_max)
-    if bound > tol:
-        raise TailNotBounded(
-            f"tail bound {bound:.3e} exceeds tol {tol:.3e} at n_max = {n_max}"
-        )
-
-    c = p.omega0_sq / p.M
-    partials = []
-    for lo in range(1, n_max + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, n_max)
-        nun = np.arange(lo, hi + 1, dtype=np.float64) * nu
-        terms = nun * np.exp(-nun * t) / (nun * nun + p.gamma * nun + c)
-        partials.append(math.fsum(terms.tolist()))
-    return XiQ0Sum(-pref * math.fsum(partials), n_max, bound)
-
-
-def xi_q0_sum(
-    p: PhysicalParams,
-    t: float,
-    n_max: int | None = None,
-    tol: float = 1e-12,
-) -> float:
-    return xi_q0_sum_ex(p, t, n_max, tol).value
+def _hyp2f1_1b(b: complex, x: float, tol: float) -> complex:
+    """2F1(1, b; b + 1; x) = b*sum_{k >= 0} x**k/(k + b), for Re b >= 1 and
+    0 < x < 1, from its first n terms: n - 1 is the first count at which
+    |b|*x**(n - 1)/(1 - x), a bound on the terms from the last one kept on,
+    falls below tol, so the rest is below tol*x/(n + Re b).  The real and
+    imaginary parts are each summed by fsum."""
+    n = max(0, math.ceil(math.log(tol * (1.0 - x) / abs(b)) / math.log(x))) + 1
+    k = np.arange(float(n))
+    terms = b * x**k / (k + b)
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
 #: Root-separation threshold below which ``root_dd`` takes the confluent
@@ -297,25 +150,29 @@ def root_dd(p: PhysicalParams, F):
 def xi_q0_closed(p: PhysicalParams, t: float, tol: float = 1e-12) -> float:
     """Closed form of the initial correlation via two 2F1 evaluations.
 
-    Evaluates at x = exp(-nu*t); for x > 0.99 the underlying series refuses
-    (NoConvergence) and callers should fall back to :func:`xi_q0_sum`.  The
-    value is the divided difference of a one-root building block over the
-    roots (:func:`root_dd`, which takes its limit at critical damping).
+    Evaluates 2F1(1, b; b + 1; x) (:func:`_hyp2f1_1b`) at x = exp(-nu*t); for
+    x > X_MAX it refuses (NoConvergence), and ``qbm.coefficients.xi_q0_sum``,
+    the rows' series, is the route there.  The value is the divided
+    difference of a one-root building block over the roots (:func:`root_dd`,
+    which takes its limit at critical damping).
     """
     nu = p.matsubara_nu()
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     pref = 2.0 * p.gamma * p.kT
     if pref == 0.0:
         return 0.0
     x = math.exp(-nu * t)
     if x == 0.0:
         return 0.0
+    if x > X_MAX:
+        raise NoConvergence(f"x = {x} > {X_MAX}: series too slow; use the mode-sum form")
 
     def g(mu: complex) -> complex:
         # one-root building block: xi = -(2*gamma/beta) * g[lambda1, lambda2]
-        F = hyp2f1(Hyp2F1Args(1.0, (mu + nu) / nu, 2.0 + mu / nu, x), tol)
-        return mu * x * F / (nu + mu)
+        return mu * x * _hyp2f1_1b((mu + nu) / nu, x, tol) / (nu + mu)
 
     val = -pref * root_dd(p, g)
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):

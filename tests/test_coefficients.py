@@ -418,10 +418,10 @@ class TestRootFreeModeSums:
 
     def test_production_path_takes_no_root_rule(self, monkeypatch):
         def refused(*args, **kwargs):
-            raise AssertionError("root_dd, hyp2f1 or xi_q0_closed called")
+            raise AssertionError("root_dd, the 2F1 series or xi_q0_closed called")
 
         monkeypatch.setattr(qbm.special, "root_dd", refused)
-        monkeypatch.setattr(qbm.special, "hyp2f1", refused)
+        monkeypatch.setattr(qbm.special, "_hyp2f1_1b", refused)
         monkeypatch.setattr(qbm.coefficients, "xi_q0_closed", refused)
         grid = np.array([1e-4, 0.05, 8.0, 50.0])
         for name in ("over", "under", "crit", "near_crit", "resonant", "strong"):
@@ -481,9 +481,20 @@ class TestD1Quantum:
         p = pq_over
         t = 0.001 / p.matsubara_nu()
         det = d1_quantum_detail(p, t, n_max=64)
-        xi = xi_q0_sum(p, t, tol=1e-10)
+        xi = xi_q0_sum(p, t)
         want_corr = 2.0 * chi_q(p, t) * xi
         assert det.correlation == pytest.approx(want_corr, rel=1e-6)
+
+    @pytest.mark.parametrize("regime", ["over", "under"])
+    def test_rows_sum_the_one_xi_series(self, regime, request):
+        # at the default cutoff D1's correlation term is 2*chi_q*xi_q0_sum bit
+        # for bit, and both refuse where the capped series keeps no digit
+        p = request.getfixturevalue(f"pq_{regime}")
+        for t in (1e-3, 0.05, 0.5, 8.0):
+            assert d1_quantum_detail(p, t).correlation == 2.0 * chi_q(p, t) * xi_q0_sum(p, t), t
+        for fn in (xi_q0_sum, d1_quantum_detail):
+            with pytest.raises(TailNotBounded, match="xi_q0"):
+                fn(p, 1e-18)
 
     def test_classical_collapse(self):
         p = derive(1.0, 1.0, 0.16, 1.0, hbar=1e-4)
@@ -530,7 +541,7 @@ class TestD1Quantum:
         for name in ("sigma1_classical", "_excluded_int", "_corr_sum"):
             monkeypatch.setattr(qbm.coefficients, name, refused)
         det = d1_quantum_detail(derive(1.0, 20.0, 1.0, 1e-4, hbar=1.0), 1.0)
-        # xi_q0's whole series: xi_q0_sum at tol 1e-12 gives the same value
+        # xi_q0's whole series, as xi_q0_sum sums it
         assert det.value == -0.4752080203269001
         assert det.tail_bound <= 1e-8
 
@@ -629,7 +640,7 @@ class TestSigma1Quantum:
         def corr(u):
             return _correlation_parts(p, u)[2]
 
-        xi = xi_q0_sum(p, t, tol=1e-14)
+        xi = xi_q0_sum(p, t)
         diff = (corr(t + h) - corr(t - h)) / (2.0 * h)
         # rel 1e-6 of 2*|xi| (chi_q passes through 0 when underdamped), and
         # the difference's round-off where xi is exponentially small
@@ -943,14 +954,13 @@ class TestCoefficientTable:
 
     def test_rows_sum_no_other_correlation_route(self, pq_over, monkeypatch):
         # D1, sigma1 and the table take xi_q0 and sigma1's correlation part
-        # from the row's one exponential series; xi_q0's own series and
-        # closed form are routes of qbm validate only
+        # from the row's one exponential series, not through the xi_q0_sum
+        # wrapper of that series; the closed form is a route of qbm validate
         def refused(*args, **kwargs):
             raise AssertionError("another correlation route called")
 
-        for module, name in ((qbm.coefficients, "xi_q0_sum"), (qbm.coefficients, "xi_q0_closed"),
-                             (qbm.special, "xi_q0_sum"), (qbm.special, "xi_q0_sum_ex")):
-            monkeypatch.setattr(module, name, refused)
+        for name in ("xi_q0_sum", "xi_q0_closed"):
+            monkeypatch.setattr(qbm.coefficients, name, refused)
         assert not hasattr(qbm.coefficients, "_sigma1_corr")
         for t in (1e-3, 0.5):
             assert math.isfinite(d1_quantum_detail(pq_over, t).value)
