@@ -36,7 +36,8 @@ and ``qbm validate`` checks it against the hypergeometric closed form
 derivative sigma_dot = D1 + (2*k_B*T/M)*chi_v*chi_v_dot (no numerical
 differentiation).  Its quantum rows (``_quantum_row``, which
 ``d1_quantum_detail`` and ``sigma1_quantum`` take at one time) form
-exp(-nu_n*t) once for the mode sums and both correlation parts.
+exp(-nu_n*t) once for the mode sums and both correlation parts.  Each call
+forms its t-independent sums once (``_heads``), before any row, and keeps none.
 """
 
 from __future__ import annotations
@@ -268,6 +269,7 @@ _SERIES_TERMS = 21
 _SERIES_CUT = math.e / math.factorial(_SERIES_TERMS - 1)
 _SERIES_K = np.arange(float(_SERIES_TERMS))
 _SERIES_IDX = np.add.outer(np.arange(_SERIES_TERMS), np.arange(_SERIES_TERMS))
+_SERIES_INV = 1.0 / (_SERIES_IDX + 1.0)
 # _SERIES_H[m, i] = i!/(i + m)!: what a term a_i*u**i of chi_v leaves at
 # (-nu_n*u)**m in y'_n (see _series_modes), kept while i + m < _SERIES_TERMS
 _SERIES_H = np.where(_SERIES_IDX < _SERIES_TERMS,
@@ -305,7 +307,7 @@ def _series_modes(p: PhysicalParams, nu: float, n_s: int, t: float):
     K = _SERIES_TERMS
     a = np.array(_chi_v_taylor(p, K, t))
     # int_0^t chi_v*u**j du = t**(j + 1)*beta_j, beta_j = sum_i a_i*t**i/(i + j + 1)
-    beta = np.append(a @ (1.0 / (_SERIES_IDX + 1.0)), np.zeros(K))
+    beta = np.append(a @ _SERIES_INV, np.zeros(K))
     hb = _SERIES_H * beta[_SERIES_IDX]
     # sum_n (nu_n*t)**m, by Faulhaber's formula
     power = (n_s * nu * t) ** _SERIES_K * n_s * (_FAULHABER @ float(n_s) ** -_SERIES_K)
@@ -320,16 +322,11 @@ def _kept(a: np.ndarray, n_s: int, n_hi: int, excluded: list) -> np.ndarray:
 
 
 def _l_minus(p: PhysicalParams, nu_n: np.ndarray):
-    """L_(nu_n), and |L_(nu_n)| times (nu_n**2 + gamma*nu_n + w2)*|L_(nu_n)|,
-    the factor by which its denominator magnifies one rounding."""
+    """L_(nu_n), |L_(nu_n)|*q*|L_(nu_n)|, the factor by which its denominator
+    magnifies one rounding, and q = 1/L(nu_n) = nu_n**2 + gamma*nu_n + w2."""
     lm = 1.0 / (nu_n * (nu_n - p.gamma) + p.omega0_sq / p.M)
-    return lm, lm * lm * (nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M)
-
-
-def _zeta_tail(c, zs) -> float:
-    """sum over a tail of sum_s c_s*nu_n**-s, s = 2..25, from the sums ``zs``
-    of nu_n**-s over it (Hurwitz zeta values)."""
-    return math.fsum((c * zs).tolist())
+    q = nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M
+    return lm, lm * lm * q, q
 
 
 def _l_series(p: PhysicalParams) -> np.ndarray:
@@ -343,50 +340,64 @@ def _l_series(p: PhysicalParams) -> np.ndarray:
     return np.array(u)
 
 
-def _head_sums(p: PhysicalParams, nu: float, n_s: int, n_modes: int, heads: dict):
-    """The t-independent sums over the modes n_s < n <= N, built once per n_s
-    in ``heads``: the modes E excluded near a root (:func:`_excluded_modes`),
-    and over the others S0 = sum L_(nu_n), S1 = sum nu_n*L_(nu_n) and the
-    static sum, sum -nu_n*L_(nu_n)*L(nu_n) = -nu_n/((nu_n**2 -
-    lambda1**2)(nu_n**2 - lambda2**2)) (real coefficients, no difference over
-    the roots), each with the absolute size of its terms (:func:`_l_minus`).
-    Each is a direct head up to n0 = min(N, max(n_s, ceil(8*|lambda1|/nu)))
-    plus a tail from one shared set of zeta sums; S1's harmonic part is a
-    digamma difference."""
-    if n_s not in heads:
-        excluded = _excluded_modes(p, nu, n_s, n_modes)
-        n0 = min(n_modes, max(n_s, math.ceil(8.0 * abs(p.lambda1) / nu)))
-        nu_n = _kept(np.arange(1.0, n0 + 1.0) * nu, n_s, n0, excluded)
-        z = zeta(_ZETA_POWERS[:, None], np.array([n0 + 1.0, n_modes + 1.0]))
-        zs = nu**-_ZETA_POWERS * (z[:, 0] - z[:, 1])
-        (lm, lm_size), u = _l_minus(p, nu_n), _l_series(p)
-        tail0 = _zeta_tail(u[:24], zs)
-        tail1 = (digamma(n_modes + 1.0) - digamma(n0 + 1.0)) / nu + _zeta_tail(u[1:], zs)
-        f = nu_n / (nu_n * (nu_n + p.gamma) + p.omega0_sq / p.M)  # nu_n*L(nu_n)
-        tail_st = -_zeta_tail(np.append(0.0, np.convolve(u, u * _SIGNS)[:23]), zs)
-        heads[n_s] = (excluded, math.fsum(lm.tolist()) + tail0,
-                      math.fsum((nu_n * lm).tolist()) + tail1, float(lm_size.sum()) + tail0,
-                      float(nu_n @ lm_size) + tail1, math.fsum((-f * lm).tolist()) + tail_st,
-                      float(f @ lm_size) - tail_st)
-    return heads[n_s]
+def _heads(p: PhysicalParams, n_modes: int, times, corr: bool) -> dict:
+    """The t-independent sums of one call, each formed once: the head
+    (:func:`_head_sums`) of the series count of each time in ``times`` and,
+    given ``corr``, sigma1's correlation sum C (key "C", :func:`_corr_sum`),
+    refused (TailNotBounded) before any work past _CHUNK direct terms.  A tail
+    is sum_s c_s*nu_n**-s, s = 2..25, from the sums of nu_n**-s over it: all
+    from one L series and one Hurwitz zeta call at every n0 + 1, N + 1, n_c + 1."""
+    nu = p.matsubara_nu()
+    n_c = math.ceil(8.0 * abs(p.lambda1) / nu)
+    if corr and n_c > _CHUNK:
+        raise TailNotBounded(f"sigma1's correlation sum needs {n_c} > {_CHUNK} direct terms")
+    n0 = {n_s: min(n_modes, max(n_s, n_c))
+          for n_s in {_series_count(p, nu, n_modes, t) for t in times}}
+    points = sorted({n_modes, *n0.values(), *([n_c] if corr else [])})
+    z = dict(zip(points, zeta(_ZETA_POWERS[:, None], np.array(points) + 1.0).T))
+    u = _l_series(p)
+    v, inv = u * _SIGNS, nu**-_ZETA_POWERS  # L's series, and the zeta sums' factor
+    # c_s of S0, S1 (past its harmonic part) and the static sum
+    coef = np.array([u[:24], u[1:], np.append(0.0, np.convolve(u, v)[:23])])
+    heads = {n_s: _head_sums(p, nu, n_s, n, n_modes, coef * (inv * (z[n] - z[n_modes])))
+             for n_s, n in n0.items()}
+    if corr:
+        heads["C"] = _corr_sum(p, nu, n_c, v, inv * z[n_c])
+    return heads
 
 
-def _corr_sum(p: PhysicalParams, nu: float, heads: dict) -> float:
+def _head_sums(p: PhysicalParams, nu: float, n_s: int, n0: int, n_modes: int,
+               tails: np.ndarray) -> tuple:
+    """The t-independent sums over the modes n_s < n <= N: the modes E excluded
+    near a root (:func:`_excluded_modes`), and over the others S0 = sum
+    L_(nu_n), S1 = sum nu_n*L_(nu_n) and the static sum, sum -nu_n*L_(nu_n)*
+    L(nu_n) = -nu_n/((nu_n**2 - lambda1**2)(nu_n**2 - lambda2**2)) (real
+    coefficients, no difference over the roots), each with the absolute size
+    of its terms (:func:`_l_minus`): a direct head to n0 = min(N, max(n_s,
+    ceil(8*|lambda1|/nu))), plus the row sums of ``tails`` and S1's digamma part."""
+    excluded = _excluded_modes(p, nu, n_s, n_modes)
+    nu_n = _kept(np.arange(1.0, n0 + 1.0) * nu, n_s, n0, excluded)
+    tail0, tail1, tail_st = (math.fsum(row) for row in tails.tolist())
+    tail1 += (digamma(n_modes + 1.0) - digamma(n0 + 1.0)) / nu
+    head = (0.0,) * 6
+    if len(nu_n):
+        lm, lm_size, q = _l_minus(p, nu_n)
+        f = nu_n / q  # nu_n*L(nu_n)
+        head = (math.fsum(lm.tolist()), math.fsum((nu_n * lm).tolist()), float(lm_size.sum()),
+                float(nu_n @ lm_size), math.fsum((-f * lm).tolist()), float(f @ lm_size))
+    return excluded, *(h + x for h, x in zip(head, (tail0, tail1, tail0, tail1, -tail_st, tail_st)))
+
+
+def _corr_sum(p: PhysicalParams, nu: float, n_c: int, v: np.ndarray, zc: np.ndarray) -> float:
     """sigma1's t-independent correlation sum C = sum_{n >= 1} nu_n*(nu_n +
-    gamma)*L(nu_n)**2, built once per table in ``heads`` (key "C"): direct up
-    to n_c = ceil(8*|lambda1|/nu), one block of at most _CHUNK terms (else
-    refused, TailNotBounded), and past it a zeta tail (:func:`_l_series`)."""
-    if "C" not in heads:
-        n_c, g, v = math.ceil(8.0 * abs(p.lambda1) / nu), p.gamma, _l_series(p) * _SIGNS
-        if n_c > _CHUNK:
-            raise TailNotBounded(f"sigma1's correlation sum needs {n_c} > {_CHUNK} direct terms")
-        nu_n = np.arange(1.0, n_c + 1.0) * nu
-        lv = 1.0 / (nu_n * (nu_n + g) + p.omega0_sq / p.M)
-        vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
-        zc = nu**-_ZETA_POWERS * zeta(_ZETA_POWERS, n_c + 1.0)
-        heads["C"] = (math.fsum((nu_n * (nu_n + g) * lv * lv).tolist())
-                      + _zeta_tail(vv + g * np.append(0.0, vv[:23]), zc))
-    return heads["C"]
+    gamma)*L(nu_n)**2: direct up to n_c = ceil(8*|lambda1|/nu), and past it a
+    tail from L's series v (:func:`_l_series` times _SIGNS) and the zeta sums
+    ``zc`` of nu_n**-s over n > n_c."""
+    g, nu_n = p.gamma, np.arange(1.0, n_c + 1.0) * nu
+    lv = 1.0 / (nu_n * (nu_n + g) + p.omega0_sq / p.M)
+    vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
+    return (math.fsum((nu_n * (nu_n + g) * lv * lv).tolist())
+            + math.fsum(((vv + g * np.append(0.0, vv[:23])) * zc).tolist()))
 
 
 def _exp_dd(t: float, *points):
@@ -449,23 +460,24 @@ def _mode_parts(p: PhysicalParams, n_modes: int, t: float, cv: float, cvd: float
     bounds are the exponential terms cut at nu_n*t > _EXP_CUT and the series
     terms past _SERIES_TERMS, plus the relative error of :func:`_envelopes`
     times the absolute sizes of the terms summed past the series, from the
-    row's head (``heads``) and exponential terms: ``block`` holds nu_n and
-    exp(-nu_n*t) from n = 1 over at least min(N, :func:`_exp_count`) terms."""
+    row's head (:func:`_heads`) and exponential terms: ``block`` holds nu_n
+    and exp(-nu_n*t) from n = 1 over at least min(N, :func:`_exp_count`) terms."""
     nu = p.matsubara_nu()
     g, w2 = p.gamma, p.omega0_sq / p.M
     vt, vd, eps_t = _envelopes(p, t)
     n_s = _series_count(p, nu, n_modes, t)
     ys, yi, size = _series_modes(p, nu, n_s, t)
-    excluded, s0, s1, size0, size1, static, static_size = _head_sums(p, nu, n_s, n_modes, heads)
+    excluded, s0, s1, size0, size1, static, static_size = heads[n_s]
     m = min(n_modes, _exp_count(nu, t))  # n_s <= m: nu_(n_s)*t < 1
     nu_n, ex = (_kept(a, n_s, m, excluded) for a in block)
-    (lm, lm_size), e = _l_minus(p, nu_n), nu_n * ex
-    d = [ys, w2 * cv * s0, cvd * s1, -math.fsum((lm * e).tolist())]  # parts of sum R_n/(chi_v/2)
+    (lm, lm_size, q), e = _l_minus(p, nu_n), nu_n * ex
+    le = lm * e  # the exponential terms of sum L_*nu_n*exp(-nu_n*t)
+    d = [ys, w2 * cv * s0, cvd * s1, -math.fsum(le.tolist())]  # parts of sum R_n/(chi_v/2)
     size += w2 * vt * size0 + vd * size1 + float(e @ lm_size)
     s, cut, r_k, excluded_size = [yi / 2.0], 0.0, 0.0, 0.0
     if sigma1_cl is not None:
         cv2_int = sigma1_cl * p.M / (2.0 * g * p.kT)
-        pe = lm * e * ((nu_n + g) * cv + cvd) / (nu_n * (nu_n + g) + w2)
+        pe = le * ((nu_n + g) * cv + cvd) / q
         s += [math.fsum([w2 * s0 * cv2_int, s1 * cv * cv / 2.0, static,
                          math.fsum(pe.tolist())]) / 2.0]
         parts = [_excluded_int(p, k * nu, t, cv, cvd, vt, vd) for k in excluded]
@@ -498,7 +510,7 @@ def _mode_sums(p: PhysicalParams, n_modes: int, t) -> tuple[np.ndarray, np.ndarr
     """sum_{n <= N} R_n(t) at each time of the array t > 0, in closed form, and
     a bound on what each value drops (:func:`_mode_parts`; the times share heads)."""
     t, nu = np.atleast_1d(np.asarray(t, dtype=np.float64)), p.matsubara_nu()
-    (cv, cvd), heads = _chi_all(p, t)[1:], {}
+    (cv, cvd), heads = _chi_all(p, t)[1:], _heads(p, n_modes, t.tolist(), False)
     parts = [_mode_parts(p, n_modes, ti, c, cd, None, heads,
                          _exp_terms(nu, ti, 0, min(n_modes, _exp_count(nu, ti))))[:2]
              for ti, c, cd in zip(t.tolist(), cv.tolist(), cvd.tolist())]
@@ -600,15 +612,15 @@ def xi_q0_sum(p: PhysicalParams, t: float) -> float:
 def _quantum_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float, cvd: float,
                  sigma1_cl: Optional[float], heads: dict) -> tuple:
     """D1 (a :class:`D1Result`) at one time t > 0, gamma > 0, from chi_q, chi_v
-    and chi_v_dot there, and, given sigma1_classical(t), sigma1 and a bound on
-    what it drops (else None, None): exp(-nu_n*t) is formed once, to nu_n*t >
-    _EXP_CUT or max(N, _EXP_CAP) terms, for the mode sums and both correlation
-    parts.  Where that cap leaves xi_q0 no digit, :func:`_correlation` refuses
-    the row, whichever value is asked for."""
+    and chi_v_dot there and the call's :func:`_heads`, and, given
+    sigma1_classical(t), sigma1 and a bound on what it drops (else None, None):
+    exp(-nu_n*t) is formed once, to nu_n*t > _EXP_CUT or max(N, _EXP_CAP) terms,
+    for the mode sums and both correlation parts.  Where that cap leaves xi_q0
+    no digit, :func:`_correlation` refuses the row, whichever value is asked for."""
     nu = p.matsubara_nu()
     n_cut = _exp_count(nu, t)
     m, last = min(n_modes, n_cut), min(n_cut, max(n_modes, _EXP_CAP))
-    c_sum = None if sigma1_cl is None else _corr_sum(p, nu, heads)
+    c_sum = None if sigma1_cl is None else heads["C"]
     first = _exp_terms(nu, t, 0, max(m, min(last, _CHUNK)))
     sums, bound, integral, int_bound = _mode_parts(p, n_modes, t, cv, cvd, sigma1_cl, heads, first)
     xi, xi_bound, corr, corr_bound = _correlation(p, t, cq, cv, c_sum, first, last)
@@ -617,7 +629,7 @@ def _quantum_row(p: PhysicalParams, n_modes: int, t: float, cq: float, cv: float
                    float(pref * bound + 2.0 * abs(cq) * xi_bound), pref * (cvd * cv / 2.0) / nu)
     if sigma1_cl is None:
         return det, None, None
-    return det, sigma1_cl + pref * integral + corr, pref * int_bound + corr_bound
+    return det, sigma1_cl + pref * integral + corr, float(pref * int_bound + corr_bound)
 
 
 def d1_quantum_detail(
@@ -642,8 +654,8 @@ def d1_quantum_detail(
     n_modes = _n_modes(n_max)
     if p.gamma == 0.0:
         return _NO_BATH
-    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    return _quantum_row(p, n_modes, t, cq, cv, cvd, None, {})[0]
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, _time_array(t)))
+    return _quantum_row(p, n_modes, t, cq, cv, cvd, None, _heads(p, n_modes, [t], False))[0]
 
 
 def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> float:
@@ -661,30 +673,30 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
     n_modes = _n_modes(n_max)
-    base = float(sigma1_classical(p, t))
     if t == 0.0 or p.gamma == 0.0:
-        return base
-    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    return _quantum_row(p, n_modes, t, cq, cv, cvd, base, {})[1]
+        return float(sigma1_classical(p, t))
+    base, heads = float(sigma1_classical(p, t)), _heads(p, n_modes, [t], True)
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, _time_array(t)))
+    return _quantum_row(p, n_modes, t, cq, cv, cvd, base, heads)[1]
 
 
 def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndarray,
                      cv: np.ndarray, cvd: np.ndarray) -> tuple:
     """D1 (a :class:`D1Result` a time), sigma1 and sigma1's bound at every
     time of the array t > 0, given chi_q, chi_v and chi_v_dot there: one
-    :func:`_quantum_row` a time, with one head per series count and one C
-    per table (``heads``)."""
-    base = np.atleast_1d(sigma1_classical(p, t))
+    :func:`_quantum_row` a time, all from one :func:`_heads`, whose refusal
+    names the first time."""
     if p.gamma == 0.0:
-        return [_NO_BATH] * len(t), base, np.zeros(len(t))
-    heads, rows = {}, []
-    for i, (ti, q, c, cd, b) in enumerate(zip(*(a.tolist() for a in (t, cq, cv, cvd, base)))):
-        try:
+        return [_NO_BATH] * len(t), np.atleast_1d(sigma1_classical(p, t)), [0.0] * len(t)
+    ts, i, rows = t.tolist(), 0, []
+    try:
+        heads, base = _heads(p, n_modes, ts, True), np.atleast_1d(sigma1_classical(p, t))
+        for i, (ti, q, c, cd, b) in enumerate(zip(ts, *(a.tolist() for a in (cq, cv, cvd, base)))):
             rows.append(_quantum_row(p, n_modes, ti, q, c, cd, b, heads))
-        except QbmError as exc:
-            raise type(exc)(f"t_grid[{i}] = {ti}: {exc}") from exc
+    except QbmError as exc:
+        raise type(exc)(f"t_grid[{i}] = {ts[i]}: {exc}") from exc
     dets, s1, s1_bounds = zip(*rows)
-    return dets, np.array(s1), np.array(s1_bounds)
+    return dets, np.array(s1), s1_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +898,8 @@ def build_table(
         raise ValueError("t_grid must be a nonempty 1-D array")
     if np.any(np.diff(t_arr) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    if t_arr[0] < 0.0:
-        raise ValueError("t_grid must be nonnegative")
+    if not (t_arr[0] >= 0.0 and np.isfinite(t_arr).all()):
+        raise ValueError("t_grid must be finite and nonnegative")
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
     _check_tol(tol)
@@ -898,16 +910,15 @@ def build_table(
         n_max = _n_modes(n_max)
 
     windows = _pole_windows_for(p, float(t_arr[-1]))
-    in_window = np.zeros(len(t_arr), dtype=bool)
-    for a, b in windows:
-        in_window |= (t_arr >= a) & (t_arr <= b)
-
-    omega = np.full(len(t_arr), np.nan)
-    dq = np.full(len(t_arr), np.nan)
     cq, cv, cvd = _chi_all(p, t_arr)
-    ok = ~in_window
-    if ok.any():
+    if windows:  # NaN inside them, which d_fpe takes on
+        ok = np.ones(len(t_arr), dtype=bool)
+        for a, b in windows:
+            ok &= (t_arr < a) | (t_arr > b)
+        omega = np.full(len(t_arr), np.nan)
         omega[ok] = _omega_from_chi(p, t_arr[ok], cq[ok], cv[ok])
+    else:
+        omega = _omega_from_chi(p, t_arr, cq, cv)
 
     diagnostics: dict = {}
     if mode == "classical":  # d1_classical and sigma_cl_closed from this chi
@@ -917,18 +928,17 @@ def build_table(
     else:
         dets, s1, s1_tails = _quantum_columns(p, n_max, t_arr, cq, cv, cvd)
         d1 = np.array([det.value for det in dets])
-        tails = np.array([det.tail_bound for det in dets])
         sq = s1 + (p.kT / p.M) * cv * cv
+        d1_tail, s1_tail = max(det.tail_bound for det in dets), max(s1_tails)
         diagnostics = {
-            "d1_tail_bound_max": float(np.max(tails)),
-            "sigma1_tail_bound_max": float(np.max(s1_tails)),
-            "d1_log_coefficient_max": float(np.max(np.abs([det.log_coefficient for det in dets]))),
+            "d1_tail_bound_max": d1_tail,
+            "sigma1_tail_bound_max": s1_tail,
+            "d1_log_coefficient_max": max(abs(det.log_coefficient) for det in dets),
             "n_modes_max": float(n_max if p.gamma > 0.0 else 0),
             # whether every value at the cutoff met tol; reported, not hidden
-            "tol_met": bool(max(np.max(tails), np.max(s1_tails)) <= tol),
+            "tol_met": max(d1_tail, s1_tail) <= tol,
         }
-    sdot = d1 + (2.0 * p.kT / p.M) * cv * cvd
-    dq[ok] = sdot[ok] - 2.0 * omega[ok] * sq[ok]
+    dq = d1 + (2.0 * p.kT / p.M) * cv * cvd - 2.0 * omega * sq  # sigma_dot - 2*Omega*sigma_q
 
     if not np.all(np.isfinite(d1)) or not np.all(np.isfinite(s1)):
         bad = int(np.flatnonzero(~(np.isfinite(d1) & np.isfinite(s1)))[0])

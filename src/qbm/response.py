@@ -52,12 +52,11 @@ _IMAG_TOL = 1e-13
 def sinhc(z):
     """sinh(z)/z with a series branch near zero; sinhc(0) = 1."""
     z = np.asarray(z, dtype=np.complex128)
-    out = np.empty_like(z)
     small = np.abs(z) < _SERIES_CUT
-    zs = z[small]
-    out[small] = 1.0 + zs * zs / 6.0 + zs**4 / 120.0
-    zb = z[~small]
-    out[~small] = np.sinh(zb) / zb
+    out = np.divide(np.sinh(z), z, out=np.empty_like(z), where=~small)
+    if small.any():
+        zs = z[small]
+        out[small] = 1.0 + zs * zs / 6.0 + zs**4 / 120.0
     return out
 
 
@@ -74,66 +73,55 @@ def coshm1c(z):
 def tanhc(z):
     """tanh(z)/z with a series branch near zero; tanhc(0) = 1."""
     z = np.asarray(z, dtype=np.complex128)
-    out = np.empty_like(z)
     small = np.abs(z) < _SERIES_CUT
-    zs = z[small]
-    out[small] = 1.0 - zs * zs / 3.0 + 2.0 * zs**4 / 15.0
-    zb = z[~small]
-    out[~small] = np.tanh(zb) / zb
+    out = np.divide(np.tanh(z), z, out=np.empty_like(z), where=~small)
+    if small.any():
+        zs = z[small]
+        out[small] = 1.0 - zs * zs / 3.0 + 2.0 * zs**4 / 15.0
     return out
 
 
-def _real_cast(arr: np.ndarray, where: str) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(arr.real))) if arr.size else 1.0)
-    resid = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-    if resid > _IMAG_TOL * scale:
-        raise ArithmeticError(f"imaginary residue {resid:.3e} in {where}")
-    return np.ascontiguousarray(arr.real)
+def _real_cast(arr: np.ndarray, *where: str) -> np.ndarray:
+    """arr.real once each part named in ``where`` (the array, or each row) has
+    an imaginary part <= _IMAG_TOL*max(1, max|real part|), else ArithmeticError."""
+    re, axis = arr.real, None if len(where) == 1 else -1
+    resid = np.abs(arr.imag).max(axis=axis, initial=0.0)
+    bad = resid > _IMAG_TOL * np.abs(re).max(axis=axis, initial=1.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ArithmeticError(f"imaginary residue {np.ravel(resid)[k]:.3e} in {where[k]}")
+    return np.ascontiguousarray(re)
 
 
 def _time_array(t) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if not ((arr >= 0.0) & (arr < math.inf)).all():
         raise ValueError("t must be finite and >= 0")
     return arr
 
 
-def _chi_all(p: PhysicalParams, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(chi_q, chi_v, chi_v_dot) on an array of times."""
-    ta = _time_array(t)
-    w = p.omega
-    z = w * ta / 2.0
-    cq = np.empty(ta.shape, dtype=np.complex128)
-    cv = np.empty_like(cq)
-    cvd = np.empty_like(cq)
-
+def _chi_all(p: PhysicalParams, t) -> np.ndarray:
+    """The rows chi_q, chi_v and chi_v_dot of one array, on times t that the
+    caller has checked finite and >= 0 (:func:`_time_array`)."""
+    ta = np.asarray(t, dtype=np.float64).reshape(-1)
+    z = p.omega * ta / 2.0
+    out = np.empty((3, len(ta)), dtype=np.complex128)
     direct = np.abs(z.real) < _FOLD_CUT
     if direct.any():
-        td = ta[direct]
-        zd = z[direct]
+        td, zd = ta[direct], z[direct]
         damp = np.exp(-p.gamma * td / 2.0)
-        ch = np.cosh(zd)
-        sc = sinhc(zd)
+        ch, sc = np.cosh(zd), sinhc(zd)
         half_gt = p.gamma * td / 2.0
-        cq[direct] = damp * (ch + half_gt * sc)
-        cv[direct] = td * damp * sc
-        cvd[direct] = damp * (ch - half_gt * sc)
+        out[0, direct] = damp * (ch + half_gt * sc)
+        out[1, direct] = td * damp * sc
+        out[2, direct] = damp * (ch - half_gt * sc)
     folded = ~direct
     if folded.any():
-        tf = ta[folded]
         l1, l2 = p.lambda1, p.lambda2
-        E1 = np.exp(-l1 * tf)
-        E2 = np.exp(-l2 * tf)
+        E1, E2 = np.exp(-l1 * ta[folded]), np.exp(-l2 * ta[folded])
         dl = l1 - l2  # |w*t| is large here, so no cancellation in 1/dl
-        cq[folded] = (l1 * E2 - l2 * E1) / dl
-        cv[folded] = (E2 - E1) / dl
-        cvd[folded] = (l1 * E1 - l2 * E2) / dl
-
-    return (
-        _real_cast(cq, "chi_q"),
-        _real_cast(cv, "chi_v"),
-        _real_cast(cvd, "chi_v_dot"),
-    )
+        out[:, folded] = (l1 * E2 - l2 * E1) / dl, (E2 - E1) / dl, (l1 * E1 - l2 * E2) / dl
+    return _real_cast(out, "chi_q", "chi_v", "chi_v_dot")
 
 
 def _shaped(out: np.ndarray, t):
@@ -142,22 +130,22 @@ def _shaped(out: np.ndarray, t):
 
 def chi_q(p: PhysicalParams, t):
     """Position susceptibility; chi_q(0) = 1, chi_q_dot(0) = 0."""
-    return _shaped(_chi_all(p, t)[0], t)
+    return _shaped(_chi_all(p, _time_array(t))[0], t)
 
 
 def chi_v(p: PhysicalParams, t):
     """Velocity susceptibility; chi_v(0) = 0, chi_v_dot(0) = 1."""
-    return _shaped(_chi_all(p, t)[1], t)
+    return _shaped(_chi_all(p, _time_array(t))[1], t)
 
 
 def chi_v_dot(p: PhysicalParams, t):
     """Time derivative of chi_v."""
-    return _shaped(_chi_all(p, t)[2], t)
+    return _shaped(_chi_all(p, _time_array(t))[2], t)
 
 
 def chi_q_dot(p: PhysicalParams, t):
     """Time derivative of chi_q, identically -(omega0_sq/M)*chi_v."""
-    return _shaped(-(p.omega0_sq / p.M) * _chi_all(p, t)[1], t)
+    return _shaped(-(p.omega0_sq / p.M) * _chi_all(p, _time_array(t))[1], t)
 
 
 def pole_times(p: PhysicalParams, t_max: float) -> np.ndarray:

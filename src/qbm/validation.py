@@ -16,6 +16,7 @@ import numpy as np
 
 from .coefficients import (
     _exp_terms,
+    _heads,
     _mode_parts,
     _mode_r,
     _mode_sums,
@@ -190,8 +191,8 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
             ti, w2 = 40.0 / p.lambda2.real, p.omega0_sq / p.M
             base = float(sigma1_classical(p, ti))
             s_inf = base + 8.0 * p.gamma * p.kT / p.M * _mode_parts(
-                p, nmx, ti, float(chi_v(p, ti)), float(chi_v_dot(p, ti)), base, {},
-                _exp_terms(nu, ti, 0, nmx))[2]
+                p, nmx, ti, float(chi_v(p, ti)), float(chi_v_dot(p, ti)), base,
+                _heads(p, nmx, [ti], False), _exp_terms(nu, ti, 0, nmx))[2]
             nu_n = np.arange(1.0, nmx + 1) * nu
             q2 = p.kT / p.M * (1.0 / w2 + 2.0 * math.fsum((1.0 / (w2 + nu_n * (nu_n + p.gamma))).tolist()))
             check("quantum-stationary-variance", abs(s_inf - q2) / q2, 1e-12,

@@ -32,10 +32,10 @@ import qbm.special
 from qbm.coefficients import (
     _CHUNK,
     _EXP_CAP,
-    _corr_sum,
     _correlation,
     _exp_count,
     _exp_terms,
+    _heads,
     _mode_parts,
     _mode_r,
     _mode_sums,
@@ -379,9 +379,9 @@ def _sigma1_modes(p, n, t):
     """The mode part of sigma1 at one time, and the bound on what sigma1
     drops of its two Matsubara sums there."""
     cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    base = float(sigma1_classical(p, t))
-    integral = _mode_parts(p, n, t, cv, cvd, base, {}, _exp_terms(p.matsubara_nu(), t, 0, n))[2]
-    return integral, _quantum_row(p, n, t, cq, cv, cvd, base, {})[2]
+    base, heads = float(sigma1_classical(p, t)), _heads(p, n, [t], True)
+    integral = _mode_parts(p, n, t, cv, cvd, base, heads, _exp_terms(p.matsubara_nu(), t, 0, n))[2]
+    return integral, _quantum_row(p, n, t, cq, cv, cvd, base, heads)[2]
 
 
 def _correlation_parts(p, t):
@@ -390,7 +390,7 @@ def _correlation_parts(p, t):
     cq, cv, _ = (float(a[0]) for a in _chi_all(p, t))
     nu = p.matsubara_nu()
     last = min(_exp_count(nu, t), _EXP_CAP)
-    return _correlation(p, t, cq, cv, _corr_sum(p, nu, {}),
+    return _correlation(p, t, cq, cv, _heads(p, qbm.coefficients.N_MODES, [t], True)["C"],
                         _exp_terms(nu, t, 0, min(last, _CHUNK)), last)
 
 
@@ -849,44 +849,38 @@ class TestCoefficientTable:
         assert _series_count(p, nu, n, t_s) > 0
         self._assert_columns_equal_one_point(p, sorted({t_s, 1e-3, 0.05, 0.3, 1.2, 8.0, 50.0}))
 
-    @pytest.mark.parametrize("grid", [None, [0.05], np.geomspace(1e-3, 8.0, 201).tolist()],
-                             ids=["sigma1_quantum", "1-row", "201-row"])
-    def test_one_head_per_series_count(self, pq_over, monkeypatch, grid):
+    @pytest.mark.parametrize("call, grid", [
+        ("d1_quantum_detail", [0.05]), ("sigma1_quantum", [0.05]), ("build_table", [0.05]),
+        ("build_table", [8.0]), ("build_table", np.geomspace(1e-3, 8.0, 201).tolist())],
+        ids=["d1_quantum_detail", "sigma1_quantum", "1-row", "1-row-t8", "201-row"])
+    def test_one_head_per_series_count(self, pq_over, monkeypatch, call, grid):
         # D1 and sigma1 take their sums over the modes past the series from
         # the row's head: one build per distinct series count n_s, and none
         # over every mode besides (n_s = 3 at t = 0.05); C, the part of
         # sigma1's correlation part that depends on neither t nor n_s, is
-        # built once per table; each head and C make one zeta call
-        real, built, zeta_calls = qbm.coefficients._head_sums, [], []
-        real_c, built_c = qbm.coefficients._corr_sum, []
-        real_zeta = qbm.coefficients.zeta
+        # built once per call that asks for sigma1, and never for D1 alone.
+        # Their tails share one L series and one zeta call per call
+        calls = {name: [] for name in ("_head_sums", "_corr_sum", "_l_series", "zeta")}
 
-        def counting(p, nu, n_s, n_modes, heads):
-            if n_s not in heads:
-                built.append(n_s)
-            return real(p, nu, n_s, n_modes, heads)
+        def counting(name):
+            real = getattr(qbm.coefficients, name)
 
-        def counting_c(p, nu, heads):
-            if "C" not in heads:
-                built_c.append(nu)
-            return real_c(p, nu, heads)
+            def wrapped(*args):
+                calls[name].append(args)
+                return real(*args)
+            return wrapped
 
-        def counting_zeta(*args):
-            zeta_calls.append(args)
-            return real_zeta(*args)
-
-        monkeypatch.setattr(qbm.coefficients, "_head_sums", counting)
-        monkeypatch.setattr(qbm.coefficients, "_corr_sum", counting_c)
-        monkeypatch.setattr(qbm.coefficients, "zeta", counting_zeta)
-        if grid is None:
-            grid = [0.05]
-            sigma1_quantum(pq_over, 0.05)
-        else:
+        for name in calls:
+            monkeypatch.setattr(qbm.coefficients, name, counting(name))
+        if call == "build_table":
             build_table(pq_over, np.array(grid), mode="quantum")
+        else:
+            getattr(qbm.coefficients, call)(pq_over, grid[0])
         nu, n = pq_over.matsubara_nu(), qbm.coefficients.N_MODES
+        built = [args[2] for args in calls["_head_sums"]]
         assert sorted(built) == sorted({_series_count(pq_over, nu, n, t) for t in grid})
-        assert len(built_c) == 1
-        assert len(zeta_calls) == len(built) + 1
+        assert len(calls["_corr_sum"]) == (call != "d1_quantum_detail")
+        assert len(calls["_l_series"]) == len(calls["zeta"]) == 1
 
     def test_quantum_csv_roundtrip(self, pq_over, tmp_path):
         grid = np.linspace(0.2, 1.0, 4)

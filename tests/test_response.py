@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -16,7 +17,15 @@ from qbm import (
     omega_drift,
     pole_times,
 )
-from qbm.response import coshm1c, omega_drift_closed, sinhc, tanhc
+from qbm.response import (
+    _SERIES_CUT,
+    _chi_all,
+    _real_cast,
+    coshm1c,
+    omega_drift_closed,
+    sinhc,
+    tanhc,
+)
 
 mp.mp.dps = 30
 
@@ -49,6 +58,18 @@ class TestHyperbolicHelpers:
         zc = mp.mpc(z)
         want = complex(mp.tanh(zc) / zc)
         assert complex(tanhc(complex(z))) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("fn", [sinhc, tanhc])
+    def test_mixed_arrays_equal_one_point_values(self, fn):
+        # arguments below and above the series cut in one array: each takes
+        # its own branch, bit for bit as it does alone
+        z = np.array([0.0, 1e-9, 5e-5 + 2e-5j, 9.99e-5, 1e-4, 2e-4, 0.3j, 1.0, 2.5 - 1.0j, 20.0])
+        small = np.abs(z) < _SERIES_CUT
+        assert small.any() and not small.all()
+        got = fn(z)
+        for x, g in zip(z.tolist(), got.tolist()):
+            alone = np.array([fn(np.array([x]))[0], fn(x)])
+            assert alone.tobytes() == np.array([g, g]).tobytes(), x
 
 
 class TestSusceptibilities:
@@ -129,6 +150,32 @@ class TestSusceptibilities:
         for t in (0.5, 2.0):
             assert chi_q(pc, t) == pytest.approx(chi_q(po, t), rel=1e-8)
             assert chi_v(pc, t) == pytest.approx(chi_v(po, t), rel=1e-8)
+
+
+class TestImaginaryResidueGuard:
+    """chi_q, chi_v and chi_v_dot are cast to real only once each one's
+    imaginary part is a rounding residue at its own scale."""
+
+    @pytest.mark.parametrize("branch, t", [("direct", 1.0), ("folded", 40.0)])
+    def test_inconsistent_parameters_raise_naming_the_column(self, branch, t):
+        # strongly overdamped: the folded exponentials take over past t = 35.2
+        p = derive(1.0, 20.0, 1.0, 1.0)
+        assert (p.omega.real * t / 2.0 < 350.0) == (branch == "direct")
+        bad = (dataclasses.replace(p, omega=p.omega + 0.5j) if branch == "direct"
+               else dataclasses.replace(p, lambda1=p.lambda1 + 0.5j))
+        assert np.all(np.isfinite(_chi_all(p, np.array([t]))))
+        with pytest.raises(ArithmeticError, match=r"^imaginary residue .* in chi_q$"):
+            _chi_all(bad, np.array([t]))
+        with pytest.raises(ArithmeticError, match="in chi_q$"):
+            chi_q(bad, t)
+
+    def test_each_column_at_its_own_scale(self):
+        names = ("chi_q", "chi_v", "chi_v_dot")
+        # a residue of 1e-9 is round-off next to 1e6 but not next to 1
+        with pytest.raises(ArithmeticError, match=r"^imaginary residue 1\.000e-09 in chi_v$"):
+            _real_cast(np.array([[1e6 + 0j], [1.0 + 1e-9j], [1.0 + 0j]]), *names)
+        rows = _real_cast(np.array([[1e6 + 1e-9j], [1.0 + 0j], [-2.0 + 0j]]), *names)
+        assert rows.tolist() == [[1e6], [1.0], [-2.0]] and rows.flags.c_contiguous
 
 
 class TestPoleTimes:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qbm import GaussianDensity, build_table, d1_quantum_detail, density, derive, sigma1_classical
 from qbm import sigma1_quantum
-from qbm.coefficients import _exp_terms, _mode_parts
+from qbm.coefficients import _exp_terms, _heads, _mode_parts
 from qbm.response import _chi_all
 
 COLUMN_POWERS = {"omega": (-1, 0), "d1": (1, -1), "sigma1": (2, -1), "sigma_q": (2, -1),
@@ -96,7 +96,8 @@ def _sigma1_parts(p, t, n):
     _, cv, cvd = (float(x[0]) for x in _chi_all(p, t))
     base = float(sigma1_classical(p, t))
     block = _exp_terms(p.matsubara_nu(), t, 0, n)
-    modes = 8.0 * p.gamma * p.kT / p.M * _mode_parts(p, n, t, cv, cvd, base, {}, block)[2]
+    heads = _heads(p, n, [t], False)
+    modes = 8.0 * p.gamma * p.kT / p.M * _mode_parts(p, n, t, cv, cvd, base, heads, block)[2]
     return base, modes, sigma1_quantum(p, t, n_max=n) - base - modes
 
 
