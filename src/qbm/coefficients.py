@@ -654,7 +654,7 @@ def d1_quantum_detail(
     n_modes = _n_modes(n_max)
     if p.gamma == 0.0:
         return _NO_BATH
-    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, _time_array(t)))
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
     return _quantum_row(p, n_modes, t, cq, cv, cvd, None, _heads(p, n_modes, [t], False))[0]
 
 
@@ -676,7 +676,7 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     if t == 0.0 or p.gamma == 0.0:
         return float(sigma1_classical(p, t))
     base, heads = float(sigma1_classical(p, t)), _heads(p, n_modes, [t], True)
-    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, _time_array(t)))
+    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
     return _quantum_row(p, n_modes, t, cq, cv, cvd, base, heads)[1]
 
 
@@ -898,8 +898,8 @@ def build_table(
         raise ValueError("t_grid must be a nonempty 1-D array")
     if np.any(np.diff(t_arr) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    if not (t_arr[0] >= 0.0 and np.isfinite(t_arr).all()):
-        raise ValueError("t_grid must be finite and nonnegative")
+    if t_arr[0] < 0.0:
+        raise ValueError("t_grid must be nonnegative")
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
     _check_tol(tol)
@@ -910,15 +910,16 @@ def build_table(
         n_max = _n_modes(n_max)
 
     windows = _pole_windows_for(p, float(t_arr[-1]))
+    in_window = np.zeros(len(t_arr), dtype=bool)
+    for a, b in windows:
+        in_window |= (t_arr >= a) & (t_arr <= b)
+
+    omega = np.full(len(t_arr), np.nan)
+    dq = np.full(len(t_arr), np.nan)
     cq, cv, cvd = _chi_all(p, t_arr)
-    if windows:  # NaN inside them, which d_fpe takes on
-        ok = np.ones(len(t_arr), dtype=bool)
-        for a, b in windows:
-            ok &= (t_arr < a) | (t_arr > b)
-        omega = np.full(len(t_arr), np.nan)
+    ok = ~in_window
+    if ok.any():
         omega[ok] = _omega_from_chi(p, t_arr[ok], cq[ok], cv[ok])
-    else:
-        omega = _omega_from_chi(p, t_arr, cq, cv)
 
     diagnostics: dict = {}
     if mode == "classical":  # d1_classical and sigma_cl_closed from this chi
@@ -938,7 +939,8 @@ def build_table(
             # whether every value at the cutoff met tol; reported, not hidden
             "tol_met": max(d1_tail, s1_tail) <= tol,
         }
-    dq = d1 + (2.0 * p.kT / p.M) * cv * cvd - 2.0 * omega * sq  # sigma_dot - 2*Omega*sigma_q
+    sdot = d1 + (2.0 * p.kT / p.M) * cv * cvd
+    dq[ok] = sdot[ok] - 2.0 * omega[ok] * sq[ok]
 
     if not np.all(np.isfinite(d1)) or not np.all(np.isfinite(s1)):
         bad = int(np.flatnonzero(~(np.isfinite(d1) & np.isfinite(s1)))[0])

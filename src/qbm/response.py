@@ -82,15 +82,16 @@ def tanhc(z):
 
 
 def _real_cast(arr: np.ndarray, *where: str) -> np.ndarray:
-    """arr.real once each part named in ``where`` (the array, or each row) has
-    an imaginary part <= _IMAG_TOL*max(1, max|real part|), else ArithmeticError."""
-    re, axis = arr.real, None if len(where) == 1 else -1
-    resid = np.abs(arr.imag).max(axis=axis, initial=0.0)
-    bad = resid > _IMAG_TOL * np.abs(re).max(axis=axis, initial=1.0)
+    """arr.real once each row of arr named in ``where`` (a 1-D arr is one row)
+    has an imaginary part <= _IMAG_TOL*max(1, max|real part|) of that row,
+    else ArithmeticError naming the row."""
+    rows = arr.reshape(len(where), -1)
+    resid = np.abs(rows.imag).max(axis=1, initial=0.0)
+    bad = resid > _IMAG_TOL * np.abs(rows.real).max(axis=1, initial=1.0)
     if bad.any():
         k = int(np.argmax(bad))
-        raise ArithmeticError(f"imaginary residue {np.ravel(resid)[k]:.3e} in {where[k]}")
-    return np.ascontiguousarray(re)
+        raise ArithmeticError(f"imaginary residue {resid[k]:.3e} in {where[k]}")
+    return np.ascontiguousarray(arr.real)
 
 
 def _time_array(t) -> np.ndarray:
@@ -101,17 +102,15 @@ def _time_array(t) -> np.ndarray:
 
 
 def _chi_all(p: PhysicalParams, t) -> np.ndarray:
-    """The rows chi_q, chi_v and chi_v_dot of one array, on times t that the
-    caller has checked finite and >= 0 (:func:`_time_array`)."""
-    ta = np.asarray(t, dtype=np.float64).reshape(-1)
+    """The rows chi_q, chi_v and chi_v_dot of one array, on the times t."""
+    ta = _time_array(t).reshape(-1)
     z = p.omega * ta / 2.0
     out = np.empty((3, len(ta)), dtype=np.complex128)
     direct = np.abs(z.real) < _FOLD_CUT
     if direct.any():
         td, zd = ta[direct], z[direct]
-        damp = np.exp(-p.gamma * td / 2.0)
-        ch, sc = np.cosh(zd), sinhc(zd)
         half_gt = p.gamma * td / 2.0
+        damp, ch, sc = np.exp(-half_gt), np.cosh(zd), sinhc(zd)
         out[0, direct] = damp * (ch + half_gt * sc)
         out[1, direct] = td * damp * sc
         out[2, direct] = damp * (ch - half_gt * sc)
@@ -130,22 +129,22 @@ def _shaped(out: np.ndarray, t):
 
 def chi_q(p: PhysicalParams, t):
     """Position susceptibility; chi_q(0) = 1, chi_q_dot(0) = 0."""
-    return _shaped(_chi_all(p, _time_array(t))[0], t)
+    return _shaped(_chi_all(p, t)[0], t)
 
 
 def chi_v(p: PhysicalParams, t):
     """Velocity susceptibility; chi_v(0) = 0, chi_v_dot(0) = 1."""
-    return _shaped(_chi_all(p, _time_array(t))[1], t)
+    return _shaped(_chi_all(p, t)[1], t)
 
 
 def chi_v_dot(p: PhysicalParams, t):
     """Time derivative of chi_v."""
-    return _shaped(_chi_all(p, _time_array(t))[2], t)
+    return _shaped(_chi_all(p, t)[2], t)
 
 
 def chi_q_dot(p: PhysicalParams, t):
     """Time derivative of chi_q, identically -(omega0_sq/M)*chi_v."""
-    return _shaped(-(p.omega0_sq / p.M) * _chi_all(p, _time_array(t))[1], t)
+    return _shaped(-(p.omega0_sq / p.M) * _chi_all(p, t)[1], t)
 
 
 def pole_times(p: PhysicalParams, t_max: float) -> np.ndarray:
