@@ -198,8 +198,7 @@ def d_cl_closed(p: PhysicalParams, t):
     ta = _time_array(t)
     tc = tanhc(p.omega * ta / 2.0)
     out = (2.0 * p.kT / p.M) * ta * tc / (1.0 + (p.gamma * ta / 2.0) * tc)
-    out = _real_cast(out, "d_cl_closed")
-    return _shaped(out, t)
+    return _shaped(_real_cast(out, "d_cl_closed"), t)
 
 
 # ---------------------------------------------------------------------------

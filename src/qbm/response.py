@@ -82,9 +82,8 @@ def tanhc(z):
 
 
 def _real_cast(arr: np.ndarray, *where: str) -> np.ndarray:
-    """arr.real once each row of arr named in ``where`` (a 1-D arr is one row)
-    has an imaginary part <= _IMAG_TOL*max(1, max|real part|) of that row,
-    else ArithmeticError naming the row."""
+    """arr.real, once each row named in ``where`` (a 1-D arr is one row) has an
+    imaginary part <= _IMAG_TOL*max(1, max|real part| of the row), else ArithmeticError."""
     rows = arr.reshape(len(where), -1)
     resid = np.abs(rows.imag).max(axis=1, initial=0.0)
     bad = resid > _IMAG_TOL * np.abs(rows.real).max(axis=1, initial=1.0)
@@ -105,21 +104,24 @@ def _chi_all(p: PhysicalParams, t) -> np.ndarray:
     """The rows chi_q, chi_v and chi_v_dot of one array, on the times t."""
     ta = _time_array(t).reshape(-1)
     z = p.omega * ta / 2.0
-    out = np.empty((3, len(ta)), dtype=np.complex128)
+    # filled through its rows, which a 1-D mask indexes at numpy's fast path
+    cq, cv, cvd = out = np.empty((3, len(ta)), dtype=np.complex128)
     direct = np.abs(z.real) < _FOLD_CUT
     if direct.any():
         td, zd = ta[direct], z[direct]
         half_gt = p.gamma * td / 2.0
         damp, ch, sc = np.exp(-half_gt), np.cosh(zd), sinhc(zd)
-        out[0, direct] = damp * (ch + half_gt * sc)
-        out[1, direct] = td * damp * sc
-        out[2, direct] = damp * (ch - half_gt * sc)
+        cq[direct] = damp * (ch + half_gt * sc)
+        cv[direct] = td * damp * sc
+        cvd[direct] = damp * (ch - half_gt * sc)
     folded = ~direct
     if folded.any():
         l1, l2 = p.lambda1, p.lambda2
         E1, E2 = np.exp(-l1 * ta[folded]), np.exp(-l2 * ta[folded])
         dl = l1 - l2  # |w*t| is large here, so no cancellation in 1/dl
-        out[:, folded] = (l1 * E2 - l2 * E1) / dl, (E2 - E1) / dl, (l1 * E1 - l2 * E2) / dl
+        cq[folded] = (l1 * E2 - l2 * E1) / dl
+        cv[folded] = (E2 - E1) / dl
+        cvd[folded] = (l1 * E1 - l2 * E2) / dl
     return _real_cast(out, "chi_q", "chi_v", "chi_v_dot")
 
 
@@ -212,7 +214,6 @@ def omega_drift_closed(p: PhysicalParams, t):
 
 def drift_velocity(p: PhysicalParams, t, q0: float, v0: float):
     """Conditional drift velocity chi_q_dot(t)*q0 + chi_v_dot(t)*v0."""
-    ta = _time_array(t)
-    _, cv, cvd = _chi_all(p, ta)
+    _, cv, cvd = _chi_all(p, t)
     out = -(p.omega0_sq / p.M) * cv * q0 + cvd * v0
     return _shaped(out, t)
