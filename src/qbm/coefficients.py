@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import bernoulli, digamma, factorial, zeta
 
 from .errors import (
     CFLViolation,
@@ -98,6 +97,16 @@ __all__ = [
 ]
 
 _FOLD_CUT = 350.0
+
+
+def zeta(s, q):  # Hurwitz zeta, imported by the first call: only quantum rows load scipy.special
+    import scipy.special
+    return scipy.special.zeta(s, q)
+
+
+def digamma(x):  # digamma, imported by the first call: only quantum rows load scipy.special
+    import scipy.special
+    return scipy.special.digamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +280,12 @@ _SERIES_IDX = np.add.outer(np.arange(_SERIES_TERMS), np.arange(_SERIES_TERMS))
 _SERIES_INV = 1.0 / (_SERIES_IDX + 1.0)
 # _SERIES_H[m, i] = i!/(i + m)!: what a term a_i*u**i of chi_v leaves at
 # (-nu_n*u)**m in y'_n (see _series_modes), kept while i + m < _SERIES_TERMS
-_SERIES_H = np.where(_SERIES_IDX < _SERIES_TERMS,
-                     factorial(_SERIES_K) / factorial(_SERIES_IDX), 0.0)
+_SERIES_H = np.array([[math.factorial(i) / math.factorial(i + m) if i + m < _SERIES_TERMS else 0.0
+                       for i in range(_SERIES_TERMS)] for m in range(_SERIES_TERMS)])
 # sum_{n <= M} n**m = M**(m + 1)*sum_j _FAULHABER[m, j]*M**-j, with the
-# Bernoulli numbers B_j (B_1 = +1/2)
-_BERNOULLI = np.append([1.0, 0.5], bernoulli(_SERIES_TERMS - 1)[2:])
+# Bernoulli numbers B_j (B_1 = +1/2), each the float nearest the exact rational
+_BERNOULLI = np.array([1, 1 / 2, 1 / 6, 0, -1 / 30, 0, 1 / 42, 0, -1 / 30, 0, 5 / 66, 0,
+                       -691 / 2730, 0, 7 / 6, 0, -3617 / 510, 0, 43867 / 798, 0, -174611 / 330])
 _FAULHABER = np.array([[math.comb(m + 1, j) * _BERNOULLI[j] / (m + 1) if j <= m else 0.0
                         for j in range(_SERIES_TERMS)] for m in range(_SERIES_TERMS)])
 

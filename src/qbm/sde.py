@@ -37,10 +37,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coefficients import CoefficientTable, _refuse_unstable, step_plan, write_csv
 from .errors import GridMismatch, NonFiniteState
@@ -342,9 +342,9 @@ def equivalence_report(
     The analytic reference, if given, maps 'mean' and 'var' to callables of t
     or to arrays aligned with the record grid.  z-scores use combined
     standard errors; ``passed`` requires every |z| <= z_limit.  By default
-    z_limit is the Bonferroni limit ndtri(1 - alpha/(2m)) for the m scores
-    compared, so that correct ensembles fail with probability at most
-    alpha = 1e-3 however many record points there are.  The limit used is
+    z_limit is the Bonferroni limit NormalDist().inv_cdf(1 - alpha/(2m)) for
+    the m scores compared, so that correct ensembles fail with probability at
+    most alpha = 1e-3 however many record points there are.  The limit used is
     reported as ``z_limit``.
     """
     if len(stats_a.t) != len(stats_b.t) or not np.allclose(
@@ -373,7 +373,7 @@ def equivalence_report(
             )
     scores = [name for name in report if name.startswith("max_z")]
     if z_limit is None:
-        z_limit = float(ndtri(1.0 - _FALSE_ALARM / (2 * len(scores) * len(stats_a.t))))
+        z_limit = NormalDist().inv_cdf(1.0 - _FALSE_ALARM / (2 * len(scores) * len(stats_a.t)))
     report["z_limit"] = z_limit
     report["passed"] = all(report[name] <= z_limit for name in scores)
     return report

@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -433,6 +434,20 @@ class TestRootFreeModeSums:
                 assert math.isfinite(sigma1_quantum(p, t)), (name, t)
         source = inspect.getsource(qbm.coefficients)
         assert "root_dd" not in source and "root_dd_sep" not in source
+
+    def test_power_sums_take_exact_bernoulli_numbers(self):
+        # B_j from sum_{k <= m} C(m + 1, k)*B_k = 0 (B_1 = -1/2), then B_1 = +1/2
+        exact = [Fraction(1)]
+        for m in range(1, qbm.coefficients._SERIES_TERMS):
+            exact.append(-sum(math.comb(m + 1, k) * b for k, b in enumerate(exact)) / (m + 1))
+        exact[1] = -exact[1]
+        assert qbm.coefficients._BERNOULLI.tolist() == [float(b) for b in exact]
+        # Faulhaber's sum_{n <= M} n**m, as _series_modes forms it, against exact sums
+        k = qbm.coefficients._SERIES_K
+        for big_m in range(1, 201):
+            got = float(big_m) ** (k + 1) * (qbm.coefficients._FAULHABER @ float(big_m) ** -k)
+            want = [float(sum(n**m for n in range(1, big_m + 1))) for m in range(len(k))]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def _fine_mode_integral(p, n, t, panels=100, ratio=0.75):
