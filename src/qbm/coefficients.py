@@ -37,7 +37,9 @@ derivative sigma_dot = D1 + (2*k_B*T/M)*chi_v*chi_v_dot (no numerical
 differentiation).  Its quantum rows (``_quantum_row``, which
 ``d1_quantum_detail`` and ``sigma1_quantum`` take at one time) form
 exp(-nu_n*t) once for the mode sums and both correlation parts.  Each call
-forms its t-independent sums once (``_heads``), before any row, and keeps none.
+forms its t-independent sums once (``_heads``), before any row, and keeps none;
+their Hurwitz zeta and harmonic tails are summed here (``zeta``), with a bound
+on what they drop, so no quantum row loads scipy.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ from .model import PhysicalParams
 from .response import (
     _chi_all,
     _omega_from_chi,
-    chi_q,
-    chi_v,
     coshm1c,
     pole_times,
     sinhc,
@@ -99,16 +99,6 @@ __all__ = [
 _FOLD_CUT = 350.0
 
 
-def zeta(s, q):  # Hurwitz zeta, imported by the first call: only quantum rows load scipy.special
-    import scipy.special
-    return scipy.special.zeta(s, q)
-
-
-def digamma(x):  # digamma, imported by the first call: only quantum rows load scipy.special
-    import scipy.special
-    return scipy.special.digamma(x)
-
-
 # ---------------------------------------------------------------------------
 # classical closed forms
 
@@ -119,9 +109,8 @@ def d1_classical(p: PhysicalParams, t):
     Equivalently (4*gamma*k_B*T/(M*w**2))*exp(-gamma*t)*(cosh(w*t) - 1);
     satisfies d/dt sigma1_classical = d1_classical exactly.
     """
-    cv = np.atleast_1d(np.asarray(chi_v(p, t), dtype=np.float64))
-    out = (2.0 * p.gamma * p.kT / p.M) * cv * cv
-    return _shaped(out, t)
+    cv = _chi_all(p, t)[1]
+    return _shaped((2.0 * p.gamma * p.kT / p.M) * cv * cv, t)
 
 
 def sigma1_classical(p: PhysicalParams, t):
@@ -140,12 +129,15 @@ def sigma1_classical(p: PhysicalParams, t):
     w, g = p.omega, p.gamma
     out = np.empty(ta.shape)
     series = abs(p.lambda1) * ta < 1.0  # there |Re(w)|*t < 2: never folded
-    if (~series).any() and w.imag == 0.0 and w.real >= g / 2.0:
-        l1, l2, tc = p.lambda1.real, p.lambda2.real, ta[~series]
-        out[~series] = (2.0 * g * p.kT / p.M) / w.real**2 * (
+    taylor = series.any()
+    closed = ~series if taylor else slice(None)  # no mask where no time is a series time
+    some = not taylor or closed.any()
+    if some and w.imag == 0.0 and w.real >= g / 2.0:
+        l1, l2, tc = p.lambda1.real, p.lambda2.real, ta[closed]
+        out[closed] = (2.0 * g * p.kT / p.M) / w.real**2 * (
             -np.expm1(-2.0 * l2 * tc) / (2.0 * l2) + 2.0 * np.expm1(-g * tc) / g
             - np.expm1(-2.0 * l1 * tc) / (2.0 * l1))
-    elif (~series).any():
+    elif some:
         z = w * ta
         bracket = np.zeros(ta.shape, dtype=np.complex128)  # exp(-gamma*t)*B(t)
         folded = np.abs(z.real) >= _FOLD_CUT
@@ -161,7 +153,7 @@ def sigma1_classical(p: PhysicalParams, t):
                 eg + gt * (E2 - E1) / (2.0 * zf) + gt * gt * ((E1 + E2) / 2.0 - eg) / (zf * zf)
             )
         out = (p.kT / p.omega0_sq) * (1.0 - _real_cast(bracket, "sigma1_classical"))
-    if series.any():
+    if taylor:
         # chi_v**2 = t**2*sum_k b_k*t**k with |b_k| <= (2*|lambda1|)**k/k!, and
         # int_0^t chi_v**2 >= 0.7*exp(-2*rho)*t**3/3 at rho = |lambda1|*t < 1:
         # n terms with (2*rho)**n*exp(4*rho)/n! <= 2**-56 leave < 1e-17 of it
@@ -174,10 +166,10 @@ def sigma1_classical(p: PhysicalParams, t):
         a = _chi_v_taylor(p, n + 1, 1.0)[1:]
         # the integral of t**2*b_k*t**k takes b_k/(k + 3)
         b = np.convolve(a, a)[:n] / np.arange(3, n + 3)
-        acc = 0.0
+        x, acc = (float(ts[0]) if len(ts) == 1 else ts), 0.0  # one time: a float per term
         for bk in b[::-1].tolist():
-            acc = acc * ts + bk
-        out[series] = (2.0 * g * p.kT / p.M) * ts**3 * acc
+            acc = acc * x + bk
+        out[series] = (2.0 * g * p.kT / p.M) * x**3 * acc
     return _shaped(out, t)
 
 
@@ -192,9 +184,8 @@ def _chi_v_taylor(p: PhysicalParams, n: int, t: float) -> list:
 
 def sigma_cl_closed(p: PhysicalParams, t):
     """Thermal-initial-velocity variance (k_B*T/omega0_sq)*(1 - chi_q(t)**2)."""
-    cq = np.atleast_1d(np.asarray(chi_q(p, t), dtype=np.float64))
-    out = (p.kT / p.omega0_sq) * (1.0 - cq * cq)
-    return _shaped(out, t)
+    cq = _chi_all(p, t)[0]
+    return _shaped((p.kT / p.omega0_sq) * (1.0 - cq * cq), t)
 
 
 def d_cl_closed(p: PhysicalParams, t):
@@ -271,7 +262,6 @@ _EXP_CUT = 40.0
 _EXP_CAP = 1 << 22  # most exponential terms a row sums, however small nu*t
 _CHUNK = 1 << 20  # exponential terms formed at once
 _ROUNDOFF = 4.0 * np.finfo(np.float64).eps
-_ZETA_POWERS = np.arange(2.0, 26.0)
 _SIGNS = (-1.0) ** np.arange(25)
 _SERIES_TERMS = 21
 _SERIES_CUT = math.e / math.factorial(_SERIES_TERMS - 1)
@@ -288,6 +278,30 @@ _BERNOULLI = np.array([1, 1 / 2, 1 / 6, 0, -1 / 30, 0, 1 / 42, 0, -1 / 30, 0, 5 
                        -691 / 2730, 0, 7 / 6, 0, -3617 / 510, 0, 43867 / 798, 0, -174611 / 330])
 _FAULHABER = np.array([[math.comb(m + 1, j) * _BERNOULLI[j] / (m + 1) if j <= m else 0.0
                         for j in range(_SERIES_TERMS)] for m in range(_SERIES_TERMS)])
+# zeta(s, q) = sum_{j >= q} j**-s, s = 1 standing for -digamma(q): a table of the
+# sums over q <= j < _EM_A (of -digamma(q) whole at s = 1), plus Euler-Maclaurin at
+# a = max(q, _EM_A), a**(1 - s)/(s - 1) (-log(a) at s = 1) + a**-s*(1/2 + sum_k
+# _EM_COEF[s, k]*a**(1 - 2k)), k <= 9, _EM_COEF[s, k] = B_2k*C(s + 2k - 2, 2k - 1)/(2k):
+# it omits less than its next term, k = 10 (summands completely monotone), 1e-19 relative
+_EM_A = 48
+_EM_S = np.arange(1.0, 26.0)[:, None]
+_EM_LEAD = np.append(0.0, 1.0 / np.arange(1.0, 25.0))[:, None]
+_EM_COEF = np.array([[_BERNOULLI[2 * k] * math.comb(s + 2 * k - 2, 2 * k - 1) / (2 * k)
+                      for k in range(1, 11)] for s in range(1, 26)])
+_EM_HEAD = np.array([[math.fsum(row[q:]) for q in range(_EM_A)]  # column q - 1
+                     for row in (np.arange(1.0, _EM_A) ** -_EM_S).tolist()])
+_EM_HEAD[0, :-1] = [math.fsum([0.5772156649015329, *(-1.0 / j for j in range(1, q))])
+                    for q in range(1, _EM_A)]  # -digamma(q) = Euler's gamma - H_(q - 1)
+
+
+def zeta(q: np.ndarray) -> tuple:
+    """zeta(s, q) at s = 1..25 (rows) and the integers q >= 1 (columns), and
+    the first Euler-Maclaurin term it omits, which bounds its truncation."""
+    a = np.maximum(q, float(_EM_A))
+    x = a ** -_EM_S  # its rows s = 2k - 1 are the powers a**(1 - 2k)
+    em = x * (a * _EM_LEAD + 0.5 + _EM_COEF[:, :9] @ x[:17:2])
+    em[0] = np.where(q < _EM_A, 0.0, em[0] - np.log(a))
+    return _EM_HEAD[:, np.minimum(q, _EM_A) - 1] + em, x * np.abs(_EM_COEF[:, 9:]) * x[18]
 
 
 def _series_count(p: PhysicalParams, nu: float, n_modes: int, t: float) -> int:
@@ -316,7 +330,7 @@ def _series_modes(p: PhysicalParams, nu: float, n_s: int, t: float):
     K = _SERIES_TERMS
     a = np.array(_chi_v_taylor(p, K, t))
     # int_0^t chi_v*u**j du = t**(j + 1)*beta_j, beta_j = sum_i a_i*t**i/(i + j + 1)
-    beta = np.append(a @ _SERIES_INV, np.zeros(K))
+    beta = np.concatenate((a @ _SERIES_INV, np.zeros(K)))
     hb = _SERIES_H * beta[_SERIES_IDX]
     # sum_n (nu_n*t)**m, by Faulhaber's formula
     power = (n_s * nu * t) ** _SERIES_K * n_s * (_FAULHABER @ float(n_s) ** -_SERIES_K)
@@ -354,8 +368,10 @@ def _heads(p: PhysicalParams, n_modes: int, times, corr: bool) -> dict:
     (:func:`_head_sums`) of the series count of each time in ``times`` and,
     given ``corr``, sigma1's correlation sum C (key "C", :func:`_corr_sum`),
     refused (TailNotBounded) before any work past _CHUNK direct terms.  A tail
-    is sum_s c_s*nu_n**-s, s = 2..25, from the sums of nu_n**-s over it: all
-    from one L series and one Hurwitz zeta call at every n0 + 1, N + 1, n_c + 1."""
+    is sum_s c_s*nu_n**-s, s = 1..25, from the sums of nu_n**-s over it: all
+    from one L series and one :func:`zeta` call at every n0 + 1, N + 1, n_c + 1.
+    What zeta drops of a tail (n0 < N) enters the sizes divided by _ROUNDOFF,
+    as each size is taken at a relative error of at least 2*_ROUNDOFF."""
     nu = p.matsubara_nu()
     n_c = math.ceil(8.0 * abs(p.lambda1) / nu)
     if corr and n_c > _CHUNK:
@@ -363,50 +379,55 @@ def _heads(p: PhysicalParams, n_modes: int, times, corr: bool) -> dict:
     n0 = {n_s: min(n_modes, max(n_s, n_c))
           for n_s in {_series_count(p, nu, n_modes, t) for t in times}}
     points = sorted({n_modes, *n0.values(), *([n_c] if corr else [])})
-    z = dict(zip(points, zeta(_ZETA_POWERS[:, None], np.array(points) + 1.0).T))
+    z, r = (dict(zip(points, a.T)) for a in zeta(np.array(points) + 1))
     u = _l_series(p)
-    v, inv = u * _SIGNS, nu**-_ZETA_POWERS  # L's series, and the zeta sums' factor
-    # c_s of S0, S1 (past its harmonic part) and the static sum
-    coef = np.array([u[:24], u[1:], np.append(0.0, np.convolve(u, v)[:23])])
-    heads = {n_s: _head_sums(p, nu, n_s, n, n_modes, coef * (inv * (z[n] - z[n_modes])))
+    v, inv = u * _SIGNS, nu**-_EM_S[:, 0]  # L's series, and the zeta sums' factor
+    # c_s of S0, S1 (s = 1 its harmonic part) and the static sum
+    coef = np.zeros((3, 25))
+    coef[0, 1:], coef[1], coef[2, 2:] = u[:24], u, np.convolve(u, v)[:23]
+    heads = {n_s: _head_sums(p, nu, n_s, n, n_modes, coef * (inv * (z[n] - z[n_modes])),
+                             np.abs(coef) @ (inv * (r[n] + r[n_modes])) / _ROUNDOFF * (n < n_modes))
              for n_s, n in n0.items()}
     if corr:
-        heads["C"] = _corr_sum(p, nu, n_c, v, inv * z[n_c])
+        heads["C"] = _corr_sum(p, nu, n_c, v, inv[1:] * z[n_c][1:], inv[1:] * r[n_c][1:])
     return heads
 
 
 def _head_sums(p: PhysicalParams, nu: float, n_s: int, n0: int, n_modes: int,
-               tails: np.ndarray) -> tuple:
+               tails: np.ndarray, dropped: np.ndarray) -> tuple:
     """The t-independent sums over the modes n_s < n <= N: the modes E excluded
     near a root (:func:`_excluded_modes`), and over the others S0 = sum
     L_(nu_n), S1 = sum nu_n*L_(nu_n) and the static sum, sum -nu_n*L_(nu_n)*
     L(nu_n) = -nu_n/((nu_n**2 - lambda1**2)(nu_n**2 - lambda2**2)) (real
     coefficients, no difference over the roots), each with the absolute size
     of its terms (:func:`_l_minus`): a direct head to n0 = min(N, max(n_s,
-    ceil(8*|lambda1|/nu))), plus the row sums of ``tails`` and S1's digamma part."""
+    ceil(8*|lambda1|/nu))), plus the row sums of ``tails``, whose sizes take
+    ``dropped`` besides."""
     excluded = _excluded_modes(p, nu, n_s, n_modes)
     nu_n = _kept(np.arange(1.0, n0 + 1.0) * nu, n_s, n0, excluded)
     tail0, tail1, tail_st = (math.fsum(row) for row in tails.tolist())
-    tail1 += (digamma(n_modes + 1.0) - digamma(n0 + 1.0)) / nu
+    size0, size1, size_st = (x + d for x, d in zip((tail0, tail1, tail_st), dropped.tolist()))
     head = (0.0,) * 6
     if len(nu_n):
         lm, lm_size, q = _l_minus(p, nu_n)
         f = nu_n / q  # nu_n*L(nu_n)
         head = (math.fsum(lm.tolist()), math.fsum((nu_n * lm).tolist()), float(lm_size.sum()),
                 float(nu_n @ lm_size), math.fsum((-f * lm).tolist()), float(f @ lm_size))
-    return excluded, *(h + x for h, x in zip(head, (tail0, tail1, tail0, tail1, -tail_st, tail_st)))
+    return excluded, *(h + x for h, x in zip(head, (tail0, tail1, size0, size1, -tail_st, size_st)))
 
 
-def _corr_sum(p: PhysicalParams, nu: float, n_c: int, v: np.ndarray, zc: np.ndarray) -> float:
+def _corr_sum(p: PhysicalParams, nu: float, n_c: int, v: np.ndarray, zc: np.ndarray,
+              dropped: np.ndarray) -> tuple:
     """sigma1's t-independent correlation sum C = sum_{n >= 1} nu_n*(nu_n +
-    gamma)*L(nu_n)**2: direct up to n_c = ceil(8*|lambda1|/nu), and past it a
-    tail from L's series v (:func:`_l_series` times _SIGNS) and the zeta sums
-    ``zc`` of nu_n**-s over n > n_c."""
+    gamma)*L(nu_n)**2, and what it drops: direct up to n_c = ceil(8*|lambda1|/nu),
+    past it from L's series v (:func:`_l_series` times _SIGNS) and the zeta sums
+    ``zc`` of nu_n**-s over n > n_c, s >= 2, which drop at most ``dropped``."""
     g, nu_n = p.gamma, np.arange(1.0, n_c + 1.0) * nu
     lv = 1.0 / (nu_n * (nu_n + g) + p.omega0_sq / p.M)
     vv = np.convolve(v, v)[:24]  # 1/(1 + gamma*x + w2*x**2)**2
-    return (math.fsum((nu_n * (nu_n + g) * lv * lv).tolist())
-            + math.fsum(((vv + g * np.append(0.0, vv[:23])) * zc).tolist()))
+    c = vv + g * np.concatenate(([0.0], vv[:23]))
+    return (math.fsum((nu_n * (nu_n + g) * lv * lv).tolist()) + math.fsum((c * zc).tolist()),
+            float(np.abs(c) @ dropped))
 
 
 def _exp_dd(t: float, *points):
@@ -569,11 +590,11 @@ _NO_BATH = D1Result(0.0, 0.0, 0.0, 0.0, 0, 0.0, 0.0)  # D1 at gamma = 0
 
 
 def _correlation(p: PhysicalParams, t: float, cq: float, cv: float,
-                 c_sum: Optional[float], first: tuple, last: int) -> tuple:
-    """xi_q0(t) and a bound on what it drops, and, given C (:func:`_corr_sum`),
-    sigma1's correlation part 2*int_0^t chi_q*xi_q0 du and a bound on that
-    (else None, None), from chi_q(t), chi_v(t) and the terms n <= last, the
-    first ``first``.
+                 c_sum: Optional[tuple], first: tuple, last: int) -> tuple:
+    """xi_q0(t) and a bound on what it drops, and, given C and what it drops
+    (:func:`_corr_sum`), sigma1's correlation part 2*int_0^t chi_q*xi_q0 du and
+    a bound on that (else None, None), from chi_q(t), chi_v(t) and the terms
+    n <= last, the first ``first``.
 
     xi_q0 = -2*gamma*k_B*T*sum_n nu_n*L(nu_n)*exp(-nu_n*t), and chi_q's
     equation of motion makes the part -4*gamma*k_B*T*[C - sum_n
@@ -602,8 +623,8 @@ def _correlation(p: PhysicalParams, t: float, cq: float, cv: float,
     if c_sum is None:
         return -pref * xi, xi_bound, None, None
     corr_round = _ROUNDOFF * (4.94 / nu**2 + 1.21 * w2 * abs(cv) / nu**3)  # zeta(2), zeta(3)
-    return (-pref * xi, xi_bound, -2.0 * pref * (c_sum - math.fsum(cs)),
-            2.0 * pref * ((abs(cq) + w2 * abs(cv) / nu_h) / nu_h**2 * decay + corr_round))
+    return (-pref * xi, xi_bound, -2.0 * pref * (c_sum[0] - math.fsum(cs)), 2.0 * pref
+            * ((abs(cq) + w2 * abs(cv) / nu_h) / nu_h**2 * decay + corr_round + c_sum[1]))
 
 
 def xi_q0_sum(p: PhysicalParams, t: float) -> float:
@@ -696,10 +717,10 @@ def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndar
     :func:`_quantum_row` a time, all from one :func:`_heads`, whose refusal
     names the first time."""
     if p.gamma == 0.0:
-        return [_NO_BATH] * len(t), np.atleast_1d(sigma1_classical(p, t)), [0.0] * len(t)
+        return [_NO_BATH] * len(t), sigma1_classical(p, t), [0.0] * len(t)
     ts, i, rows = t.tolist(), 0, []
     try:
-        heads, base = _heads(p, n_modes, ts, True), np.atleast_1d(sigma1_classical(p, t))
+        heads, base = _heads(p, n_modes, ts, True), sigma1_classical(p, t)
         for i, (ti, q, c, cd, b) in enumerate(zip(ts, *(a.tolist() for a in (cq, cv, cvd, base)))):
             rows.append(_quantum_row(p, n_modes, ti, q, c, cd, b, heads))
     except QbmError as exc:
@@ -905,7 +926,7 @@ def build_table(
     t_arr = np.asarray(t_grid, dtype=np.float64)
     if t_arr.ndim != 1 or len(t_arr) == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
-    if np.any(np.diff(t_arr) <= 0.0):
+    if (t_arr[1:] <= t_arr[:-1]).any():
         raise ValueError("t_grid must be strictly increasing")
     if t_arr[0] < 0.0:
         raise ValueError("t_grid must be nonnegative")
@@ -933,7 +954,7 @@ def build_table(
     diagnostics: dict = {}
     if mode == "classical":  # d1_classical and sigma_cl_closed from this chi
         d1 = (2.0 * p.gamma * p.kT / p.M) * cv * cv
-        s1 = np.atleast_1d(sigma1_classical(p, t_arr))
+        s1 = sigma1_classical(p, t_arr)
         sq = (p.kT / p.omega0_sq) * (1.0 - cq * cq)
     else:
         dets, s1, s1_tails = _quantum_columns(p, n_max, t_arr, cq, cv, cvd)

@@ -53,10 +53,11 @@ def sinhc(z):
     """sinh(z)/z with a series branch near zero; sinhc(0) = 1."""
     z = np.asarray(z, dtype=np.complex128)
     small = np.abs(z) < _SERIES_CUT
+    if not small.any():
+        return np.sinh(z) / z
     out = np.divide(np.sinh(z), z, out=np.empty_like(z), where=~small)
-    if small.any():
-        zs = z[small]
-        out[small] = 1.0 + zs * zs / 6.0 + zs**4 / 120.0
+    zs = z[small]
+    out[small] = 1.0 + zs * zs / 6.0 + zs**4 / 120.0
     return out
 
 
@@ -106,16 +107,18 @@ def _chi_all(p: PhysicalParams, t) -> np.ndarray:
     z = p.omega * ta / 2.0
     # filled through its rows, which a 1-D mask indexes at numpy's fast path
     cq, cv, cvd = out = np.empty((3, len(ta)), dtype=np.complex128)
-    direct = np.abs(z.real) < _FOLD_CUT
-    if direct.any():
+    folded = np.abs(z.real) >= _FOLD_CUT
+    fold = folded.any()
+    direct = ~folded if fold else slice(None)  # no mask where no time folds
+    if not fold or direct.any():
         td, zd = ta[direct], z[direct]
         half_gt = p.gamma * td / 2.0
         damp, ch, sc = np.exp(-half_gt), np.cosh(zd), sinhc(zd)
-        cq[direct] = damp * (ch + half_gt * sc)
+        hs = half_gt * sc
+        cq[direct] = damp * (ch + hs)
         cv[direct] = td * damp * sc
-        cvd[direct] = damp * (ch - half_gt * sc)
-    folded = ~direct
-    if folded.any():
+        cvd[direct] = damp * (ch - hs)
+    if fold:
         l1, l2 = p.lambda1, p.lambda2
         E1, E2 = np.exp(-l1 * ta[folded]), np.exp(-l2 * ta[folded])
         dl = l1 - l2  # |w*t| is large here, so no cancellation in 1/dl

@@ -450,6 +450,68 @@ class TestRootFreeModeSums:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+class TestHurwitzZeta:
+    """The heads' in-package zeta(s, q), s = 2..25, and its s = 1 row,
+    -digamma(q), whose differences are the harmonic sums H_N - H_n."""
+
+    # the table of sums below _EM_A = 48 meets Euler-Maclaurin at 47, 48, 49
+    Q = (2, 3, 17, 31, 32, 33, 47, 48, 49, 1025, 20001, 2**20 + 1)
+
+    def test_against_120_digit_values(self):
+        # mpmath's zeta(25, 1025) is off by 1.2e-10 relative at 40 digits
+        got = qbm.coefficients.zeta(np.array(self.Q))[0]
+        with mp.workdps(120):
+            rel = [abs(float(mp.mpf(got[s - 1, j]) / mp.zeta(s, q) - 1))
+                   for s in range(2, 26) for j, q in enumerate(self.Q)]
+        assert max(rel) <= 2.0 * np.finfo(np.float64).eps
+
+    def test_euler_maclaurin_bound_covers_its_truncation(self):
+        # the Euler-Maclaurin part at a = max(q, 48), with exact Bernoulli
+        # numbers and summed at 120 digits, misses zeta(s, a) by less than the
+        # first term it omits, with that term's sign; zeta reports that term
+        bern = [Fraction(1)]
+        for m in range(1, 21):
+            bern.append(-sum(math.comb(m + 1, k) * b for k, b in enumerate(bern)) / (m + 1))
+        points = (48, 49, 1025, 20001, 2**20 + 1)
+        bound = qbm.coefficients.zeta(np.array(points))[1]
+        with mp.workdps(300):  # the omitted term is 1e-119 at s = 1, a = 2**20 + 1
+            for s in range(1, 26):
+                for j, a in enumerate(points):
+                    a = mp.mpf(a)
+                    lead, exact = (-mp.log(a), -mp.digamma(a)) if s == 1 else (
+                        a ** (1 - s) / (s - 1), mp.zeta(s, a))
+
+                    def term(k):
+                        return (mp.mpf(bern[2 * k].numerator) / bern[2 * k].denominator
+                                * math.comb(s + 2 * k - 2, 2 * k - 1) / (2 * k) * a ** (1 - s - 2 * k))
+                    em = lead + a**-s / 2 + mp.fsum(term(k) for k in range(1, 10))
+                    ratio = (exact - em) / term(10)
+                    assert 0 < ratio < 1, (s, a)
+                    assert abs(exact - em) <= bound[s - 1, j] <= 1e-19 * abs(exact), (s, a)
+
+    def test_harmonic_differences_against_exact_sums(self):
+        # every pair n < N <= 60, both sides of the table's end, against Fractions
+        psi = -qbm.coefficients.zeta(np.arange(1, 62))[0][0]  # digamma(n + 1)
+        harmonic = [Fraction(0)]
+        for j in range(1, 61):
+            harmonic.append(harmonic[-1] + Fraction(1, j))
+        for big in range(1, 61):
+            for n in range(big):
+                err = abs(Fraction(psi[big] - psi[n]) - (harmonic[big] - harmonic[n]))
+                assert err <= 2.0 * np.finfo(np.float64).eps * max(abs(psi[big]), abs(psi[n])), (n, big)
+
+    @pytest.mark.parametrize("big", [20000, 2**20])
+    def test_harmonic_differences_at_large_cutoffs(self, big):
+        # each digamma within an ulp or so, so the difference within 2 eps of
+        # the larger one, which is within 2 eps of itself for n << N
+        small = (0, 1, 2, 17, 46, 47, 48, 1024, 19999)
+        psi = -qbm.coefficients.zeta(np.array([big + 1, *(n + 1 for n in small)]))[0][0]
+        with mp.workdps(120):
+            for n, psi_n in zip(small, psi[1:].tolist()):
+                err = abs(float(mp.mpf(psi[0] - psi_n) - (mp.harmonic(big) - mp.harmonic(n))))
+                assert err <= 2.0 * np.finfo(np.float64).eps * psi[0], n
+
+
 def _fine_mode_integral(p, n, t, panels=100, ratio=0.75):
     """int_0^t of the closed-form mode sum by 24-point Gauss-Legendre on
     ``panels`` panels graded geometrically toward 0 (the last ends at

@@ -1,9 +1,9 @@
 """Which runs load which scipy module.
 
-Classical runs (``qbm coeffs`` without hbar, ``qbm sde``) load neither
-scipy.special nor scipy.linalg; an FPE solve loads scipy.linalg at its first
-solve, and a quantum row scipy.special at its first head.  Each check runs in
-a fresh interpreter, because this test session has long imported both.
+Classical runs (``qbm coeffs`` without hbar, ``qbm sde``) and quantum rows
+load no scipy module; an FPE solve loads scipy.linalg at its first solve.
+Each check runs in a fresh interpreter, because this test session has long
+imported both.
 """
 
 import os
@@ -46,14 +46,19 @@ def test_fpe_solve_loads_only_scipy_linalg():
     )
 
 
-def test_quantum_rows_load_scipy_special_at_their_first_head():
-    # a counter put in place of zeta before scipy.special is loaded is the
-    # one the heads call: the module-level name is never rebound
+def test_quantum_rows_load_no_scipy_module():
+    # the heads sum their Hurwitz zeta and harmonic tails in the package; a
+    # counter put in place of zeta first is the one a table's heads call once
     _run(
         "import qbm.coefficients as c\n"
         "calls, real = [], c.zeta\n"
         "c.zeta = lambda *args: calls.append(args) or real(*args)\n"
         "pq = qbm.derive(1.0, 1.0, 0.16, 1.0, hbar=1.0)\n"
         "qbm.build_table(pq, np.array([0.05, 8.0]), mode='quantum')\n"
-        "assert loaded() == {'scipy.special'} and len(calls) == 1, (loaded(), calls)\n"
+        "assert len(calls) == 1, calls\n"
+        "qbm.d1_quantum_detail(pq, 0.05)\n"
+        "qbm.sigma1_quantum(pq, 8.0)\n"
+        "c.xi_q0_sum(pq, 0.5)\n"
+        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert scipy == [], scipy\n"
     )
