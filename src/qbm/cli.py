@@ -12,8 +12,17 @@ Settings may come from a flat key-value config file (``--config``): one
 ``key = value`` pair per line, ``#`` comments, keys spelled like the long
 flags with ``-`` or ``_``; a key that matches no flag is refused (exit 1).
 Explicit command-line flags override config values, which override built-in
-defaults.  Every output file is accompanied by a ``<out>.json`` manifest
-echoing the effective configuration, seeds and tolerances that produced it.
+defaults.
+
+``main`` resolves every setting before any work: ``--threads`` (else
+``QBM_THREADS``), the mode, and each command's defaults (coeffs ``t_min`` and
+quantum ``n_max``, a quantum fpe ``t_start``).  Input refused there (bad
+physical parameters, quantum mode at hbar = 0, sde with hbar > 0, a
+``--suite``/``--mode`` conflict) runs and writes nothing.  ``--validate`` then
+runs the quick suite (the runner of ``validate`` too), and the command runs.
+Each command returns its exit code, manifest path and run record, and
+``main`` writes the manifest ``{version, **record, config}``, where
+``config`` is every parsed setting with its defaults resolved.
 """
 
 from __future__ import annotations
@@ -28,15 +37,12 @@ import numpy as np
 from . import __version__
 from .coefficients import N_MODES, build_table, write_csv
 from .errors import InvalidInput, QbmError
-from .fpe import SolverConfig, solve
+from .fpe import ANALYTIC_LIMIT, SolverConfig, solve
 from .model import derive
 from .sde import equivalence_report, simulate_langevin, simulate_reduced
 from .validation import run_suite
 
 __all__ = ["main", "build_parser", "load_config", "save_config"]
-
-_PHYS_KEYS = ("gamma", "omega0_sq", "mass", "temp", "hbar", "classical", "unit_mode")
-
 
 # ---------------------------------------------------------------------------
 # flat key-value config files
@@ -134,13 +140,6 @@ def _add_physics(ap: argparse.ArgumentParser) -> None:
     )
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QBM_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qbm",
@@ -230,49 +229,64 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 # command implementations
 
 
-def _params(args):
+def _resolve(args):
+    """Resolve every default in ``args`` and refuse bad input, all before the
+    ``--validate`` pre-run and any write; returns the physical parameters.
+
+    ``threads`` comes from the flag, then ``QBM_THREADS``, then 1.  A command
+    with ``--mode`` gets its resolved mode (a named ``validate`` suite picks
+    it), coeffs its ``t_min`` and quantum ``n_max``, and a quantum fpe run a
+    ``t_start`` past 0, where the quantum coefficients are undefined.
+    """
+    env = os.environ.get("QBM_THREADS")
+    args.threads = max(1, args.threads if args.threads is not None else int(env or 1))
     hbar = 0.0 if args.classical else args.hbar
-    return derive(args.mass, args.gamma, args.omega0_sq, args.temp, hbar, args.unit_mode)
-
-
-def _resolve_mode(args, p) -> str:
-    mode = getattr(args, "mode", None)
-    if mode == "quantum" and p.is_classical:
+    p = derive(args.mass, args.gamma, args.omega0_sq, args.temp, hbar, args.unit_mode)
+    if args.command == "sde":
+        if not p.is_classical:
+            raise InvalidInput(
+                "sde simulates the classical dynamics only; drop --hbar or pass --classical"
+            )
+        return p
+    if args.command == "validate" and args.suite in ("classical", "quantum"):
+        if args.mode and args.mode != args.suite:
+            raise ValueError(f"--suite {args.suite} conflicts with --mode {args.mode}")
+        args.mode = args.suite
+    if args.mode == "quantum" and p.is_classical:
         raise ValueError("quantum mode requires a nonzero --hbar")
-    if mode:
-        return mode
-    return "classical" if p.is_classical else "quantum"
+    args.mode = args.mode or ("classical" if p.is_classical else "quantum")
+    if args.command == "coeffs":
+        if args.t_min is None:
+            args.t_min = 0.0 if args.mode == "classical" else args.t_max / (10.0 * args.n_points)
+        if args.mode == "quantum" and args.n_max is None:
+            args.n_max = N_MODES
+    elif args.command == "fpe" and args.mode == "quantum" and args.t_start <= 0.0:
+        args.t_start = args.t_final / 1000.0
+    return p
 
 
-def _effective(args, keys) -> dict:
-    cfg = {k: getattr(args, k) for k in _PHYS_KEYS + tuple(keys)}
-    cfg["threads"] = _threads(args)
-    return cfg
+def _suite(args, p, quick: bool):
+    """Run and print the consistency suite in the run's mode; returns
+    whether it passed and its record."""
+    mode = getattr(args, "mode", "classical")  # sde has no --mode: it runs classical
+    rep = run_suite(p, mode=mode, quick=quick)
+    for line in rep.lines():
+        print(line)
+    return rep.passed, {"mode": mode, **rep.to_dict()}
 
 
-def _write_manifest(path, payload: dict) -> None:
+def _write_manifest(path, record: dict, args) -> None:
     with open(path, "w") as fh:
-        json.dump({"version": __version__, **payload}, fh, indent=2)
+        json.dump({"version": __version__, **record, "config": vars(args)}, fh, indent=2)
         fh.write("\n")
+    print(f"wrote {path}")
 
 
-def _cmd_coeffs(args) -> int:
-    p = _params(args)
-    mode = _resolve_mode(args, p)
-    t_min = args.t_min
-    if t_min is None:
-        t_min = 0.0 if mode == "classical" else args.t_max / (10.0 * args.n_points)
-    grid = np.linspace(t_min, args.t_max, args.n_points)
-    table = build_table(p, grid, mode=mode, n_max=args.n_max, tol=args.tol)
+def _cmd_coeffs(args, p):
+    grid = np.linspace(args.t_min, args.t_max, args.n_points)
+    table = build_table(p, grid, mode=args.mode, n_max=args.n_max, tol=args.tol)
     table.to_csv(args.out)
-    manifest_path = args.out + ".json"
-    cfg = _effective(args, ("t_max", "n_points", "n_max", "tol", "out"))
-    cfg["t_min"], cfg["n_max"] = t_min, table.n_max
-    _write_manifest(
-        manifest_path,
-        {**table.manifest(), "csv": os.path.basename(args.out), "config": cfg},
-    )
-    print(f"wrote {args.out} ({len(grid)} rows, mode={mode}) and {manifest_path}")
+    print(f"wrote {args.out} ({len(grid)} rows, mode={args.mode})")
     diag = table.diagnostics
     if not diag.get("tol_met", True):
         print(
@@ -283,36 +297,24 @@ def _cmd_coeffs(args) -> int:
         )
     if table.pole_windows:
         print(f"pole windows: {table.pole_windows}")
-    return 0
+    return 0, args.out + ".json", {**table.manifest(), "csv": os.path.basename(args.out)}
 
 
-def _cmd_fpe(args) -> int:
-    p = _params(args)
-    mode = _resolve_mode(args, p)
-    t_start = args.t_start
-    if mode == "quantum" and t_start <= 0.0:
-        t_start = args.t_final / 1000.0
+def _cmd_fpe(args, p):
     cfg = SolverConfig(
         n_q=args.n_q,
         dt=args.dt,
         scheme=args.scheme,
         boundary=args.boundary,
-        t_start=t_start,
+        t_start=args.t_start,
         q0=args.q0,
         init_var=args.init_var,
         compare_analytic=args.compare_analytic,
     )
-    res = solve(p, "adelman", mode, args.t_final, cfg)
+    res = solve(p, "adelman", args.mode, args.t_final, cfg)
     write_csv(args.out, ("q", "rho"), (res.field.q, res.field.rho))
-    effective = _effective(
-        args,
-        ("t_final", "n_q", "dt", "scheme", "boundary", "q0",
-         "init_var", "compare_analytic", "out"),
-    )
-    effective["t_start"] = t_start
-    effective["mode"] = mode
-    summary = {
-        "config": effective,
+    print(f"wrote {args.out}: mass drift {res.mass_drift:.3e}, {res.n_steps} steps")
+    record = {
         "t_final": res.field.t,
         "mass_initial": res.mass_initial,
         "mass_final": res.mass_final,
@@ -320,53 +322,33 @@ def _cmd_fpe(args) -> int:
         "peclet_max": res.peclet_max,
         "n_steps": res.n_steps,
     }
+    if args.mode == "quantum":  # the table's mode cutoff, tail bounds and whether they met tol
+        record["coefficients"] = {k: getattr(res.table, k) for k in ("n_max", "tol", "diagnostics")}
+    code = 0
     if res.linf_error is not None:
-        summary["linf_error"] = res.linf_error
-        summary["peak_density"] = res.peak_density
-    if mode == "quantum":  # the table's mode cutoff, tail bounds and whether they met tol
-        summary["coefficients"] = {k: getattr(res.table, k) for k in ("n_max", "tol", "diagnostics")}
-    _write_manifest(args.out + ".json", summary)
-    print(f"wrote {args.out}: mass drift {res.mass_drift:.3e}, {res.n_steps} steps")
-    if res.linf_error is not None:
+        record["linf_error"] = res.linf_error
+        record["peak_density"] = res.peak_density
         # an exact density too narrow for the grid has peak 0: unbounded deviation
         rel = res.linf_error / res.peak_density if res.peak_density > 0.0 else np.inf
         print(f"sup-norm deviation from analytic: {rel:.3e} of peak")
-        if rel > 5e-3:
-            return 1
-    return 0
+        code = int(rel > ANALYTIC_LIMIT)
+    return code, args.out + ".json", record
 
 
-def _cmd_sde(args) -> int:
-    p = _params(args)
-    if not p.is_classical:
-        raise InvalidInput(
-            "sde simulates the classical dynamics only; drop --hbar or pass --classical"
-        )
-    threads = _threads(args)
+def _cmd_sde(args, p):
     stats_l = simulate_langevin(
         p, args.q0, args.v0_mode, args.paths, args.dt, args.t_final, args.seed,
-        threads=threads, keep_paths=args.dump_paths is not None,
+        threads=args.threads, keep_paths=args.dump_paths is not None,
     )
     stats_l.to_csv(args.out)
-    effective = _effective(
-        args,
-        ("paths", "dt", "t_final", "seed", "q0", "v0_mode", "compare",
-         "dump_paths", "out"),
-    )
-    manifest = {
-        "config": effective,
-        "label": stats_l.label,
-        "n_record": len(stats_l.t),
-        "rng_draws": stats_l.rng_draws,
-    }
+    record = {"label": stats_l.label, "n_record": len(stats_l.t), "rng_draws": stats_l.rng_draws}
     if args.dump_paths:
         stats_l.dump_paths(args.dump_paths)
-        manifest["paths_file"] = os.path.basename(args.dump_paths)
-        manifest["paths_layout"] = "uint64 n_paths, uint64 n_times, then row-major float64 (little-endian)"
+        record["paths_file"] = os.path.basename(args.dump_paths)
+        record["paths_layout"] = "uint64 n_paths, uint64 n_times, then row-major float64 (little-endian)"
     print(f"wrote {args.out} ({stats_l.label}, {args.paths} paths)")
     if not args.compare:
-        _write_manifest(args.out + ".json", manifest)
-        return 0
+        return 0, args.out + ".json", record
     from .response import chi_q
     from .coefficients import sigma_cl_closed
 
@@ -374,7 +356,7 @@ def _cmd_sde(args) -> int:
     table = build_table(p, grid, mode="classical")
     stats_r = simulate_reduced(
         p, table, args.q0, args.paths, args.dt, args.t_final, args.seed + 1,
-        threads=threads,
+        threads=args.threads,
     )
     analytic = {
         "mean": lambda t: np.atleast_1d(chi_q(p, t)) * args.q0,
@@ -383,71 +365,43 @@ def _cmd_sde(args) -> int:
     rep = equivalence_report(stats_r, stats_l, analytic)
     for k, v in rep.items():
         print(f"  {k}: {v}")
-    manifest["reduced"] = {"label": stats_r.label, "rng_draws": stats_r.rng_draws}
-    manifest["equivalence"] = {k: v for k, v in rep.items() if k != "labels"}
-    _write_manifest(args.out + ".json", manifest)
-    return 0 if rep["passed"] else 1
+    record["reduced"] = {"label": stats_r.label, "rng_draws": stats_r.rng_draws}
+    record["equivalence"] = {k: v for k, v in rep.items() if k != "labels"}
+    return int(not rep["passed"]), args.out + ".json", record
 
 
-def _cmd_validate(args) -> int:
-    p = _params(args)
-    if args.suite in ("classical", "quantum"):
-        if args.mode and args.mode != args.suite:
-            raise ValueError(f"--suite {args.suite} conflicts with --mode {args.mode}")
-        args.mode = args.suite
-        quick = False
-    else:
-        quick = args.suite == "quick"
-    mode = _resolve_mode(args, p)
-    rep = run_suite(p, mode=mode, quick=quick)
-    for line in rep.lines():
-        print(line)
-    _write_manifest(
-        args.out,
-        {"config": _effective(args, ("suite", "out")), "mode": mode, **rep.to_dict()},
-    )
-    print(f"wrote {args.out}")
-    return 0 if rep.passed else 1
+def _cmd_validate(args, p):
+    passed, record = _suite(args, p, quick=args.suite == "quick")
+    return int(not passed), args.out, record
+
+
+_HANDLERS = {"coeffs": _cmd_coeffs, "fpe": _cmd_fpe, "sde": _cmd_sde, "validate": _cmd_validate}
 
 
 def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
-    overrides = {}
-    if known.config:
-        try:
-            overrides = load_config(known.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
-        ap = build_parser(overrides)
-    except InvalidInput as exc:
+        ap = build_parser(load_config(known.config) if known.config else None)
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, InvalidInput) as exc:  # a malformed line, an unknown key
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args = ap.parse_args(argv)
     try:
+        p = _resolve(args)
         if args.validate:
-            p = _params(args)
-            rep = run_suite(p, mode=_resolve_mode(args, p), quick=True)
-            for line in rep.lines():
-                print(line)
-            out = getattr(args, "out", None)
-            if out and args.command != "validate":
-                _write_manifest(out + ".validation.json", rep.to_dict())
-            if not rep.passed:
+            passed, record = _suite(args, p, quick=True)
+            if args.command != "validate":
+                _write_manifest(args.out + ".validation.json", record, args)
+            if not passed:
                 return 1
-        handler = {
-            "coeffs": _cmd_coeffs,
-            "fpe": _cmd_fpe,
-            "sde": _cmd_sde,
-            "validate": _cmd_validate,
-        }[args.command]
-        return handler(args)
+        code, manifest_path, record = _HANDLERS[args.command](args, p)
+        _write_manifest(manifest_path, record, args)
+        return code
     except (InvalidInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

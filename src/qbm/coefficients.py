@@ -63,6 +63,7 @@ from .errors import (
 )
 from .model import PhysicalParams
 from .response import (
+    _FOLD_CUT,
     _chi_all,
     _omega_from_chi,
     coshm1c,
@@ -95,8 +96,6 @@ __all__ = [
     "step_plan",
     "write_csv",
 ]
-
-_FOLD_CUT = 350.0
 
 
 # ---------------------------------------------------------------------------
@@ -885,12 +884,7 @@ class CoefficientTable:
             "n_points": int(len(self.t)),
             "pole_windows": [[float(a), float(b)] for a, b in self.pole_windows],
             "diagnostics": {
-                k: (
-                    v if isinstance(v, bool)
-                    else float(v) if np.ndim(v) == 0
-                    else list(map(float, v))
-                )
-                for k, v in self.diagnostics.items()
+                k: v if isinstance(v, bool) else float(v) for k, v in self.diagnostics.items()
             },
             "columns": list(_CSV_COLUMNS),
         }

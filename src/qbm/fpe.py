@@ -49,6 +49,7 @@ from .propagator import GaussianDensity, density
 from .response import chi_q
 
 __all__ = [
+    "ANALYTIC_LIMIT",
     "SolverConfig",
     "DensityField",
     "SolveResult",
@@ -56,6 +57,11 @@ __all__ = [
     "step",
     "solve",
 ]
+
+#: the largest sup-norm deviation from the exact density, as a fraction of its
+#: peak, that a ``compare_analytic`` run passes (``qbm fpe --compare-analytic``
+#: exits 1 past it; ``qbm validate`` checks it as ``fpe-vs-analytic``)
+ANALYTIC_LIMIT = 5e-3
 
 _SCHEMES = ("cn-central", "split-upwind")
 _BOUNDARIES = ("zero-flux", "absorbing")

@@ -29,7 +29,7 @@ from .coefficients import (
     xi_q0_sum,
 )
 from .errors import QbmError
-from .fpe import SolverConfig, solve
+from .fpe import ANALYTIC_LIMIT, SolverConfig, solve
 from .model import PhysicalParams
 from .propagator import maxwell_average_check
 from .response import chi_q, chi_q_dot, chi_v, chi_v_dot, omega_drift, pole_times
@@ -151,7 +151,7 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
         res = solve(p, "adelman", "classical", t_final, cfg)
         check("fpe-mass-conservation", abs(res.mass_drift), 1e-10,
               f"{res.n_steps} steps, zero-flux")
-        check("fpe-vs-analytic", res.linf_error / res.peak_density, 5e-3,
+        check("fpe-vs-analytic", res.linf_error / res.peak_density, ANALYTIC_LIMIT,
               "relative sup-norm deviation from exact Gaussian")
     except QbmError as exc:  # pole windows in strongly underdamped runs
         check("fpe-run", 1.0, 0.0, f"solver aborted: {exc}")

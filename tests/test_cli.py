@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbm import __version__
-from qbm.cli import load_config, main, save_config
+from qbm.cli import build_parser, load_config, main, save_config
 
 
 class TestTopLevel:
@@ -435,6 +435,20 @@ class TestValidate:
         assert rc == 1
         assert "suite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--validate", "sde", "--hbar", "1", "--paths", "10", "--t-final", "0.1",
+         "--out", "s.csv"],
+        ["--validate", "validate", "--hbar", "1", "--suite", "classical", "--mode", "quantum",
+         "--out", "v.json"],
+    ], ids=["sde-hbar", "suite-mode-conflict"])
+    def test_refused_run_runs_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        # input refusals come before the --validate pre-run and any write
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_preflight_validate_flag(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")
         rc = main(["--validate", "coeffs", "--t-max", "2", "--n-points", "5",
@@ -443,3 +457,32 @@ class TestValidate:
         assert "[PASS]" in capsys.readouterr().out
         rep = json.loads((tmp_path / "c.csv.validation.json").read_text())
         assert rep["passed"] is True
+
+
+class TestRunRecord:
+    """Every manifest's ``config`` holds every parsed setting, defaults resolved."""
+
+    @pytest.mark.parametrize("argv, manifest, resolved", [
+        (["coeffs", "--hbar", "1", "--t-max", "2", "--n-points", "5", "--out", "q.csv"],
+         "q.csv.json", {"mode": "quantum", "t_min": 0.04, "n_max": 20000}),
+        (["coeffs", "--t-max", "2", "--n-points", "5", "--out", "c.csv"],
+         "c.csv.json", {"mode": "classical", "t_min": 0.0}),
+        (["fpe", "--t-final", "0.5", "--n-q", "201", "--dt", "5e-3", "--out", "f.csv"],
+         "f.csv.json", {"mode": "classical"}),
+        # the pre-run's report is written before the quantum fpe run, which then
+        # refuses its negative short-time D: the report carries the resolved t_start
+        (["--validate", "fpe", "--hbar", "1", "--t-final", "1", "--n-q", "401", "--dt", "5e-3",
+          "--out", "f.csv"],
+         "f.csv.validation.json", {"mode": "quantum", "t_start": 1e-3}),
+        (["sde", "--paths", "10", "--t-final", "0.1", "--out", "s.csv"], "s.csv.json", {}),
+        (["validate", "--hbar", "1", "--suite", "classical", "--out", "v.json"],
+         "v.json", {"mode": "classical"}),
+    ], ids=["coeffs-quantum", "coeffs-classical", "fpe", "fpe-quantum-prerun", "sde", "validate"])
+    def test_config_holds_every_resolved_setting(self, tmp_path, monkeypatch, argv, manifest,
+                                                 resolved):
+        monkeypatch.setenv("QBM_THREADS", "2")
+        monkeypatch.chdir(tmp_path)
+        main(argv)
+        config = json.loads((tmp_path / manifest).read_text())["config"]
+        parsed = vars(build_parser().parse_args(argv))
+        assert config == {**parsed, "threads": 2, **resolved}

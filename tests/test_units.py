@@ -3,7 +3,9 @@
 Rescale time by a and mass by m: gamma -> gamma/a, omega0_sq -> m*omega0_sq/a**2,
 M -> m*M and hbar -> a*hbar at fixed T.  At the time a*t, Omega must scale by
 1/a, D1 and D by a/m, sigma1 and sigma_q by a**2/m, a position by a/sqrt(m)
-and a density by sqrt(m)/a.
+and a density by sqrt(m)/a.  An SI run and a reduced run of the same system
+agree once converted with the time unit 1/gamma and the length**2 unit
+k_B*T/(M*gamma**2).
 """
 
 import math
@@ -107,3 +109,46 @@ def test_sigma1_correlation_part():
     p, a, m = derive(1.0, 1.0, 0.16, 1.0, hbar=1.0), 2.0, 3.0
     corr = _sigma1_parts(p, 1.0, 64)[2]
     assert _sigma1_parts(_rescaled(p, a, m), a, 64)[2] == pytest.approx(a * a / m * corr, rel=1e-6)
+
+
+HBAR_SI = 1.054571817e-34  # J*s
+SI_POWERS = {"omega": (-1, 0), "d1": (-1, 1), "sigma1": (0, 1), "sigma_q": (0, 1),
+             "d_fpe": (-1, 1)}  # (power of the time unit, power of the length**2 unit)
+
+
+def _si_pair(mode):
+    """A 1e-26 kg particle at T = 1 K with gamma = 1e9/s and omega0**2/M = 0.16 gamma**2,
+    tabulated in SI and in reduced units at t*gamma in {0.05, 0.5, 1, 8}: the SI
+    columns converted to reduced units, and the reduced table."""
+    mass, gamma, temp = 1e-26, 1e9, 1.0
+    si = derive(mass, gamma, 0.16 * gamma**2 * mass, temp, hbar=HBAR_SI, unit_mode="si")
+    reduced = derive(1.0, 1.0, 0.16, 1.0, hbar=HBAR_SI * gamma / si.kT)
+    tau = np.array([0.05, 0.5, 1.0, 8.0])
+    table = build_table(si, tau / gamma, mode=mode, n_max=2000)
+    length_sq = si.kT / (mass * gamma**2)
+    converted = {name: table.column(name) / ((1.0 / gamma) ** pt * length_sq**pl)
+                 for name, (pt, pl) in SI_POWERS.items()}
+    return converted, build_table(reduced, tau, mode=mode, n_max=2000)
+
+
+def test_si_classical_columns():
+    converted, base = _si_pair("classical")
+    for name, column in converted.items():
+        np.testing.assert_allclose(column, base.column(name), rtol=1e-13, err_msg=name)
+
+
+def test_si_quantum_run_is_finite_and_omega_d1_convert():
+    # the SI sums neither overflow nor refuse; Omega and D1 convert exactly
+    converted, base = _si_pair("quantum")
+    for name, column in converted.items():
+        assert np.isfinite(column).all(), name
+    for name in ("omega", "d1"):
+        np.testing.assert_allclose(converted[name], base.column(name), rtol=1e-13, err_msg=name)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: sigma1's correlation part "
+                   "2*int_0^t chi_q*xi_q0 has the dimension of energy*time, not length**2")
+def test_si_quantum_variance_columns():
+    converted, base = _si_pair("quantum")
+    for name in ("sigma1", "sigma_q", "d_fpe"):
+        np.testing.assert_allclose(converted[name], base.column(name), rtol=1e-10, err_msg=name)
