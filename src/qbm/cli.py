@@ -4,22 +4,24 @@ Subcommands: ``coeffs`` (tabulate coefficients to CSV + JSON manifest),
 ``fpe`` (grid solve), ``sde`` (ensemble simulation / equivalence check) and
 ``validate`` (consistency suite, written as a JSON report).
 
-Exit codes: 0 success, 1 bad input (including an FPE grid too coarse for its
-initial density) or a failed consistency check, 2 a numerical failure inside
-the engines (unbounded tail, pole-window crossing, non-finite state, ...).
+``--hbar`` alone picks the dynamics: 0 (the default) classical, > 0 quantum.
+
+Exit codes: 0 success, 1 bad input (a usage error, an FPE grid too coarse
+for its initial density, ...) or a failed consistency check, 2 a numerical
+failure inside the engines (unbounded tail, pole-window crossing, ...).
 
 Settings may come from a flat key-value config file (``--config``): one
 ``key = value`` pair per line, ``#`` comments, keys spelled like the long
-flags with ``-`` or ``_``; a key that matches no flag is refused (exit 1).
-Explicit command-line flags override config values, which override built-in
-defaults.
+flags with ``-`` or ``_``; a key that matches no flag, or a value outside its
+flag's choices, is refused (exit 1).  Explicit command-line flags override
+config values, which override built-in defaults.
 
 ``main`` resolves every setting before any work: ``--threads`` (else
 ``QBM_THREADS``), the mode, and each command's defaults (coeffs ``t_min`` and
 quantum ``n_max``, a quantum fpe ``t_start``).  Input refused there (bad
-physical parameters, quantum mode at hbar = 0, sde with hbar > 0, a
-``--suite``/``--mode`` conflict) runs and writes nothing.  ``--validate`` then
-runs the quick suite (the runner of ``validate`` too), and the command runs.
+physical parameters, coeffs ``--n-points`` below 1, sde with hbar > 0) runs
+and writes nothing.  ``--validate`` then runs the quick suite (the runner of
+``validate`` too), and the command runs.
 Each command returns its exit code, manifest path and run record, and
 ``main`` writes the manifest ``{version, **record, config}``, where
 ``config`` is every parsed setting with its defaults resolved.
@@ -105,14 +107,17 @@ def save_config(cfg: dict, path) -> None:
 
 def _apply_config_defaults(parsers, overrides: dict) -> None:
     """Make config values the parsers' defaults; a key that no parser knows
-    (a typo, a retired option) raises InvalidInput naming it."""
+    (a typo, a retired option) or a value outside its flag's choices, which
+    argparse checks on flags only, raises InvalidInput naming the key."""
     known = set()
     for parser in parsers:
+        for a in parser._actions:
+            if a.dest in overrides and a.choices and overrides[a.dest] not in a.choices:
+                raise InvalidInput(f"config key {a.dest}: invalid choice {overrides[a.dest]!r} "
+                                   f"(choose from {', '.join(a.choices)})")
         dests = {a.dest for a in parser._actions}
         known |= dests
-        hit = {k: v for k, v in overrides.items() if k in dests}
-        if hit:
-            parser.set_defaults(**hit)
+        parser.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise InvalidInput(f"unknown config key(s): {', '.join(unknown)}")
@@ -120,6 +125,13 @@ def _apply_config_defaults(parsers, overrides: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises InvalidInput: exit 1 with one ``error:`` line."""
+
+    def error(self, message):
+        raise InvalidInput(message)
 
 
 def _add_physics(ap: argparse.ArgumentParser) -> None:
@@ -130,9 +142,6 @@ def _add_physics(ap: argparse.ArgumentParser) -> None:
     g.add_argument("--temp", type=float, default=1.0, help="bath temperature")
     g.add_argument("--hbar", type=float, default=0.0, help="Planck constant over 2*pi (0 = classical)")
     g.add_argument(
-        "--classical", action="store_true", help="force hbar = 0 regardless of --hbar"
-    )
-    g.add_argument(
         "--unit-mode",
         choices=("reduced", "si"),
         default="reduced",
@@ -141,7 +150,7 @@ def _add_physics(ap: argparse.ArgumentParser) -> None:
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qbm",
         description="Brownian oscillator in an Ohmic bath: FPE coefficients, "
         "grid solver, and trajectory ensembles.",
@@ -158,7 +167,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     c = sub.add_parser("coeffs", help="tabulate coefficients to CSV")
     _add_physics(c)
-    c.add_argument("--mode", choices=("classical", "quantum"), default=None)
     c.add_argument("--t-min", type=float, default=None)
     c.add_argument("--t-max", type=float, default=10.0)
     c.add_argument("--n-points", "--n", type=int, default=201, dest="n_points")
@@ -175,7 +183,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     f = sub.add_parser("fpe", help="evolve a density on a grid")
     _add_physics(f)
-    f.add_argument("--mode", choices=("classical", "quantum"), default=None)
     f.add_argument("--t-final", type=float, default=5.0)
     f.add_argument("--t-start", type=float, default=0.0)
     f.add_argument("--n-q", type=int, default=801)
@@ -210,14 +217,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="run the consistency suite")
     _add_physics(v)
-    v.add_argument("--mode", choices=("classical", "quantum"), default=None)
-    v.add_argument(
-        "--suite",
-        choices=("quick", "full", "classical", "quantum"),
-        default="quick",
-        help="quick/full pick the depth; the mode names run the full suite "
-        "for that mode",
-    )
+    v.add_argument("--suite", choices=("quick", "full"), default="quick", help="suite depth")
     v.add_argument("--out", default="validation.json")
 
     if config:
@@ -233,34 +233,25 @@ def _resolve(args):
     """Resolve every default in ``args`` and refuse bad input, all before the
     ``--validate`` pre-run and any write; returns the physical parameters.
 
-    ``threads`` comes from the flag, then ``QBM_THREADS``, then 1.  A command
-    with ``--mode`` gets its resolved mode (a named ``validate`` suite picks
-    it), coeffs its ``t_min`` and quantum ``n_max``, and a quantum fpe run a
-    ``t_start`` past 0, where the quantum coefficients are undefined.
+    ``threads`` comes from the flag, then ``QBM_THREADS``, then 1; the mode
+    from ħ alone (``sde`` refuses ħ > 0).  coeffs gets its ``t_min`` and
+    quantum ``n_max``, and a quantum fpe run a ``t_start`` past 0, where the
+    quantum coefficients are undefined.
     """
     env = os.environ.get("QBM_THREADS")
     args.threads = max(1, args.threads if args.threads is not None else int(env or 1))
-    hbar = 0.0 if args.classical else args.hbar
-    p = derive(args.mass, args.gamma, args.omega0_sq, args.temp, hbar, args.unit_mode)
-    if args.command == "sde":
-        if not p.is_classical:
-            raise InvalidInput(
-                "sde simulates the classical dynamics only; drop --hbar or pass --classical"
-            )
-        return p
-    if args.command == "validate" and args.suite in ("classical", "quantum"):
-        if args.mode and args.mode != args.suite:
-            raise ValueError(f"--suite {args.suite} conflicts with --mode {args.mode}")
-        args.mode = args.suite
-    if args.mode == "quantum" and p.is_classical:
-        raise ValueError("quantum mode requires a nonzero --hbar")
-    args.mode = args.mode or ("classical" if p.is_classical else "quantum")
+    p = derive(args.mass, args.gamma, args.omega0_sq, args.temp, args.hbar, args.unit_mode)
+    args.mode = "classical" if p.is_classical else "quantum"
+    if args.command == "sde" and not p.is_classical:
+        raise InvalidInput("sde simulates the classical dynamics only; pass --hbar 0")
     if args.command == "coeffs":
+        if args.n_points < 1:
+            raise InvalidInput(f"--n-points must be at least 1, got {args.n_points}")
         if args.t_min is None:
-            args.t_min = 0.0 if args.mode == "classical" else args.t_max / (10.0 * args.n_points)
-        if args.mode == "quantum" and args.n_max is None:
+            args.t_min = 0.0 if p.is_classical else args.t_max / (10.0 * args.n_points)
+        if not p.is_classical and args.n_max is None:
             args.n_max = N_MODES
-    elif args.command == "fpe" and args.mode == "quantum" and args.t_start <= 0.0:
+    elif args.command == "fpe" and not p.is_classical and args.t_start <= 0.0:
         args.t_start = args.t_final / 1000.0
     return p
 
@@ -268,11 +259,10 @@ def _resolve(args):
 def _suite(args, p, quick: bool):
     """Run and print the consistency suite in the run's mode; returns
     whether it passed and its record."""
-    mode = getattr(args, "mode", "classical")  # sde has no --mode: it runs classical
-    rep = run_suite(p, mode=mode, quick=quick)
+    rep = run_suite(p, mode=args.mode, quick=quick)
     for line in rep.lines():
         print(line)
-    return rep.passed, {"mode": mode, **rep.to_dict()}
+    return rep.passed, {"mode": args.mode, **rep.to_dict()}
 
 
 def _write_manifest(path, record: dict, args) -> None:
@@ -379,19 +369,15 @@ _HANDLERS = {"coeffs": _cmd_coeffs, "fpe": _cmd_fpe, "sde": _cmd_sde, "validate"
 
 
 def main(argv=None) -> int:
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
     try:
-        ap = build_parser(load_config(known.config) if known.config else None)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, InvalidInput) as exc:  # a malformed line, an unknown key
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    args = ap.parse_args(argv)
-    try:
+        known, _ = pre.parse_known_args(argv)
+        try:
+            config = load_config(known.config) if known.config else None
+        except OSError as exc:
+            raise InvalidInput(f"cannot read config: {exc}") from exc
+        args = build_parser(config).parse_args(argv)
         p = _resolve(args)
         if args.validate:
             passed, record = _suite(args, p, quick=True)
@@ -402,12 +388,9 @@ def main(argv=None) -> int:
         code, manifest_path, record = _HANDLERS[args.command](args, p)
         _write_manifest(manifest_path, record, args)
         return code
-    except (InvalidInput, ValueError) as exc:
+    except (QbmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except QbmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (InvalidInput, ValueError)) else 2
 
 
 if __name__ == "__main__":

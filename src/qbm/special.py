@@ -7,7 +7,8 @@ Three groups of tools:
   ``x = exp(-nu*t)``, summed to a certified geometric stopping rule, and a
   divided difference over the characteristic roots (``root_dd``, the one rule
   for their critical-damping limit).  Its Matsubara series, the other route,
-  is ``qbm.coefficients.xi_q0_sum``, the series the coefficient rows sum;
+  is ``qbm.coefficients.xi_q0_sum``, the series the coefficient rows sum at
+  a cutoff N <= 2**22 (past that, a row at small nu*t may sum more terms);
 * the exponential-mode decomposition of the stationary bath noise kernel
   ``-(gamma*M*nu/(2*beta)) / sinh(nu*tau/2)**2`` with an exact dropped-tail
   formula;

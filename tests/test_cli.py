@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +26,27 @@ class TestTopLevel:
         out = str(tmp_path / "c.csv")
         assert main(["coeffs", "--t-max", "-5", "--out", out]) == 1
 
-    def test_quantum_without_hbar_exit_1(self, tmp_path, capsys):
-        out = str(tmp_path / "c.csv")
-        rc = main(["coeffs", "--mode", "quantum", "--out", out])
-        assert rc == 1
-        assert "--hbar" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["fpe", "--scheme", "foo"],
+        ["coeffs", "--bogus", "1"],
+        ["coeffs", "--n-points", "x"],
+        ["coeffs", "--classical"],
+        ["--config"],
+    ], ids=["bad-choice", "unknown-flag", "bad-type", "removed-flag", "pre-parser"])
+    def test_usage_error_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        # exit 2 is kept for numerical failures: a usage error is bad input
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.count("\n") == 1 and cap.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["coeffs", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: qbm" in capsys.readouterr().out
 
     def test_numerical_failure_exit_2(self, tmp_path):
         # underdamped drift poles inside the solve window are a numerical
@@ -105,8 +124,40 @@ class TestConfigFile:
         man = json.loads((tmp_path / "c.csv.json").read_text())
         assert man["config"]["t_max"] == 2 and man["n_points"] == 3
 
+    @pytest.mark.parametrize("line", ["suite = nope", "suite = quantum", "scheme = foo"])
+    def test_config_value_outside_choices_exit_1(self, tmp_path, capsys, monkeypatch, line):
+        # config values become defaults, which argparse does not check against choices
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        assert main(["--config", "run.cfg", "validate", "--out", "v.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split()[0] in err
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "coeffs"]) == 1
+
+
+class TestReadme:
+    """README's "Command line" examples parse with the current parser."""
+
+    @staticmethod
+    def _blocks():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        return re.findall(r"```\w*\n(.*?)```", section, re.S)
+
+    def test_command_lines_parse(self):
+        lines = [ln for b in self._blocks() for ln in b.splitlines() if ln.startswith("qbm ")]
+        assert len(lines) >= 4
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_config_example_parses(self, tmp_path):
+        (tmp_path / "run.cfg").write_text(next(b for b in self._blocks() if "# run.cfg" in b))
+        config = load_config(tmp_path / "run.cfg")
+        args = vars(build_parser(config).parse_args(["fpe"]))
+        assert config and {k: args[k] for k in config} == config
 
 
 class TestCoeffs:
@@ -128,7 +179,7 @@ class TestCoeffs:
     def test_row_count_contract_with_n_alias(self, tmp_path):
         out = str(tmp_path / "c.csv")
         rc = main(["coeffs", "--gamma", "1", "--omega0-sq", "0.16", "--mass", "1",
-                   "--temp", "1", "--classical", "--t-max", "10", "--n", "200",
+                   "--temp", "1", "--hbar", "0", "--t-max", "10", "--n", "200",
                    "--out", out])
         assert rc == 0
         lines = (tmp_path / "c.csv").read_text().splitlines()
@@ -147,13 +198,15 @@ class TestCoeffs:
         assert man["mode"] == "quantum"
         assert man["n_max"] == 200
 
-    def test_classical_flag_overrides_hbar(self, tmp_path):
-        out = str(tmp_path / "c.csv")
-        rc = main(["coeffs", "--hbar", "1", "--classical", "--t-max", "2",
-                   "--n-points", "5", "--out", out])
-        assert rc == 0
-        man = json.loads((tmp_path / "c.csv.json").read_text())
-        assert man["mode"] == "classical"
+    @pytest.mark.parametrize("hbar", ["0", "1"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_too_few_points_exit_1(self, tmp_path, capsys, hbar, n):
+        out = tmp_path / "c.csv"
+        rc = main(["coeffs", "--hbar", hbar, "--n-points", n, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --n-points must be at least 1, got {n}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QBM_THREADS", "2")
@@ -211,7 +264,7 @@ class TestCoeffs:
         assert "t_grid[0] = 1e-18: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
-    @pytest.mark.parametrize("mode", ["--hbar=1", "--classical"])
+    @pytest.mark.parametrize("mode", ["--hbar=1", "--hbar=0"])
     def test_bad_tol_exit_1(self, tmp_path, capsys, mode, tol):
         out = tmp_path / "q.csv"
         rc = main(["coeffs", mode, "--t-max", "1", "--n-points", "2",
@@ -383,10 +436,9 @@ class TestSde:
         assert rc == 1
         assert "classical" in capsys.readouterr().err
         assert not out.exists()
-        rc = main(["sde", "--hbar", "1", "--classical", "--paths", "10",
-                   "--t-final", "0.1", "--out", str(out)])
+        rc = main(["sde", "--hbar", "0", "--paths", "10", "--t-final", "0.1", "--out", str(out)])
         assert rc == 0
-        assert json.loads((tmp_path / "s.csv.json").read_text())["config"]["hbar"] == 1.0
+        assert json.loads((tmp_path / "s.csv.json").read_text())["config"]["hbar"] == 0.0
 
     def test_csv_header(self, tmp_path):
         out = str(tmp_path / "s.csv")
@@ -423,12 +475,12 @@ class TestValidate:
 
     def test_named_suite_selects_mode(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["validate", "--suite", "classical"]) == 0
+        assert main(["validate", "--suite", "full"]) == 0
         rep = json.loads((tmp_path / "validation.json").read_text())
         assert rep["passed"] is True
         assert rep["mode"] == "classical"
 
-    def test_named_suite_conflicting_mode_rejected(self, tmp_path, capsys):
+    def test_removed_suite_and_mode_spellings_refused(self, tmp_path, capsys):
         out = str(tmp_path / "v.json")
         rc = main(["validate", "--suite", "classical", "--mode", "quantum",
                    "--out", out])
@@ -440,7 +492,7 @@ class TestValidate:
          "--out", "s.csv"],
         ["--validate", "validate", "--hbar", "1", "--suite", "classical", "--mode", "quantum",
          "--out", "v.json"],
-    ], ids=["sde-hbar", "suite-mode-conflict"])
+    ], ids=["sde-hbar", "removed-suite-and-mode-spellings"])
     def test_refused_run_runs_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
         # input refusals come before the --validate pre-run and any write
         monkeypatch.chdir(tmp_path)
@@ -474,9 +526,10 @@ class TestRunRecord:
         (["--validate", "fpe", "--hbar", "1", "--t-final", "1", "--n-q", "401", "--dt", "5e-3",
           "--out", "f.csv"],
          "f.csv.validation.json", {"mode": "quantum", "t_start": 1e-3}),
-        (["sde", "--paths", "10", "--t-final", "0.1", "--out", "s.csv"], "s.csv.json", {}),
-        (["validate", "--hbar", "1", "--suite", "classical", "--out", "v.json"],
-         "v.json", {"mode": "classical"}),
+        (["sde", "--paths", "10", "--t-final", "0.1", "--out", "s.csv"], "s.csv.json",
+         {"mode": "classical"}),
+        (["validate", "--hbar", "1", "--suite", "full", "--out", "v.json"],
+         "v.json", {"mode": "quantum"}),
     ], ids=["coeffs-quantum", "coeffs-classical", "fpe", "fpe-quantum-prerun", "sde", "validate"])
     def test_config_holds_every_resolved_setting(self, tmp_path, monkeypatch, argv, manifest,
                                                  resolved):
@@ -486,3 +539,25 @@ class TestRunRecord:
         config = json.loads((tmp_path / manifest).read_text())["config"]
         parsed = vars(build_parser().parse_args(argv))
         assert config == {**parsed, "threads": 2, **resolved}
+
+    _RUNS = {
+        "coeffs": (["coeffs", "--t-max", "2", "--n-points", "5", "--out", "c.csv"], "c.csv.json"),
+        "fpe": (["fpe", "--t-start", "0.5", "--t-final", "1", "--n-q", "401", "--dt", "5e-3",
+                 "--out", "f.csv"], "f.csv.json"),
+        "sde": (["sde", "--paths", "10", "--t-final", "0.1", "--out", "s.csv"], "s.csv.json"),
+        "validate": (["validate", "--out", "v.json"], "v.json"),
+    }
+
+    # sde refuses hbar > 0 (TestSde::test_quantum_hbar_refused_exit_1)
+    @pytest.mark.parametrize("command, hbar", [
+        ("coeffs", 0.0), ("coeffs", 1.0), ("fpe", 0.0), ("fpe", 1.0), ("sde", 0.0),
+        ("validate", 0.0), ("validate", 1.0),
+    ])
+    def test_mode_is_quantum_exactly_when_hbar_positive(self, tmp_path, monkeypatch, command,
+                                                        hbar):
+        argv, manifest = self._RUNS[command]
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--hbar", str(hbar)]) == 0
+        config = json.loads((tmp_path / manifest).read_text())["config"]
+        assert config["hbar"] == hbar
+        assert config["mode"] == ("quantum" if hbar > 0.0 else "classical")
