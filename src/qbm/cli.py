@@ -7,8 +7,9 @@ Subcommands: ``coeffs`` (tabulate coefficients to CSV + JSON manifest),
 ``--hbar`` alone picks the dynamics: 0 (the default) classical, > 0 quantum.
 
 Exit codes: 0 success, 1 bad input (a usage error, an FPE grid too coarse
-for its initial density, ...) or a failed consistency check, 2 a numerical
-failure inside the engines (unbounded tail, pole-window crossing, ...).
+for its initial density, an output that cannot be written, ...) or a failed
+consistency check, 2 a numerical failure inside the engines (unbounded tail,
+pole-window crossing, ...).
 
 Settings may come from a flat key-value config file (``--config``): one
 ``key = value`` pair per line, ``#`` comments, keys spelled like the long
@@ -20,11 +21,10 @@ config values, which override built-in defaults.
 ``QBM_THREADS``), the mode, and each command's defaults (coeffs ``t_min`` and
 quantum ``n_max``, a quantum fpe ``t_start``).  Input refused there (bad
 physical parameters, coeffs ``--n-points`` below 1, sde with hbar > 0) runs
-and writes nothing.  ``--validate`` then runs the quick suite (the runner of
-``validate`` too), and the command runs.
-Each command returns its exit code, manifest path and run record, and
-``main`` writes the manifest ``{version, **record, config}``, where
-``config`` is every parsed setting with its defaults resolved.
+and writes nothing.  Then the one command runs: it returns its exit code,
+manifest path and run record, and ``main`` writes the manifest
+``{version, **record, config}``, where ``config`` is every parsed setting
+with its defaults resolved.
 """
 
 from __future__ import annotations
@@ -158,11 +158,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     ap.add_argument("--config", default=None, help="flat key-value settings file")
     ap.add_argument("--threads", type=int, default=None, help="sde ensemble threads (or QBM_THREADS)")
-    ap.add_argument(
-        "--validate",
-        action="store_true",
-        help="run the quick consistency suite before the subcommand",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("coeffs", help="tabulate coefficients to CSV")
@@ -230,8 +225,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _resolve(args):
-    """Resolve every default in ``args`` and refuse bad input, all before the
-    ``--validate`` pre-run and any write; returns the physical parameters.
+    """Resolve every default in ``args`` and refuse bad input, all before
+    any work or write; returns the physical parameters.
 
     ``threads`` comes from the flag, then ``QBM_THREADS``, then 1; the mode
     from ħ alone (``sde`` refuses ħ > 0).  coeffs gets its ``t_min`` and
@@ -254,15 +249,6 @@ def _resolve(args):
     elif args.command == "fpe" and not p.is_classical and args.t_start <= 0.0:
         args.t_start = args.t_final / 1000.0
     return p
-
-
-def _suite(args, p, quick: bool):
-    """Run and print the consistency suite in the run's mode; returns
-    whether it passed and its record."""
-    rep = run_suite(p, mode=args.mode, quick=quick)
-    for line in rep.lines():
-        print(line)
-    return rep.passed, {"mode": args.mode, **rep.to_dict()}
 
 
 def _write_manifest(path, record: dict, args) -> None:
@@ -361,8 +347,10 @@ def _cmd_sde(args, p):
 
 
 def _cmd_validate(args, p):
-    passed, record = _suite(args, p, quick=args.suite == "quick")
-    return int(not passed), args.out, record
+    rep = run_suite(p, quick=args.suite == "quick")
+    for line in rep.lines():
+        print(line)
+    return int(not rep.passed), args.out, {"mode": args.mode, **rep.to_dict()}
 
 
 _HANDLERS = {"coeffs": _cmd_coeffs, "fpe": _cmd_fpe, "sde": _cmd_sde, "validate": _cmd_validate}
@@ -379,18 +367,12 @@ def main(argv=None) -> int:
             raise InvalidInput(f"cannot read config: {exc}") from exc
         args = build_parser(config).parse_args(argv)
         p = _resolve(args)
-        if args.validate:
-            passed, record = _suite(args, p, quick=True)
-            if args.command != "validate":
-                _write_manifest(args.out + ".validation.json", record, args)
-            if not passed:
-                return 1
         code, manifest_path, record = _HANDLERS[args.command](args, p)
         _write_manifest(manifest_path, record, args)
         return code
-    except (QbmError, ValueError) as exc:
+    except (QbmError, ValueError, OSError) as exc:  # OSError: an output not writable
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (InvalidInput, ValueError)) else 2
+        return 1 if isinstance(exc, (InvalidInput, ValueError, OSError)) else 2
 
 
 if __name__ == "__main__":

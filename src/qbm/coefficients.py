@@ -813,12 +813,6 @@ class CoefficientTable:
     def _pad(self) -> float:
         return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
 
-    def in_pole_window(self, t_lo: float, t_hi: float) -> bool:
-        """Whether [t_lo, t_hi] overlaps a pole window padded by one table
-        spacing: the rule on which ``step_coeffs`` refuses a step."""
-        pad = self._pad()
-        return any(t_lo <= b + pad and t_hi >= a - pad for a, b in self.pole_windows)
-
     def _in_range(self, t):
         return (t >= self.t[0] - 1e-12) & (t <= self.t[-1] + 1e-12)
 
@@ -849,19 +843,24 @@ class CoefficientTable:
         pad = self._pad()
         om = np.interp(t_mid, self.t, self.omega)
         dc = np.interp(t_mid, self.t, self.d_fpe)
-        ok = self._in_range(t_mid) & np.isfinite(om) & np.isfinite(dc) & (dc >= 0)
+        clear = True
         for a, b in self.pole_windows:
-            ok = ok & ((t_lo > b + pad) | (t_hi < a - pad))
+            clear = clear & ((t_lo > b + pad) | (t_hi < a - pad))
+        masks = np.broadcast_arrays(
+            clear, self._in_range(t_mid), np.isfinite(om) & np.isfinite(dc), dc >= 0
+        )
+        ok = np.logical_and.reduce(masks)
         if not np.all(ok):
             k = int(np.argmin(np.ravel(ok)))
-            lo, hi, tm, o, d = (
+            lo, hi, tm, d = (
                 float(np.ravel(np.broadcast_to(x, np.shape(ok)))[k])
-                for x in (t_lo, t_hi, t_mid, om, dc)
+                for x in (t_lo, t_hi, t_mid, dc)
             )
-            if self.in_pole_window(lo, hi):
+            failed = next(i for i, m in enumerate(masks) if not np.ravel(m)[k])
+            if failed == 0:
                 raise PoleWindow(f"step [{lo}, {hi}] overlaps a drift pole window padded by {pad}")
             self._check_range(tm)
-            if not (math.isfinite(o) and math.isfinite(d)):
+            if failed == 2:
                 raise NonFiniteCoefficient(f"omega/d_fpe not finite at t={tm}")
             raise NegativeDiffusion(f"D(t={tm}) = {d} < 0")
         return om, dc

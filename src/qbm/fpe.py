@@ -162,15 +162,6 @@ class StepGrid:
         self.nonneg = int(np.searchsorted(self.qf, 0.0, side="left"))
 
 
-def _net(out, inn):
-    """Per cell, 0 - out[i] through its right face + inn[i-1] through its left."""
-    d = np.empty(len(out) + 1)
-    np.subtract(0.0, out, out=d[:-1])
-    d[-1] = 0.0
-    d[1:] += inn
-    return d
-
-
 def _lapack_ok(info: int, name: str) -> int:
     """LAPACK's info, once a negative one (an illegal argument) is refused."""
     if info < 0:
@@ -303,7 +294,11 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
 
     dq = grid.dq
     f = om * grid.qf * _upwind_cells(rho, grid, om) / dq
-    adv = _net(f, f)
+    # per cell, 0 - f out through its right face + f in through its left
+    adv = np.empty(len(rho))
+    np.subtract(0.0, f, out=adv[:-1])
+    adv[-1] = 0.0
+    adv[1:] += f
     if grid.absorbing:
         uL, uR = om * grid.walls[0], om * grid.walls[1]
         if uL < 0.0:
@@ -313,7 +308,8 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
     rho = rho + h * adv
 
     # L at om = 0 from scalars: every face weighs rho_i by a = k/dq and
-    # rho_{i+1} by b = -k/dq, so both off-diagonals are a, _net(a, b) 3 values
+    # rho_{i+1} by b = -k/dq, so both off-diagonals are a and the diagonal,
+    # (0 - a) + b per cell as for adv above, takes 3 values
     k = dc / (2.0 * dq)
     a, b = k / dq, -k / dq
     d_mid, d_lo, d_hi = (0.0 - a) + b, 0.0 - a, 0.0 + b

@@ -96,7 +96,9 @@ def _safe_grid(p: PhysicalParams, t: np.ndarray) -> np.ndarray:
     return t[keep]
 
 
-def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) -> ValidationReport:
+def run_suite(p: PhysicalParams, quick: bool = True) -> ValidationReport:
+    """Every check in the mode ħ picks: the classical ones always, the
+    quantum ones too when ħ > 0.  ``quick`` runs the grid solver small."""
     rep = ValidationReport()
     t = _safe_grid(p, _grid(p))
 
@@ -156,7 +158,7 @@ def run_suite(p: PhysicalParams, mode: str = "classical", quick: bool = True) ->
     except QbmError as exc:  # pole windows in strongly underdamped runs
         check("fpe-run", 1.0, 0.0, f"solver aborted: {exc}")
 
-    if mode == "quantum":
+    if not p.is_classical:
         nu = p.matsubara_nu()
         for tt in (0.3 / nu, 2.0 / nu, 10.0 / nu):
             closed_v = xi_q0_closed(p, tt, 1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qbm import __version__
-from qbm.cli import build_parser, load_config, main, save_config
+from qbm.cli import _resolve, build_parser, load_config, main, save_config
 
 
 class TestTopLevel:
@@ -32,7 +32,9 @@ class TestTopLevel:
         ["coeffs", "--n-points", "x"],
         ["coeffs", "--classical"],
         ["--config"],
-    ], ids=["bad-choice", "unknown-flag", "bad-type", "removed-flag", "pre-parser"])
+        ["--validate", "coeffs", "--t-max", "2", "--n-points", "5", "--out", "c.csv"],
+    ], ids=["bad-choice", "unknown-flag", "bad-type", "removed-flag", "pre-parser",
+            "removed-validate-flag"])
     def test_usage_error_exit_1(self, tmp_path, capsys, monkeypatch, argv):
         # exit 2 is kept for numerical failures: a usage error is bad input
         monkeypatch.chdir(tmp_path)
@@ -47,6 +49,19 @@ class TestTopLevel:
             main(argv)
         assert exc.value.code == 0
         assert "usage: qbm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--t-max", "1", "--n", "3", "--out", "missing/c.csv"],
+        ["fpe", "--t-final", "0.1", "--n-q", "201", "--dt", "5e-3", "--out", "missing/f.csv"],
+        ["sde", "--paths", "10", "--t-final", "0.1", "--out", "missing/s.csv"],
+        ["sde", "--paths", "10", "--t-final", "0.1", "--dump-paths", "missing/p.bin"],
+        ["validate", "--out", "missing/v.json"],
+    ], ids=["coeffs", "fpe", "sde", "sde-dump-paths", "validate"])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "missing/" in err
 
     def test_numerical_failure_exit_2(self, tmp_path):
         # underdamped drift poles inside the solve window are a numerical
@@ -472,6 +487,7 @@ class TestValidate:
         rep = json.loads((tmp_path / "validation.json").read_text())
         assert rep["passed"] is True
         assert all(c["passed"] for c in rep["checks"])
+        assert out.count("[PASS]") == len(rep["checks"])  # each check printed once
 
     def test_named_suite_selects_mode(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -488,27 +504,17 @@ class TestValidate:
         assert "suite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["--validate", "sde", "--hbar", "1", "--paths", "10", "--t-final", "0.1",
-         "--out", "s.csv"],
-        ["--validate", "validate", "--hbar", "1", "--suite", "classical", "--mode", "quantum",
+        ["sde", "--hbar", "1", "--paths", "10", "--t-final", "0.1", "--out", "s.csv"],
+        ["validate", "--hbar", "1", "--suite", "classical", "--mode", "quantum",
          "--out", "v.json"],
     ], ids=["sde-hbar", "removed-suite-and-mode-spellings"])
     def test_refused_run_runs_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
-        # input refusals come before the --validate pre-run and any write
+        # input refusals come before any work or write
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         cap = capsys.readouterr()
         assert cap.out == "" and cap.err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
-
-    def test_preflight_validate_flag(self, tmp_path, capsys):
-        out = str(tmp_path / "c.csv")
-        rc = main(["--validate", "coeffs", "--t-max", "2", "--n-points", "5",
-                   "--out", out])
-        assert rc == 0
-        assert "[PASS]" in capsys.readouterr().out
-        rep = json.loads((tmp_path / "c.csv.validation.json").read_text())
-        assert rep["passed"] is True
 
 
 class TestRunRecord:
@@ -521,16 +527,11 @@ class TestRunRecord:
          "c.csv.json", {"mode": "classical", "t_min": 0.0}),
         (["fpe", "--t-final", "0.5", "--n-q", "201", "--dt", "5e-3", "--out", "f.csv"],
          "f.csv.json", {"mode": "classical"}),
-        # the pre-run's report is written before the quantum fpe run, which then
-        # refuses its negative short-time D: the report carries the resolved t_start
-        (["--validate", "fpe", "--hbar", "1", "--t-final", "1", "--n-q", "401", "--dt", "5e-3",
-          "--out", "f.csv"],
-         "f.csv.validation.json", {"mode": "quantum", "t_start": 1e-3}),
         (["sde", "--paths", "10", "--t-final", "0.1", "--out", "s.csv"], "s.csv.json",
          {"mode": "classical"}),
         (["validate", "--hbar", "1", "--suite", "full", "--out", "v.json"],
          "v.json", {"mode": "quantum"}),
-    ], ids=["coeffs-quantum", "coeffs-classical", "fpe", "fpe-quantum-prerun", "sde", "validate"])
+    ], ids=["coeffs-quantum", "coeffs-classical", "fpe", "sde", "validate"])
     def test_config_holds_every_resolved_setting(self, tmp_path, monkeypatch, argv, manifest,
                                                  resolved):
         monkeypatch.setenv("QBM_THREADS", "2")
@@ -539,6 +540,16 @@ class TestRunRecord:
         config = json.loads((tmp_path / manifest).read_text())["config"]
         parsed = vars(build_parser().parse_args(argv))
         assert config == {**parsed, "threads": 2, **resolved}
+
+    def test_resolve_quantum_fpe_t_start(self, monkeypatch):
+        # every quantum fpe run from t_start = 0 still refuses its negative
+        # short-time D (exit 2), so no manifest shows this resolved t_start
+        monkeypatch.setenv("QBM_THREADS", "2")
+        args = build_parser().parse_args(
+            ["fpe", "--hbar", "1", "--t-final", "1", "--n-q", "401", "--dt", "5e-3"])
+        parsed = dict(vars(args))
+        _resolve(args)
+        assert vars(args) == {**parsed, "threads": 2, "mode": "quantum", "t_start": 1e-3}
 
     _RUNS = {
         "coeffs": (["coeffs", "--t-max", "2", "--n-points", "5", "--out", "c.csv"], "c.csv.json"),

@@ -14,6 +14,7 @@ from qbm import (
     CoefficientTable,
     HbarZero,
     InvalidInput,
+    PoleWindow,
     TailNotBounded,
     build_table,
     chi_q,
@@ -865,8 +866,9 @@ class TestCoefficientTable:
         assert np.all(np.isnan(table.d_fpe[inside]))
         outside = ~inside & (grid < table.pole_windows[1][0] if len(table.pole_windows) > 1 else ~inside)
         assert np.all(np.isfinite(table.sigma_q))
-        assert table.in_pole_window(a + 1e-6, a + 1e-5)
-        assert not table.in_pole_window(0.0, a - 0.1)
+        with pytest.raises(PoleWindow):
+            table.step_coeffs(a + 1e-6, a + 1e-5, a + 5.5e-6)
+        table.step_coeffs(0.0, a - 0.1, (a - 0.1) / 2.0)
 
     def test_grid_validation(self, p_over, pq_over):
         with pytest.raises(ValueError):

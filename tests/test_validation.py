@@ -26,11 +26,11 @@ class TestSuites:
     @pytest.mark.parametrize("regime", ["under", "crit"])
     def test_classical_quick_other_regimes(self, regime, request):
         p = request.getfixturevalue(f"p_{regime}")
-        rep = run_suite(p, mode="classical", quick=True)
+        rep = run_suite(p, quick=True)
         assert rep.passed, "\n".join(rep.lines())
 
     def test_quantum_quick_overdamped(self, pq_over):
-        rep = run_suite(pq_over, mode="quantum", quick=True)
+        rep = run_suite(pq_over, quick=True)
         assert rep.passed, "\n".join(rep.lines())
         names = {c.name for c in rep.checks}
         assert any(n.startswith("xi-q0-routes") for n in names)
@@ -46,7 +46,7 @@ class TestSuites:
         # closed form vs explicit 2000-mode sum, under one flat limit; off
         # critical damping by 2e-5*gamma the two agree to 2.9e-11
         p = request.getfixturevalue(f"pq_{regime}")
-        rep = run_suite(p, mode="quantum", quick=True)
+        rep = run_suite(p, quick=True)
         assert rep.passed, "\n".join(rep.lines())
         (check,) = [c for c in rep.checks if c.name == "quantum-mode-sum-routes"]
         assert check.limit == 1e-9
@@ -58,7 +58,7 @@ class TestSuites:
     def test_quantum_stationary_variance(self, args):
         # sigma1's classical base plus its mode part at t = 40/Re(lambda2)
         # against the equilibrium variance <q^2>_N, summed directly
-        rep = run_suite(derive(*args, hbar=1.0), mode="quantum", quick=True)
+        rep = run_suite(derive(*args, hbar=1.0), quick=True)
         (check,) = [c for c in rep.checks if c.name == "quantum-stationary-variance"]
         assert check.limit == 1e-12
         assert check.value < 1e-13
@@ -68,7 +68,7 @@ class TestSuites:
             raise PoleWindow("step enters a pole window")
 
         monkeypatch.setattr(qbm.validation, "solve", aborting)
-        rep = run_suite(p_over, mode="classical", quick=True)
+        rep = run_suite(p_over, quick=True)
         assert not rep.passed
         fpe_run = [c for c in rep.checks if c.name == "fpe-run"]
         assert len(fpe_run) == 1 and "pole window" in fpe_run[0].detail
@@ -79,4 +79,4 @@ class TestSuites:
 
         monkeypatch.setattr(qbm.validation, "solve", buggy)
         with pytest.raises(ZeroDivisionError, match="solver bug"):
-            run_suite(p_over, mode="classical", quick=True)
+            run_suite(p_over, quick=True)
