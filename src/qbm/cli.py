@@ -20,11 +20,11 @@ config values, which override built-in defaults.
 ``main`` resolves every setting before any work: ``--threads`` (else
 ``QBM_THREADS``), the mode, and each command's defaults (coeffs ``t_min`` and
 quantum ``n_max``, a quantum fpe ``t_start``).  Input refused there (bad
-physical parameters, coeffs ``--n-points`` below 1, sde with hbar > 0) runs
-and writes nothing.  Then the one command runs: it returns its exit code,
-manifest path and run record, and ``main`` writes the manifest
-``{version, **record, config}``, where ``config`` is every parsed setting
-with its defaults resolved.
+physical parameters, coeffs ``--n-points`` below 1, sde with hbar > 0, an
+output into a missing directory) runs and writes nothing.  Then the one
+command runs: it returns its exit code, manifest path and run record, and
+``main`` writes the manifest ``{version, **record, config}``, where
+``config`` is every parsed setting with its defaults resolved.
 """
 
 from __future__ import annotations
@@ -231,7 +231,8 @@ def _resolve(args):
     ``threads`` comes from the flag, then ``QBM_THREADS``, then 1; the mode
     from ħ alone (``sde`` refuses ħ > 0).  coeffs gets its ``t_min`` and
     quantum ``n_max``, and a quantum fpe run a ``t_start`` past 0, where the
-    quantum coefficients are undefined.
+    quantum coefficients are undefined.  An output into a missing directory
+    is refused.
     """
     env = os.environ.get("QBM_THREADS")
     args.threads = max(1, args.threads if args.threads is not None else int(env or 1))
@@ -248,6 +249,9 @@ def _resolve(args):
             args.n_max = N_MODES
     elif args.command == "fpe" and not p.is_classical and args.t_start <= 0.0:
         args.t_start = args.t_final / 1000.0
+    for path in (args.out, getattr(args, "dump_paths", None)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise InvalidInput(f"cannot write {path}: no directory {os.path.dirname(path)!r}")
     return p
 
 

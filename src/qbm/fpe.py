@@ -28,7 +28,7 @@ The right-hand side is 2*rho - M*rho; the one gtsv solve is the step's floor.
 The ``split-upwind`` diffusion band (Omega = 0, uniform grid) is symmetric
 positive definite with scalar entries, factored by pttrf on a prefix up to
 the fixed point of its pivots and solved by pttrs (ptsv's result bit for
-bit); its upwind cells are gathered by two slices split at q = 0.
+bit); its upwind flux takes one in-place product on each side of q = 0.
 A grid whose cell width exceeds the initial standard deviation is refused
 (``UnresolvedGrid``) before the first step.
 """
@@ -95,18 +95,19 @@ class SolverConfig:
     domain_sigmas: float = 8.0
 
     def __post_init__(self):
-        if self.n_q < 5:
-            raise ValueError("n_q must be >= 5")
-        if not (self.dt > 0.0):
-            raise ValueError("dt must be positive")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.boundary not in _BOUNDARIES:
-            raise ValueError(
-                f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}"
-            )
-        if not (self.init_var > 0.0):
-            raise ValueError("init_var must be positive")
+        for name, ok, need in (
+            ("n_q", self.n_q >= 5, ">= 5"),
+            ("dt", self.dt > 0.0, "positive"),
+            ("init_var", 0.0 < self.init_var < math.inf, "positive and finite"),
+            ("q0", math.isfinite(self.q0), "finite"),
+            ("domain_sigmas", 0.0 < self.domain_sigmas < math.inf, "positive and finite"),
+            ("n_table", self.n_table >= 2, ">= 2"),
+            ("q_min", None in (self.q_min, self.q_max) or self.q_min < self.q_max, "below q_max"),
+            ("scheme", self.scheme in _SCHEMES, f"one of {_SCHEMES}"),
+            ("boundary", self.boundary in _BOUNDARIES, f"one of {_BOUNDARIES}"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -249,19 +250,19 @@ def solve_banded(lower, diag, upper, rhs):
     return x
 
 
-def _upwind_cells(rho: np.ndarray, grid: StepGrid, om: float) -> np.ndarray:
-    """Per face, rho of its upwind cell: the left one where om*q_f > 0, else
-    the right one.  The side flips only at q_f = 0, so two slices do it."""
-    src = np.empty(len(rho) - 1)
+def _upwind_flux(rho: np.ndarray, grid: StepGrid, om: float) -> np.ndarray:
+    """Per face, om*q_f times rho of its upwind cell (the left one where om*q_f
+    > 0, else the right): the side flips only at q_f = 0, so two products."""
+    f = om * grid.qf
     if om > 0.0:
         i = grid.pos
-        src[:i] = rho[1 : i + 1]
-        src[i:] = rho[i:-1]
+        np.multiply(f[:i], rho[1 : i + 1], out=f[:i])
+        np.multiply(f[i:], rho[i:-1], out=f[i:])
     else:
         i = grid.nonneg if om < 0.0 else 0
-        src[:i] = rho[:i]
-        src[i:] = rho[i + 1 :]
-    return src
+        np.multiply(f[:i], rho[:i], out=f[:i])
+        np.multiply(f[i:], rho[i + 1 :], out=f[i:])
+    return f
 
 
 def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.ndarray:
@@ -274,7 +275,7 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
     definite and given by four scalars, by pttrf up to the fixed point of its
     pivots and pttrs (``solve_banded``).  The caller owns the time and every
     guard, and starts each step from a finite rho, so no input is scanned for
-    finiteness.
+    finiteness.  rho is left as it is; the result is a fresh array.
     """
     c = h / 2.0
     if not grid.upwind:
@@ -293,7 +294,8 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
         return solve_banded(lo, diag, up, rhs)
 
     dq = grid.dq
-    f = om * grid.qf * _upwind_cells(rho, grid, om) / dq
+    f = _upwind_flux(rho, grid, om)
+    f /= dq
     # per cell, 0 - f out through its right face + f in through its left
     adv = np.empty(len(rho))
     np.subtract(0.0, f, out=adv[:-1])
@@ -305,7 +307,8 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
             adv[0] += uL * rho[0] / dq
         if uR > 0.0:
             adv[-1] -= uR * rho[-1] / dq
-    rho = rho + h * adv
+    adv *= h
+    rho = np.add(adv, rho, out=adv)  # rho + h*adv: IEEE addition commutes
 
     # L at om = 0 from scalars: every face weighs rho_i by a = k/dq and
     # rho_{i+1} by b = -k/dq, so both off-diagonals are a and the diagonal,
@@ -317,10 +320,13 @@ def step(rho: np.ndarray, grid: StepGrid, om: float, dc: float, h: float) -> np.
         d_lo, d_hi = d_lo + b, d_hi - a
     y = d_mid * rho
     y[0], y[-1] = d_lo * rho[0], d_hi * rho[-1]
-    y[:-1] += a * rho[1:]
-    y[1:] += a * rho[:-1]
+    ar = a * rho  # the products a*rho[1:] and a*rho[:-1] share
+    y[:-1] += ar[1:]
+    y[1:] += ar[:-1]
+    y *= c
+    y += rho  # rho + c*y, the right-hand side pttrs overwrites with the result
     diag = (1.0 - c * d_lo, 1.0 - c * d_mid, 1.0 - c * d_hi)
-    return solve_banded(-c * a, diag, None, rho + c * y)
+    return solve_banded(-c * a, diag, None, y)
 
 
 @dataclass
@@ -404,7 +410,7 @@ def solve(
     rho, taken = field.rho, {}
     for k, (o, d, hk) in enumerate(zip(om.tolist(), dc.tolist(), h.tolist())):
         rho = step(rho, grid, o, d, hk)
-        if not math.isfinite(rho.sum()) and not np.all(np.isfinite(rho)):  # sum can overflow
+        if not math.isfinite(np.add.reduce(rho)) and not np.all(np.isfinite(rho)):  # sum can overflow
             raise NonFiniteState(f"non-finite density after step to t={t_hi[k]}")
         if k in snap_steps:
             taken[k] = rho.copy()

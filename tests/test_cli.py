@@ -58,10 +58,26 @@ class TestTopLevel:
         ["validate", "--out", "missing/v.json"],
     ], ids=["coeffs", "fpe", "sde", "sde-dump-paths", "validate"])
     def test_unwritable_output_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        # refused while resolving: no command's work starts and nothing is written
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the output was checked")
+
+        for name in ("build_table", "solve", "simulate_langevin", "run_suite"):
+            monkeypatch.setattr(f"qbm.cli.{name}", never)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "missing/" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_write_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        # an output path that passes the directory check but cannot be opened
+        # (here a directory) fails in its writer: still one error line
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.csv").mkdir()
+        assert main(["coeffs", "--t-max", "1", "--n", "3", "--out", "c.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "c.csv" in err
 
     def test_numerical_failure_exit_2(self, tmp_path):
         # underdamped drift poles inside the solve window are a numerical

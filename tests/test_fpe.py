@@ -49,6 +49,18 @@ class TestConfigAndField:
             SolverConfig(boundary="periodic")
         with pytest.raises(ValueError):
             SolverConfig(init_var=0.0)
+        # refused at construction, naming the field, before any table or grid
+        for field, value, more in [
+            ("init_var", np.inf, {}), ("init_var", np.nan, {}), ("q0", np.nan, {}),
+            ("q0", -np.inf, {}), ("domain_sigmas", 0.0, {}), ("domain_sigmas", -2.0, {}),
+            ("domain_sigmas", np.inf, {}), ("domain_sigmas", np.nan, {}),
+            ("n_table", 1, {}), ("n_table", 0, {}),
+            ("q_min", 1.0, {"q_max": 1.0}), ("q_min", 2.0, {"q_max": 1.0}),
+        ]:
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                SolverConfig(**{field: value}, **more)
+        SolverConfig(q_min=0.5, q_max=1.0)
+        SolverConfig(q_min=2.0)
 
     def test_field_grid_validation(self):
         with pytest.raises(GridMismatch):
@@ -329,6 +341,34 @@ def test_lean_kernel_matches_reference_assembly(scheme, boundary, om, n):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("h, dc", [(5e-4, 1.5), (2e-3, 0.9)])
+@pytest.mark.parametrize("om", [-0.7, 0.0, 0.4])
+@pytest.mark.parametrize("boundary", ["zero-flux", "absorbing"])
+def test_fine_upwind_step_matches_reference(boundary, om, h, dc, pttrf_lengths):
+    # the fpe-grid size, where the diffusion factor takes its fixed-point fill
+    q = np.linspace(-3.0, 4.1, 16801)  # dq = 7.1/16800: its divisions round
+    rho = DensityField.gaussian(q, 0.5, 0.005).rho
+    want = _reference_step(rho, q, np.float64(om), dc, h, "split-upwind", boundary)
+    got = step(rho, StepGrid(q, "split-upwind", boundary), om, dc, h)
+    assert pttrf_lengths[-1] == 2 and pttrf_lengths[0] < len(q)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["cn-central", "split-upwind"])
+def test_step_is_pure(scheme):
+    # a fresh result each call, and the input and earlier results left alone
+    q = np.linspace(-3.0, 4.0, 801)
+    grid = StepGrid(q, scheme, "absorbing")
+    rho = DensityField.gaussian(q, 0.5, 0.01).rho
+    before = rho.tobytes()
+    first = step(rho, grid, 0.4, 0.9, 2e-3)
+    kept = first.tobytes()
+    second = step(rho, grid, 0.4, 0.9, 2e-3)
+    assert second is not first and not np.shares_memory(first, second)
+    assert not np.shares_memory(first, rho) and not np.shares_memory(second, rho)
+    assert first.tobytes() == kept == second.tobytes() and rho.tobytes() == before
+
+
 @pytest.mark.parametrize("om", [-0.7, 0.0, 0.4])
 def test_upwind_slices_at_a_zero_face(om):
     # an even symmetric grid puts one face at q_f = 0, where om*q_f = +-0.0
@@ -341,10 +381,8 @@ def test_upwind_slices_at_a_zero_face(om):
     rho = np.linspace(1.0, 2.0, n)
     rho[z], rho[z + 1] = -0.25, -0.5
     uf = om * grid.qf
-    want = np.where(uf > 0.0, rho[:-1], rho[1:])
-    got = qbm.fpe._upwind_cells(rho, grid, om)
-    assert got.tobytes() == want.tobytes()
-    assert (uf * got).tobytes() == (uf * want).tobytes()
+    got = qbm.fpe._upwind_flux(rho, grid, om)
+    assert got.tobytes() == (uf * np.where(uf > 0.0, rho[:-1], rho[1:])).tobytes()
     ref = _reference_step(rho, q, np.float64(om), 0.9, 2e-3, "split-upwind", "zero-flux")
     assert step(rho, grid, om, 0.9, 2e-3).tobytes() == ref.tobytes()
 
