@@ -21,10 +21,10 @@ config values, which override built-in defaults.
 ``QBM_THREADS``), the mode, and each command's defaults (coeffs ``t_min`` and
 quantum ``n_max``, a quantum fpe ``t_start``).  Input refused there (bad
 physical parameters, coeffs ``--n-points`` below 1, sde with hbar > 0, an
-output into a missing directory) runs and writes nothing.  Then the one
-command runs: it returns its exit code, manifest path and run record, and
-``main`` writes the manifest ``{version, **record, config}``, where
-``config`` is every parsed setting with its defaults resolved.
+output that is a directory or into a missing one) runs and writes nothing.
+Then the one command runs: it returns its exit code, manifest path and run
+record, and ``main`` writes the manifest ``{version, **record, config}``,
+where ``config`` is every parsed setting with its defaults resolved.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .model import derive
 from .sde import equivalence_report, simulate_langevin, simulate_reduced
 from .validation import run_suite
 
-__all__ = ["main", "build_parser", "load_config", "save_config"]
+__all__ = ["main", "build_parser", "load_config"]
 
 # ---------------------------------------------------------------------------
 # flat key-value config files
@@ -90,19 +90,6 @@ def load_config(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: empty key")
             cfg[key] = _coerce(val.strip())
     return cfg
-
-
-def save_config(cfg: dict, path) -> None:
-    """Write a dict in the flat key-value format ``load_config`` reads back."""
-    with open(path, "w", newline="") as fh:
-        for key, val in cfg.items():
-            if isinstance(val, bool):
-                text = "true" if val else "false"
-            elif val is None:
-                continue
-            else:
-                text = repr(val) if isinstance(val, float) else str(val)
-            fh.write(f"{key.replace('-', '_')} = {text}\n")
 
 
 def _apply_config_defaults(parsers, overrides: dict) -> None:
@@ -231,8 +218,8 @@ def _resolve(args):
     ``threads`` comes from the flag, then ``QBM_THREADS``, then 1; the mode
     from ħ alone (``sde`` refuses ħ > 0).  coeffs gets its ``t_min`` and
     quantum ``n_max``, and a quantum fpe run a ``t_start`` past 0, where the
-    quantum coefficients are undefined.  An output into a missing directory
-    is refused.
+    quantum coefficients are undefined.  An output that is a directory, or
+    into a missing one, is refused.
     """
     env = os.environ.get("QBM_THREADS")
     args.threads = max(1, args.threads if args.threads is not None else int(env or 1))
@@ -250,6 +237,8 @@ def _resolve(args):
     elif args.command == "fpe" and not p.is_classical and args.t_start <= 0.0:
         args.t_start = args.t_final / 1000.0
     for path in (args.out, getattr(args, "dump_paths", None)):
+        if path and os.path.isdir(path):
+            raise InvalidInput(f"cannot write {path}: it is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise InvalidInput(f"cannot write {path}: no directory {os.path.dirname(path)!r}")
     return p

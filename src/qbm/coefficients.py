@@ -35,10 +35,12 @@ terms), and ``qbm validate`` checks it against the hypergeometric closed form
 ``build_table`` is the one assembly of the derived columns: sigma_q = sigma1
 + (k_B*T/M)*chi_v**2 and D = sigma_dot - 2*Omega*sigma_q with the exact
 derivative sigma_dot = D1 + (2*k_B*T/M)*chi_v*chi_v_dot (no numerical
-differentiation).  Its quantum rows (``_quantum_row``, which
-``d1_quantum_detail`` and ``sigma1_quantum`` take at one time) form
-exp(-nu_n*t) once for the mode sums and both correlation parts.  Each call
-forms its t-independent sums once (``_heads``), before any row, and keeps none;
+differentiation).  Its quantum rows (``_quantum_columns``, which
+``d1_quantum_detail`` and ``sigma1_quantum`` take at one time) are admitted by
+one gate (``_quantum_gate``: hbar > 0, every t > 0, N >= 1) before any
+response function is formed, and form exp(-nu_n*t) once for the mode sums and
+both correlation parts.  Each call forms its t-independent sums once
+(``_heads``), before any row, and keeps none;
 their Hurwitz zeta and harmonic tails are summed here (``zeta``), with a bound
 on what they drop, so no quantum row loads scipy.
 """
@@ -557,13 +559,20 @@ def _check_tol(tol: float) -> None:
         raise InvalidInput(f"tol must be a positive finite number, got {tol}")
 
 
-def _n_modes(n_max: Optional[int]) -> int:
-    """The mode cutoff N: ``n_max``, or ``N_MODES`` when it is None."""
-    if n_max is None:
-        return N_MODES
-    if n_max < 1:
+def _quantum_gate(p: PhysicalParams, t, n_max: Optional[int]) -> tuple:
+    """The times t as a 1-D array and the mode cutoff N of their quantum rows
+    (``n_max``, or ``N_MODES`` if None), once the rows are admitted: HbarZero
+    for classical parameters, else ValueError for a time not > 0, named by its
+    index, or for n_max < 1.  Every quantum entry point runs it before it
+    forms any response function or head."""
+    p.matsubara_nu()  # HbarZero for classical parameters
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    bad = np.flatnonzero(~(ts > 0.0))
+    if len(bad):
+        raise ValueError(f"t_grid[{bad[0]}] = {ts[bad[0]]}: t must be positive")
+    if n_max is not None and n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return int(n_max)
+    return ts, N_MODES if n_max is None else int(n_max)
 
 
 @dataclass(frozen=True)
@@ -678,17 +687,11 @@ def d1_quantum_detail(
     taken in closed form at N (:func:`_mode_parts`), so its cost does not grow
     with N, and xi_q0 from its whole series (:func:`_correlation`); sigma1's
     correlation sum C is not built.  ``tol`` is checked but changes no value.
-    The row of ``build_table``'s pass (:func:`_quantum_row`) at one time, so
-    refused where that row is."""
-    p.matsubara_nu()  # HbarZero for classical parameters
+    The row of ``build_table``'s pass (:func:`_quantum_columns`) at one time,
+    so refused where that row is."""
     _check_tol(tol)
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
-    n_modes = _n_modes(n_max)
-    if p.gamma == 0.0:
-        return _NO_BATH
-    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    return _quantum_row(p, n_modes, t, cq, cv, cvd, None, _heads(p, n_modes, [t], False))[0]
+    ts, n_modes = _quantum_gate(p, t, n_max)
+    return _quantum_columns(p, n_modes, ts, *_chi_all(p, ts), False)[0][0]
 
 
 def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> float:
@@ -700,36 +703,34 @@ def sigma1_quantum(p: PhysicalParams, t: float, n_max: Optional[int] = None) -> 
     :func:`d1_quantum_detail`, so sigma1' = D1 holds at the truncated level;
     the correlation part takes the whole series of xi_q0 and the sum C
     (:func:`_corr_sum`).  The row of ``build_table``'s pass
-    (:func:`_quantum_row`) at one time, so refused where that row is; the
-    table reports the bound on both sums as ``sigma1_tail_bound_max``."""
-    p.matsubara_nu()  # HbarZero for classical parameters
-    if not (t >= 0.0):
-        raise ValueError(f"t must be >= 0, got {t}")
-    n_modes = _n_modes(n_max)
-    if t == 0.0 or p.gamma == 0.0:
+    (:func:`_quantum_columns`) at one time, so refused where that row is; the
+    table reports the bound on both sums as ``sigma1_tail_bound_max``.  At
+    t = 0 it is the classical value, 0."""
+    if t == 0.0:  # once the parameters and the cutoff are admitted
+        _quantum_gate(p, (), n_max)
         return float(sigma1_classical(p, t))
-    base, heads = float(sigma1_classical(p, t)), _heads(p, n_modes, [t], True)
-    cq, cv, cvd = (float(a[0]) for a in _chi_all(p, t))
-    return _quantum_row(p, n_modes, t, cq, cv, cvd, base, heads)[1]
+    ts, n_modes = _quantum_gate(p, t, n_max)
+    return _quantum_columns(p, n_modes, ts, *_chi_all(p, ts))[1][0]
 
 
 def _quantum_columns(p: PhysicalParams, n_modes: int, t: np.ndarray, cq: np.ndarray,
-                     cv: np.ndarray, cvd: np.ndarray) -> tuple:
-    """D1 (a :class:`D1Result` a time), sigma1 and sigma1's bound at every
-    time of the array t > 0, given chi_q, chi_v and chi_v_dot there: one
+                     cv: np.ndarray, cvd: np.ndarray, sigma1: bool = True) -> tuple:
+    """D1 (a :class:`D1Result` a time) and, given ``sigma1``, sigma1 and its
+    bound (else None) at every time of the array t admitted by
+    :func:`_quantum_gate`, given chi_q, chi_v and chi_v_dot there: one
     :func:`_quantum_row` a time, all from one :func:`_heads`, whose refusal
-    names the first time."""
-    if p.gamma == 0.0:
-        return [_NO_BATH] * len(t), sigma1_classical(p, t), [0.0] * len(t)
+    names the first time.  At gamma = 0, D1 is 0 and sigma1 classical."""
     ts, i, rows = t.tolist(), 0, []
+    base = sigma1_classical(p, t).tolist() if sigma1 else [None] * len(ts)
+    if p.gamma == 0.0:
+        return [_NO_BATH] * len(ts), base, [0.0] * len(ts)
     try:
-        heads, base = _heads(p, n_modes, ts, True), sigma1_classical(p, t)
-        for i, (ti, q, c, cd, b) in enumerate(zip(ts, *(a.tolist() for a in (cq, cv, cvd, base)))):
+        heads = _heads(p, n_modes, ts, sigma1)
+        for i, (ti, q, c, cd, b) in enumerate(zip(ts, *(a.tolist() for a in (cq, cv, cvd)), base)):
             rows.append(_quantum_row(p, n_modes, ti, q, c, cd, b, heads))
     except QbmError as exc:
         raise type(exc)(f"t_grid[{i}] = {ts[i]}: {exc}") from exc
-    dets, s1, s1_bounds = zip(*rows)
-    return dets, np.array(s1), s1_bounds
+    return tuple(zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -913,28 +914,24 @@ def build_table(
 
     Classical columns are vectorized closed forms.  Quantum columns come from
     one pass over the grid (:func:`_quantum_columns`) at the mode cutoff N =
-    ``n_max`` (``N_MODES`` if None), which the table records.  The response
-    functions are evaluated once on the grid; sigma_q and d_fpe are assembled
-    here from them, d1 and sigma1.  Points inside pole windows get NaN
-    omega/d_fpe and the window is annotated; any other per-point failure
-    aborts with the grid index named.  ``threads`` is ignored: the table is
-    built on the calling thread.
+    ``n_max`` (``N_MODES`` if None), which the table records, once
+    :func:`_quantum_gate` admits the grid.  The response functions are
+    evaluated once on the grid; sigma_q and d_fpe are assembled here from
+    them, d1 and sigma1.  Points inside pole windows get NaN omega/d_fpe and
+    the window is annotated; any other per-point failure aborts with the grid
+    index named.  ``threads`` is ignored: the table is built on the calling
+    thread.
     """
     t_arr = np.asarray(t_grid, dtype=np.float64)
     if t_arr.ndim != 1 or len(t_arr) == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
     if (t_arr[1:] <= t_arr[:-1]).any():
         raise ValueError("t_grid must be strictly increasing")
-    if t_arr[0] < 0.0:
-        raise ValueError("t_grid must be nonnegative")
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
     _check_tol(tol)
     if mode == "quantum":
-        p.matsubara_nu()
-        if t_arr[0] <= 0.0:
-            raise ValueError("quantum-mode tables require t_grid[0] > 0")
-        n_max = _n_modes(n_max)
+        t_arr, n_max = _quantum_gate(p, t_arr, n_max)
 
     windows = _pole_windows_for(p, float(t_arr[-1]))
     in_window = np.zeros(len(t_arr), dtype=bool)
@@ -955,7 +952,7 @@ def build_table(
         sq = (p.kT / p.omega0_sq) * (1.0 - cq * cq)
     else:
         dets, s1, s1_tails = _quantum_columns(p, n_max, t_arr, cq, cv, cvd)
-        d1 = np.array([det.value for det in dets])
+        d1, s1 = np.array([det.value for det in dets]), np.array(s1)
         sq = s1 + (p.kT / p.M) * cv * cv
         d1_tail, s1_tail = max(det.tail_bound for det in dets), max(s1_tails)
         diagnostics = {

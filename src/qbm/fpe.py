@@ -73,9 +73,8 @@ class SolverConfig:
     """Grid, stepping, and policy knobs for the FPE solver.
 
     The cells must resolve the initial density: dq <= sqrt(init_var), or
-    ``solve`` raises ``UnresolvedGrid``.  ``n_max`` is the Matsubara mode
-    cutoff of a quantum coefficient table (``N_MODES`` if None) and ``tol``
-    the target of its certified tail bounds.
+    ``solve`` raises ``UnresolvedGrid``.  A quantum solve's coefficient table
+    takes ``build_table``'s defaults: the cutoff ``N_MODES`` and tol 1e-8.
     """
 
     n_q: int = 801
@@ -89,8 +88,6 @@ class SolverConfig:
     init_var: float = 1e-2
     snapshot_times: tuple = ()
     n_table: int = 4097
-    n_max: Optional[int] = None
-    tol: float = 1e-8
     compare_analytic: bool = False
     domain_sigmas: float = 8.0
 
@@ -368,23 +365,21 @@ def solve(
     """Evolve a Gaussian initial condition from cfg.t_start to t_final.
 
     ``form`` selects the time-local position-space equation (the only one
-    implemented).  With ``compare_analytic`` the result carries the maximum
-    pointwise deviation from the exact ``propagator`` density of the same
-    initial condition: mean chi_q(t)*q0, variance sigma_q(t) + chi_q(t)**2*init_var.
+    implemented).  ``build_table`` refuses an unknown ``mode`` and a quantum
+    cfg.t_start <= 0 (ValueError).  With ``compare_analytic`` the result
+    carries the maximum pointwise deviation from the exact ``propagator``
+    density of the same initial condition: mean chi_q(t)*q0, variance
+    sigma_q(t) + chi_q(t)**2*init_var.
     """
     if form != "adelman":
         raise ValueError(f"unknown FPE form {form!r}; only 'adelman' is implemented")
-    if mode not in ("classical", "quantum"):
-        raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
-    if mode == "quantum" and cfg.t_start <= 0.0:
-        raise ValueError("quantum-mode solves require cfg.t_start > 0")
 
     t_lo, t_hi, at = step_plan(cfg.t_start, t_final, cfg.dt, cfg.snapshot_times)
     snap_steps = set(at.tolist())
 
     n_table = cfg.n_table if mode == "classical" else min(cfg.n_table, 257)
     t_nodes = np.linspace(cfg.t_start, t_final, n_table)
-    table = build_table(p, t_nodes, mode=mode, n_max=cfg.n_max, tol=cfg.tol)
+    table = build_table(p, t_nodes, mode=mode)
 
     q_lo, q_hi = _auto_domain(cfg, table)
     q = np.linspace(q_lo, q_hi, cfg.n_q)

@@ -339,13 +339,12 @@ def equivalence_report(
     """Moment-by-moment comparison of two ensembles (and optional analytic
     reference) on their shared record grid.
 
-    The analytic reference, if given, maps 'mean' and 'var' to callables of t
-    or to arrays aligned with the record grid.  z-scores use combined
-    standard errors; ``passed`` requires every |z| <= z_limit.  By default
-    z_limit is the Bonferroni limit NormalDist().inv_cdf(1 - alpha/(2m)) for
-    the m scores compared, so that correct ensembles fail with probability at
-    most alpha = 1e-3 however many record points there are.  The limit used is
-    reported as ``z_limit``.
+    The analytic reference, if given, maps 'mean' and 'var' to callables of
+    the record times t.  z-scores use combined standard errors; ``passed``
+    requires every |z| <= z_limit.  By default z_limit is the Bonferroni
+    limit NormalDist().inv_cdf(1 - alpha/(2m)) for the m scores compared, so
+    that correct ensembles fail with probability at most alpha = 1e-3 however
+    many record points there are.  The limit used is reported as ``z_limit``.
     """
     if len(stats_a.t) != len(stats_b.t) or not np.allclose(
         stats_a.t, stats_b.t, rtol=1e-12, atol=1e-12
@@ -361,10 +360,7 @@ def equivalence_report(
     }
     if analytic is not None:
         for key, stats in (("a", stats_a), ("b", stats_b)):
-            ref_mean = analytic["mean"]
-            ref_var = analytic["var"]
-            m = ref_mean(stats.t) if callable(ref_mean) else np.asarray(ref_mean)
-            v = ref_var(stats.t) if callable(ref_var) else np.asarray(ref_var)
+            m, v = analytic["mean"](stats.t), analytic["var"](stats.t)
             report[f"max_z_mean_{key}_vs_analytic"] = float(
                 np.max(np.abs(stats.mean - m) / np.maximum(stats.se_mean, 1e-300))
             )

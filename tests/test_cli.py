@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qbm import __version__
-from qbm.cli import _resolve, build_parser, load_config, main, save_config
+from qbm.cli import _resolve, build_parser, load_config, main
+from qbm.coefficients import CoefficientTable
 
 
 class TestTopLevel:
@@ -56,8 +57,15 @@ class TestTopLevel:
         ["sde", "--paths", "10", "--t-final", "0.1", "--out", "missing/s.csv"],
         ["sde", "--paths", "10", "--t-final", "0.1", "--dump-paths", "missing/p.bin"],
         ["validate", "--out", "missing/v.json"],
-    ], ids=["coeffs", "fpe", "sde", "sde-dump-paths", "validate"])
+        ["coeffs", "--t-max", "1", "--n", "3", "--out", "."],
+        ["fpe", "--t-final", "0.1", "--n-q", "201", "--dt", "5e-3", "--out", "."],
+        ["sde", "--paths", "10", "--t-final", "0.1", "--out", "."],
+        ["sde", "--paths", "10", "--t-final", "0.1", "--dump-paths", "."],
+        ["validate", "--out", "."],
+    ], ids=["coeffs", "fpe", "sde", "sde-dump-paths", "validate",
+            "coeffs-dir", "fpe-dir", "sde-dir", "sde-dump-paths-dir", "validate-dir"])
     def test_unwritable_output_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        # an output into a missing directory, or that is a directory, is
         # refused while resolving: no command's work starts and nothing is written
         def never(*args, **kwargs):
             raise AssertionError("work started before the output was checked")
@@ -67,17 +75,22 @@ class TestTopLevel:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and "missing/" in err
+        assert err.count("\n") == 1 and err.startswith("error: ") and f"cannot write {argv[-1]}:" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_output_write_error_exit_1(self, tmp_path, capsys, monkeypatch):
-        # an output path that passes the directory check but cannot be opened
-        # (here a directory) fails in its writer: still one error line
+        # an output path that passes every check before the run but whose
+        # writer fails (here a full disk) still gives one error line, and no
+        # manifest
+        def disk_full(self, path):
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(CoefficientTable, "to_csv", disk_full)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "c.csv").mkdir()
         assert main(["coeffs", "--t-max", "1", "--n", "3", "--out", "c.csv"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "c.csv" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_exit_2(self, tmp_path):
         # underdamped drift poles inside the solve window are a numerical
@@ -90,11 +103,14 @@ class TestTopLevel:
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = {"gamma": 0.5, "omega0_sq": 1.0, "paths": 250, "v0_mode": "zero",
-               "compare_analytic": True, "dt": 1e-3}
+        # each value is read back as the bool, int, float or str it spells
         path = tmp_path / "run.cfg"
-        save_config(cfg, path)
-        assert load_config(path) == cfg
+        path.write_text("gamma = 0.5\nomega0_sq = 1.0\npaths = 250\nv0_mode = zero\n"
+                        "compare_analytic = true\ndt = 0.001\n")
+        cfg = load_config(path)
+        assert cfg == {"gamma": 0.5, "omega0_sq": 1.0, "paths": 250, "v0_mode": "zero",
+                       "compare_analytic": True, "dt": 1e-3}
+        assert [type(v) for v in cfg.values()] == [float, float, int, str, bool, float]
 
     def test_comments_and_separators(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -641,6 +641,37 @@ class TestD1Quantum:
         det = d1_quantum_detail(p, t)
         assert math.isfinite(det.value) and det.tail_bound <= 1e-8
 
+    @pytest.mark.parametrize("fn", [
+        d1_quantum_detail, sigma1_quantum,
+        pytest.param(lambda p, t, n_max: build_table(p, np.array([t]), mode="quantum", n_max=n_max),
+                     id="build_table")])
+    @pytest.mark.parametrize("params, t, n_max, error", [
+        ("p_over", 0.5, None, HbarZero),
+        ("pq_over", -1.0, None, ValueError),
+        ("pq_over", math.nan, None, ValueError),
+        ("pq_over", 0.0, None, ValueError),
+        ("pq_over", 0.5, 0, ValueError),
+    ], ids=["classical", "negative-t", "nan-t", "zero-t", "zero-n_max"])
+    def test_one_gate_refuses_before_any_row(self, request, monkeypatch, fn, params, t, n_max,
+                                             error):
+        # one gate admits the rows of every quantum entry point: classical
+        # parameters, a time not > 0 and n_max < 1 are refused, by the same
+        # type as before the gate, before any response function or head
+        def refused(*args, **kwargs):
+            raise AssertionError("a response function or head was formed")
+
+        for name in ("_chi_all", "_heads"):
+            monkeypatch.setattr(qbm.coefficients, name, refused)
+        p = request.getfixturevalue(params)
+        if fn is sigma1_quantum and t == 0.0:
+            assert fn(p, t, n_max=n_max) == 0.0  # sigma1(0): the classical value
+            return
+        with pytest.raises(error) as exc:
+            fn(p, t, n_max=n_max)
+        assert type(exc.value) is error
+        if error is ValueError and n_max is None:
+            assert str(exc.value) == f"t_grid[0] = {t}: t must be positive"
+
     def test_rejects_bad_n_max(self, pq_over):
         with pytest.raises(ValueError):
             d1_quantum_detail(pq_over, 1.0, n_max=0)

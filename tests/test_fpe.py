@@ -573,7 +573,7 @@ class TestSolveQuantum:
 
     def test_small_quantum_run(self, pq_over):
         cfg = _cfg(t_start=0.2, init_var=0.05, n_q=301, dt=2e-3, n_table=33,
-                   n_max=400, compare_analytic=True)
+                   compare_analytic=True)
         res = solve(pq_over, mode="quantum", t_final=0.8, cfg=cfg)
         assert abs(res.mass_drift) < 1e-12
         assert res.linf_error / res.peak_density < 2e-2
