@@ -48,7 +48,7 @@ from .coefficients import (
     sigma_cl_closed,
     xi_q0_sum,
 )
-from .propagator import GaussianDensity, density, fpe_residual, maxwell_average_check
+from .propagator import GaussianDensity, density, flow, fpe_residual, maxwell_average_check
 from .fpe import DensityField, SolveResult, SolverConfig, StepGrid, solve, step
 from .sde import EnsembleStats, equivalence_report, simulate_langevin, simulate_reduced
 from .validation import CheckResult, ValidationReport, run_suite
@@ -76,7 +76,7 @@ __all__ = [
     "N_MODES", "D1Result", "d1_quantum_detail", "sigma1_quantum",
     "CoefficientTable", "build_table",
     # propagator
-    "GaussianDensity", "density", "fpe_residual", "maxwell_average_check",
+    "GaussianDensity", "density", "flow", "fpe_residual", "maxwell_average_check",
     # fpe
     "SolverConfig", "DensityField", "SolveResult", "StepGrid", "step", "solve",
     # sde

@@ -21,10 +21,10 @@ config values, which override built-in defaults.
 ``QBM_THREADS``), the mode, and each command's defaults (coeffs ``t_min`` and
 quantum ``n_max``, a quantum fpe ``t_start``).  Input refused there (bad
 physical parameters, coeffs ``--n-points`` below 1, sde with hbar > 0, an
-output that is a directory or into a missing one) runs and writes nothing.
-Then the one command runs: it returns its exit code, manifest path and run
-record, and ``main`` writes the manifest ``{version, **record, config}``,
-where ``config`` is every parsed setting with its defaults resolved.
+output or manifest that is a directory or into a missing one) runs and
+writes nothing.  Then the one command runs and returns its exit code and run
+record; ``main`` writes the manifest ``{version, **record, config}``, where
+``config`` is every parsed setting with its defaults resolved.
 """
 
 from __future__ import annotations
@@ -213,13 +213,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 def _resolve(args):
     """Resolve every default in ``args`` and refuse bad input, all before
-    any work or write; returns the physical parameters.
+    any work or write; returns the physical parameters and the manifest path.
 
     ``threads`` comes from the flag, then ``QBM_THREADS``, then 1; the mode
     from ħ alone (``sde`` refuses ħ > 0).  coeffs gets its ``t_min`` and
     quantum ``n_max``, and a quantum fpe run a ``t_start`` past 0, where the
-    quantum coefficients are undefined.  An output that is a directory, or
-    into a missing one, is refused.
+    quantum coefficients are undefined.  An output or manifest that is a
+    directory, or into a missing one, is refused.
     """
     env = os.environ.get("QBM_THREADS")
     args.threads = max(1, args.threads if args.threads is not None else int(env or 1))
@@ -236,12 +236,13 @@ def _resolve(args):
             args.n_max = N_MODES
     elif args.command == "fpe" and not p.is_classical and args.t_start <= 0.0:
         args.t_start = args.t_final / 1000.0
-    for path in (args.out, getattr(args, "dump_paths", None)):
+    manifest = args.out if args.command == "validate" else args.out + ".json"
+    for path in (args.out, manifest, getattr(args, "dump_paths", None)):
         if path and os.path.isdir(path):
             raise InvalidInput(f"cannot write {path}: it is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise InvalidInput(f"cannot write {path}: no directory {os.path.dirname(path)!r}")
-    return p
+    return p, manifest
 
 
 def _write_manifest(path, record: dict, args) -> None:
@@ -266,7 +267,7 @@ def _cmd_coeffs(args, p):
         )
     if table.pole_windows:
         print(f"pole windows: {table.pole_windows}")
-    return 0, args.out + ".json", {**table.manifest(), "csv": os.path.basename(args.out)}
+    return 0, {**table.manifest(), "csv": os.path.basename(args.out)}
 
 
 def _cmd_fpe(args, p):
@@ -301,7 +302,7 @@ def _cmd_fpe(args, p):
         rel = res.linf_error / res.peak_density if res.peak_density > 0.0 else np.inf
         print(f"sup-norm deviation from analytic: {rel:.3e} of peak")
         code = int(rel > ANALYTIC_LIMIT)
-    return code, args.out + ".json", record
+    return code, record
 
 
 def _cmd_sde(args, p):
@@ -317,7 +318,7 @@ def _cmd_sde(args, p):
         record["paths_layout"] = "uint64 n_paths, uint64 n_times, then row-major float64 (little-endian)"
     print(f"wrote {args.out} ({stats_l.label}, {args.paths} paths)")
     if not args.compare:
-        return 0, args.out + ".json", record
+        return 0, record
     from .response import chi_q
     from .coefficients import sigma_cl_closed
 
@@ -336,14 +337,14 @@ def _cmd_sde(args, p):
         print(f"  {k}: {v}")
     record["reduced"] = {"label": stats_r.label, "rng_draws": stats_r.rng_draws}
     record["equivalence"] = {k: v for k, v in rep.items() if k != "labels"}
-    return int(not rep["passed"]), args.out + ".json", record
+    return int(not rep["passed"]), record
 
 
 def _cmd_validate(args, p):
     rep = run_suite(p, quick=args.suite == "quick")
     for line in rep.lines():
         print(line)
-    return int(not rep.passed), args.out, {"mode": args.mode, **rep.to_dict()}
+    return int(not rep.passed), {"mode": args.mode, **rep.to_dict()}
 
 
 _HANDLERS = {"coeffs": _cmd_coeffs, "fpe": _cmd_fpe, "sde": _cmd_sde, "validate": _cmd_validate}
@@ -359,9 +360,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise InvalidInput(f"cannot read config: {exc}") from exc
         args = build_parser(config).parse_args(argv)
-        p = _resolve(args)
-        code, manifest_path, record = _HANDLERS[args.command](args, p)
-        _write_manifest(manifest_path, record, args)
+        p, manifest = _resolve(args)
+        code, record = _HANDLERS[args.command](args, p)
+        _write_manifest(manifest, record, args)
         return code
     except (QbmError, ValueError, OSError) as exc:  # OSError: an output not writable
         print(f"error: {exc}", file=sys.stderr)

@@ -45,8 +45,7 @@ from numpy.linalg import LinAlgError
 from .coefficients import CoefficientTable, _refuse_unstable, build_table, step_plan
 from .errors import GridMismatch, NonFiniteState, UnresolvedGrid
 from .model import PhysicalParams
-from .propagator import GaussianDensity, density
-from .response import chi_q
+from .propagator import _gauss, flow
 
 __all__ = [
     "ANALYTIC_LIMIT",
@@ -367,9 +366,9 @@ def solve(
     ``form`` selects the time-local position-space equation (the only one
     implemented).  ``build_table`` refuses an unknown ``mode`` and a quantum
     cfg.t_start <= 0 (ValueError).  With ``compare_analytic`` the result
-    carries the maximum pointwise deviation from the exact ``propagator``
-    density of the same initial condition: mean chi_q(t)*q0, variance
-    sigma_q(t) + chi_q(t)**2*init_var.
+    carries the maximum pointwise deviation from the exact density: the
+    initial Gaussian N(q0, init_var) moved from t_start to t_final by
+    ``propagator.flow`` on the run's table.
     """
     if form != "adelman":
         raise ValueError(f"unknown FPE form {form!r}; only 'adelman' is implemented")
@@ -414,11 +413,8 @@ def solve(
 
     linf = peak = None
     if cfg.compare_analytic:
-        def var(t):
-            c = float(chi_q(p, t))
-            return table.at(t, "sigma_q") + c * c * cfg.init_var
-
-        exact = density(GaussianDensity(p, "averaged", cfg.q0, variance_fn=var), q, t_final)
+        r, added = flow(table, cfg.t_start, t_final)
+        exact = _gauss(q, r * cfg.q0, r * r * cfg.init_var + added)
         linf = float(np.max(np.abs(field.rho - exact)))
         peak = float(np.max(exact))
 

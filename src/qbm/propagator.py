@@ -7,6 +7,9 @@ Two kinds of propagator:
 * ``averaged`` — sharp q0, Maxwell-distributed v0 at the bath temperature;
   mean chi_q(t)*q0, variance sigma_q(t) = sigma1 + (k_B*T/M)*chi_v**2.
 
+Both are classical closed forms from t = 0.  ``flow`` is the one Gaussian map
+read from a CoefficientTable, quantum or classical, between any two times.
+
 ``fpe_residual`` substitutes one of these Gaussians into the FPE
 
     d_t rho = -Omega(t) d_q(q rho) + (D(t)/2) d_q^2 rho
@@ -25,7 +28,6 @@ the conditional density over thermal v0 reproduces the averaged density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .response import chi_q, chi_q_dot, chi_v, chi_v_dot
 __all__ = [
     "GaussianDensity",
     "density",
+    "flow",
     "fpe_residual",
     "maxwell_average_check",
 ]
@@ -50,19 +53,15 @@ def _gauss(q: np.ndarray, mean: float, var: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianDensity:
-    """Analytic Gaussian solution of the position-space FPE.
-
-    ``variance_fn(t)`` must return the matching variance column for the kind;
-    by default the classical closed forms are used.  Quantum densities are
-    built by passing ``variance_fn`` wired to the quantum coefficients (or by
-    reading a table column).
+    """Closed-form Gaussian solution of the classical position-space FPE,
+    started sharp at q0 (and v0) at t = 0.  A Gaussian moved by a coefficient
+    table, quantum or from another start, goes through ``flow`` instead.
     """
 
     params: PhysicalParams
     kind: str = "averaged"
     q0: float = 0.0
     v0: float = 0.0
-    variance_fn: Optional[object] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -81,9 +80,7 @@ class GaussianDensity:
         return m
 
     def variance(self, t: float) -> float:
-        if self.variance_fn is not None:
-            var = float(self.variance_fn(t))
-        elif self.kind == "conditional":
+        if self.kind == "conditional":
             var = float(sigma1_classical(self.params, t))
         else:
             var = float(sigma_cl_closed(self.params, t))
@@ -99,6 +96,18 @@ def density(g: GaussianDensity, q, t: float):
     qa = np.atleast_1d(np.asarray(q, dtype=np.float64))
     out = _gauss(qa, g.mean(t), g.variance(t))
     return float(out[0]) if np.ndim(q) == 0 else out.reshape(np.shape(q))
+
+
+def flow(table: CoefficientTable, s: float, t: float) -> tuple:
+    """(r, added): the FPE moves a Gaussian N(m, v) at time s to
+    N(r*m, r**2*v + added) at t, with r = chi_q(t)/chi_q(s) and added =
+    sigma_q(t) - r**2*sigma_q(s) from the table's ``sigma_q`` column.  A
+    negative added variance raises DegenerateVariance."""
+    r = float(chi_q(table.params, t)) / float(chi_q(table.params, s))
+    added = float(table.at(t, "sigma_q") - r * r * table.at(s, "sigma_q"))
+    if not added >= 0.0:
+        raise DegenerateVariance(f"flow from t={s} to t={t} adds variance {added}")
+    return r, added
 
 
 def fpe_residual(
@@ -134,8 +143,7 @@ def fpe_residual(
     p = g.params
     mean = g.mean(t)
     mean_rate = g.mean_rate(t)
-    d1_tab = table.at(t, "d1")
-    var_rate = d1_tab
+    var_rate = table.at(t, "d1")
     if g.kind == "averaged":
         var_rate += (
             2.0 * p.kT / p.M * float(chi_v(p, t)) * float(chi_v_dot(p, t))

@@ -51,32 +51,38 @@ class TestTopLevel:
         assert exc.value.code == 0
         assert "usage: qbm" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv", [
-        ["coeffs", "--t-max", "1", "--n", "3", "--out", "missing/c.csv"],
-        ["fpe", "--t-final", "0.1", "--n-q", "201", "--dt", "5e-3", "--out", "missing/f.csv"],
-        ["sde", "--paths", "10", "--t-final", "0.1", "--out", "missing/s.csv"],
-        ["sde", "--paths", "10", "--t-final", "0.1", "--dump-paths", "missing/p.bin"],
-        ["validate", "--out", "missing/v.json"],
-        ["coeffs", "--t-max", "1", "--n", "3", "--out", "."],
-        ["fpe", "--t-final", "0.1", "--n-q", "201", "--dt", "5e-3", "--out", "."],
-        ["sde", "--paths", "10", "--t-final", "0.1", "--out", "."],
-        ["sde", "--paths", "10", "--t-final", "0.1", "--dump-paths", "."],
-        ["validate", "--out", "."],
+    @pytest.mark.parametrize("argv, made", [
+        (["coeffs", "--t-max", "1", "--n", "3", "--out", "missing/c.csv"], None),
+        (["fpe", "--t-final", "0.1", "--n-q", "201", "--dt", "5e-3", "--out", "missing/f.csv"], None),
+        (["sde", "--paths", "10", "--t-final", "0.1", "--out", "missing/s.csv"], None),
+        (["sde", "--paths", "10", "--t-final", "0.1", "--dump-paths", "missing/p.bin"], None),
+        (["validate", "--out", "missing/v.json"], None),
+        (["coeffs", "--t-max", "1", "--n", "3", "--out", "."], None),
+        (["fpe", "--t-final", "0.1", "--n-q", "201", "--dt", "5e-3", "--out", "."], None),
+        (["sde", "--paths", "10", "--t-final", "0.1", "--out", "."], None),
+        (["sde", "--paths", "10", "--t-final", "0.1", "--dump-paths", "."], None),
+        (["validate", "--out", "."], None),
+        (["coeffs", "--t-max", "1", "--n", "3", "--out", "c.csv"], "c.csv.json"),
     ], ids=["coeffs", "fpe", "sde", "sde-dump-paths", "validate",
-            "coeffs-dir", "fpe-dir", "sde-dir", "sde-dump-paths-dir", "validate-dir"])
-    def test_unwritable_output_exit_1(self, tmp_path, capsys, monkeypatch, argv):
-        # an output into a missing directory, or that is a directory, is
-        # refused while resolving: no command's work starts and nothing is written
+            "coeffs-dir", "fpe-dir", "sde-dir", "sde-dump-paths-dir", "validate-dir",
+            "coeffs-manifest-dir"])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, monkeypatch, argv, made):
+        # an output or its manifest into a missing directory, or that is a
+        # directory (``made`` here first), is refused while resolving: no
+        # command's work starts and nothing is written
         def never(*args, **kwargs):
             raise AssertionError("work started before the output was checked")
 
         for name in ("build_table", "solve", "simulate_langevin", "run_suite"):
             monkeypatch.setattr(f"qbm.cli.{name}", never)
         monkeypatch.chdir(tmp_path)
+        if made:
+            (tmp_path / made).mkdir()
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and f"cannot write {argv[-1]}:" in err
-        assert list(tmp_path.iterdir()) == []
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"cannot write {made or argv[-1]}:" in err
+        assert list(tmp_path.iterdir()) == ([tmp_path / made] if made else [])
 
     def test_output_write_error_exit_1(self, tmp_path, capsys, monkeypatch):
         # an output path that passes every check before the run but whose
@@ -344,6 +350,17 @@ class TestFpe:
         assert summary["linf_error"] / summary["peak_density"] < 5e-3
         assert abs(summary["mass_final"] - summary["mass_initial"]) < 1e-12
         assert summary["config"]["scheme"] == "cn-central"
+
+    @pytest.mark.parametrize("hbar", ["0", "1"], ids=["classical", "quantum"])
+    def test_late_start_exit_0(self, tmp_path, hbar):
+        # the exact density is the initial Gaussian moved from t_start, not a
+        # run started at 0
+        out = str(tmp_path / "f.csv")
+        rc = main(["fpe", "--hbar", hbar, "--q0", "1", "--compare-analytic",
+                   "--t-start", "1", "--t-final", "2", "--out", out])
+        assert rc == 0
+        summary = json.loads((tmp_path / "f.csv.json").read_text())
+        assert summary["linf_error"] / summary["peak_density"] < 1e-4
 
     def test_coarse_run_exit_1(self, tmp_path):
         out = str(tmp_path / "f.csv")

@@ -27,6 +27,7 @@ from qbm import (
     step,
 )
 from qbm.coefficients import step_plan
+from qbm.fpe import ANALYTIC_LIMIT
 
 
 def _cfg(**kw):
@@ -576,4 +577,4 @@ class TestSolveQuantum:
                    compare_analytic=True)
         res = solve(pq_over, mode="quantum", t_final=0.8, cfg=cfg)
         assert abs(res.mass_drift) < 1e-12
-        assert res.linf_error / res.peak_density < 2e-2
+        assert res.linf_error / res.peak_density < ANALYTIC_LIMIT

@@ -11,6 +11,8 @@ from qbm import (
     chi_q,
     chi_v,
     density,
+    derive,
+    flow,
     fpe_residual,
     maxwell_average_check,
     sigma_cl_closed,
@@ -45,10 +47,6 @@ class TestGaussianDensity:
         with pytest.raises(DegenerateVariance):
             g.variance(0.0)
 
-    def test_variance_fn_override(self, p_over):
-        g = GaussianDensity(p_over, kind="averaged", variance_fn=lambda t: 2.5)
-        assert g.variance(3.0) == 2.5
-
     def test_density_normalization_and_moments(self, p_over):
         g = GaussianDensity(p_over, kind="averaged", q0=1.5)
         q = np.linspace(-12.0, 12.0, 20001)
@@ -64,6 +62,36 @@ class TestGaussianDensity:
     def test_scalar_query(self, p_over):
         g = GaussianDensity(p_over, kind="averaged")
         assert isinstance(density(g, 0.3, 1.0), float)
+
+
+class TestFlow:
+    @pytest.mark.parametrize("regime", ["over", "under", "crit"])
+    def test_from_zero_is_the_closed_form(self, regime, request):
+        # chi_q(0) = 1 and sigma_q(0) = 0, so at the table nodes the map
+        # from 0 is (chi_q, sigma_cl_closed) bit for bit
+        p = request.getfixturevalue(f"p_{regime}")
+        table = build_table(p, np.linspace(0.0, 4.0, 801), mode="classical")
+        for t in table.t.tolist():
+            assert flow(table, 0.0, t) == (chi_q(p, t), sigma_cl_closed(p, t))
+
+    @pytest.mark.parametrize("params", [(1.0, 1.0, 0.16, 1.0), (1.0, 0.5, 1.0, 1.0),
+                                        (1.0, 2.0, 1.0, 1.0), (2.0, 20.0, 1.0, 0.5)],
+                             ids=["over", "under", "crit", "strong"])
+    def test_equilibrium_is_a_fixed_point(self, params):
+        # a Gaussian at the classical equilibrium variance k_B*T/omega0^2
+        # keeps it from any start
+        p = derive(*params)
+        table = build_table(p, np.linspace(0.0, 4.0, 801), mode="classical")
+        eq = p.kT / p.omega0_sq
+        for s, t in ((0.0, 0.5), (0.3, 0.9), (0.5, 2.0), (1.0, 3.5)):
+            r, added = flow(table, s, t)
+            assert r * r * eq + added == pytest.approx(eq, rel=1e-14, abs=0.0)
+
+    def test_negative_added_variance_rejected(self, table_over):
+        # a sigma_q column that falls in time takes variance away
+        bad = dataclasses.replace(table_over, sigma_q=table_over.sigma_q[::-1].copy())
+        with pytest.raises(DegenerateVariance):
+            flow(bad, 0.5, 1.0)
 
 
 class TestFpeResidual:
